@@ -125,6 +125,9 @@ def propagate_shapes(spec: NetworkSpec) -> list[tuple[int, int]]:
 
 
 def validate_spec(spec: NetworkSpec) -> None:
+    for i, layer in enumerate(spec.layers):
+        if layer.kind == POOL and layer.padding:
+            raise ShapeError(f"layer {i}: pool padding is not supported")
     shapes = propagate_shapes(spec)
     if not spec.layers or spec.layers[-1].kind != SOFTMAX_DENSE:
         raise ShapeError("final layer must be a softmax-dense classifier head")
@@ -590,11 +593,14 @@ def unpack_spec(reader: ByteReader) -> NetworkSpec:
     )
     layers = []
     for i in range(n_layers):
+        start = reader.offset
         kind, kernel, units, stride, padding, act, drop = reader.take(
             "<BHHHHBf", f"layer {i} descriptor"
         )
         if kind not in _KIND_NAMES or act not in _ACT_NAMES:
             raise ContainerFormatError(f"layer {i}: bad descriptor", reader.offset)
+        if _KIND_NAMES[kind] == POOL and padding:
+            raise ContainerFormatError(f"layer {i}: pool padding is not supported", start)
         layers.append(
             LayerSpec(_KIND_NAMES[kind], kernel, units, stride, padding,
                       _ACT_NAMES[act], float(drop))

@@ -1,11 +1,26 @@
-"""Forward passes driven directly by packed sign bits.
+"""Forward passes driven directly by sign bits, in bit-plane form.
 
-The engine never materializes dequantized weight tensors. Each group
-contributes sum_i a_i * (column_i . x) to its layer's outputs, where the
-column dot product is an add/subtract reduction selected by the packed sign
-bits. Groups follow flattened layer order (weights row-major, then biases),
-so one group may span several output channels and the bias tail; the engine
-gathers the matching input window for every flattened weight position.
+A group w = B @ a contributes sum_k a_k (b_k . x) to its layer's outputs:
+one add/subtract reduction per retained sign column b_k, scaled by its
+coordinate. Groups follow flattened layer order (weights row-major, then
+biases), so one group may span several output channels and the bias tail.
+The engine therefore cuts every group into segments, one per output channel
+it touches, and holds per quantized layer
+
+* ``M``, a {-1, 0, +1} matrix with one row per segment and retained bit and
+  one column per input of an output position (the layer's ``fan``); the
+  signs of bias positions form the separate column ``m_b``;
+* ``C``, an (outputs x rows) matrix whose single non-zero per column is the
+  row's coordinate a_k, which scatters every row onto its output channel.
+
+A layer then computes ``y = C @ (M @ x + m_b)`` for inputs ``x`` shaped
+(records, fan, positions); dense layers have one position. The dequantized
+weights ``C @ M`` are never formed. A row of ``M`` touches at most one
+group's width of consecutive inputs, so rows are ordered by their first
+column and each run of rows with the same first column multiplies only that
+window of ``x``. Records run in fixed blocks of stacked per-record matmuls,
+so each record's arithmetic is independent of its batch: logits are bitwise
+identical at every batch size, and the blocks bound the working memory.
 
 Activations stay full-precision; accumulation is float64 so the bit-driven
 path tracks the dequantized reference within tight tolerances.
@@ -13,14 +28,18 @@ path tracks the dequantized reference within tight tolerances.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import net as _net
-from .bitpack import pack_signs, unpack_signs
 from .errors import NumericError, ShapeError
 from .net import CONV, DENSE, FLATTEN, POOL, SOFTMAX_DENSE, Network
 from .quantizer import QuantGroup, QuantModel, dequantized_network
 from .util import chunked_rows
+
+# records per stacked matmul
+BLOCK = 16
 
 
 def dequantize(model: QuantModel) -> Network:
@@ -29,91 +48,116 @@ def dequantize(model: QuantModel) -> Network:
 
 
 def group_dot(q: QuantGroup, x) -> float:
-    """sum_i a_i * (column_i . x), reduced via the packed sign bits."""
+    """sum_i a_i * (column_i . x), an add/subtract reduction per sign column."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (q.size,):
         raise ShapeError(f"expected {q.size} values, got shape {x.shape}")
     total = 0.0
     for ci in range(q.bitwidth):
-        pos = unpack_signs(pack_signs(q.bases[:, ci]), q.size) > 0
+        pos = q.bases[:, ci] > 0
         total += q.coords[ci] * (x[pos].sum() - x[~pos].sum())
     return float(total)
 
 
+@dataclass
+class LayerPlan:
+    """Bit-plane form of one quantized layer: ``y = C @ (M @ x + m_b)``.
+
+    Rows are sorted by the first input column they touch. A row spans at
+    most ``width`` consecutive columns, so the rows of one entry ``(lo, r0,
+    r1)`` of ``windows`` read only the inputs ``lo:lo + width``.
+    """
+
+    M: np.ndarray  # (rows, fan) signs of the weight positions
+    m_b: np.ndarray  # (rows,) signs of the bias positions
+    C: np.ndarray  # (outputs, rows) coordinate of each row on its channel
+    width: int
+    windows: list[tuple[int, int, int]]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """(records, fan, positions) inputs -> (records, outputs, positions)."""
+        z = np.empty((x.shape[0], self.M.shape[0], x.shape[2]))
+        for lo, r0, r1 in self.windows:
+            hi = lo + self.width
+            z[:, r0:r1] = self.M[r0:r1, lo:hi] @ x[:, lo:hi]
+        z += self.m_b[:, None]
+        return self.C @ z
+
+
+def layer_plan(groups: list[QuantGroup], n_out: int, fan: int) -> LayerPlan:
+    """Bit-plane matrices of a layer with ``n_out`` outputs of ``fan`` inputs."""
+    sizes = np.array([g.size for g in groups])
+    bits = np.array([g.bitwidth for g in groups])
+    signs = np.zeros((len(groups), sizes.max(), bits.max()))
+    coords = np.zeros((len(groups), bits.max()))
+    for gi, g in enumerate(groups):
+        signs[gi, : g.size, : g.bitwidth] = g.bases
+        coords[gi, : g.bitwidth] = g.coords
+    # every flattened position: its group, output channel and input column;
+    # bias positions take column fan
+    g, j = np.nonzero(np.arange(sizes.max()) < sizes[:, None])
+    pos = (np.cumsum(sizes) - sizes)[g] + j
+    w_total = n_out * fan
+    out = np.where(pos < w_total, pos // fan, pos - w_total)
+    col = np.where(pos < w_total, pos % fan, fan)
+    # one row per (group, output channel) segment and retained bit
+    seg_key, seg = np.unique(g * n_out + out, return_inverse=True)
+    seg_g, seg_out = np.divmod(seg_key, n_out)
+    s, k = np.nonzero(np.arange(bits.max()) < bits[seg_g][:, None])
+    row = np.zeros((seg_key.size, bits.max()), dtype=np.intp)
+    row[s, k] = np.arange(s.size)
+    p, pk = np.nonzero(np.arange(bits.max()) < bits[g][:, None])
+    m = np.zeros((s.size, fan + 1))
+    m[row[seg[p], pk], col[p]] = signs[g[p], j[p], pk]
+    c = np.zeros((n_out, s.size))
+    c[seg_out[s], np.arange(s.size)] = coords[seg_g[s], k]
+    # a bias-only row touches no weight column and joins the window at 0
+    lo = (m[:, :fan] != 0).argmax(axis=1)
+    order = np.argsort(lo, kind="stable")
+    starts, r0 = np.unique(lo[order], return_index=True)
+    windows = list(zip(starts.tolist(), r0.tolist(), r0[1:].tolist() + [s.size]))
+    m = m[order]
+    return LayerPlan(m[:, :fan], m[:, fan], c[:, order], int(sizes.max()), windows)
+
+
 class QuantExecutor:
-    """Precomputed per-group execution plans for one quantized model."""
+    """Bit-plane execution plans for one quantized model."""
 
     def __init__(self, model: QuantModel):
         self.model = model
-        self.plans = {}
         shapes = _net.param_shapes(model.spec)
+        self.plans = {}
         for ql in model.layers:
             w_shape, _ = shapes[ql.layer_index]
-            n_out = w_shape[0]
             fan = int(np.prod(w_shape[1:]))
-            self.plans[ql.layer_index] = (n_out, fan, self._build(ql, n_out, fan))
+            self.plans[ql.layer_index] = layer_plan(ql.groups, w_shape[0], fan)
 
-    @staticmethod
-    def _build(ql, n_out, fan):
-        w_total = n_out * fan
-        plans = []
-        off = 0
-        for g in ql.groups:
-            if g.bitwidth == 0:
-                off += g.size
-                continue
-            idx = np.arange(off, off + g.size)
-            is_bias = idx >= w_total
-            out_ch = np.where(is_bias, idx - w_total, idx // fan)
-            rows = np.where(is_bias, fan, idx % fan)
-            pos = np.zeros((g.size, g.bitwidth), dtype=bool)
-            for ci in range(g.bitwidth):
-                pos[:, ci] = unpack_signs(pack_signs(g.bases[:, ci]), g.size) > 0
-            parts = [
-                (int(o), rows[out_ch == o], pos[out_ch == o])
-                for o in np.unique(out_ch)
-            ]
-            plans.append((g.coords, parts))
-            off += g.size
-        return plans
-
-    def _apply(self, layer_index: int, cols: np.ndarray) -> np.ndarray:
-        # cols (fan, n_cols) of gathered inputs; a ones row stands in for bias
-        n_out, fan, plans = self.plans[layer_index]
-        ext = np.vstack([cols, np.ones((1, cols.shape[1]))])
-        y = np.zeros((n_out, cols.shape[1]))
-        for coords, parts in plans:
-            for out_ch, rows, pos in parts:
-                m = ext[rows]
-                for ci in range(coords.size):
-                    p = pos[:, ci]
-                    contrib = m[p].sum(axis=0) - m[~p].sum(axis=0)
-                    y[out_ch] += coords[ci] * contrib
-        return y
-
-    def logits(self, records) -> np.ndarray:
-        x = _net._as_batch(self.model.spec, records)
-        bsz = x.shape[0]
-        h = x
+    def _block_logits(self, h: np.ndarray) -> np.ndarray:
+        bsz = h.shape[0]
         for i, layer in enumerate(self.model.spec.layers):
             if layer.kind == CONV:
                 win = _net._windows(h, layer.kernel, layer.stride, layer.padding)
                 _, c, t, k = win.shape
-                cols = win.transpose(1, 3, 0, 2).reshape(c * k, bsz * t)
-                h = self._apply(i, cols).reshape(layer.units, bsz, t).transpose(1, 0, 2)
+                h = self.plans[i].apply(win.transpose(0, 1, 3, 2).reshape(bsz, c * k, t))
                 if layer.activation == "relu":
                     h = np.maximum(h, 0.0)
             elif layer.kind == POOL:
-                h, _ = _net._pool_fwd(h, layer.kernel, layer.stride)
+                h = _net._windows(h, layer.kernel, layer.stride, 0).max(axis=3)
             elif layer.kind == FLATTEN:
                 h = h.reshape(bsz, -1)
             elif layer.kind in (DENSE, SOFTMAX_DENSE):
-                h = self._apply(i, h.T).T
+                h = self.plans[i].apply(h[:, :, None])[:, :, 0]
                 if layer.kind == DENSE and layer.activation == "relu":
                     h = np.maximum(h, 0.0)
             if not np.all(np.isfinite(h)):
                 raise NumericError(f"non-finite values in layer {i} ({layer.kind})")
         return h
+
+    def logits(self, records) -> np.ndarray:
+        x = _net._as_batch(self.model.spec, records)
+        return np.concatenate(
+            [self._block_logits(x[i : i + BLOCK]) for i in range(0, len(x), BLOCK)]
+        )
 
     def probs(self, records) -> np.ndarray:
         return np.exp(_net._log_softmax(self.logits(records)))
@@ -124,17 +168,7 @@ def qforward(model: QuantModel, record) -> np.ndarray:
     return QuantExecutor(model).probs([record])[0]
 
 
-def qlogits_batch(model: QuantModel, records) -> np.ndarray:
-    return QuantExecutor(model).logits(records)
-
-
 def predict_batch(model: QuantModel, records) -> np.ndarray:
     """Probabilities for many records; chunks may run on worker threads."""
     ex = QuantExecutor(model)
     return chunked_rows(ex.probs, records)
-
-
-def predict(model: QuantModel, records) -> tuple[np.ndarray, np.ndarray]:
-    """(probabilities, argmax labels) per record; ties go to the lowest class."""
-    probs = predict_batch(model, records)
-    return probs, probs.argmax(axis=1)

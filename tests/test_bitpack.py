@@ -150,6 +150,16 @@ class TestDeserializeErrors:
         with pytest.raises(ContainerFormatError, match="trailing"):
             deserialize_bytes(serialize_bytes(model) + b"\x00")
 
+    def test_pool_padding_rejected_at_descriptor_offset(self):
+        from test_net import patch_pool_padding
+
+        # small_spec: conv, pool, ...; the header is magic + u16 version
+        model = random_model(np.random.default_rng(7))
+        blob, at = patch_pool_padding(serialize_bytes(model), 1, 6)
+        with pytest.raises(ContainerFormatError, match="pool padding") as err:
+            deserialize_bytes(blob)
+        assert err.value.offset == at
+
     def test_non_canonical_rejected(self):
         model = random_model(np.random.default_rng(6))
         # force a duplicate column pair in some group

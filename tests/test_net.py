@@ -5,6 +5,7 @@ from alqecg import net as _net
 from alqecg.data import Dataset, EcgRecord, RECORD_SAMPLES, synth_generate, normalize_dataset
 from alqecg.errors import ContainerFormatError, NumericError, ShapeError, TrainingError
 from alqecg.net import (
+    LayerSpec,
     Network,
     NetworkSpec,
     TrainConfig,
@@ -26,6 +27,7 @@ from alqecg.net import (
     softmax_dense,
     train,
     unflatten_params,
+    validate_spec,
 )
 from conftest import tiny_spec
 
@@ -58,12 +60,36 @@ class TestArchitecture:
         assert dict(rows) == EXPECTED_COUNTS
         assert total == 80973
 
+    def test_pool_padding_rejected(self):
+        with pytest.raises(ShapeError, match="pool padding"):
+            validate_spec(padded_pool_spec())
+
     def test_param_count_on_network(self):
         network = init_params(default_ecgnet_spec(), 0)
         rows, total = param_count(network)
         assert total == 80973
         got = sum(p[0].size + p[1].size for p in network.params if p is not None)
         assert got == total
+
+
+def padded_pool_spec() -> NetworkSpec:
+    # the padded pool passes shape propagation but has no forward pass
+    return NetworkSpec(
+        [conv(3, 2), LayerSpec(_net.POOL, kernel=2, stride=2, padding=1), flatten(),
+         softmax_dense(3)],
+        input_length=8, input_channels=1, class_count=3,
+    )
+
+
+def patch_pool_padding(blob: bytes, layer: int, header: int) -> tuple[bytes, int]:
+    """Set the padding of descriptor ``layer`` to 1; returns (blob, its offset).
+
+    ``header`` is the byte count before the network descriptor.
+    """
+    at = header + 8 + 14 * layer
+    padding_at = at + 7  # after u8 kind, u16 kernel, units, stride
+    patched = blob[:padding_at] + (1).to_bytes(2, "little") + blob[padding_at + 2 :]
+    return patched, at
 
 
 class TestOutLength:
@@ -323,3 +349,13 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ContainerFormatError, match="truncated"):
             load_checkpoint(path)
+
+    def test_pool_padding_rejected_at_descriptor_offset(self, tmp_path):
+        path = tmp_path / "m.alqf"
+        save_checkpoint(init_params(tiny_spec(), 0), path)
+        # tiny_spec: conv, pool, ...; the header is magic + u16 version
+        blob, at = patch_pool_padding(path.read_bytes(), 1, 6)
+        path.write_bytes(blob)
+        with pytest.raises(ContainerFormatError, match="pool padding") as err:
+            load_checkpoint(path)
+        assert err.value.offset == at

@@ -4,9 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alqecg import net as _net
+from alqecg.bitpack import memory_report
 from alqecg.errors import ShapeError
-from alqecg.net import init_params
-from alqecg.qinfer import QuantExecutor, dequantize, group_dot, qforward, predict_batch
+from alqecg.net import default_ecgnet_spec, init_params
+from alqecg.qinfer import (
+    QuantExecutor,
+    dequantize,
+    group_dot,
+    layer_plan,
+    predict_batch,
+    qforward,
+)
 from alqecg.quantizer import (
     QuantGroup,
     QuantLayer,
@@ -15,7 +23,7 @@ from alqecg.quantizer import (
     uniform_baseline,
 )
 from conftest import tiny_spec
-from test_bitpack import random_model
+from test_bitpack import random_model, small_spec
 
 
 class TestDequantize:
@@ -197,3 +205,79 @@ class TestQforward:
             qlog = QuantExecutor(model).logits(records)
             flog = _net.logits_batch(reference, records)
             assert np.abs(qlog - flog).max() <= 1e-5
+
+
+def layer_geometry(model, ql) -> tuple[int, int]:
+    """(outputs, fan) of a quantized layer's weight matrix."""
+    w_shape, _ = _net.param_shapes(model.spec)[ql.layer_index]
+    return w_shape[0], int(np.prod(w_shape[1:]))
+
+
+class TestLayerPlan:
+    def test_structure(self):
+        rng = np.random.default_rng(21)
+        for spec in [small_spec(), tiny_spec()] * 10:
+            model = random_model(rng, spec)
+            for ql, mem in zip(model.layers, memory_report(model).rows):
+                n_out, fan = layer_geometry(model, ql)
+                w_total = n_out * fan
+                plan = layer_plan(ql.groups, n_out, fan)
+                offsets = np.cumsum([0] + [g.size for g in ql.groups])
+                rows = bias_bits = 0
+                for g, off in zip(ql.groups, offsets):
+                    pos = np.arange(off, off + g.size)
+                    out = np.where(pos < w_total, pos // fan, pos - w_total)
+                    rows += np.unique(out).size * g.bitwidth
+                    bias_bits += np.count_nonzero(pos >= w_total) * g.bitwidth
+                assert plan.M.shape == (rows, fan)
+                assert plan.C.shape == (n_out, rows)
+                assert np.isin(plan.M, (-1, 0, 1)).all()
+                assert np.isin(plan.m_b, (-1, 0, 1)).all()
+                assert np.count_nonzero(plan.M) == mem.base_bits - bias_bits
+                assert np.count_nonzero(plan.m_b) == bias_bits
+                assert (np.count_nonzero(plan.C, axis=0) == 1).all()
+                # each row holds one sign column of one group, restricted to
+                # one output channel, and C holds that column's coordinate
+                for r in range(rows):
+                    o = int(np.flatnonzero(plan.C[:, r])[0])
+                    cols = np.flatnonzero(plan.M[r])
+                    pos = o * fan + cols
+                    signs = plan.M[r, cols]
+                    if plan.m_b[r]:
+                        pos = np.append(pos, w_total + o)
+                        signs = np.append(signs, plan.m_b[r])
+                    gi = np.searchsorted(offsets, pos, side="right") - 1
+                    assert (gi == gi[0]).all()
+                    g = ql.groups[gi[0]]
+                    ks = np.flatnonzero(g.coords == plan.C[o, r])
+                    local = pos - offsets[gi[0]]
+                    assert any(np.array_equal(g.bases[local, k], signs) for k in ks)
+
+    def test_fully_pruned_layer(self):
+        model = random_model(np.random.default_rng(22), tiny_spec())
+        ql = model.layers[0]
+        ql.groups = [QuantGroup(np.zeros((g.size, 0), np.int8), np.zeros(0)) for g in ql.groups]
+        n_out, fan = layer_geometry(model, ql)
+        plan = layer_plan(ql.groups, n_out, fan)
+        assert plan.M.shape == (0, fan)
+        assert plan.C.shape == (n_out, 0)
+        y = plan.apply(np.random.default_rng(0).normal(size=(3, fan, 5)))
+        np.testing.assert_array_equal(y, np.zeros((3, n_out, 5)))
+
+
+class TestFullModelBatchInvariance:
+    # group size 11 divides no layer's fan, so groups straddle output
+    # channels and the weight -> bias boundary
+    @pytest.mark.parametrize("group_size", [16, 11])
+    def test_logits_bitwise_equal_at_every_batch_size(self, group_size):
+        model = uniform_baseline(init_params(default_ecgnet_spec(), 14), 2, group_size)
+        rng = np.random.default_rng(15)
+        records = [rng.normal(size=3600) for _ in range(20)]
+        ex = QuantExecutor(model)
+        whole = ex.logits(records)
+        singles = np.concatenate([ex.logits([r]) for r in records])
+        chunks = np.concatenate([ex.logits(records[i : i + 7]) for i in range(0, 20, 7)])
+        np.testing.assert_array_equal(singles, whole)
+        np.testing.assert_array_equal(chunks, whole)
+        reference = _net.logits_batch(dequantize(model), records)
+        assert np.abs(whole - reference).max() <= 1e-5

@@ -4,6 +4,7 @@ Each test prints one PASS line into the terminal summary when its criterion
 holds; any failure shows up as a normal pytest failure for that criterion.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -28,11 +29,18 @@ from alqecg.quantizer import (
     score_coordinates,
     uniform_baseline,
 )
+from alqecg.util import canonical_json_bytes
 from conftest import ACCEPTANCE_LINES
 from test_bitpack import models_equal, random_model
 from test_quantizer import oracle_nearest_levels, toy_calib, toy_quant_net
 
 pytestmark = pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
+
+# SHA-256 of outputs that refactors of the quantizer, the container and the
+# sweep must reproduce byte for byte: the criterion-6 desk ALQQ bytes and the
+# criterion-7 sweep.json bytes
+DESK_ALQQ_SHA256 = "c401fd07eb19ad4ee26696959b8eb8169f45e775cac157521fd4a29e3e746777"
+SWEEP_JSON_SHA256 = "f5361050aa4a0fa9f793c9986a2a0abf33c4e9b3f73474221105f36fc26065ec"
 
 
 def _record(criterion: int, description: str):
@@ -211,6 +219,8 @@ def test_criterion_06_desk_scale_end_to_end(trained_network, desk_data, desk_qua
 
     mem = bitpack.memory_report(model)
     assert mem.compression_rate >= 15.0
+    digest = hashlib.sha256(bitpack.serialize_bytes(model)).hexdigest()
+    assert digest == DESK_ALQQ_SHA256
     _record(6, f"desk scale: full OA {full_report.oa:.2f}%, quantized OA "
                f"{quant_report.oa:.2f}% at {mem.compression_rate:.1f}x compression")
 
@@ -224,6 +234,8 @@ def test_criterion_07_sweep_shape(trained_network, desk_data):
     bitwidths = [p.avg_bitwidth for p in points]
     assert all(a > b for a, b in zip(bitwidths, bitwidths[1:]))
     assert points[-1].calib_loss > points[0].calib_loss
+    sweep_json = canonical_json_bytes([p.__dict__ for p in points])
+    assert hashlib.sha256(sweep_json).hexdigest() == SWEEP_JSON_SHA256
     _record(7, "sweep: bitwidth strictly decreasing, loss(0.95) > loss(0)")
 
 

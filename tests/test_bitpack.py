@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,16 @@ from alqecg.bitpack import (
     unpack_signs,
 )
 from alqecg.errors import ContainerFormatError
-from alqecg.net import NetworkSpec, conv, default_ecgnet_spec, flatten, param_counts, pool, softmax_dense
+from alqecg.net import (
+    NetworkSpec,
+    conv,
+    default_ecgnet_spec,
+    flatten,
+    init_params,
+    param_counts,
+    pool,
+    softmax_dense,
+)
 from alqecg.quantizer import (
     ModelMeta,
     QuantGroup,
@@ -25,7 +36,12 @@ from alqecg.quantizer import (
     prune_coordinates,
     score_coordinates,
     init_decompose,
+    uniform_baseline,
 )
+
+# SHA-256 of the ALQQ bytes of a 2-bit uniform baseline of the untrained
+# default network at group size 11, where every layer ends in a short group
+UNIFORM_ALQQ_SHA256 = "a5a062b661cbaa67575df1e5201b0baa092508555f6499a6c9aec1c5677b3fd4"
 
 
 def small_spec():
@@ -125,6 +141,10 @@ class TestSerializeRoundTrip:
             np.zeros((target.size, 0), dtype=np.int8), np.zeros(0)
         )
         assert models_equal(model, deserialize_bytes(serialize_bytes(model)))
+
+    def test_uniform_baseline_golden_digest(self):
+        model = uniform_baseline(init_params(default_ecgnet_spec(), 14), 2, 11)
+        assert hashlib.sha256(serialize_bytes(model)).hexdigest() == UNIFORM_ALQQ_SHA256
 
     def test_many_random_models(self):
         rng = np.random.default_rng(3)

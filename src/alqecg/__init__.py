@@ -24,7 +24,6 @@ from .net import (
     forward,
     load_checkpoint,
     out_length,
-    param_count,
     param_counts,
     save_checkpoint,
     train,
@@ -32,10 +31,8 @@ from .net import (
 )
 from .quantizer import (
     AlqConfig,
-    QuantGroup,
     QuantLayer,
     QuantModel,
-    WeightGroup,
     alq_pipeline,
     average_bitwidth,
     init_decompose,
@@ -53,7 +50,7 @@ from .bitpack import (
     memory_report,
     serialize,
 )
-from .qinfer import dequantize, group_dot, qforward
+from .qinfer import dequantize, qforward
 
 # the metrics() operation itself stays at alqecg.metrics.metrics so the
 # submodule name is not shadowed

@@ -9,7 +9,12 @@
 * per parameterized layer: u32 group count, then per group u16 size, u8
   bitwidth, the coordinates as f32, and one packed sign column per retained
   bit. Columns pack LSB-first: bit b of byte j holds the sign of weight
-  position 8j+b (+1 -> 1), each column padded to a whole byte.
+  position 8j+b (+1 -> 1), each column padded to a whole byte with zero bits.
+
+Group sizes must follow the layer's partition (every group full except a
+short last one). A layer's records are written and read as whole arrays
+(``QuantLayer.signs``, ``coords``, ``bits``): one ``np.packbits`` or
+``np.unpackbits`` per layer, with only the group headers scanned one by one.
 
 The memory accounting mirrors the usual multi-bit storage convention:
 the headline figure counts sign bits only (params x average bitwidth),
@@ -19,7 +24,6 @@ container size are reported separately. 1 KB = 1024 bytes.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,24 +33,35 @@ import numpy as np
 from . import net as _net
 from .errors import ContainerFormatError
 from .net import NetworkSpec
-from .quantizer import ModelMeta, QuantGroup, QuantLayer, QuantModel
+from .quantizer import ModelMeta, QuantLayer, QuantModel
 
 MAGIC = b"ALQQ"
 VERSION = 1
 COORD_BITS = 32
 BASELINE_BITS = 32
+# u16 version, u64 seed, 32-byte digest, u16 group size
+_FIXED_BYTES = len(MAGIC) + 2 + 8 + 32 + 2
 
 
-def pack_signs(column: np.ndarray) -> bytes:
-    """Pack a +-1 sign vector into LSB-first bytes (+1 -> bit 1)."""
-    bits = (np.asarray(column) > 0).astype(np.uint8)
-    return np.packbits(bits, bitorder="little").tobytes()
-
-
-def unpack_signs(data: bytes, n: int) -> np.ndarray:
-    """Inverse of pack_signs; returns int8 signs of length n."""
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")[:n]
-    return (bits.astype(np.int8) * 2) - 1
+def _layer_records(ql: QuantLayer) -> bytes:
+    """Every group's record: header, f32 coordinates, packed sign columns."""
+    n_groups, _, width = ql.signs.shape
+    sizes, bits = ql.sizes, ql.bits
+    header = np.column_stack([sizes.astype("<u2")[:, None].view(np.uint8),
+                              bits.astype(np.uint8)])
+    coords = np.ascontiguousarray(ql.coords, dtype="<f4").view(np.uint8)
+    # (G, n, W) signs -> (G, W, ceil(n/8)) column bytes, zero past each size
+    plus = (ql.signs > 0) & (np.arange(ql.group_size) < sizes[:, None])[:, :, None]
+    columns = np.packbits(plus, axis=1, bitorder="little").transpose(0, 2, 1)
+    retained = np.arange(width) < bits[:, None]
+    in_column = np.arange(columns.shape[2]) < (sizes[:, None, None] + 7) // 8
+    table = np.concatenate([header, coords, columns.reshape(n_groups, -1)], axis=1)
+    mask = np.concatenate([
+        np.ones((n_groups, 3), dtype=bool),
+        np.repeat(retained, 4, axis=1),
+        (retained[:, :, None] & in_column).reshape(n_groups, -1),
+    ], axis=1)
+    return table[mask].tobytes()
 
 
 def serialize_bytes(model: QuantModel) -> bytes:
@@ -59,12 +74,8 @@ def serialize_bytes(model: QuantModel) -> bytes:
     parts.append(digest)
     parts.append(struct.pack("<H", model.group_size))
     for ql in model.layers:
-        parts.append(struct.pack("<I", len(ql.groups)))
-        for g in ql.groups:
-            parts.append(struct.pack("<HB", g.size, g.bitwidth))
-            parts.append(g.coords.astype("<f4").tobytes())
-            for ci in range(g.bitwidth):
-                parts.append(pack_signs(g.bases[:, ci]))
+        parts.append(struct.pack("<I", len(ql.bits)))
+        parts.append(_layer_records(ql))
     return b"".join(parts)
 
 
@@ -72,18 +83,76 @@ def serialize(model: QuantModel, path) -> None:
     Path(path).write_bytes(serialize_bytes(model))
 
 
-def _validate_group(reader, li, gi, g: QuantGroup) -> None:
-    where = f"layer {li} group {gi}"
-    if not np.all(np.isfinite(g.coords)):
-        raise ContainerFormatError(f"{where}: non-finite coordinate", reader.offset)
-    if g.bitwidth:
-        if np.any(g.coords <= 0):
-            raise ContainerFormatError(f"{where}: non-positive coordinate", reader.offset)
-        if np.any(np.diff(g.coords) > 0):
-            raise ContainerFormatError(f"{where}: coordinates not descending", reader.offset)
-        cols = {g.bases[:, ci].tobytes() for ci in range(g.bitwidth)}
-        if len(cols) != g.bitwidth:
-            raise ContainerFormatError(f"{where}: duplicate base columns", reader.offset)
+def _scan_groups(reader, layer_index: int, group_size: int) -> list[tuple[int, int, int]]:
+    """(coordinate offset, size, bitwidth) of each group record of one layer."""
+    n_groups = reader.take("<I", "group count")
+    records = []
+    try:
+        for gi in range(n_groups):
+            size, bitwidth = reader.take("<HB", f"group {gi} header")
+            if size < 1 or size > group_size:
+                raise ContainerFormatError(
+                    f"layer {layer_index} group {gi}: size {size} out of range",
+                    reader.offset,
+                )
+            start = reader.offset
+            reader.take_bytes(bitwidth * 4, f"group {gi} coordinate block")
+            col_bytes = (size + 7) // 8
+            whole = min(bitwidth, (len(reader.data) - reader.offset) // col_bytes)
+            reader.offset += whole * col_bytes
+            if whole < bitwidth:
+                reader.take_bytes(col_bytes, f"group {gi} base column {whole}")
+            records.append((start, size, bitwidth))
+    except ContainerFormatError:
+        # a fault in an earlier, complete group is reported first
+        _unpack_groups(reader.data, records, layer_index, group_size)
+        raise
+    return records
+
+
+def _unpack_groups(data: bytes, records, layer_index: int, group_size: int):
+    """Validated (signs, coords, bits) arrays of the scanned group records.
+
+    Groups are checked in order; the first faulty one raises, for non-zero
+    pad bits at the offending column, otherwise at the end of its record.
+    """
+    start, size, bits = np.array(records, dtype=np.int64).reshape(-1, 3).T
+    k = np.arange(bits.max(initial=0))
+    retained = k < bits[:, None]
+    col_bytes = (size + 7) // 8
+    buf = np.frombuffer(data, dtype=np.uint8)
+    coords = np.zeros(retained.shape)
+    coord_at = (start[:, None] + 4 * k)[retained][:, None] + np.arange(4)
+    coords[retained] = buf[coord_at].view("<f4")[:, 0]
+    col_at = (start + 4 * bits)[:, None] + k * col_bytes[:, None]
+    j = np.arange((group_size + 7) // 8)
+    in_column = retained[:, :, None] & (j < col_bytes[:, None, None])
+    packed = np.zeros(in_column.shape, dtype=np.uint8)
+    packed[in_column] = buf[(col_at[:, :, None] + j)[in_column]]
+    plane = np.unpackbits(packed, axis=2, bitorder="little").astype(bool)
+    in_group = np.arange(plane.shape[2]) < size[:, None, None]
+
+    g, c = np.nonzero(retained)
+    distinct = np.unique(np.column_stack([g, packed[g, c]]), axis=0)[:, 0]
+    pad_bits = (plane & ~in_group).any(axis=2)
+    faults = np.stack([
+        pad_bits.any(axis=1),
+        ~np.isfinite(coords).all(axis=1),
+        ((coords <= 0) & retained).any(axis=1),
+        (np.diff(coords, axis=1) > 0).any(axis=1),
+        np.bincount(distinct, minlength=len(bits)) < bits,
+    ], axis=1)
+    if faults.any():
+        gi = faults.any(axis=1).argmax()
+        check, ci = faults[gi].argmax(), pad_bits[gi].argmax()
+        problem = [f"non-zero pad bits in base column {ci}", "non-finite coordinate",
+                   "non-positive coordinate", "coordinates not descending",
+                   "duplicate base columns"][check]
+        end = start[gi] + bits[gi] * (4 + col_bytes[gi])
+        raise ContainerFormatError(f"layer {layer_index} group {gi}: {problem}",
+                                   int(col_at[gi, ci] if check == 0 else end))
+    signs = np.where(in_group & retained[:, :, None], 2 * plane.astype(np.int8) - 1, 0)
+    return signs[:, :, :group_size].transpose(0, 2, 1), coords, bits
 
 
 def deserialize_bytes(data: bytes) -> QuantModel:
@@ -108,37 +177,25 @@ def deserialize_bytes(data: bytes) -> QuantModel:
     layers = []
     for layer_index, name in _net.parameterized_layers(spec):
         reader.at_context(name)
-        n_groups = reader.take("<I", "group count")
-        groups = []
-        covered = 0
-        for gi in range(n_groups):
-            size, bitwidth = reader.take("<HB", f"group {gi} header")
-            if size < 1 or size > group_size:
-                raise ContainerFormatError(
-                    f"layer {layer_index} group {gi}: size {size} out of range",
-                    reader.offset,
-                )
-            raw = reader.take_bytes(bitwidth * 4, f"group {gi} coordinate block")
-            coords = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-            col_bytes = (size + 7) // 8
-            cols = []
-            for ci in range(bitwidth):
-                raw = reader.take_bytes(col_bytes, f"group {gi} base column {ci}")
-                cols.append(unpack_signs(raw, size))
-            bases = (
-                np.stack(cols, axis=1) if cols else np.zeros((size, 0), dtype=np.int8)
-            )
-            g = QuantGroup(bases, coords)
-            _validate_group(reader, layer_index, gi, g)
-            groups.append(g)
-            covered += size
-        if covered != counts[layer_index]:
+        records = _scan_groups(reader, layer_index, group_size)
+        layer = QuantLayer(*_unpack_groups(data, records, layer_index, group_size),
+                           group_size, counts[layer_index], layer_index)
+        size = np.array([r[1] for r in records], dtype=np.int64)
+        if size.sum() != counts[layer_index]:
             raise ContainerFormatError(
-                f"layer {layer_index}: groups cover {covered} values, "
+                f"layer {layer_index}: groups cover {size.sum()} values, "
                 f"spec expects {counts[layer_index]}",
                 reader.offset,
             )
-        layers.append(QuantLayer(groups, group_size, covered, layer_index))
+        off = np.flatnonzero(size != layer.sizes)
+        if off.size:
+            gi = off[0]
+            raise ContainerFormatError(
+                f"layer {layer_index} group {gi}: size {size[gi]}, "
+                f"partition expects {layer.sizes[gi]}",
+                records[gi][0],
+            )
+        layers.append(layer)
     if reader.offset != len(data):
         raise ContainerFormatError("trailing bytes", reader.offset)
     return QuantModel(spec, layers, group_size, ModelMeta(seed, digest))
@@ -229,17 +286,22 @@ def _finish_report(rows, coord_overhead=None, container_bits=None) -> MemoryRepo
 
 
 def memory_report(model: QuantModel) -> MemoryReport:
-    """Per-layer and total sign-bit accounting for a quantized model."""
+    """Per-layer and total sign-bit accounting for a quantized model.
+
+    The container size follows from the group sizes and bitwidths alone.
+    """
     names = dict(_net.parameterized_layers(model.spec))
     rows = []
     coord_overhead = 0
+    container = _FIXED_BYTES + len(_net.pack_spec(model.spec))
     for ql in model.layers:
-        bits = sum(g.size * g.bitwidth for g in ql.groups)
-        coord_overhead += sum(g.bitwidth for g in ql.groups) * COORD_BITS
-        rows.append(
-            LayerMemory(names[ql.layer_index], bits / ql.param_count, ql.param_count, bits)
-        )
-    return _finish_report(rows, coord_overhead, len(serialize_bytes(model)) * 8)
+        sizes, bits = ql.sizes, ql.bits
+        base_bits = int(sizes @ bits)
+        coord_overhead += int(bits.sum()) * COORD_BITS
+        container += 4 + 3 * len(bits) + int(bits @ (4 + (sizes + 7) // 8))
+        rows.append(LayerMemory(names[ql.layer_index], base_bits / ql.param_count,
+                                ql.param_count, base_bits))
+    return _finish_report(rows, coord_overhead, container * 8)
 
 
 def injected_memory_report(spec: NetworkSpec, bitwidths) -> MemoryReport:

@@ -154,11 +154,8 @@ def _write_manifest(anchor: Path, command: str, settings: dict, inputs, outputs,
 
 
 def _load_normalized(path, format):
-    ds = load_dataset(path, format)
-    ds, flat = normalize_dataset(ds)
-    if flat:
-        log.warning("%d flatline record(s) in %s", flat, path)
-    return ds
+    # normalize_dataset logs the flatline warning
+    return normalize_dataset(load_dataset(path, format))[0]
 
 
 def _cmd_synth(args) -> int:

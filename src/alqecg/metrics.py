@@ -23,13 +23,12 @@ from .net import Network
 from .quantizer import (
     AlqConfig,
     QuantModel,
-    _calib_subset,
-    _init_layers,
-    _refine_layers,
-    average_bitwidth,
-    dequantized_network,
+    calib_loss,
+    calib_subset,
+    init_layers,
     model_avg_bitwidth,
     prune_coordinates,
+    refine_layers,
     score_coordinates,
 )
 from .util import canonical_json_bytes, chunked_rows
@@ -186,23 +185,20 @@ def sweep(
     rates = [float(r) for r in rates]
     if rates != sorted(rates) or any(not 0.0 <= r < 1.0 for r in rates):
         raise ShapeError("rates must be ascending and within [0, 1)")
-    parts, init_layers = _init_layers(network, config)
-    batch = _calib_subset(calib, config)
+    initial = init_layers(network, config.group_size, config.i_max_for)
+    batch = calib_subset(calib, config)
     scores = score_coordinates(
-        init_layers, network, batch, config.scorer, config.curvature_weight
+        initial, network, batch, config.scorer, config.curvature_weight
     )
 
     points = []
     for rate in rates:
-        layers = prune_coordinates(init_layers, scores, rate=rate)
-        deq = dequantized_network(network.spec, layers)
-        loss_pre = _net.batch_loss(deq, batch.records, batch.labels())
+        layers = prune_coordinates(initial, scores, rate=rate)
+        loss_pre = calib_loss(network.spec, layers, batch)
         bw_pre = model_avg_bitwidth(layers)
-        _refine_layers(parts, layers, config.refine_iters)
-        model = QuantModel(network.spec, layers, config.group_size)
-        deq = dequantized_network(network.spec, layers)
-        loss_post = _net.batch_loss(deq, batch.records, batch.labels())
-        _, rep = evaluate(model, test)
+        layers = refine_layers(network, layers, config.refine_iters)
+        loss_post = calib_loss(network.spec, layers, batch)
+        _, rep = evaluate(QuantModel(network.spec, layers, config.group_size), test)
         points.append(
             SweepPoint(rate, bw_pre, loss_pre, model_avg_bitwidth(layers), loss_post, rep.oa)
         )
@@ -215,10 +211,6 @@ def sweep(
 
 # ---------------------------------------------------------------------------
 # report files
-
-
-def write_metrics_json(path, report: MetricsReport) -> None:
-    Path(path).write_bytes(canonical_json_bytes(report.to_json_dict()))
 
 
 def write_confusion_csv(path, cm: ConfusionMatrix, normalized: bool = False) -> None:

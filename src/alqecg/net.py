@@ -176,22 +176,13 @@ def parameterized_layers(spec: NetworkSpec) -> list[tuple[int, str]]:
 
 def param_shapes(spec: NetworkSpec) -> dict[int, tuple[tuple, tuple]]:
     """Per parameterized layer: (weight shape, bias shape)."""
+    inputs = [(spec.input_channels, spec.input_length)] + propagate_shapes(spec)
     shapes = {}
-    c, length = spec.input_channels, spec.input_length
-    for i, layer in enumerate(spec.layers):
+    for i, (layer, (c, length)) in enumerate(zip(spec.layers, inputs)):
         if layer.kind == CONV:
             shapes[i] = ((layer.units, c, layer.kernel), (layer.units,))
         elif layer.kind in (DENSE, SOFTMAX_DENSE):
             shapes[i] = ((layer.units, c * length), (layer.units,))
-        if layer.kind == CONV:
-            length = out_length(length, layer.kernel, layer.stride, layer.padding)
-            c = layer.units
-        elif layer.kind == POOL:
-            length = out_length(length, layer.kernel, layer.stride, layer.padding)
-        elif layer.kind == FLATTEN:
-            length, c = c * length, 1
-        elif layer.kind in (DENSE, SOFTMAX_DENSE):
-            length = layer.units
     return shapes
 
 
@@ -211,10 +202,6 @@ class Network:
 
     spec: NetworkSpec
     params: list[tuple[np.ndarray, np.ndarray] | None]
-
-
-def param_count(network: Network) -> tuple[list[tuple[str, int]], int]:
-    return param_counts(network.spec)
 
 
 def init_params(spec: NetworkSpec, seed: int) -> Network:
@@ -400,9 +387,8 @@ def _as_batch(spec: NetworkSpec, records) -> np.ndarray:
     return np.stack(rows)
 
 
-def forward(network: Network, record, inference_mode: bool = True) -> np.ndarray:
-    """Class probabilities for one record; deterministic in inference mode."""
-    del inference_mode  # dropout only runs inside train()
+def forward(network: Network, record) -> np.ndarray:
+    """Class probabilities for one record (dropout only runs inside train())."""
     probs, _, _ = _forward_batch(network, _as_batch(network.spec, [record]))
     return probs[0]
 

@@ -5,7 +5,7 @@ one add/subtract reduction per retained sign column b_k, scaled by its
 coordinate. Groups follow flattened layer order (weights row-major, then
 biases), so one group may span several output channels and the bias tail.
 The engine therefore cuts every group into segments, one per output channel
-it touches, and holds per quantized layer
+it touches, and builds from the layer's ``signs`` and ``coords`` arrays
 
 * ``M``, a {-1, 0, +1} matrix with one row per segment and retained bit and
   one column per input of an output position (the layer's ``fan``); the
@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net as _net
-from .errors import NumericError, ShapeError
+from .errors import NumericError
 from .net import CONV, DENSE, FLATTEN, POOL, SOFTMAX_DENSE, Network
-from .quantizer import QuantGroup, QuantModel, dequantized_network
+from .quantizer import QuantLayer, QuantModel, dequantized_network
 from .util import chunked_rows
 
 # records per stacked matmul
@@ -45,18 +45,6 @@ BLOCK = 16
 def dequantize(model: QuantModel) -> Network:
     """Reconstruct the full-precision network from group decompositions."""
     return dequantized_network(model.spec, model.layers)
-
-
-def group_dot(q: QuantGroup, x) -> float:
-    """sum_i a_i * (column_i . x), an add/subtract reduction per sign column."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (q.size,):
-        raise ShapeError(f"expected {q.size} values, got shape {x.shape}")
-    total = 0.0
-    for ci in range(q.bitwidth):
-        pos = q.bases[:, ci] > 0
-        total += q.coords[ci] * (x[pos].sum() - x[~pos].sum())
-    return float(total)
 
 
 @dataclass
@@ -84,15 +72,9 @@ class LayerPlan:
         return self.C @ z
 
 
-def layer_plan(groups: list[QuantGroup], n_out: int, fan: int) -> LayerPlan:
+def layer_plan(layer: QuantLayer, n_out: int, fan: int) -> LayerPlan:
     """Bit-plane matrices of a layer with ``n_out`` outputs of ``fan`` inputs."""
-    sizes = np.array([g.size for g in groups])
-    bits = np.array([g.bitwidth for g in groups])
-    signs = np.zeros((len(groups), sizes.max(), bits.max()))
-    coords = np.zeros((len(groups), bits.max()))
-    for gi, g in enumerate(groups):
-        signs[gi, : g.size, : g.bitwidth] = g.bases
-        coords[gi, : g.bitwidth] = g.coords
+    sizes, bits = layer.sizes, layer.bits
     # every flattened position: its group, output channel and input column;
     # bias positions take column fan
     g, j = np.nonzero(np.arange(sizes.max()) < sizes[:, None])
@@ -108,9 +90,9 @@ def layer_plan(groups: list[QuantGroup], n_out: int, fan: int) -> LayerPlan:
     row[s, k] = np.arange(s.size)
     p, pk = np.nonzero(np.arange(bits.max()) < bits[g][:, None])
     m = np.zeros((s.size, fan + 1))
-    m[row[seg[p], pk], col[p]] = signs[g[p], j[p], pk]
+    m[row[seg[p], pk], col[p]] = layer.signs[g[p], j[p], pk]
     c = np.zeros((n_out, s.size))
-    c[seg_out[s], np.arange(s.size)] = coords[seg_g[s], k]
+    c[seg_out[s], np.arange(s.size)] = layer.coords[seg_g[s], k]
     # a bias-only row touches no weight column and joins the window at 0
     lo = (m[:, :fan] != 0).argmax(axis=1)
     order = np.argsort(lo, kind="stable")
@@ -130,7 +112,7 @@ class QuantExecutor:
         for ql in model.layers:
             w_shape, _ = shapes[ql.layer_index]
             fan = int(np.prod(w_shape[1:]))
-            self.plans[ql.layer_index] = layer_plan(ql.groups, w_shape[0], fan)
+            self.plans[ql.layer_index] = layer_plan(ql, w_shape[0], fan)
 
     def _block_logits(self, h: np.ndarray) -> np.ndarray:
         bsz = h.shape[0]

@@ -1,10 +1,18 @@
 """Adaptive multi-bit binary weight quantization.
 
-Each layer's flattened parameter vector is cut into disjoint groups of at
-most ``group_size`` values. A group w is approximated as B @ a where B is a
-{-1,+1} sign matrix (one column per retained bit) and a is a positive,
-descending coordinate vector; an empty decomposition (zero columns)
-reconstructs the zero vector. The pipeline is:
+A layer's P flattened parameters are cut into G = ceil(P / n) groups of
+``n = group_size`` values; group g starts at g * n and has size
+min(n, P - g * n), so only the last group may be short. A group w is
+approximated as B @ a: B a {-1,+1} sign matrix (one column per retained bit),
+a a positive, descending coordinate vector; zero columns reconstruct zeros.
+``QuantLayer`` holds a layer's groups as three arrays:
+
+* ``signs`` (G, n, W) int8: group g's column k is ``signs[g, :, k]``, +-1 in
+  its first ``bits[g]`` columns and first size rows, 0 elsewhere;
+* ``coords`` (G, W) float64: the coordinates, zero past ``bits[g]``;
+* ``bits`` (G,): every group's bitwidth, with W = max(bits).
+
+The pipeline is:
 
 1. greedy residual binarization of every group up to a per-layer bit cap,
 2. global pruning of the least significant coordinates, scored either by
@@ -12,8 +20,10 @@ reconstructs the zero vector. The pipeline is:
 3. alternating refinement: exact per-position sign assignment with fixed
    coordinates, then least-squares coordinates with fixed signs.
 
-Every operation is a pure function of its inputs, so a fixed seed and
-calibration batch reproduce the quantized model bit for bit.
+Each stage is a layer-level function that runs all groups of one size and
+bitwidth as one batch, with the same arithmetic per group as a loop over
+groups. Every operation is a pure function of its inputs, so a fixed seed
+and calibration batch reproduce the quantized model bit for bit.
 """
 
 from __future__ import annotations
@@ -38,56 +48,41 @@ ENUM_BITWIDTH_LIMIT = 16
 GRAM_COND_LIMIT = 1e12
 
 
-@dataclass
-class WeightGroup:
-    """A contiguous slice of one layer's flattened parameters."""
-
-    values: np.ndarray
-    layer_index: int = 0
-    offset: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-
-
-@dataclass
-class QuantGroup:
-    """Sign bases (size x bitwidth, entries +-1) and positive coordinates.
-
-    Canonical form: coordinates strictly positive and sorted descending
-    (signs absorbed into the base columns) with no duplicate columns.
-    """
-
-    bases: np.ndarray
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.bases = np.asarray(self.bases, dtype=np.int8)
-        self.coords = np.asarray(self.coords, dtype=np.float64)
-
-    @property
-    def size(self) -> int:
-        return self.bases.shape[0]
-
-    @property
-    def bitwidth(self) -> int:
-        return self.bases.shape[1]
-
-    def reconstruct(self) -> np.ndarray:
-        # fixed left-to-right column accumulation so equal sign rows
-        # reconstruct bitwise identically regardless of group shape
-        out = np.zeros(self.size)
-        for i in range(self.bitwidth):
-            out += self.coords[i] * self.bases[:, i]
-        return out
+def _reconstruct(signs: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """(groups, size) values sum_k a_k * b_k of (groups, size, k) signs."""
+    # fixed left-to-right column accumulation so equal sign rows
+    # reconstruct bitwise identically regardless of group shape
+    out = np.zeros(signs.shape[:2])
+    for k in range(signs.shape[2]):
+        out += coords[:, k, None] * signs[:, :, k]
+    return out
 
 
 @dataclass
 class QuantLayer:
-    groups: list[QuantGroup]
+    """One layer's groups as arrays (see above), trimmed to W = max(bits) columns."""
+
+    signs: np.ndarray
+    coords: np.ndarray
+    bits: np.ndarray
     group_size: int
     param_count: int
     layer_index: int
+
+    def __post_init__(self):
+        self.bits = np.asarray(self.bits, dtype=np.int64)
+        width = int(self.bits.max(initial=0))
+        self.signs = np.asarray(self.signs, dtype=np.int8)[:, :, :width]
+        self.coords = np.asarray(self.coords, dtype=np.float64)[:, :width]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        starts = np.arange(len(self.bits)) * self.group_size
+        return np.minimum(self.group_size, self.param_count - starts)
+
+    def reconstruct(self) -> np.ndarray:
+        """The layer's flattened values."""
+        return _reconstruct(self.signs, self.coords).reshape(-1)[: self.param_count]
 
 
 @dataclass
@@ -208,185 +203,194 @@ class AlqConfig:
 
 
 # ---------------------------------------------------------------------------
-# group-level operations
+# layer-level operations
 
 
-def partition_groups(flat: np.ndarray, n: int) -> list[WeightGroup]:
-    """Cut a flattened vector into ceil(len/n) groups; only the last may be short."""
+def partition_groups(flat: np.ndarray, n: int) -> np.ndarray:
+    """(ceil(len/n), n) groups of a flattened vector; the short tail is zero-padded."""
     flat = np.asarray(flat, dtype=np.float64)
     if n < 1:
         raise ConfigError("group size must be >= 1")
     if flat.size == 0:
         raise ConfigError("cannot partition an empty vector")
-    return [
-        WeightGroup(flat[off : off + n].copy(), offset=off)
-        for off in range(0, flat.size, n)
-    ]
+    return np.pad(flat, (0, -flat.size % n)).reshape(-1, n)
 
 
-def _column_sort_key(bases: np.ndarray, coords: np.ndarray):
-    return sorted(
-        range(len(coords)), key=lambda i: (-coords[i], bases[:, i].tobytes())
-    )
+def _batches(sizes: np.ndarray, bits: np.ndarray):
+    """(group indices, size, bitwidth) for each set of equal size and bitwidth."""
+    for m in np.unique(sizes):
+        for b in np.unique(bits[sizes == m]):
+            yield np.flatnonzero((sizes == m) & (bits == b)), int(m), int(b)
 
 
-def canonicalize(bases: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Enforce the canonical decomposition without changing B @ a.
+def canonicalize(signs: np.ndarray, coords: np.ndarray):
+    """Canonical decompositions of a batch of groups without changing B @ a.
 
-    Negative coordinates flip their sign column, duplicate columns merge by
-    summing coordinates, near-zero coordinates are dropped, and the result is
-    sorted by descending coordinate (column bytes break exact ties).
+    ``signs`` is (groups, size, k) and ``coords`` (groups, k). Per group,
+    negative coordinates flip their sign column, duplicate columns merge by
+    summing their coordinates left to right, coordinates at or below
+    COORD_EPS are dropped, and the result is sorted by descending coordinate
+    (column bytes break exact ties). Returns (signs, coords, bits) zero-padded
+    to the input's k columns.
     """
-    bases = np.asarray(bases, dtype=np.int8)
-    coords = np.asarray(coords, dtype=np.float64).copy()
-    if coords.size:
-        neg = coords < 0
-        if neg.any():
-            bases = bases.copy()
-            bases[:, neg] *= -1
-            coords[neg] = -coords[neg]
-    merged: dict[bytes, float] = {}
-    columns: dict[bytes, np.ndarray] = {}
-    for i in range(coords.size):
-        if coords[i] <= COORD_EPS:
-            continue
-        key = bases[:, i].tobytes()
-        merged[key] = merged.get(key, 0.0) + coords[i]
-        columns[key] = bases[:, i]
-    keys = [k for k in merged if merged[k] > COORD_EPS]
-    n = bases.shape[0]
-    if not keys:
-        return np.zeros((n, 0), dtype=np.int8), np.zeros(0)
-    out_bases = np.stack([columns[k] for k in keys], axis=1)
-    out_coords = np.array([merged[k] for k in keys])
-    order = _column_sort_key(out_bases, out_coords)
-    return out_bases[:, order], out_coords[order]
+    signs = np.asarray(signs, dtype=np.int8)
+    coords = np.asarray(coords, dtype=np.float64)
+    n_groups = len(signs)
+    neg = coords < 0
+    signs = np.where(neg[:, None, :], -signs, signs)
+    coords = np.where(neg, -coords, coords)
+    group, col = np.nonzero(coords > COORD_EPS)
+    # rows of (group, column bytes) in column order; sorted unique rows
+    # order each group's distinct columns by their bytes (+1 before -1)
+    keys = np.column_stack([group, signs[group, :, col] < 0]).astype(np.int64)
+    uniq, ids = np.unique(keys, axis=0, return_inverse=True)
+    merged = np.zeros(len(uniq))
+    np.add.at(merged, ids.reshape(-1), coords[group, col])
+    kept = np.flatnonzero(merged > COORD_EPS)
+    kept = kept[np.lexsort((kept, -merged[kept], uniq[kept, 0]))]
+    out_group = uniq[kept, 0]
+    bits = np.bincount(out_group, minlength=n_groups)
+    pos = np.arange(kept.size) - (np.cumsum(bits) - bits)[out_group]
+    out_signs = np.zeros_like(signs)
+    out_coords = np.zeros_like(coords)
+    out_signs[out_group, :, pos] = 1 - 2 * uniq[kept, 1:]
+    out_coords[out_group, pos] = merged[kept]
+    return out_signs, out_coords, bits
 
 
-def init_decompose(group: WeightGroup, i_max: int) -> QuantGroup:
+def init_decompose(flat: np.ndarray, group_size: int, i_max: int,
+                   layer_index: int = 0) -> QuantLayer:
     """Greedy residual binarization: repeatedly peel off mean(|r|) * sign(r).
 
-    Stops early once the residual scale drops below the coordinate epsilon;
-    an all-zero group yields an empty decomposition.
+    A group stops once its residual scale drops below the coordinate
+    epsilon; an all-zero group yields an empty decomposition.
     """
     if i_max < 1:
         raise ConfigError("i_max must be >= 1")
-    w = group.values
-    r = w.copy()
-    cols, alphas = [], []
-    for _ in range(i_max):
-        alpha = float(np.abs(r).mean())
-        if alpha <= COORD_EPS:
-            break
-        beta = np.where(r >= 0, 1, -1).astype(np.int8)
-        cols.append(beta)
-        alphas.append(alpha)
-        r = r - alpha * beta
-    if not cols:
-        return QuantGroup(np.zeros((w.size, 0), dtype=np.int8), np.zeros(0))
-    bases = np.stack(cols, axis=1)
-    coords = np.array(alphas)
-    bases, coords = canonicalize(bases, coords)
-    return QuantGroup(bases, coords)
+    w = partition_groups(flat, group_size)
+    sizes = np.minimum(group_size, np.size(flat) - group_size * np.arange(len(w)))
+    signs = np.zeros((*w.shape, i_max), dtype=np.int8)
+    coords = np.zeros((len(w), i_max))
+    bits = np.zeros(len(w), dtype=np.int64)
+    for idx, m, _ in _batches(sizes, bits):
+        r = w[idx, :m]
+        cols = np.zeros((len(idx), m, i_max), dtype=np.int8)
+        alphas = np.zeros((len(idx), i_max))
+        live = np.ones(len(idx), dtype=bool)
+        for k in range(i_max):
+            alpha = np.abs(r).mean(axis=1)
+            live &= alpha > COORD_EPS
+            beta = np.where(r >= 0, 1, -1).astype(np.int8)
+            cols[:, :, k] = beta
+            alphas[:, k] = np.where(live, alpha, 0.0)
+            r = np.where(live[:, None], r - alpha[:, None] * beta, r)
+        signs[idx, :m], coords[idx], bits[idx] = canonicalize(cols, alphas)
+    return QuantLayer(signs, coords, bits, group_size, np.size(flat), layer_index)
 
 
-def _enumerate_levels(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All sign rows and their levels, ranked by (|level|, positive first).
+def _nearest_levels(w: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Signs of the level nearest every weight, for (groups, size) weights.
 
-    Levels accumulate column by column exactly like QuantGroup.reconstruct,
-    so a selected row later reconstructs to the level it was scored at.
+    A group's levels are the 2^k signed sums of its coordinates, accumulated
+    column by column like reconstruction, so a selected row reconstructs to
+    the level it was scored at. The levels are ranked by (|level|, positive
+    first) and each weight takes the first nearest one in that ranking.
     """
-    bitwidth = coords.size
-    signs = np.array(list(itertools.product((1, -1), repeat=bitwidth)), dtype=np.int8)
-    levels = np.zeros(signs.shape[0])
-    for i in range(bitwidth):
-        levels += coords[i] * signs[:, i]
-    order = np.lexsort((levels < 0, np.abs(levels)))
-    return signs[order], levels[order]
+    table = np.array(list(itertools.product((1, -1), repeat=coords.shape[1])),
+                     dtype=np.int8)
+    levels = np.zeros((len(coords), len(table)))
+    for k in range(coords.shape[1]):
+        levels += coords[:, k, None] * table[:, k]
+    rank = np.lexsort((levels < 0, np.abs(levels)))
+    levels = np.take_along_axis(levels, rank, axis=1)
+    best = np.zeros(w.shape, dtype=np.intp)
+    best_d = np.abs(w - levels[:, :1])
+    for j in range(1, len(table)):
+        d = np.abs(w - levels[:, j, None])
+        better = d < best_d
+        best[better] = j
+        best_d = np.where(better, d, best_d)
+    return table[np.take_along_axis(rank, best, axis=1)]
 
 
-def optimize_bases(group: WeightGroup, q: QuantGroup) -> QuantGroup:
+def optimize_bases(flat: np.ndarray, ql: QuantLayer) -> QuantLayer:
     """Exact per-position sign assignment for fixed coordinates.
 
     Every weight picks the reachable level (one of the 2^bitwidth signed sums
-    of the coordinates) nearest to it; ties go to the smaller-magnitude level,
-    then to the positive one. Never increases the reconstruction error.
+    of its group's coordinates) nearest to it; ties go to the
+    smaller-magnitude level, then to the positive one. Never increases the
+    reconstruction error.
     """
-    if q.bitwidth == 0:
-        return QuantGroup(q.bases.copy(), q.coords.copy())
-    if q.bitwidth > ENUM_BITWIDTH_LIMIT:
-        raise ConfigError(
-            f"bitwidth {q.bitwidth} exceeds enumeration limit {ENUM_BITWIDTH_LIMIT}"
-        )
-    signs, levels = _enumerate_levels(q.coords)
-    w = group.values
-    dists = np.abs(w[:, None] - levels[None, :])
-    best = np.zeros(w.size, dtype=np.int64)
-    best_d = dists[:, 0].copy()
-    for j in range(1, levels.size):
-        better = dists[:, j] < best_d
-        best[better] = j
-        best_d[better] = dists[better, j]
-    return QuantGroup(signs[best], q.coords.copy())
+    w = partition_groups(flat, ql.group_size)
+    signs = ql.signs.copy()
+    for idx, m, b in _batches(ql.sizes, ql.bits):
+        if b > ENUM_BITWIDTH_LIMIT:
+            raise ConfigError(
+                f"bitwidth {b} exceeds enumeration limit {ENUM_BITWIDTH_LIMIT}"
+            )
+        if b:
+            signs[idx, :m, :b] = _nearest_levels(w[idx, :m], ql.coords[idx, :b])
+    return replace(ql, signs=signs)
 
 
-def optimize_coords(group: WeightGroup, q: QuantGroup) -> QuantGroup:
+def _recon_error(w: np.ndarray, signs: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Per-group ||w - B @ a||, as sqrt(r . r) like np.linalg.norm of a vector."""
+    r = w - _reconstruct(signs, coords)
+    return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+
+
+def optimize_coords(flat: np.ndarray, ql: QuantLayer) -> QuantLayer:
     """Least-squares coordinates for fixed sign bases, then re-canonicalize.
 
     Solves the normal equations, falling back to the pseudo-inverse
-    (minimum-norm solution) when the Gram matrix is ill conditioned. If
-    floating-point canonicalization would bump the reconstruction error the
-    previous decomposition is kept, so the error never increases.
+    (minimum-norm solution) for groups whose Gram matrix is ill conditioned.
+    A group whose reconstruction error floating-point canonicalization would
+    bump keeps its previous decomposition, so the error never increases.
     """
-    if q.bitwidth == 0:
-        return QuantGroup(q.bases.copy(), q.coords.copy())
-    w = group.values
-    b = q.bases.astype(np.float64)
-    gram = b.T @ b
-    rhs = b.T @ w
-    cond = np.linalg.cond(gram)
-    if np.isfinite(cond) and cond < GRAM_COND_LIMIT:
-        coords = np.linalg.solve(gram, rhs)
-    else:
-        coords = np.linalg.pinv(b) @ w
-    bases_new, coords_new = canonicalize(q.bases, coords)
-    cand = QuantGroup(bases_new, coords_new)
-    err_old = np.linalg.norm(w - q.reconstruct())
-    err_new = np.linalg.norm(w - cand.reconstruct())
-    if err_new > err_old:
-        return QuantGroup(q.bases.copy(), q.coords.copy())
-    return cand
+    w = partition_groups(flat, ql.group_size)
+    signs, coords, bits = ql.signs.copy(), ql.coords.copy(), ql.bits.copy()
+    for idx, m, b in _batches(ql.sizes, ql.bits):
+        if b == 0:
+            continue
+        wb, old_signs, old_coords = w[idx, :m], ql.signs[idx, :m, :b], ql.coords[idx, :b]
+        basis = old_signs.astype(np.float64)
+        basis_t = basis.transpose(0, 2, 1)
+        gram = basis_t @ basis
+        rhs = basis_t @ wb[:, :, None]
+        cond = np.linalg.cond(gram)
+        solvable = np.isfinite(cond) & (cond < GRAM_COND_LIMIT)
+        new = np.zeros((len(idx), b, 1))
+        new[solvable] = np.linalg.solve(gram[solvable], rhs[solvable])
+        new[~solvable] = np.linalg.pinv(basis[~solvable]) @ wb[~solvable][:, :, None]
+        cand_signs, cand_coords, cand_bits = canonicalize(old_signs, new[:, :, 0])
+        worse = (_recon_error(wb, cand_signs, cand_coords)
+                 > _recon_error(wb, old_signs, old_coords))
+        signs[idx, :m, :b] = np.where(worse[:, None, None], old_signs, cand_signs)
+        coords[idx, :b] = np.where(worse[:, None], old_coords, cand_coords)
+        bits[idx] = np.where(worse, b, cand_bits)
+    return replace(ql, signs=signs, coords=coords, bits=bits)
 
 
 def average_bitwidth(qlayer: QuantLayer) -> tuple[float, float]:
     """(plain group mean of bitwidths, weight-weighted mean) for one layer."""
-    bits = np.array([g.bitwidth for g in qlayer.groups], dtype=np.float64)
-    sizes = np.array([g.size for g in qlayer.groups], dtype=np.float64)
+    bits = qlayer.bits.astype(np.float64)
+    sizes = qlayer.sizes.astype(np.float64)
     return float(bits.mean()), float((bits * sizes).sum() / sizes.sum())
 
 
 def model_avg_bitwidth(layers: list[QuantLayer]) -> float:
     """Network-wide weight-weighted average bitwidth."""
-    bits = sum(g.size * g.bitwidth for ql in layers for g in ql.groups)
+    bits = sum(int(ql.sizes @ ql.bits) for ql in layers)
     params = sum(ql.param_count for ql in layers)
     return bits / params
 
 
 def total_coords(layers: list[QuantLayer]) -> int:
-    return sum(g.bitwidth for ql in layers for g in ql.groups)
+    return sum(int(ql.bits.sum()) for ql in layers)
 
 
 # ---------------------------------------------------------------------------
 # scoring and pruning
-
-
-@dataclass(frozen=True)
-class CoordScore:
-    layer: int
-    group: int
-    coord: int
-    score: float
-    magnitude: float
 
 
 def dequantized_network(spec: NetworkSpec, layers: list[QuantLayer]) -> Network:
@@ -395,7 +399,7 @@ def dequantized_network(spec: NetworkSpec, layers: list[QuantLayer]) -> Network:
     expected = dict(zip((i for i, _ in _net.parameterized_layers(spec)),
                         (c for _, c in _net.param_counts(spec)[0])))
     for ql in layers:
-        flat = np.concatenate([g.reconstruct() for g in ql.groups])
+        flat = ql.reconstruct()
         if ql.layer_index not in expected or flat.size != expected[ql.layer_index]:
             raise ConfigError(
                 f"layer {ql.layer_index}: reconstructed {flat.size} values, "
@@ -405,14 +409,22 @@ def dequantized_network(spec: NetworkSpec, layers: list[QuantLayer]) -> Network:
     return Network(spec, params)
 
 
+def _retained(ql: QuantLayer) -> np.ndarray:
+    """(G, W) mask of the coordinates each group keeps."""
+    return np.arange(ql.coords.shape[1]) < ql.bits[:, None]
+
+
 def score_coordinates(
     qlayers: list[QuantLayer],
     network: Network,
     calib,
     mode: str,
     curvature_weight: float = 1.0,
-) -> list[CoordScore]:
+) -> list[np.ndarray]:
     """Significance score for every retained coordinate (lower = prune first).
+
+    Returns one array per layer, shaped like its ``coords``, NaN past each
+    group's bitwidth.
 
     magnitude: a * sqrt(group size), the norm of the removed contribution.
     loss_aware: |g . (a * column)| + curvature_weight/2 * a^2 * group size,
@@ -431,97 +443,80 @@ def score_coordinates(
         grads = {i: g for i, g in enumerate(flat_grads) if g is not None}
 
     scores = []
-    for li, ql in enumerate(qlayers):
-        g_layer = grads.get(ql.layer_index)
-        for gi, q in enumerate(ql.groups):
-            if q.bitwidth == 0:
-                continue
-            root_n = np.sqrt(q.size)
-            g_slice = None
-            if g_layer is not None:
-                off = gi * ql.group_size
-                g_slice = g_layer[off : off + q.size]
-            for ci in range(q.bitwidth):
-                a = float(q.coords[ci])
-                mag = a * root_n
-                if mode == "magnitude":
-                    s = mag
-                else:
-                    col = q.bases[:, ci].astype(np.float64)
-                    s = a * abs(float(g_slice @ col))
-                    s += 0.5 * curvature_weight * a * a * q.size
-                scores.append(CoordScore(li, gi, ci, s, mag))
+    for ql in qlayers:
+        a = ql.coords
+        sizes = ql.sizes[:, None]
+        if mode == "magnitude":
+            s = a * np.sqrt(sizes)
+        else:
+            g = partition_groups(grads[ql.layer_index], ql.group_size)
+            dots = np.zeros_like(a)
+            for idx, m, b in _batches(ql.sizes, ql.bits):
+                # one unit-stride dot per (group, column), as g_slice @ col does
+                cols = np.ascontiguousarray(ql.signs[idx, :m, :b].transpose(0, 2, 1), float)
+                g_rows = np.repeat(g[idx, :m], b, axis=0)[:, :, None]
+                dots[idx, :b] = (cols.reshape(-1, 1, m) @ g_rows).reshape(len(idx), b)
+            s = a * np.abs(dots) + 0.5 * curvature_weight * a * a * sizes
+        scores.append(np.where(_retained(ql), s, np.nan))
     return scores
-
-
-def _copy_layers(qlayers: list[QuantLayer]) -> list[QuantLayer]:
-    return [
-        QuantLayer(
-            [QuantGroup(g.bases.copy(), g.coords.copy()) for g in ql.groups],
-            ql.group_size,
-            ql.param_count,
-            ql.layer_index,
-        )
-        for ql in qlayers
-    ]
 
 
 def prune_coordinates(
     qlayers: list[QuantLayer],
-    scores: list[CoordScore],
+    scores: list[np.ndarray],
     rate: float | None = None,
     target_avg_bitwidth: float | None = None,
 ) -> list[QuantLayer]:
     """Remove the lowest-scored coordinates globally until the target is met.
 
-    ``rate`` removes that fraction of all retained coordinates (1.0 empties
-    the model); ``target_avg_bitwidth`` stops once the network weight-weighted
-    average bitwidth is at or below the target. Already-met targets are a
-    logged no-op.
+    Coordinates are removed in order of (score, magnitude, layer, group,
+    coordinate). ``rate`` removes that fraction of all retained coordinates
+    (1.0 empties the model); ``target_avg_bitwidth`` stops once the network
+    weight-weighted average bitwidth is at or below the target. Already-met
+    targets are a logged no-op. Survivors keep their order in each group.
     """
     if (rate is None) == (target_avg_bitwidth is None):
         raise ConfigError("specify exactly one of rate / target_avg_bitwidth")
-    live = {(s.layer, s.group, s.coord) for s in scores}
-    if len(live) != len(scores):
-        raise ConfigError("duplicate coordinate scores")
-    for li, ql in enumerate(qlayers):
-        for gi, q in enumerate(ql.groups):
-            for ci in range(q.bitwidth):
-                if (li, gi, ci) not in live:
-                    raise ConfigError(
-                        f"scores missing coordinate (layer {li}, group {gi}, coord {ci})"
-                    )
+    if len(scores) != len(qlayers):
+        raise ConfigError(f"{len(scores)} score arrays for {len(qlayers)} layers")
+    keys = []
+    for li, (ql, s) in enumerate(zip(qlayers, scores)):
+        gi, ci = np.nonzero(_retained(ql))
+        if np.shape(s) != ql.coords.shape or np.isnan(s[gi, ci]).any():
+            raise ConfigError(f"layer {li}: scores missing for retained coordinates")
+        size = ql.sizes[gi]
+        keys.append((s[gi, ci], ql.coords[gi, ci] * np.sqrt(size),
+                     np.full(gi.size, li), gi, ci, size))
+    score, magnitude, layer, group, coord, size = map(np.concatenate, zip(*keys))
+    order = np.lexsort((coord, group, layer, magnitude, score))
 
-    order = sorted(scores, key=lambda s: (s.score, s.magnitude, s.layer, s.group, s.coord))
-    total = total_coords(qlayers)
-    remove: set[tuple[int, int, int]] = set()
     if rate is not None:
         if not 0.0 <= rate <= 1.0:
             raise ConfigError("prune rate must be in [0,1]")
-        n_remove = int(np.floor(rate * total + 0.5))
-        remove = {(s.layer, s.group, s.coord) for s in order[:n_remove]}
+        n_remove = int(np.floor(rate * order.size + 0.5))
     else:
-        bits = sum(g.size * g.bitwidth for ql in qlayers for g in ql.groups)
         params = sum(ql.param_count for ql in qlayers)
-        if bits / params <= target_avg_bitwidth:
+        # sign bits left after removing the first k coordinates, k = 0..all
+        left = sum(int(ql.sizes @ ql.bits) for ql in qlayers) - np.cumsum(
+            np.concatenate([[0], size[order]]))
+        met = left / params <= target_avg_bitwidth
+        n_remove = int(met.argmax()) if met.any() else order.size
+        if n_remove == 0:
             log.info(
                 "prune target %.4f already met (current %.4f); nothing removed",
-                target_avg_bitwidth, bits / params,
+                target_avg_bitwidth, left[0] / params,
             )
-            return _copy_layers(qlayers)
-        for s in order:
-            if bits / params <= target_avg_bitwidth:
-                break
-            remove.add((s.layer, s.group, s.coord))
-            bits -= qlayers[s.layer].groups[s.group].size
+    removed = np.zeros(order.size, dtype=bool)
+    removed[order[:n_remove]] = True
 
     out = []
     for li, ql in enumerate(qlayers):
-        groups = []
-        for gi, q in enumerate(ql.groups):
-            keep = [ci for ci in range(q.bitwidth) if (li, gi, ci) not in remove]
-            groups.append(QuantGroup(q.bases[:, keep], q.coords[keep]))
-        out.append(QuantLayer(groups, ql.group_size, ql.param_count, ql.layer_index))
+        keep = _retained(ql)
+        keep[keep] = ~removed[layer == li]
+        survivors_first = np.argsort(~keep, axis=1, kind="stable")
+        signs = np.take_along_axis(ql.signs * keep[:, None], survivors_first[:, None], axis=2)
+        coords = np.take_along_axis(ql.coords * keep, survivors_first, axis=1)
+        out.append(replace(ql, signs=signs, coords=coords, bits=keep.sum(axis=1)))
     return out
 
 
@@ -552,44 +547,32 @@ class PipelineReport:
     calib_loss_final: float | None = None
 
 
-def _layer_partitions(network: Network, group_size: int):
-    """(layer index, name, flat vector, weight groups) per parameterized layer."""
+def init_layers(network: Network, group_size: int, i_max_for) -> list[QuantLayer]:
+    """Greedy init of every parameterized layer; ``i_max_for(name)`` caps its bits."""
+    return [
+        init_decompose(_net.flatten_params(network, idx), group_size, i_max_for(name), idx)
+        for idx, name in _net.parameterized_layers(network.spec)
+    ]
+
+
+def refine_layers(network: Network, qlayers: list[QuantLayer], iters: int) -> list[QuantLayer]:
+    """``iters`` rounds of optimize_bases then optimize_coords on every layer."""
     out = []
-    for idx, name in _net.parameterized_layers(network.spec):
-        flat = _net.flatten_params(network, idx)
-        groups = partition_groups(flat, group_size)
-        for g in groups:
-            g.layer_index = idx
-        out.append((idx, name, flat, groups))
+    for ql in qlayers:
+        flat = _net.flatten_params(network, ql.layer_index)
+        for _ in range(iters):
+            ql = optimize_coords(flat, optimize_bases(flat, ql))
+        out.append(ql)
     return out
 
 
-def _init_layers(network: Network, config: AlqConfig):
-    parts = _layer_partitions(network, config.group_size)
-    qlayers = []
-    for idx, name, flat, groups in parts:
-        qgroups = [init_decompose(g, config.i_max_for(name)) for g in groups]
-        qlayers.append(QuantLayer(qgroups, config.group_size, flat.size, idx))
-    return parts, qlayers
-
-def _refine_layers(parts, qlayers: list[QuantLayer], iters: int) -> None:
-    for (_, _, _, groups), ql in zip(parts, qlayers):
-        for gi, wg in enumerate(groups):
-            q = ql.groups[gi]
-            for _ in range(iters):
-                if q.bitwidth == 0:
-                    break
-                q = optimize_bases(wg, q)
-                q = optimize_coords(wg, q)
-            ql.groups[gi] = q
+def _recon_rmse(network: Network, ql: QuantLayer) -> float:
+    flat = _net.flatten_params(network, ql.layer_index)
+    return float(np.sqrt(np.mean((flat - ql.reconstruct()) ** 2)))
 
 
-def _recon_rmse(flat: np.ndarray, ql: QuantLayer) -> float:
-    recon = np.concatenate([g.reconstruct() for g in ql.groups])
-    return float(np.sqrt(np.mean((flat - recon) ** 2)))
-
-
-def _calib_subset(calib, config: AlqConfig):
+def calib_subset(calib, config: AlqConfig):
+    """At most ``config.calib_batch`` calibration records, drawn with the config seed."""
     if calib is None or len(calib.records) == 0:
         return None
     if len(calib.records) <= config.calib_batch:
@@ -599,11 +582,11 @@ def _calib_subset(calib, config: AlqConfig):
     return Dataset([calib.records[i] for i in sorted(idx)], calib.class_count)
 
 
-def _calib_loss(spec, qlayers, batch):
+def calib_loss(spec, qlayers, batch):
+    """Mean cross-entropy of the dequantized layers on a batch (None without one)."""
     if batch is None:
         return None
-    deq = dequantized_network(spec, qlayers)
-    return _net.batch_loss(deq, batch.records, batch.labels())
+    return _net.batch_loss(dequantized_network(spec, qlayers), batch.records, batch.labels())
 
 
 def alq_pipeline(network: Network, calib, config: AlqConfig) -> tuple[QuantModel, PipelineReport]:
@@ -613,16 +596,18 @@ def alq_pipeline(network: Network, calib, config: AlqConfig) -> tuple[QuantModel
     the loss figures in the report; it may be None when the scorer is
     magnitude-based or no pruning is requested (losses are then omitted).
     """
-    parts, qlayers = _init_layers(network, config)
-    batch = _calib_subset(calib, config)
+    qlayers = init_layers(network, config.group_size, config.i_max_for)
+    batch = calib_subset(calib, config)
+    names = dict(_net.parameterized_layers(network.spec))
 
     stats = {
-        name: LayerQuantStats(name, flat.size, average_bitwidth(ql)[1], 0.0, 0.0,
-                              _recon_rmse(flat, ql), 0.0)
-        for (idx, name, flat, _), ql in zip(parts, qlayers)
+        ql.layer_index: LayerQuantStats(
+            names[ql.layer_index], ql.param_count, average_bitwidth(ql)[1], 0.0, 0.0,
+            _recon_rmse(network, ql), 0.0)
+        for ql in qlayers
     }
     avg_init = model_avg_bitwidth(qlayers)
-    loss_init = _calib_loss(network.spec, qlayers, batch)
+    loss_init = calib_loss(network.spec, qlayers, batch)
 
     want_prune = (
         config.target_avg_bitwidth is not None
@@ -639,14 +624,14 @@ def alq_pipeline(network: Network, calib, config: AlqConfig) -> tuple[QuantModel
             target_avg_bitwidth=config.target_avg_bitwidth,
         )
     avg_pruned = model_avg_bitwidth(qlayers)
-    loss_pruned = _calib_loss(network.spec, qlayers, batch) if want_prune else loss_init
-    for (_, name, _, _), ql in zip(parts, qlayers):
-        stats[name].bitwidth_pruned = average_bitwidth(ql)[1]
+    loss_pruned = calib_loss(network.spec, qlayers, batch) if want_prune else loss_init
+    for ql in qlayers:
+        stats[ql.layer_index].bitwidth_pruned = average_bitwidth(ql)[1]
 
-    _refine_layers(parts, qlayers, config.refine_iters)
-    for (_, name, flat, _), ql in zip(parts, qlayers):
-        stats[name].bitwidth_final = average_bitwidth(ql)[1]
-        stats[name].recon_rmse_final = _recon_rmse(flat, ql)
+    qlayers = refine_layers(network, qlayers, config.refine_iters)
+    for ql in qlayers:
+        stats[ql.layer_index].bitwidth_final = average_bitwidth(ql)[1]
+        stats[ql.layer_index].recon_rmse_final = _recon_rmse(network, ql)
 
     report = PipelineReport(
         layers=list(stats.values()),
@@ -656,7 +641,7 @@ def alq_pipeline(network: Network, calib, config: AlqConfig) -> tuple[QuantModel
         pruned_coords=coords_before - total_coords(qlayers),
         calib_loss_init=loss_init,
         calib_loss_pruned=loss_pruned,
-        calib_loss_final=_calib_loss(network.spec, qlayers, batch),
+        calib_loss_final=calib_loss(network.spec, qlayers, batch),
     )
     model = QuantModel(
         network.spec, qlayers, config.group_size,
@@ -669,11 +654,7 @@ def uniform_baseline(network: Network, i: int, n: int) -> QuantModel:
     """Fixed-bitwidth comparator: greedy init at exactly i bits, no pruning."""
     if i < 1:
         raise ConfigError("bitwidth must be >= 1")
-    parts = _layer_partitions(network, n)
-    qlayers = []
-    for idx, name, flat, groups in parts:
-        qgroups = [init_decompose(g, i) for g in groups]
-        qlayers.append(QuantLayer(qgroups, n, flat.size, idx))
+    qlayers = init_layers(network, n, lambda _name: i)
     digest = hashlib.sha256(
         json.dumps({"uniform": i, "group_size": n}, sort_keys=True).encode()
     ).hexdigest()

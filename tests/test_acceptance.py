@@ -18,21 +18,26 @@ from alqecg.net import default_ecgnet_spec, init_params, param_counts, propagate
 from alqecg.qinfer import QuantExecutor, dequantize
 from alqecg.quantizer import (
     AlqConfig,
-    QuantGroup,
-    WeightGroup,
     alq_pipeline,
     average_bitwidth,
     dequantized_network,
-    init_decompose,
-    optimize_bases,
-    optimize_coords,
     score_coordinates,
     uniform_baseline,
 )
 from alqecg.util import canonical_json_bytes
 from conftest import ACCEPTANCE_LINES
 from test_bitpack import models_equal, random_model
-from test_quantizer import oracle_nearest_levels, toy_calib, toy_quant_net
+from test_quantizer import (
+    bases_one,
+    coords_one,
+    init_one,
+    oracle_nearest_levels,
+    ranked_coordinates,
+    recon_error,
+    toy_calib,
+    toy_quant_net,
+    without_coordinate,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
 
@@ -91,11 +96,11 @@ def test_criterion_03_quantizer_oracles():
     while checked < 1000:
         n = int(rng.integers(1, 7))
         w = rng.normal(size=n) * rng.uniform(0.05, 4.0)
-        q = init_decompose(WeightGroup(w), int(rng.integers(1, 3)))
-        if q.bitwidth == 0:
+        q = init_one(w, int(rng.integers(1, 3)))
+        if q[1].size == 0:
             continue
-        out = optimize_bases(WeightGroup(w), q)
-        assert np.array_equal(out.bases, oracle_nearest_levels(w, q.coords))
+        bases, _ = bases_one(w, *q)
+        assert np.array_equal(bases, oracle_nearest_levels(w, q[1]))
         checked += 1
 
     # (b) coordinate step matches the pseudo-inverse oracle
@@ -105,10 +110,10 @@ def test_criterion_03_quantizer_oracles():
         w = rng.normal(size=n)
         bases = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, i))
         coords = np.sort(rng.uniform(0.05, 2.0, size=i))[::-1]
-        out = optimize_coords(WeightGroup(w), QuantGroup(bases, coords))
+        out = coords_one(w, bases, coords)
         b = bases.astype(np.float64)
         oracle_recon = b @ (np.linalg.pinv(b) @ w)
-        err_out = np.linalg.norm(w - out.reconstruct())
+        err_out = recon_error(w, *out)
         err_oracle = np.linalg.norm(w - oracle_recon)
         assert err_out <= err_oracle + 1e-8
 
@@ -116,16 +121,16 @@ def test_criterion_03_quantizer_oracles():
     for _ in range(1000):
         n = int(rng.integers(1, 17))
         w = rng.normal(size=n)
-        q = init_decompose(WeightGroup(w), int(rng.integers(1, 5)))
-        err = np.linalg.norm(w - q.reconstruct())
+        q = init_one(w, int(rng.integers(1, 5)))
+        err = recon_error(w, *q)
         for _ in range(3):
-            if q.bitwidth == 0:
+            if q[1].size == 0:
                 break
-            q = optimize_bases(WeightGroup(w), q)
-            mid = np.linalg.norm(w - q.reconstruct())
+            q = bases_one(w, *q)
+            mid = recon_error(w, *q)
             assert mid <= err
-            q = optimize_coords(WeightGroup(w), q)
-            err_new = np.linalg.norm(w - q.reconstruct())
+            q = coords_one(w, *q)
+            err_new = recon_error(w, *q)
             assert err_new <= mid
             err = err_new
 
@@ -135,28 +140,20 @@ def test_criterion_03_quantizer_oracles():
     counts_total = sum(ql.param_count for ql in qlayers)
     assert counts_total <= 50
     scores = score_coordinates(qlayers, network, calib, "loss_aware")
-    ranked = sorted(scores, key=lambda s: (s.score, s.magnitude, s.layer, s.group, s.coord))
-    predicted = (ranked[0].layer, ranked[0].group, ranked[0].coord)
+    ranked = ranked_coordinates(qlayers, scores)
+    predicted = ranked[0][2:]
     base = _net.batch_loss(
         dequantized_network(network.spec, qlayers), calib.records, calib.labels()
     )
     best = None
-    for s in scores:
-        trial = [
-            type(ql)(
-                [QuantGroup(g.bases.copy(), g.coords.copy()) for g in ql.groups],
-                ql.group_size, ql.param_count, ql.layer_index)
-            for ql in qlayers
-        ]
-        g = trial[s.layer].groups[s.group]
-        keep = [c for c in range(g.bitwidth) if c != s.coord]
-        trial[s.layer].groups[s.group] = QuantGroup(g.bases[:, keep], g.coords[keep])
+    for _, magnitude, li, gi, ci in ranked:
+        trial = without_coordinate(qlayers, li, gi, ci)
         loss = _net.batch_loss(
             dequantized_network(network.spec, trial), calib.records, calib.labels()
         )
-        key = (loss - base, s.magnitude, s.layer, s.group, s.coord)
+        key = (loss - base, magnitude, li, gi, ci)
         if best is None or key < best[0]:
-            best = (key, (s.layer, s.group, s.coord))
+            best = (key, (li, gi, ci))
     assert predicted == best[1]
     _record(3, "base/coordinate/refinement/pruning oracles agree (4,000+ cases)")
 

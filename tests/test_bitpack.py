@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,8 @@ from alqecg.bitpack import (
     deserialize_bytes,
     injected_memory_report,
     memory_report,
-    pack_signs,
     serialize,
     serialize_bytes,
-    unpack_signs,
 )
 from alqecg.errors import ContainerFormatError
 from alqecg.net import (
@@ -28,16 +27,15 @@ from alqecg.net import (
 )
 from alqecg.quantizer import (
     ModelMeta,
-    QuantGroup,
     QuantLayer,
     QuantModel,
     canonicalize,
-    partition_groups,
     prune_coordinates,
     score_coordinates,
     init_decompose,
     uniform_baseline,
 )
+from test_quantizer import empty_layer, groups_of, layers_equal
 
 # SHA-256 of the ALQQ bytes of a 2-bit uniform baseline of the untrained
 # default network at group size 11, where every layer ends in a short group
@@ -62,63 +60,84 @@ def random_model(rng, spec=None, group_size=None) -> QuantModel:
                      if l.kind in ("conv1d", "dense", "softmax-dense")]
     layers = []
     for layer_index, (_, count) in zip(layer_indices, counts):
-        groups = []
-        for off in range(0, count, group_size):
-            n = min(group_size, count - off)
-            bitwidth = int(rng.integers(0, 5))
-            bases = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, bitwidth))
-            coords = rng.uniform(1e-3, 4.0, size=bitwidth)
-            bases, coords = canonicalize(bases, coords)
-            # the container stores f32 coordinates; keep the model on that grid
-            coords = coords.astype(np.float32).astype(np.float64)
-            groups.append(QuantGroup(bases, coords))
-        layers.append(QuantLayer(groups, group_size, count, layer_index))
+        n_groups = -(-count // group_size)
+        tail = count - (n_groups - 1) * group_size
+        signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_groups, group_size, 4))
+        coords = rng.uniform(1e-3, 4.0, size=(n_groups, 4))
+        coords[np.arange(4) >= rng.integers(0, 5, size=(n_groups, 1))] = 0.0
+        signs, coords, bits = canonicalize(signs, coords)
+        # the last group is canonical at its own size, zero past it
+        signs[-1:, :tail], coords[-1:], bits[-1:] = canonicalize(
+            signs[-1:, :tail], coords[-1:])
+        signs[-1, tail:] = 0
+        # the container stores f32 coordinates; keep the model on that grid
+        coords = coords.astype(np.float32).astype(np.float64)
+        layers.append(QuantLayer(signs, coords, bits, group_size, count, layer_index))
     meta = ModelMeta(int(rng.integers(0, 2**63)), rng.bytes(32).hex())
     return QuantModel(spec, layers, group_size, meta)
 
 
 def models_equal(a: QuantModel, b: QuantModel) -> bool:
-    if a.group_size != b.group_size or a.meta != b.meta:
-        return False
-    if len(a.layers) != len(b.layers):
-        return False
-    for la, lb in zip(a.layers, b.layers):
-        if (la.layer_index, la.param_count) != (lb.layer_index, lb.param_count):
-            return False
-        if len(la.groups) != len(lb.groups):
-            return False
-        for ga, gb in zip(la.groups, lb.groups):
-            if not np.array_equal(ga.bases, gb.bases):
-                return False
-            if ga.coords.tobytes() != gb.coords.tobytes():
-                return False
-    return True
+    return (a.group_size == b.group_size and a.meta == b.meta
+            and layers_equal(a.layers, b.layers))
+
+
+def header_bytes(model: QuantModel) -> int:
+    """Bytes before the first layer's group count."""
+    return len(serialize_bytes(replace(model, layers=[])))
+
+
+def uniform_layer(count: int, group_size: int) -> QuantLayer:
+    """One all-+1 column per group with coordinate 1."""
+    n_groups = -(-count // group_size)
+    signs = (np.arange(n_groups * group_size) < count).reshape(n_groups, group_size, 1)
+    return QuantLayer(signs, np.ones((n_groups, 1)), np.ones(n_groups), group_size,
+                      count, 1)
+
+
+def one_group_model(column) -> QuantModel:
+    """A 1-output dense model whose weights are one group holding the single
+    sign column; the bias is a second, empty group."""
+    column = np.asarray(column, dtype=np.int8)
+    n = column.size
+    spec = NetworkSpec([flatten(), softmax_dense(1)], input_length=n,
+                       input_channels=1, class_count=1)
+    signs = np.zeros((2, n, 1), dtype=np.int8)
+    signs[0, :, 0] = column
+    layer = QuantLayer(signs, [[1.0], [0.0]], [1, 0], n, n + 1, 1)
+    return QuantModel(spec, [layer], n, ModelMeta())
+
+
+def column_bytes(column) -> bytes:
+    """The packed sign column of a one-group container, before the bias header."""
+    return serialize_bytes(one_group_model(column))[-3 - (len(column) + 7) // 8 : -3]
 
 
 class TestPacking:
     def test_eight_signs_one_byte(self):
         col = np.array([1, -1, 1, 1, -1, -1, 1, -1], dtype=np.int8)
-        packed = pack_signs(col)
-        assert len(packed) == 1
-        assert np.array_equal(unpack_signs(packed, 8), col)
+        assert column_bytes(col) == bytes([0b01001101])
+        model = deserialize_bytes(serialize_bytes(one_group_model(col)))
+        assert np.array_equal(model.layers[0].signs[0, :, 0], col)
 
     def test_lsb_first_layout(self):
         col = np.array([1, -1, -1, -1, -1, -1, -1, -1], dtype=np.int8)
-        assert pack_signs(col) == b"\x01"
+        assert column_bytes(col) == b"\x01"
         col[0], col[7] = -1, 1
-        assert pack_signs(col) == b"\x80"
+        assert column_bytes(col) == b"\x80"
 
     def test_padding_to_byte(self):
         col = np.ones(11, dtype=np.int8)
-        packed = pack_signs(col)
-        assert len(packed) == 2
-        assert np.array_equal(unpack_signs(packed, 11), col)
+        assert column_bytes(col) == b"\xff\x07"
+        model = deserialize_bytes(serialize_bytes(one_group_model(col)))
+        assert np.array_equal(model.layers[0].signs[0, :, 0], col)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=40))
     def test_round_trip(self, signs):
         col = np.array(signs, dtype=np.int8)
-        assert np.array_equal(unpack_signs(pack_signs(col), col.size), col)
+        model = deserialize_bytes(serialize_bytes(one_group_model(col)))
+        assert np.array_equal(model.layers[0].signs[0, :, 0], col)
 
 
 class TestSerializeRoundTrip:
@@ -136,10 +155,10 @@ class TestSerializeRoundTrip:
     def test_empty_group_zero_payload(self):
         rng = np.random.default_rng(2)
         model = random_model(rng)
-        target = model.layers[0].groups[0]
-        model.layers[0].groups[0] = QuantGroup(
-            np.zeros((target.size, 0), dtype=np.int8), np.zeros(0)
-        )
+        ql = model.layers[0]
+        signs, coords, bits = ql.signs.copy(), ql.coords.copy(), ql.bits.copy()
+        signs[0], coords[0], bits[0] = 0, 0.0, 0
+        model.layers[0] = replace(ql, signs=signs, coords=coords, bits=bits)
         assert models_equal(model, deserialize_bytes(serialize_bytes(model)))
 
     def test_uniform_baseline_golden_digest(self):
@@ -181,20 +200,68 @@ class TestDeserializeErrors:
         assert err.value.offset == at
 
     def test_non_canonical_rejected(self):
-        model = random_model(np.random.default_rng(6))
-        # force a duplicate column pair in some group
-        for ql in model.layers:
-            for gi, g in enumerate(ql.groups):
-                if g.size >= 2:
-                    bases = np.ones((g.size, 2), dtype=np.int8)
-                    ql.groups[gi] = QuantGroup.__new__(QuantGroup)
-                    ql.groups[gi].bases = bases
-                    ql.groups[gi].coords = np.array([1.0, 0.5])
-                    data = serialize_bytes(model)
-                    with pytest.raises(ContainerFormatError, match="duplicate"):
-                        deserialize_bytes(data)
-                    return
-        pytest.fail("no group of size >= 2")
+        model = random_model(np.random.default_rng(6), group_size=8)
+        # force a duplicate column pair into the first group
+        ql = model.layers[0]
+        signs, coords, bits = ql.signs.copy(), ql.coords.copy(), ql.bits.copy()
+        signs = np.pad(signs, ((0, 0), (0, 0), (0, 2)))
+        coords = np.pad(coords, ((0, 0), (0, 2)))
+        signs[0] = 0
+        signs[0, :, :2] = 1
+        coords[0] = 0.0
+        coords[0, :2] = [1.0, 0.5]
+        bits[0] = 2
+        model.layers[0] = replace(ql, signs=signs, coords=coords, bits=bits)
+        with pytest.raises(ContainerFormatError, match="group 0: duplicate") as err:
+            deserialize_bytes(serialize_bytes(model))
+        # group count, then group 0: header, two f32 coordinates, two columns
+        assert err.value.offset == header_bytes(model) + 4 + 3 + 8 + 2
+
+    def test_nonzero_pad_bits_rejected(self):
+        model = random_model(np.random.default_rng(11), group_size=5)
+        ql = model.layers[0]
+        bits = np.ones_like(ql.bits)
+        model.layers[0] = replace(ql, signs=np.where(ql.signs[:, :, :1] == 0, 0, 1),
+                                  coords=np.ones((len(bits), 1)), bits=bits)
+        data = bytearray(serialize_bytes(model))
+        # group 0 record: header, one f32 coordinate, one 1-byte column
+        column = header_bytes(model) + 4 + 3 + 4
+        assert data[column] == 0b11111
+        data[column] |= 0b10000000
+        with pytest.raises(ContainerFormatError, match="group 0: non-zero pad bits in "
+                           "base column 0") as err:
+            deserialize_bytes(bytes(data))
+        assert err.value.offset == column
+
+    def test_earlier_group_fault_reported_before_truncation(self):
+        model = random_model(np.random.default_rng(12), group_size=5)
+        ql = model.layers[0]
+        bits = np.ones_like(ql.bits)
+        model.layers[0] = replace(ql, signs=np.where(ql.signs[:, :, :1] == 0, 0, 1),
+                                  coords=np.ones((len(bits), 1)), bits=bits)
+        data = bytearray(serialize_bytes(model))
+        column = header_bytes(model) + 4 + 3 + 4
+        data[column] |= 0b10000000
+        # cut inside the second group's record
+        with pytest.raises(ContainerFormatError, match="pad bits"):
+            deserialize_bytes(bytes(data[: column + 5]))
+
+    def test_nonstandard_partition_rejected(self):
+        # sizes 2 + 3 cover the 5 values of a group-size-3 layer, but the
+        # partition is 3 + 2
+        spec = NetworkSpec([flatten(), softmax_dense(1)], input_length=4,
+                           input_channels=1, class_count=1)
+        model = QuantModel(spec, [uniform_layer(5, 3)], 3, ModelMeta())
+        data = bytearray(serialize_bytes(model))
+        at = header_bytes(model) + 4
+        assert data[at : at + 2] == b"\x03\x00"
+        data[at] = 2
+        data[at + 3 + 4 + 1] = 3  # the second header follows the 1-byte column
+        data[at + 3 + 4 + 1 + 3 + 4] = 0b111
+        data[at + 3 + 4] = 0b11
+        with pytest.raises(ContainerFormatError, match="size 2, partition expects 3") as err:
+            deserialize_bytes(bytes(data))
+        assert err.value.offset == at + 3
 
 
 class TestMemoryReport:
@@ -236,13 +303,19 @@ class TestMemoryReport:
         model = random_model(np.random.default_rng(7))
         report = memory_report(model)
         for row, ql in zip(report.rows, model.layers):
-            bits = sum(g.size * g.bitwidth for g in ql.groups)
+            bits = sum(b.size for b, _ in groups_of(ql))
             assert row.base_bits == bits
             assert row.base_bits == int(np.floor(row.params * row.avg_bitwidth + 0.5))
         assert report.coord_overhead_bits == 32 * sum(
-            g.bitwidth for ql in model.layers for g in ql.groups
+            int(ql.bits.sum()) for ql in model.layers
         )
         assert report.container_bits == len(serialize_bytes(model)) * 8
+
+    def test_container_bits_match_serialized_size(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            model = random_model(rng)
+            assert memory_report(model).container_bits == 8 * len(serialize_bytes(model))
 
     def test_container_accounting_decomposes_exactly(self):
         # container = headers + coordinates + sign payload; base_bits counts
@@ -258,11 +331,12 @@ class TestMemoryReport:
         padding_bits = 0
         for ql in model.layers:
             group_header_bits += 32  # group count u32
-            for g in ql.groups:
+            for bases, _ in groups_of(ql):
+                size, bitwidth = bases.shape
                 group_header_bits += (2 + 1) * 8
-                coord_bits += g.bitwidth * 32
-                payload_bits += g.size * g.bitwidth
-                padding_bits += g.bitwidth * (((g.size + 7) // 8) * 8 - g.size)
+                coord_bits += bitwidth * 32
+                payload_bits += size * bitwidth
+                padding_bits += bitwidth * (((size + 7) // 8) * 8 - size)
         assert payload_bits == report.total_base_bits
         assert coord_bits == report.coord_overhead_bits
         assert report.container_bits == (
@@ -276,10 +350,7 @@ class TestMemoryReport:
 
     def test_headline_monotone_under_pruning(self):
         rng = np.random.default_rng(8)
-        flat = rng.normal(size=99)
-        groups = partition_groups(flat, 16)
-        qgroups = [init_decompose(g, 3) for g in groups]
-        layers = [QuantLayer(qgroups, 16, flat.size, 3)]
+        layers = [init_decompose(rng.normal(size=99), 16, 3, 3)]
         spec = small_spec()
         scores = score_coordinates(layers, None, None, "magnitude")
         prev = np.inf
@@ -293,9 +364,7 @@ class TestMemoryReport:
     def test_fully_pruned_model(self):
         rng = np.random.default_rng(9)
         model = random_model(rng)
-        for ql in model.layers:
-            for gi, g in enumerate(ql.groups):
-                ql.groups[gi] = QuantGroup(np.zeros((g.size, 0), np.int8), np.zeros(0))
+        model.layers = [empty_layer(ql) for ql in model.layers]
         report = memory_report(model)
         assert report.total_base_bits == 0
         assert not np.isfinite(report.compression_rate)

@@ -50,6 +50,17 @@ class TestTrainCommand:
         (workdir / "bad.csv").write_text("1,2,3\n")
         assert run(["train", "--data", "bad.csv", "--out", "m.alqf"]) == 1
 
+    def test_flatline_record_warned_once(self, workdir, caplog):
+        ds = synth_generate(1, seed=0)
+        ds.records[3].samples[:] = 0.25
+        save_dataset(workdir / "flat.csv", ds)
+        with caplog.at_level("WARNING"):
+            assert run(["train", "--data", "flat.csv", "--epochs", "1",
+                        "--out", "m.alqf"]) == 0
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "1 constant record" in warnings[0].getMessage()
+
 
 class TestQuantizeEvalPipeline:
     def _train(self, workdir):

@@ -15,10 +15,10 @@ from alqecg.metrics import (
 )
 from alqecg.net import init_params
 from alqecg.qinfer import dequantize
-from alqecg.quantizer import QuantGroup, uniform_baseline
+from alqecg.quantizer import uniform_baseline
 from alqecg.data import Dataset
 from conftest import tiny_spec
-from test_quantizer import _Rec
+from test_quantizer import _Rec, empty_layer
 
 
 class TestConfusion:
@@ -128,9 +128,7 @@ class TestEvaluate:
     def test_fully_pruned_predicts_class_zero(self):
         network = init_params(tiny_spec(), 3)
         model = uniform_baseline(network, 1, 16)
-        for ql in model.layers:
-            for gi, g in enumerate(ql.groups):
-                ql.groups[gi] = QuantGroup(np.zeros((g.size, 0), np.int8), np.zeros(0))
+        model.layers = [empty_layer(ql) for ql in model.layers]
         ds = self._records(n=60)
         preds = predict_labels(model, ds.records)
         assert np.all(preds == 0)

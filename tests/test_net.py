@@ -17,7 +17,6 @@ from alqecg.net import (
     init_params,
     load_checkpoint,
     out_length,
-    param_count,
     param_counts,
     parameterized_layers,
     pool,
@@ -66,7 +65,7 @@ class TestArchitecture:
 
     def test_param_count_on_network(self):
         network = init_params(default_ecgnet_spec(), 0)
-        rows, total = param_count(network)
+        rows, total = param_counts(network.spec)
         assert total == 80973
         got = sum(p[0].size + p[1].size for p in network.params if p is not None)
         assert got == total

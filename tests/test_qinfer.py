@@ -10,30 +10,24 @@ from alqecg.net import default_ecgnet_spec, init_params
 from alqecg.qinfer import (
     QuantExecutor,
     dequantize,
-    group_dot,
     layer_plan,
     predict_batch,
     qforward,
 )
-from alqecg.quantizer import (
-    QuantGroup,
-    QuantLayer,
-    QuantModel,
-    canonicalize,
-    uniform_baseline,
-)
+from alqecg.quantizer import QuantLayer, canonicalize, uniform_baseline
 from conftest import tiny_spec
 from test_bitpack import random_model, small_spec
+from test_quantizer import empty_layer, groups_of, layer_of, ref_reconstruct
 
 
 class TestDequantize:
     def test_matrix_product_by_hand(self):
-        q = QuantGroup(np.array([[1, 1], [1, -1]], dtype=np.int8), np.array([2.0, 1.0]))
-        np.testing.assert_allclose(q.reconstruct(), [3.0, 1.0])
+        ql = layer_of([([[1, 1], [1, -1]], [2.0, 1.0]), ([[-1, 1]], [2.0, 1.0])])
+        np.testing.assert_allclose(ql.reconstruct(), [3.0, 1.0, -1.0])
 
     def test_empty_group_zero_weights(self):
-        q = QuantGroup(np.zeros((4, 0), dtype=np.int8), np.zeros(0))
-        np.testing.assert_array_equal(q.reconstruct(), np.zeros(4))
+        ql = layer_of([(np.zeros((4, 0)), np.zeros(0))])
+        np.testing.assert_array_equal(ql.reconstruct(), np.zeros(4))
 
     def test_lossless_model_restores_originals(self):
         network = init_params(tiny_spec(), 5)
@@ -50,47 +44,64 @@ class TestDequantize:
     def test_shape_mismatch_rejected(self):
         network = init_params(tiny_spec(), 5)
         model = uniform_baseline(network, 1, 16)
-        bad = model.layers[0].groups[0]
-        model.layers[0].groups[0] = QuantGroup(bad.bases[:-1], bad.coords)
+        bad = model.layers[0]
+        model.layers[0] = QuantLayer(bad.signs, bad.coords, bad.bits, bad.group_size,
+                                     bad.param_count - 1, bad.layer_index)
         with pytest.raises(Exception, match="reconstructed"):
             dequantize(model)
 
 
+def group_dot(bases, coords, x) -> float:
+    """One group's sign-bit dot product sum_i a_i (column_i . x), computed by
+    the bit-plane plan of a one-output layer holding the group as its weights."""
+    bases = np.asarray(bases, dtype=np.int8)
+    n = bases.shape[0]
+    # the weights fill group 0; the bias is a second, empty group
+    ql = layer_of([(bases, coords), (np.zeros((1, 0)), np.zeros(0))], n)
+    x = np.asarray(x, dtype=np.float64)[None, :, None]
+    return float(layer_plan(ql, 1, n).apply(x)[0, 0, 0])
+
+
 class TestGroupDot:
     def test_all_positive_signs(self):
-        q = QuantGroup(np.ones((3, 1), dtype=np.int8), np.array([1.0]))
-        assert group_dot(q, np.array([1.0, 2.0, 3.0])) == pytest.approx(6.0)
+        assert group_dot(np.ones((3, 1)), [1.0], [1.0, 2.0, 3.0]) == pytest.approx(6.0)
 
     def test_two_base_hand_example(self):
-        q = QuantGroup(np.array([[1, 1], [1, -1]], dtype=np.int8), np.array([2.0, 1.0]))
-        assert group_dot(q, np.array([1.0, 1.0])) == pytest.approx(4.0)
-        dense = q.reconstruct() @ np.array([1.0, 1.0])
+        bases, coords = [[1, 1], [1, -1]], [2.0, 1.0]
+        assert group_dot(bases, coords, [1.0, 1.0]) == pytest.approx(4.0)
+        dense = ref_reconstruct(np.array(bases), coords) @ np.array([1.0, 1.0])
         assert dense == pytest.approx(4.0)
 
     def test_zero_input(self):
-        q = QuantGroup(np.array([[1, -1]], dtype=np.int8), np.array([2.0, 0.5]))
-        assert group_dot(q, np.zeros(1)) == 0.0
+        assert group_dot([[1, -1]], [2.0, 0.5], np.zeros(1)) == 0.0
 
     def test_length_mismatch(self):
-        q = QuantGroup(np.ones((3, 1), dtype=np.int8), np.array([1.0]))
+        model = uniform_baseline(init_params(tiny_spec(), 1), 2, 16)
         with pytest.raises(ShapeError):
-            group_dot(q, np.zeros(4))
+            QuantExecutor(model).logits([np.zeros(9)])
 
     def test_equivalence_bulk(self):
-        # sign-bit path vs dense reconstruction over many random pairs
+        # sign-bit path vs dense reconstruction over 10,000 random groups: per
+        # group size n, a dense layer whose 625 output channels each hold one
+        # group as their weights; the biases fill further, empty groups
         rng = np.random.default_rng(12)
-        for _ in range(10_000):
-            n = int(rng.integers(1, 17))
-            bitwidth = int(rng.integers(0, 5))
-            bases, coords = canonicalize(
-                rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, bitwidth)),
-                rng.uniform(0.01, 3.0, size=bitwidth),
+        k = 625
+        for n in range(1, 17):
+            signs, coords, bits = canonicalize(
+                rng.choice(np.array([-1, 1], dtype=np.int8), size=(k, n, 4)),
+                rng.uniform(0.01, 3.0, size=(k, 4))
+                * (np.arange(4) < rng.integers(0, 5, size=(k, 1))),
             )
-            q = QuantGroup(bases, coords)
+            n_bias = -(-k // n)
+            ql = QuantLayer(np.concatenate([signs, np.zeros((n_bias, n, 4), np.int8)]),
+                            np.concatenate([coords, np.zeros((n_bias, 4))]),
+                            np.concatenate([bits, np.zeros(n_bias, np.int64)]),
+                            n, k * n + k, 0)
             x = rng.normal(size=n)
-            bit_path = group_dot(q, x)
-            dense_path = float(q.reconstruct() @ x)
-            assert abs(bit_path - dense_path) <= 1e-6 * max(1.0, abs(dense_path))
+            bit_path = layer_plan(ql, k, n).apply(x[None, :, None])[0, :, 0]
+            dense_path = ql.reconstruct()[: k * n].reshape(k, n) @ x
+            assert (np.abs(bit_path - dense_path)
+                    <= 1e-6 * np.maximum(1.0, np.abs(dense_path))).all()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -100,13 +111,13 @@ class TestGroupDot:
     )
     def test_equivalence_property(self, n, bits, seed):
         rng = np.random.default_rng(seed)
-        bases, coords = canonicalize(
-            rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, bits)),
-            rng.uniform(0.01, 3.0, size=bits),
+        bases, coords, width = canonicalize(
+            rng.choice(np.array([-1, 1], dtype=np.int8), size=(1, n, bits)),
+            rng.uniform(0.01, 3.0, size=(1, bits)),
         )
-        q = QuantGroup(bases, coords)
         x = rng.normal(size=n)
-        assert group_dot(q, x) == pytest.approx(float(q.reconstruct() @ x), abs=1e-9)
+        q = (bases[0, :, : width[0]], coords[0, : width[0]])
+        assert group_dot(*q, x) == pytest.approx(float(ref_reconstruct(*q) @ x), abs=1e-9)
 
 
 class TestQforward:
@@ -133,9 +144,7 @@ class TestQforward:
 
     def test_fully_pruned_uniform_output(self):
         model, _ = self._model_and_reference()
-        for ql in model.layers:
-            for gi, g in enumerate(ql.groups):
-                ql.groups[gi] = QuantGroup(np.zeros((g.size, 0), np.int8), np.zeros(0))
+        model.layers = [empty_layer(ql) for ql in model.layers]
         probs = qforward(model, np.random.default_rng(0).normal(size=8))
         np.testing.assert_allclose(probs, np.full(3, 1 / 3), atol=1e-12)
 
@@ -177,17 +186,14 @@ class TestQforward:
         w_count = 3 * 4  # output weights before the bias tail
 
         def build(scale):
-            # group size 4 keeps the bias tail in its own (zeroed) group
+            # group size 4 keeps the bias tail in its own (zeroed) groups
             model = uniform_baseline(network, 2, 4)
             out = model.layers[-1]
-            off = 0
-            for gi, g in enumerate(out.groups):
-                if off >= w_count:
-                    out.groups[gi] = QuantGroup(np.zeros((g.size, 0), np.int8), np.zeros(0))
-                else:
-                    assert off + g.size <= w_count
-                    out.groups[gi] = QuantGroup(g.bases, g.coords * scale)
-                off += g.size
+            weights = np.arange(len(out.bits)) * 4 < w_count
+            assert w_count % 4 == 0
+            model.layers[-1] = QuantLayer(
+                out.signs * weights[:, None, None], out.coords * scale * weights[:, None],
+                out.bits * weights, 4, out.param_count, out.layer_index)
             return model
 
         rng = np.random.default_rng(11)
@@ -221,14 +227,16 @@ class TestLayerPlan:
             for ql, mem in zip(model.layers, memory_report(model).rows):
                 n_out, fan = layer_geometry(model, ql)
                 w_total = n_out * fan
-                plan = layer_plan(ql.groups, n_out, fan)
-                offsets = np.cumsum([0] + [g.size for g in ql.groups])
+                plan = layer_plan(ql, n_out, fan)
+                groups = groups_of(ql)
+                offsets = np.cumsum([0] + [b.shape[0] for b, _ in groups])
                 rows = bias_bits = 0
-                for g, off in zip(ql.groups, offsets):
-                    pos = np.arange(off, off + g.size)
+                for (bases, _), off in zip(groups, offsets):
+                    size, bitwidth = bases.shape
+                    pos = np.arange(off, off + size)
                     out = np.where(pos < w_total, pos // fan, pos - w_total)
-                    rows += np.unique(out).size * g.bitwidth
-                    bias_bits += np.count_nonzero(pos >= w_total) * g.bitwidth
+                    rows += np.unique(out).size * bitwidth
+                    bias_bits += np.count_nonzero(pos >= w_total) * bitwidth
                 assert plan.M.shape == (rows, fan)
                 assert plan.C.shape == (n_out, rows)
                 assert np.isin(plan.M, (-1, 0, 1)).all()
@@ -248,17 +256,16 @@ class TestLayerPlan:
                         signs = np.append(signs, plan.m_b[r])
                     gi = np.searchsorted(offsets, pos, side="right") - 1
                     assert (gi == gi[0]).all()
-                    g = ql.groups[gi[0]]
-                    ks = np.flatnonzero(g.coords == plan.C[o, r])
+                    bases, coords = groups[gi[0]]
+                    ks = np.flatnonzero(coords == plan.C[o, r])
                     local = pos - offsets[gi[0]]
-                    assert any(np.array_equal(g.bases[local, k], signs) for k in ks)
+                    assert any(np.array_equal(bases[local, k], signs) for k in ks)
 
     def test_fully_pruned_layer(self):
         model = random_model(np.random.default_rng(22), tiny_spec())
-        ql = model.layers[0]
-        ql.groups = [QuantGroup(np.zeros((g.size, 0), np.int8), np.zeros(0)) for g in ql.groups]
+        ql = empty_layer(model.layers[0])
         n_out, fan = layer_geometry(model, ql)
-        plan = layer_plan(ql.groups, n_out, fan)
+        plan = layer_plan(ql, n_out, fan)
         assert plan.M.shape == (0, fan)
         assert plan.C.shape == (n_out, 0)
         y = plan.apply(np.random.default_rng(0).normal(size=(3, fan, 5)))

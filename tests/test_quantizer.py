@@ -11,11 +11,11 @@ from alqecg.data import Dataset, EcgRecord
 from alqecg.errors import ConfigError
 from alqecg.net import Network, NetworkSpec, flatten, init_params, softmax_dense
 from alqecg.quantizer import (
+    COORD_EPS,
+    ENUM_BITWIDTH_LIMIT,
+    GRAM_COND_LIMIT,
     AlqConfig,
-    CoordScore,
-    QuantGroup,
     QuantLayer,
-    WeightGroup,
     alq_pipeline,
     average_bitwidth,
     canonicalize,
@@ -33,12 +33,171 @@ from alqecg.quantizer import (
 from alqecg.bitpack import serialize_bytes
 
 
-def group_of(values) -> WeightGroup:
-    return WeightGroup(np.asarray(values, dtype=np.float64))
+# ---------------------------------------------------------------------------
+# building layers from per-group (bases, coords) pairs and back
 
 
-def recon_error(w, q: QuantGroup) -> float:
-    return float(np.linalg.norm(np.asarray(w) - q.reconstruct()))
+def layer_of(groups, group_size=None, layer_index=0) -> QuantLayer:
+    """A layer from (bases (size, k), coords (k,)) pairs; all but the last full."""
+    groups = [(np.asarray(b, dtype=np.int8), np.asarray(c, dtype=np.float64))
+              for b, c in groups]
+    group_size = group_size or groups[0][0].shape[0]
+    width = max(c.size for _, c in groups)
+    signs = np.zeros((len(groups), group_size, width), dtype=np.int8)
+    coords = np.zeros((len(groups), width))
+    for g, (b, c) in enumerate(groups):
+        signs[g, : b.shape[0], : c.size] = b
+        coords[g, : c.size] = c
+    count = sum(b.shape[0] for b, _ in groups)
+    return QuantLayer(signs, coords, [c.size for _, c in groups], group_size, count,
+                      layer_index)
+
+
+def empty_layer(ql: QuantLayer) -> QuantLayer:
+    """The layer with every coordinate pruned."""
+    n = len(ql.bits)
+    return QuantLayer(np.zeros((n, ql.group_size, 0)), np.zeros((n, 0)), np.zeros(n),
+                      ql.group_size, ql.param_count, ql.layer_index)
+
+
+def groups_of(ql: QuantLayer) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-group (bases, coords) of a layer, without padding."""
+    return [(ql.signs[g, :m, :b], ql.coords[g, :b])
+            for g, (m, b) in enumerate(zip(ql.sizes, ql.bits))]
+
+
+def layers_equal(a: list[QuantLayer], b: list[QuantLayer]) -> bool:
+    return len(a) == len(b) and all(
+        (x.group_size, x.param_count, x.layer_index) == (y.group_size, y.param_count,
+                                                         y.layer_index)
+        and np.array_equal(x.bits, y.bits)
+        and np.array_equal(x.signs, y.signs)
+        and x.coords.tobytes() == y.coords.tobytes()
+        for x, y in zip(a, b)
+    )
+
+
+def init_one(w, i_max):
+    w = np.asarray(w, dtype=np.float64)
+    return groups_of(init_decompose(w, w.size, i_max))[0]
+
+
+def bases_one(w, bases, coords):
+    return groups_of(optimize_bases(np.asarray(w, dtype=np.float64),
+                                    layer_of([(bases, coords)])))[0]
+
+
+def coords_one(w, bases, coords):
+    return groups_of(optimize_coords(np.asarray(w, dtype=np.float64),
+                                     layer_of([(bases, coords)])))[0]
+
+
+def recon_error(w, bases, coords) -> float:
+    return float(np.linalg.norm(np.asarray(w) - ref_reconstruct(bases, coords)))
+
+
+# ---------------------------------------------------------------------------
+# per-group reference implementations: the batched layer functions must
+# reproduce them bit for bit
+
+
+def ref_reconstruct(bases, coords):
+    out = np.zeros(bases.shape[0])
+    for i in range(len(coords)):
+        out += coords[i] * bases[:, i]
+    return out
+
+
+def ref_canonicalize(bases, coords):
+    bases = np.asarray(bases, dtype=np.int8)
+    coords = np.asarray(coords, dtype=np.float64).copy()
+    if coords.size:
+        neg = coords < 0
+        if neg.any():
+            bases = bases.copy()
+            bases[:, neg] *= -1
+            coords[neg] = -coords[neg]
+    merged: dict[bytes, float] = {}
+    columns: dict[bytes, np.ndarray] = {}
+    for i in range(coords.size):
+        if coords[i] <= COORD_EPS:
+            continue
+        key = bases[:, i].tobytes()
+        merged[key] = merged.get(key, 0.0) + coords[i]
+        columns[key] = bases[:, i]
+    keys = [k for k in merged if merged[k] > COORD_EPS]
+    if not keys:
+        return np.zeros((bases.shape[0], 0), dtype=np.int8), np.zeros(0)
+    out_bases = np.stack([columns[k] for k in keys], axis=1)
+    out_coords = np.array([merged[k] for k in keys])
+    order = sorted(range(len(keys)),
+                   key=lambda i: (-out_coords[i], out_bases[:, i].tobytes()))
+    return out_bases[:, order], out_coords[order]
+
+
+def ref_init_decompose(w, i_max):
+    r = w.copy()
+    cols, alphas = [], []
+    for _ in range(i_max):
+        alpha = float(np.abs(r).mean())
+        if alpha <= COORD_EPS:
+            break
+        beta = np.where(r >= 0, 1, -1).astype(np.int8)
+        cols.append(beta)
+        alphas.append(alpha)
+        r = r - alpha * beta
+    if not cols:
+        return np.zeros((w.size, 0), dtype=np.int8), np.zeros(0)
+    return ref_canonicalize(np.stack(cols, axis=1), np.array(alphas))
+
+
+def ref_optimize_bases(w, bases, coords):
+    if coords.size == 0:
+        return bases.copy(), coords.copy()
+    signs = np.array(list(itertools.product((1, -1), repeat=coords.size)), dtype=np.int8)
+    levels = np.zeros(signs.shape[0])
+    for i in range(coords.size):
+        levels += coords[i] * signs[:, i]
+    order = np.lexsort((levels < 0, np.abs(levels)))
+    signs, levels = signs[order], levels[order]
+    dists = np.abs(w[:, None] - levels[None, :])
+    best = np.zeros(w.size, dtype=np.int64)
+    best_d = dists[:, 0].copy()
+    for j in range(1, levels.size):
+        better = dists[:, j] < best_d
+        best[better] = j
+        best_d[better] = dists[better, j]
+    return signs[best], coords.copy()
+
+
+def ref_optimize_coords(w, bases, coords, paths=None):
+    """``paths`` (a dict) counts the pinv fallbacks and the error guard."""
+    if coords.size == 0:
+        return bases.copy(), coords.copy()
+    b = bases.astype(np.float64)
+    gram = b.T @ b
+    rhs = b.T @ w
+    cond = np.linalg.cond(gram)
+    if np.isfinite(cond) and cond < GRAM_COND_LIMIT:
+        new = np.linalg.solve(gram, rhs)
+    else:
+        new = np.linalg.pinv(b) @ w
+        if paths is not None:
+            paths["pinv"] += 1
+    cand = ref_canonicalize(bases, new)
+    if np.linalg.norm(w - ref_reconstruct(*cand)) > np.linalg.norm(
+            w - ref_reconstruct(bases, coords)):
+        if paths is not None:
+            paths["guard"] += 1
+        return bases.copy(), coords.copy()
+    return cand
+
+
+def assert_groups_equal(got, want):
+    assert len(got) == len(want)
+    for (gb, gc), (wb, wc) in zip(got, want):
+        assert np.array_equal(gb, wb)
+        assert gc.tobytes() == wc.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -70,22 +229,58 @@ def oracle_best_sign_matrix(w, bitwidth):
     return best
 
 
+def ranked_coordinates(qlayers, scores):
+    """(score, magnitude, layer, group, coord) of every retained coordinate, in
+    the documented pruning order."""
+    rows = []
+    for li, (ql, s) in enumerate(zip(qlayers, scores)):
+        for gi, (m, b) in enumerate(zip(ql.sizes, ql.bits)):
+            for ci in range(b):
+                rows.append((float(s[gi, ci]), float(ql.coords[gi, ci] * np.sqrt(m)),
+                             li, gi, ci))
+    return sorted(rows)
+
+
+def without_coordinate(qlayers, li, gi, ci):
+    """Copies of the layers with one coordinate removed."""
+    out = list(qlayers)
+    groups = groups_of(qlayers[li])
+    bases, coords = groups[gi]
+    keep = [c for c in range(coords.size) if c != ci]
+    groups[gi] = (bases[:, keep], coords[keep])
+    ql = qlayers[li]
+    out[li] = layer_of(groups, ql.group_size, ql.layer_index)
+    return out
+
+
+def random_layer(rng, count=None, group_size=None, i_max=None):
+    """(flat values, greedy init layer) with zero groups and a short tail."""
+    count = count or int(rng.integers(1, 200))
+    group_size = group_size or int(rng.integers(1, 20))
+    flat = rng.normal(size=count) * rng.uniform(0.1, 3)
+    for off in range(0, count, group_size):
+        if rng.random() < 0.1:
+            flat[off : off + group_size] = 0.0
+    return flat, init_decompose(flat, group_size, i_max or int(rng.integers(1, 5)))
+
+
 # ---------------------------------------------------------------------------
 
 
 class TestPartition:
     def test_layer_sized_vector(self):
         groups = partition_groups(np.arange(136, dtype=float), 16)
-        assert len(groups) == 9
-        assert [g.values.size for g in groups] == [16] * 8 + [8]
+        assert groups.shape == (9, 16)
+        np.testing.assert_array_equal(groups[-1, 8:], np.zeros(8))
 
     def test_exact_division(self):
         groups = partition_groups(np.arange(32, dtype=float), 16)
-        assert [g.values.size for g in groups] == [16, 16]
+        assert groups.shape == (2, 16)
 
     def test_short_vector(self):
         groups = partition_groups(np.arange(5, dtype=float), 16)
-        assert [g.values.size for g in groups] == [5]
+        assert groups.shape == (1, 16)
+        np.testing.assert_array_equal(groups[0, :5], np.arange(5))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -95,39 +290,39 @@ class TestPartition:
     )
     def test_concatenation_restores_vector(self, values, n):
         groups = partition_groups(values, n)
-        assert np.array_equal(np.concatenate([g.values for g in groups]), values)
-        assert all(g.values.size == n for g in groups[:-1])
-        assert 1 <= groups[-1].values.size <= n
+        assert groups.shape == (-(-values.size // n), n)
+        assert np.array_equal(groups.reshape(-1)[: values.size], values)
+        assert not groups.reshape(-1)[values.size :].any()
 
 
 class TestInitDecompose:
     def test_constant_group(self):
-        q = init_decompose(group_of([0.7, 0.7, 0.7, 0.7]), 1)
-        assert q.bitwidth == 1
-        assert np.array_equal(q.bases[:, 0], [1, 1, 1, 1])
-        assert q.coords[0] == pytest.approx(0.7)
-        np.testing.assert_allclose(q.reconstruct(), [0.7] * 4)
+        bases, coords = init_one([0.7, 0.7, 0.7, 0.7], 1)
+        assert coords.size == 1
+        assert np.array_equal(bases[:, 0], [1, 1, 1, 1])
+        assert coords[0] == pytest.approx(0.7)
+        np.testing.assert_allclose(ref_reconstruct(bases, coords), [0.7] * 4)
 
     def test_hand_trace(self):
-        q = init_decompose(group_of([3.0, 1.0]), 2)
-        assert np.array_equal(q.bases, [[1, 1], [1, -1]])
-        np.testing.assert_allclose(q.coords, [2.0, 1.0])
-        np.testing.assert_allclose(q.reconstruct(), [3.0, 1.0])
+        bases, coords = init_one([3.0, 1.0], 2)
+        assert np.array_equal(bases, [[1, 1], [1, -1]])
+        np.testing.assert_allclose(coords, [2.0, 1.0])
+        np.testing.assert_allclose(ref_reconstruct(bases, coords), [3.0, 1.0])
 
     def test_zero_group(self):
-        q = init_decompose(group_of([0.0, 0.0, 0.0]), 4)
-        assert q.bitwidth == 0
-        np.testing.assert_array_equal(q.reconstruct(), [0.0, 0.0, 0.0])
+        ql = init_decompose(np.zeros(3), 3, 4)
+        assert ql.bits.tolist() == [0]
+        np.testing.assert_array_equal(ql.reconstruct(), [0.0, 0.0, 0.0])
 
     def test_canonical_output(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            w = rng.normal(size=rng.integers(1, 17))
-            q = init_decompose(WeightGroup(w), int(rng.integers(1, 5)))
-            assert np.all(q.coords > 0)
-            assert np.all(np.diff(q.coords) <= 0)
-            cols = {q.bases[:, i].tobytes() for i in range(q.bitwidth)}
-            assert len(cols) == q.bitwidth
+            bases, coords = init_one(rng.normal(size=rng.integers(1, 17)),
+                                     int(rng.integers(1, 5)))
+            assert np.all(coords > 0)
+            assert np.all(np.diff(coords) <= 0)
+            cols = {bases[:, i].tobytes() for i in range(coords.size)}
+            assert len(cols) == coords.size
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -147,89 +342,78 @@ class TestInitDecompose:
             now = np.linalg.norm(r)
             assert now < prev or prev == 0.0
             prev = now
-        q = init_decompose(WeightGroup(w), i_max)
-        assert recon_error(w, q) <= np.linalg.norm(w) + 1e-12
+        assert recon_error(w, *init_one(w, i_max)) <= np.linalg.norm(w) + 1e-12
 
 
 class TestOptimizeBases:
     def test_two_coordinate_levels(self):
-        q = QuantGroup(np.array([[1, 1], [1, 1]], dtype=np.int8), np.array([2.0, 1.0]))
-        out = optimize_bases(group_of([2.9, -0.8]), q)
-        levels = out.bases.astype(float) @ out.coords
+        bases, coords = bases_one([2.9, -0.8], [[1, 1], [1, 1]], [2.0, 1.0])
+        levels = bases.astype(float) @ coords
         np.testing.assert_allclose(levels, [3.0, -1.0])
-        assert out.bases[0].tolist() == [1, 1]
-        assert out.bases[1].tolist() == [-1, 1]
+        assert bases[0].tolist() == [1, 1]
+        assert bases[1].tolist() == [-1, 1]
 
     def test_fixed_point(self):
-        q = init_decompose(group_of([3.0, 1.0]), 2)
-        out = optimize_bases(group_of([3.0, 1.0]), q)
-        assert np.array_equal(out.bases, q.bases)
-        np.testing.assert_allclose(out.reconstruct(), [3.0, 1.0])
+        q = init_one([3.0, 1.0], 2)
+        bases, coords = bases_one([3.0, 1.0], *q)
+        assert np.array_equal(bases, q[0])
+        np.testing.assert_allclose(ref_reconstruct(bases, coords), [3.0, 1.0])
 
     def test_tie_breaks_positive(self):
-        q = QuantGroup(np.array([[-1]], dtype=np.int8), np.array([1.0]))
-        out = optimize_bases(group_of([0.0]), q)
-        assert out.bases[0, 0] == 1
+        bases, _ = bases_one([0.0], [[-1]], [1.0])
+        assert bases[0, 0] == 1
 
     def test_tie_breaks_smaller_magnitude(self):
         # w = 2 sits exactly between levels 1 and 3; the smaller level wins
-        q = QuantGroup(np.array([[1, 1]], dtype=np.int8), np.array([2.0, 1.0]))
-        out = optimize_bases(group_of([2.0]), q)
-        level = float(out.bases.astype(float)[0] @ out.coords)
-        assert level == 1.0
+        bases, coords = bases_one([2.0], [[1, 1]], [2.0, 1.0])
+        assert float(bases.astype(float)[0] @ coords) == 1.0
 
     def test_rejects_wide_groups(self):
-        q = QuantGroup(np.ones((4, 17), dtype=np.int8), np.linspace(17, 1, 17))
+        wide = layer_of([(np.ones((4, 17)), np.linspace(17, 1, 17))])
         with pytest.raises(ConfigError, match="enumeration"):
-            optimize_bases(group_of([0.0, 0.0, 0.0, 0.0]), q)
+            optimize_bases(np.zeros(4), wide)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
             n = int(rng.integers(1, 7))
-            i = int(rng.integers(1, 3))
             w = rng.normal(size=n) * rng.uniform(0.1, 3)
-            q = init_decompose(WeightGroup(w), i)
-            if q.bitwidth == 0:
+            q = init_one(w, int(rng.integers(1, 3)))
+            if q[1].size == 0:
                 continue
-            out = optimize_bases(WeightGroup(w), q)
-            assert np.array_equal(out.bases, oracle_nearest_levels(w, q.coords))
+            bases, _ = bases_one(w, *q)
+            assert np.array_equal(bases, oracle_nearest_levels(w, q[1]))
 
 
 class TestOptimizeCoords:
     def test_normal_equations_hand_example(self):
-        q = QuantGroup(np.array([[1, 1], [1, -1]], dtype=np.int8), np.array([1.0, 0.5]))
-        out = optimize_coords(group_of([3.0, 1.0]), q)
-        np.testing.assert_allclose(out.coords, [2.0, 1.0])
+        _, coords = coords_one([3.0, 1.0], [[1, 1], [1, -1]], [1.0, 0.5])
+        np.testing.assert_allclose(coords, [2.0, 1.0])
 
     def test_duplicate_columns_min_norm(self):
-        q = QuantGroup(np.array([[1, 1], [1, 1]], dtype=np.int8), np.array([1.0, 0.5]))
-        out = optimize_coords(group_of([3.0, 1.0]), q)
+        bases, coords = coords_one([3.0, 1.0], [[1, 1], [1, 1]], [1.0, 0.5])
         # merged into a single column whose reconstruction equals
         # the single-column least-squares fit
-        assert out.bitwidth == 1
-        np.testing.assert_allclose(out.reconstruct(), [2.0, 2.0])
+        assert coords.size == 1
+        np.testing.assert_allclose(ref_reconstruct(bases, coords), [2.0, 2.0])
 
     def test_negative_coordinate_flips_column(self):
-        q = QuantGroup(np.array([[1, 1], [1, -1]], dtype=np.int8), np.array([1.0, 1.0]))
-        out = optimize_coords(group_of([0.5, 1.5]), q)
-        assert np.all(out.coords > 0)
-        np.testing.assert_allclose(out.reconstruct(), [0.5, 1.5])
+        bases, coords = coords_one([0.5, 1.5], [[1, 1], [1, -1]], [1.0, 1.0])
+        assert np.all(coords > 0)
+        np.testing.assert_allclose(ref_reconstruct(bases, coords), [0.5, 1.5])
 
     def test_never_increases_error(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            n = int(rng.integers(1, 17))
-            w = rng.normal(size=n)
-            q = init_decompose(WeightGroup(w), int(rng.integers(1, 5)))
-            if q.bitwidth == 0:
+            w = rng.normal(size=int(rng.integers(1, 17)))
+            q = init_one(w, int(rng.integers(1, 5)))
+            if q[1].size == 0:
                 continue
-            before = recon_error(w, q)
-            q2 = optimize_bases(WeightGroup(w), q)
-            mid = recon_error(w, q2)
+            before = recon_error(w, *q)
+            q2 = bases_one(w, *q)
+            mid = recon_error(w, *q2)
             assert mid <= before + 0.0
-            q3 = optimize_coords(WeightGroup(w), q2)
-            assert recon_error(w, q3) <= mid
+            assert recon_error(w, *coords_one(w, *q2)) <= mid
 
     def test_matches_pinv_oracle(self):
         rng = np.random.default_rng(5)
@@ -239,12 +423,98 @@ class TestOptimizeCoords:
             w = rng.normal(size=n)
             bases = rng.choice([-1, 1], size=(n, i)).astype(np.int8)
             coords = np.sort(rng.uniform(0.1, 2, size=i))[::-1]
-            q = QuantGroup(bases, coords)
-            out = optimize_coords(WeightGroup(w), q)
+            out = coords_one(w, bases, coords)
             oracle = bases.astype(float) @ (np.linalg.pinv(bases.astype(float)) @ w)
-            err_out = recon_error(w, out)
-            err_oracle = float(np.linalg.norm(w - oracle))
-            assert err_out <= err_oracle + 1e-8
+            assert recon_error(w, *out) <= float(np.linalg.norm(w - oracle)) + 1e-8
+
+
+class TestBatchedMatchesPerGroupReference:
+    """The layer functions reproduce the per-group reference bit for bit."""
+
+    def test_canonicalize(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n_groups, size, k = (int(v) for v in rng.integers(1, [12, 9, 7]))
+            # few distinct columns, so duplicates (up to k-way) are common
+            pool = rng.choice(np.array([-1, 1], dtype=np.int8), size=(3, size))
+            signs = pool[rng.integers(0, 3, size=(n_groups, k))].transpose(0, 2, 1)
+            coords = rng.choice([-1.0, 1.0], size=(n_groups, k)) * rng.uniform(
+                0.01, 2, size=(n_groups, k))
+            coords[rng.random((n_groups, k)) < 0.2] = 0.0
+            coords[rng.random((n_groups, k)) < 0.1] = 5e-13
+            coords[:, -1] = coords[:, 0]  # exact ties, broken by column bytes
+            out_signs, out_coords, bits = canonicalize(signs, coords)
+            assert out_signs.shape == signs.shape and out_coords.shape == coords.shape
+            assert not out_signs[np.arange(k) >= bits[:, None, None].repeat(size, 1)].any()
+            for g in range(n_groups):
+                want_b, want_c = ref_canonicalize(signs[g], coords[g])
+                assert bits[g] == want_c.size
+                assert np.array_equal(out_signs[g, :, : bits[g]], want_b)
+                assert out_coords[g, : bits[g]].tobytes() == want_c.tobytes()
+                assert not out_coords[g, bits[g] :].any()
+
+    def test_init_decompose(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            flat, ql = random_layer(rng)
+            i_max = int(rng.integers(1, 5))
+            ql = init_decompose(flat, ql.group_size, i_max)
+            rows = partition_groups(flat, ql.group_size)
+            assert_groups_equal(groups_of(ql), [
+                ref_init_decompose(rows[g, :m], i_max) for g, m in enumerate(ql.sizes)
+            ])
+            assert ql.reconstruct().tobytes() == np.concatenate(
+                [ref_reconstruct(*q) for q in groups_of(ql)]).tobytes()
+
+    def test_refinement_steps(self):
+        rng = np.random.default_rng(33)
+        paths = {"pinv": 0, "guard": 0}
+        for trial in range(150):
+            flat, ql = random_layer(rng)
+            if trial % 3 == 0:
+                # exactly representable weights: the least-squares step can
+                # only round away from them, which the error guard refuses
+                flat = ql.reconstruct()
+            if trial % 3 == 1:
+                # duplicate sign columns make the Gram matrix singular (pinv)
+                signs = ql.signs.copy()
+                signs[:, :, -1] = signs[:, :, 0] * (ql.bits[:, None] > 1)
+                ql = QuantLayer(signs, ql.coords, ql.bits, ql.group_size,
+                                ql.param_count, ql.layer_index)
+            rows = partition_groups(flat, ql.group_size)
+            for step, ref in ((optimize_bases, ref_optimize_bases),
+                              (optimize_coords, ref_optimize_coords)):
+                want = [ref(rows[g, : q[0].shape[0]], *q, *([paths] if ref is
+                                                           ref_optimize_coords else []))
+                        for g, q in enumerate(groups_of(ql))]
+                ql = step(flat, ql)
+                assert_groups_equal(groups_of(ql), want)
+        assert paths["pinv"] > 0 and paths["guard"] > 0
+
+    @pytest.mark.parametrize("group_size", [1, 5, 7, 16])
+    def test_scores(self, group_size):
+        from conftest import tiny_spec
+
+        rng = np.random.default_rng(34)
+        network = init_params(tiny_spec(), 35)
+        qlayers = uniform_baseline(network, 3, group_size).layers
+        qlayers = prune_coordinates(
+            qlayers, score_coordinates(qlayers, None, None, "magnitude"), rate=0.4)
+        calib = Dataset([_Rec(rng.normal(size=8), int(rng.integers(0, 3)))
+                         for _ in range(12)], class_count=3)
+        deq = dequantized_network(network.spec, qlayers)
+        grads = _net.loss_gradients(deq, calib.records, calib.labels())
+        scores = score_coordinates(qlayers, network, calib, "loss_aware", 0.7)
+        for ql, s in zip(qlayers, scores):
+            for gi, (bases, coords) in enumerate(groups_of(ql)):
+                off = gi * ql.group_size
+                g_slice = grads[ql.layer_index][off : off + bases.shape[0]]
+                for ci in range(coords.size):
+                    a = float(coords[ci])
+                    want = a * abs(float(g_slice @ bases[:, ci].astype(np.float64)))
+                    want += 0.5 * 0.7 * a * a * bases.shape[0]
+                    assert s[gi, ci] == want
+                assert np.isnan(s[gi, coords.size :]).all()
 
 
 class TestRefinementVsExhaustive:
@@ -254,14 +524,13 @@ class TestRefinementVsExhaustive:
             n = int(rng.integers(2, 7))
             i = int(rng.integers(1, 3))
             w = rng.normal(size=n)
-            q = init_decompose(WeightGroup(w), i)
-            init_err = recon_error(w, q)
+            q = init_one(w, i)
+            init_err = recon_error(w, *q)
             for _ in range(3):
-                if q.bitwidth == 0:
+                if q[1].size == 0:
                     break
-                q = optimize_bases(WeightGroup(w), q)
-                q = optimize_coords(WeightGroup(w), q)
-            refined_err = recon_error(w, q)
+                q = coords_one(w, *bases_one(w, *q))
+            refined_err = recon_error(w, *q)
             assert refined_err <= init_err + 1e-12
             floor = oracle_best_sign_matrix(w, i)
             assert floor <= refined_err + 1e-9
@@ -269,12 +538,10 @@ class TestRefinementVsExhaustive:
 
 class TestAverageBitwidth:
     def _layer(self, sizes, bits):
-        groups = [
-            QuantGroup(np.ones((n, b), dtype=np.int8) if b else np.zeros((n, 0), np.int8),
-                       np.linspace(b, 1, b))
-            for n, b in zip(sizes, bits)
-        ]
-        return QuantLayer(groups, max(sizes), sum(sizes), 0)
+        return layer_of(
+            [(np.ones((n, b)), np.linspace(b, 1, b)) for n, b in zip(sizes, bits)],
+            max(sizes),
+        )
 
     def test_group_mean(self):
         layer = self._layer([8, 8, 8, 8], [2, 1, 1, 0])
@@ -305,13 +572,10 @@ def toy_quant_net(eps=1e-3):
     spec = NetworkSpec([flatten(), softmax_dense(3)],
                        input_length=2, input_channels=1, class_count=3)
     # flat layout [w00,w01,w10,w11 | w20,w21,b0,b1 | b2], groups of 4
-    g0 = QuantGroup(
-        np.array([[1, 1], [1, -1], [-1, 1], [1, -1]], dtype=np.int8),
-        np.array([2.0, eps]),
-    )
-    g1 = init_decompose(group_of([2.0, -2.0, 0.5, -0.5]), 2)  # exact: [1.25, 0.75]
-    g2 = init_decompose(group_of([0.0]), 2)  # empty
-    qlayers = [QuantLayer([g0, g1, g2], 4, 9, 1)]
+    g0 = ([[1, 1], [1, -1], [-1, 1], [1, -1]], [2.0, eps])
+    g1 = init_one([2.0, -2.0, 0.5, -0.5], 2)  # exact: [1.25, 0.75]
+    g2 = init_one([0.0], 2)  # empty
+    qlayers = [layer_of([g0, g1, g2], 4, layer_index=1)]
     network = dequantized_network(spec, qlayers)
     return network, qlayers
 
@@ -334,40 +598,27 @@ class _Rec:
 
 class TestScoring:
     def test_magnitude_example(self):
-        q = QuantGroup(
-            np.ones((16, 2), dtype=np.int8) * np.array([1, -1], dtype=np.int8),
-            np.array([2.0, 0.001]),
-        )
-        layer = QuantLayer([q], 16, 16, 0)
-        scores = score_coordinates([layer], None, None, "magnitude")
-        by_coord = {s.coord: s.score for s in scores}
-        assert by_coord[0] == pytest.approx(8.0)
-        assert by_coord[1] == pytest.approx(0.004)
+        bases = np.ones((16, 2), dtype=np.int8) * np.array([1, -1], dtype=np.int8)
+        layer = layer_of([(bases, [2.0, 0.001])])
+        (scores,) = score_coordinates([layer], None, None, "magnitude")
+        assert scores[0, 0] == pytest.approx(8.0)
+        assert scores[0, 1] == pytest.approx(0.004)
 
     def test_loss_aware_matches_exhaustive_removal(self):
         network, qlayers = toy_quant_net()
         calib = toy_calib()
         scores = score_coordinates(qlayers, network, calib, "loss_aware")
-        ranked = sorted(scores, key=lambda s: (s.score, s.magnitude, s.layer, s.group, s.coord))
-        predicted = (ranked[0].layer, ranked[0].group, ranked[0].coord)
+        ranked = ranked_coordinates(qlayers, scores)
+        predicted = ranked[0][2:]
 
         base_labels = calib.labels()
         best = None
-        for s in scores:
-            trial = [
-                QuantLayer(
-                    [QuantGroup(g.bases.copy(), g.coords.copy()) for g in ql.groups],
-                    ql.group_size, ql.param_count, ql.layer_index)
-                for ql in qlayers
-            ]
-            g = trial[s.layer].groups[s.group]
-            keep = [c for c in range(g.bitwidth) if c != s.coord]
-            trial[s.layer].groups[s.group] = QuantGroup(g.bases[:, keep], g.coords[keep])
-            deq = dequantized_network(network.spec, trial)
+        for _, magnitude, li, gi, ci in ranked:
+            deq = dequantized_network(network.spec, without_coordinate(qlayers, li, gi, ci))
             loss = _net.batch_loss(deq, calib.records, base_labels)
-            key = (loss, s.magnitude, s.layer, s.group, s.coord)
+            key = (loss, magnitude, li, gi, ci)
             if best is None or key < best[0]:
-                best = (key, (s.layer, s.group, s.coord))
+                best = (key, (li, gi, ci))
         assert predicted == best[1]
 
     def test_loss_aware_requires_calib(self):
@@ -380,45 +631,58 @@ class TestScoring:
         calib = toy_calib()
         a = score_coordinates(qlayers, network, calib, "loss_aware")
         b = score_coordinates(qlayers, network, calib, "loss_aware")
-        assert a == b
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def ref_prune(qlayers, scores, rate=None, target=None):
+    """Per-coordinate reference of prune_coordinates."""
+    ranked = ranked_coordinates(qlayers, scores)
+    if rate is not None:
+        removed = ranked[: int(np.floor(rate * len(ranked) + 0.5))]
+    else:
+        bits = sum(int(ql.sizes @ ql.bits) for ql in qlayers)
+        params = sum(ql.param_count for ql in qlayers)
+        removed = []
+        for row in ranked:
+            if bits / params <= target:
+                break
+            removed.append(row)
+            bits -= qlayers[row[2]].sizes[row[3]]
+    out = list(qlayers)
+    for _, _, li, gi, ci in sorted(removed, key=lambda r: -r[4]):
+        out = without_coordinate(out, li, gi, ci)
+    return out
 
 
 class TestPrune:
     def _two_group_layers(self):
-        g1 = QuantGroup(
-            np.sign(np.random.default_rng(0).normal(size=(16, 2))).astype(np.int8),
-            np.array([2.0, 0.001]),
-        )
-        g2 = QuantGroup(
-            np.sign(np.random.default_rng(1).normal(size=(16, 2))).astype(np.int8),
-            np.array([1.25, 0.75]),
-        )
-        g1b, g1c = canonicalize(g1.bases, g1.coords)
-        g2b, g2c = canonicalize(g2.bases, g2.coords)
-        layers = [QuantLayer([QuantGroup(g1b, g1c), QuantGroup(g2b, g2c)], 16, 32, 0)]
+        groups = []
+        for seed, coords in ((0, [2.0, 0.001]), (1, [1.25, 0.75])):
+            signs = np.sign(np.random.default_rng(seed).normal(size=(1, 16, 2)))
+            s, c, b = canonicalize(signs, np.array([coords]))
+            groups.append((s[0, :, : b[0]], c[0, : b[0]]))
+        layers = [layer_of(groups)]
         scores = score_coordinates(layers, None, None, "magnitude")
         return layers, scores
 
     def test_rate_zero_noop(self):
         layers, scores = self._two_group_layers()
         out = prune_coordinates(layers, scores, rate=0.0)
-        assert serialize_layers(out) == serialize_layers(layers)
+        assert layers_equal(out, layers)
 
     def test_rate_one_empties_everything(self):
         layers, scores = self._two_group_layers()
         out = prune_coordinates(layers, scores, rate=1.0)
-        assert all(g.bitwidth == 0 for ql in out for g in ql.groups)
+        assert all(not ql.bits.any() for ql in out)
         assert model_avg_bitwidth(out) == 0.0
         for ql in out:
-            for g in ql.groups:
-                np.testing.assert_array_equal(g.reconstruct(), np.zeros(g.size))
+            np.testing.assert_array_equal(ql.reconstruct(), np.zeros(ql.param_count))
 
     def test_lowest_score_removed_first(self):
         layers, scores = self._two_group_layers()
         out = prune_coordinates(layers, scores, rate=0.25)  # one of four coords
-        assert out[0].groups[0].bitwidth == 1
-        assert out[0].groups[0].coords[0] == pytest.approx(2.0)
-        assert out[0].groups[1].bitwidth == 2
+        assert out[0].bits.tolist() == [1, 2]
+        assert out[0].coords[0, 0] == pytest.approx(2.0)
 
     def test_target_bitwidth(self):
         layers, scores = self._two_group_layers()
@@ -429,42 +693,54 @@ class TestPrune:
         layers, scores = self._two_group_layers()
         with caplog.at_level("INFO"):
             out = prune_coordinates(layers, scores, target_avg_bitwidth=5.0)
-        assert serialize_layers(out) == serialize_layers(layers)
+        assert layers_equal(out, layers)
         assert any("already met" in r.message for r in caplog.records)
 
     def test_tie_break_order(self):
         # equal scores: magnitude, then (layer, group, coord) decide
-        g = QuantGroup(np.array([[1, -1], [1, 1]], dtype=np.int8), np.array([1.0, 0.5]))
-        layers = [QuantLayer([g], 2, 2, 0)]
-        scores = [
-            CoordScore(0, 0, 0, 1.0, 0.3),
-            CoordScore(0, 0, 1, 1.0, 0.7),
-        ]
-        out = prune_coordinates(layers, scores, rate=0.5)
-        # coordinate 0 had the lower magnitude and is removed despite equal score
-        assert out[0].groups[0].bitwidth == 1
-        assert out[0].groups[0].coords[0] == pytest.approx(0.5)
+        g = ([[1, -1], [1, 1]], [1.0, 0.5])
+        out = prune_coordinates([layer_of([g])], [np.array([[1.0, 1.0]])], rate=0.5)
+        # coordinate 1 had the lower magnitude and is removed despite equal score
+        assert out[0].coords.tolist() == [[1.0]]
+        twins = [layer_of([g, g]), layer_of([g], layer_index=1)]
+        scores = [np.ones((2, 2)), np.ones((1, 2))]
+        out = prune_coordinates(twins, scores, rate=0.5)
+        assert [ql.bits.tolist() for ql in out] == [[1, 1], [1]]
 
     def test_monotone_in_rate(self):
         rng = np.random.default_rng(9)
-        flat = rng.normal(size=128)
-        groups = partition_groups(flat, 16)
-        qgroups = [init_decompose(g, 3) for g in groups]
-        layers = [QuantLayer(qgroups, 16, flat.size, 0)]
+        layers = [init_decompose(rng.normal(size=128), 16, 3)]
         scores = score_coordinates(layers, None, None, "magnitude")
         prev_bits = np.inf
         for rate in [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]:
             out = prune_coordinates(layers, scores, rate=rate)
-            bits = sum(g.size * g.bitwidth for ql in out for g in ql.groups)
+            bits = sum(int(ql.sizes @ ql.bits) for ql in out)
             assert bits <= prev_bits
             prev_bits = bits
 
+    def test_matches_per_coordinate_reference(self):
+        rng = np.random.default_rng(36)
+        for _ in range(40):
+            layers = [random_layer(rng, i_max=3)[1] for _ in range(3)]
+            # coarse scores produce ties, broken by magnitude and position
+            scores = [np.where(np.isnan(s), s, np.round(s, 1))
+                      for s in score_coordinates(layers, None, None, "magnitude")]
+            for kwargs in ({"rate": float(rng.uniform(0, 1))},
+                           {"target_avg_bitwidth": float(rng.uniform(0, 3))}):
+                want = ref_prune(layers, scores, kwargs.get("rate"),
+                                 kwargs.get("target_avg_bitwidth"))
+                got = prune_coordinates(layers, scores, **kwargs)
+                for x, y in zip(got, want):
+                    assert x.signs.shape[2] == x.bits.max(initial=0)
+                    assert_groups_equal(groups_of(x), groups_of(y))
 
-def serialize_layers(layers):
-    return [
-        (ql.layer_index, [(g.bases.tobytes(), g.coords.tobytes()) for g in ql.groups])
-        for ql in layers
-    ]
+    def test_rejects_mismatched_scores(self):
+        layers, scores = self._two_group_layers()
+        with pytest.raises(ConfigError, match="score arrays"):
+            prune_coordinates(layers, scores * 2, rate=0.5)
+        scores[0][1, 0] = np.nan
+        with pytest.raises(ConfigError, match="layer 0: scores missing"):
+            prune_coordinates(layers, scores, rate=0.5)
 
 
 class TestPipeline:
@@ -517,7 +793,7 @@ class TestUniformBaseline:
             [flatten(), softmax_dense(3)], input_length=4, input_channels=1,
             class_count=3), 0)
         model = uniform_baseline(network, 1, 8)
-        assert all(g.bitwidth == 1 for ql in model.layers for g in ql.groups)
+        assert all((ql.bits == 1).all() for ql in model.layers)
 
     def test_error_monotone_in_bits(self):
         network = init_params(NetworkSpec(
@@ -529,8 +805,7 @@ class TestUniformBaseline:
             err = 0.0
             for ql in model.layers:
                 flat = _net.flatten_params(network, ql.layer_index)
-                recon = np.concatenate([g.reconstruct() for g in ql.groups])
-                err += float(np.sum((flat - recon) ** 2))
+                err += float(np.sum((flat - ql.reconstruct()) ** 2))
             assert err <= prev + 1e-15
             prev = err
 

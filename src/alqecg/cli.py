@@ -10,7 +10,6 @@ the run can be reproduced exactly. ALQ_THREADS caps worker threads
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path

@@ -156,6 +156,8 @@ def _load_raw_f32(path: Path) -> list[EcgRecord]:
             raise DataFormatError(f"record {i}: label out of range")
         records.append(EcgRecord(samples.astype(np.float64), int(label)))
         off += rec_bytes
+    if off != len(data):
+        raise DataFormatError(f"{path}: {len(data) - off} trailing bytes at offset {off}")
     return records
 
 

@@ -13,7 +13,7 @@ a network descriptor, then each parameterized layer's flattened parameters
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -265,9 +265,12 @@ def _conv_fwd(x, w, b, stride, padding):
     return y, win
 
 
-def _conv_bwd(dy, win, x_shape, w, stride, padding):
+def _conv_param_grads(dy, win):
     dw = np.einsum("bot,bctk->ock", dy, win, optimize=True)
-    db = dy.sum(axis=(0, 2))
+    return dw, dy.sum(axis=(0, 2))
+
+
+def _conv_input_grad(dy, x_shape, w, stride, padding):
     dwin = np.einsum("bot,ock->bctk", dy, w, optimize=True)
     k = w.shape[2]
     t = dy.shape[2]
@@ -275,21 +278,40 @@ def _conv_bwd(dy, win, x_shape, w, stride, padding):
     dxp = np.zeros((bsz, c, length + 2 * padding))
     for j in range(k):
         dxp[:, :, j : j + stride * t : stride] += dwin[:, :, :, j]
-    dx = dxp[:, :, padding : padding + length] if padding else dxp
-    return dx, dw, db
+    return dxp[:, :, padding : padding + length] if padding else dxp
 
 
-def _pool_fwd(x, kernel, stride):
-    win = _windows(x, kernel, stride, 0)
-    return win.max(axis=3), win.argmax(axis=3)
+def _pool_max(x, kernel, stride, keep_arg=False):
+    """Window maxima of (B, C, L) inputs: the elementwise max of ``kernel``
+    strided slices, one per window offset.
+
+    With ``keep_arg`` it returns ``(maxima, arg)`` instead, where ``arg``
+    holds each window's first-max offset in the smallest unsigned dtype.
+    """
+    span = stride * ((x.shape[2] - kernel) // stride) + 1
+    y = x[:, :, :span:stride].copy()
+    arg = np.zeros(y.shape, np.min_scalar_type(kernel - 1)) if keep_arg else None
+    for j in range(1, kernel):
+        xj = x[:, :, j : j + span : stride]
+        if keep_arg:
+            # offsets only grow, so a strict new max moves arg up to j
+            np.maximum(arg, (xj > y) * arg.dtype.type(j), out=arg)
+        np.maximum(y, xj, out=y)
+    return (y, arg) if keep_arg else y
 
 
 def _pool_bwd(dy, arg, x_shape, kernel, stride):
-    dx = np.zeros(x_shape)
+    """Route ``dy`` to each window's first max with one ``np.bincount``.
+
+    Windows are visited last to first, so every input sums its windows'
+    contributions in increasing offset order, as a loop over offsets would.
+    """
+    bsz, c, length = x_shape
     t = dy.shape[2]
-    for j in range(kernel):
-        dx[:, :, j : j + stride * t : stride] += dy * (arg == j)
-    return dx
+    starts = np.arange(bsz * c)[:, None] * length + stride * np.arange(t - 1, -1, -1)
+    idx = starts.reshape(bsz, c, t) + arg[:, :, ::-1]
+    dx = np.bincount(idx.ravel(), dy[:, :, ::-1].ravel(), minlength=bsz * c * length)
+    return dx.reshape(x_shape)
 
 
 def _log_softmax(z):
@@ -297,30 +319,28 @@ def _log_softmax(z):
     return zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
 
 
-def _forward_batch(network: Network, x: np.ndarray, train_rng=None):
-    """Run the stack on a (B, C, L) batch.
+def _forward_batch(network: Network, x: np.ndarray, train_rng=None, caches=None):
+    """Run the stack on a (B, C, L) batch and return its logits.
 
-    Returns (probabilities, logits, caches); caches hold what the backward
-    pass needs. Dropout is active only when ``train_rng`` is given.
+    If ``caches`` is a list, it receives one dict per layer holding what the
+    backward pass needs; inference leaves it None and keeps nothing. Dropout
+    is active only when ``train_rng`` is given.
     """
-    caches = []
     h = x
     for i, layer in enumerate(network.spec.layers):
-        cache = {"kind": layer.kind}
+        cache = {"x_shape": h.shape}
         if layer.kind == CONV:
             w, b = network.params[i]
-            cache["x_shape"] = h.shape
-            h, win = _conv_fwd(h, w, b, layer.stride, layer.padding)
-            cache["win"] = win
+            h, cache["win"] = _conv_fwd(h, w, b, layer.stride, layer.padding)
             if layer.activation == "relu":
                 cache["pre_relu"] = h
                 h = np.maximum(h, 0.0)
         elif layer.kind == POOL:
-            cache["x_shape"] = h.shape
-            h, arg = _pool_fwd(h, layer.kernel, layer.stride)
-            cache["arg"] = arg
+            if caches is None:
+                h = _pool_max(h, layer.kernel, layer.stride)
+            else:
+                h, cache["arg"] = _pool_max(h, layer.kernel, layer.stride, keep_arg=True)
         elif layer.kind == FLATTEN:
-            cache["x_shape"] = h.shape
             h = h.reshape(h.shape[0], -1)
         elif layer.kind in (DENSE, SOFTMAX_DENSE):
             w, b = network.params[i]
@@ -335,21 +355,26 @@ def _forward_batch(network: Network, x: np.ndarray, train_rng=None):
                 cache["drop_keep"] = keep
         if not np.all(np.isfinite(h)):
             raise NumericError(f"non-finite values in layer {i} ({layer.kind})")
-        caches.append(cache)
-    logits = h
-    logp = _log_softmax(logits)
-    return np.exp(logp), logits, caches
+        if caches is not None:
+            caches.append(cache)
+    return h
 
 
 def _backward_batch(network: Network, caches, probs, labels):
-    """Gradient of mean cross-entropy w.r.t. every parameter tensor."""
+    """Gradient of mean cross-entropy w.r.t. every parameter tensor.
+
+    The walk stops at the first parameterized layer, whose input gradient
+    nothing reads.
+    """
     bsz = probs.shape[0]
     onehot = np.zeros_like(probs)
     onehot[np.arange(bsz), labels] = 1.0
     dh = (probs - onehot) / bsz
-    grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(network.spec.layers)
-    for i in range(len(network.spec.layers) - 1, -1, -1):
-        layer = network.spec.layers[i]
+    layers = network.spec.layers
+    grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(layers)
+    first = min(i for i, l in enumerate(layers) if l.kind in PARAMETERIZED_KINDS)
+    for i in range(len(layers) - 1, first - 1, -1):
+        layer = layers[i]
         cache = caches[i]
         if layer.kind in (DENSE, SOFTMAX_DENSE):
             if "drop_keep" in cache:
@@ -358,7 +383,8 @@ def _backward_batch(network: Network, caches, probs, labels):
                 dh = dh * (cache["pre_relu"] > 0)
             w, _ = network.params[i]
             grads[i] = (dh.T @ cache["x"], dh.sum(axis=0))
-            dh = dh @ w
+            if i > first:
+                dh = dh @ w
         elif layer.kind == FLATTEN:
             dh = dh.reshape(cache["x_shape"])
         elif layer.kind == POOL:
@@ -366,11 +392,10 @@ def _backward_batch(network: Network, caches, probs, labels):
         elif layer.kind == CONV:
             if "pre_relu" in cache:
                 dh = dh * (cache["pre_relu"] > 0)
-            w, _ = network.params[i]
-            dh, dw, db = _conv_bwd(
-                dh, cache["win"], cache["x_shape"], w, layer.stride, layer.padding
-            )
-            grads[i] = (dw, db)
+            grads[i] = _conv_param_grads(dh, cache["win"])
+            if i > first:
+                w, _ = network.params[i]
+                dh = _conv_input_grad(dh, cache["x_shape"], w, layer.stride, layer.padding)
     return grads
 
 
@@ -389,35 +414,31 @@ def _as_batch(spec: NetworkSpec, records) -> np.ndarray:
 
 def forward(network: Network, record) -> np.ndarray:
     """Class probabilities for one record (dropout only runs inside train())."""
-    probs, _, _ = _forward_batch(network, _as_batch(network.spec, [record]))
-    return probs[0]
+    return predict_batch(network, [record])[0]
 
 
 def predict_batch(network: Network, records) -> np.ndarray:
     """Probabilities for many records, (n_records, class_count)."""
-    probs, _, _ = _forward_batch(network, _as_batch(network.spec, records))
-    return probs
+    return np.exp(_log_softmax(logits_batch(network, records)))
 
 
 def logits_batch(network: Network, records) -> np.ndarray:
     """Pre-softmax outputs, used for path-equivalence checks."""
-    _, logits, _ = _forward_batch(network, _as_batch(network.spec, records))
-    return logits
+    return _forward_batch(network, _as_batch(network.spec, records))
 
 
 def batch_loss(network: Network, records, labels) -> float:
     """Mean cross-entropy of the inference-mode forward pass."""
-    x = _as_batch(network.spec, records)
-    _, logits, _ = _forward_batch(network, x)
-    logp = _log_softmax(logits)
+    logp = _log_softmax(logits_batch(network, records))
     labels = np.asarray(labels)
     return float(-logp[np.arange(len(labels)), labels].mean())
 
 
 def loss_gradients(network: Network, records, labels) -> list[np.ndarray | None]:
     """Flattened mean-cross-entropy gradient per parameterized layer (no dropout)."""
-    x = _as_batch(network.spec, records)
-    probs, _, caches = _forward_batch(network, x)
+    caches: list[dict] = []
+    logits = _forward_batch(network, _as_batch(network.spec, records), caches=caches)
+    probs = np.exp(_log_softmax(logits))
     grads = _backward_batch(network, caches, probs, np.asarray(labels))
     out: list[np.ndarray | None] = []
     for g in grads:
@@ -479,11 +500,13 @@ def train(network: Network, train_set, config: TrainConfig) -> TrainResult:
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             xb, yb = x_all[idx], labels[idx]
+            caches: list[dict] = []
             try:
-                probs, logits, caches = _forward_batch(net, xb, train_rng=rng)
+                logits = _forward_batch(net, xb, train_rng=rng, caches=caches)
             except NumericError as exc:
                 raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
             logp = _log_softmax(logits)
+            probs = np.exp(logp)
             loss = float(-logp[np.arange(len(idx)), yb].mean())
             total += loss * len(idx)
             grads = _backward_batch(net, caches, probs, yb)
@@ -617,8 +640,11 @@ def load_checkpoint(path) -> Network:
     for idx, name in parameterized_layers(spec):
         w_shape, b_shape = shapes[idx]
         count = int(np.prod(w_shape)) + int(np.prod(b_shape))
+        start = reader.offset
         raw = reader.at_context(name).take_bytes(count * 4, "parameter block")
         flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(flat)):
+            raise ContainerFormatError(f"{name}: non-finite parameter", start)
         params[idx] = unflatten_params(spec, idx, flat)
     if reader.offset != len(data):
         raise ContainerFormatError("trailing bytes", reader.offset)

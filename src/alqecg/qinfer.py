@@ -18,9 +18,11 @@ A layer then computes ``y = C @ (M @ x + m_b)`` for inputs ``x`` shaped
 weights ``C @ M`` are never formed. A row of ``M`` touches at most one
 group's width of consecutive inputs, so rows are ordered by their first
 column and each run of rows with the same first column multiplies only that
-window of ``x``. Records run in fixed blocks of stacked per-record matmuls,
-so each record's arithmetic is independent of its batch: logits are bitwise
-identical at every batch size, and the blocks bound the working memory.
+window of ``x``. Quantized layers are immutable, so each layer's plan is
+built once and cached for as long as the layer lives. Records run in fixed
+blocks of stacked per-record matmuls, so each record's arithmetic is
+independent of its batch: logits are bitwise identical at every batch size,
+and the blocks bound the working memory.
 
 Activations stay full-precision; accumulation is float64 so the bit-driven
 path tracks the dequantized reference within tight tolerances.
@@ -28,6 +30,7 @@ path tracks the dequantized reference within tight tolerances.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +105,10 @@ def layer_plan(layer: QuantLayer, n_out: int, fan: int) -> LayerPlan:
     return LayerPlan(m[:, :fan], m[:, fan], c[:, order], int(sizes.max()), windows)
 
 
+# plans by layer, then by (n_out, fan); a layer's entry goes with the layer
+_PLANS: weakref.WeakKeyDictionary[QuantLayer, dict] = weakref.WeakKeyDictionary()
+
+
 class QuantExecutor:
     """Bit-plane execution plans for one quantized model."""
 
@@ -111,8 +118,11 @@ class QuantExecutor:
         self.plans = {}
         for ql in model.layers:
             w_shape, _ = shapes[ql.layer_index]
-            fan = int(np.prod(w_shape[1:]))
-            self.plans[ql.layer_index] = layer_plan(ql, w_shape[0], fan)
+            key = (w_shape[0], int(np.prod(w_shape[1:])))
+            plans = _PLANS.setdefault(ql, {})
+            if key not in plans:
+                plans[key] = layer_plan(ql, *key)
+            self.plans[ql.layer_index] = plans[key]
 
     def _block_logits(self, h: np.ndarray) -> np.ndarray:
         bsz = h.shape[0]
@@ -124,7 +134,7 @@ class QuantExecutor:
                 if layer.activation == "relu":
                     h = np.maximum(h, 0.0)
             elif layer.kind == POOL:
-                h = _net._windows(h, layer.kernel, layer.stride, 0).max(axis=3)
+                h = _net._pool_max(h, layer.kernel, layer.stride)
             elif layer.kind == FLATTEN:
                 h = h.reshape(bsz, -1)
             elif layer.kind in (DENSE, SOFTMAX_DENSE):

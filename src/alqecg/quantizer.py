@@ -58,9 +58,14 @@ def _reconstruct(signs: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class QuantLayer:
-    """One layer's groups as arrays (see above), trimmed to W = max(bits) columns."""
+    """One layer's groups as arrays (see above), trimmed to W = max(bits) columns.
+
+    The arrays are read-only views and layers compare and hash by identity,
+    so anything derived from a layer (such as an inference plan) can be
+    cached on it; stages that change a layer return a new one.
+    """
 
     signs: np.ndarray
     coords: np.ndarray
@@ -70,10 +75,13 @@ class QuantLayer:
     layer_index: int
 
     def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.int64)
+        self.bits = np.asarray(self.bits, dtype=np.int64)[:]
         width = int(self.bits.max(initial=0))
         self.signs = np.asarray(self.signs, dtype=np.int8)[:, :, :width]
         self.coords = np.asarray(self.coords, dtype=np.float64)[:, :width]
+        # fresh views: the caller's arrays stay writeable
+        for a in (self.signs, self.coords, self.bits):
+            a.flags.writeable = False
 
     @property
     def sizes(self) -> np.ndarray:

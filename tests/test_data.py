@@ -90,6 +90,15 @@ class TestRoundTrip:
         with pytest.raises(DataFormatError, match="bad magic"):
             load_dataset(path, format="raw-f32")
 
+    def test_raw_trailing_bytes(self, tmp_path):
+        ds = synth_generate(1, seed=0)
+        path = tmp_path / "d.raw"
+        save_dataset(path, ds, "raw-f32")
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
+        with pytest.raises(DataFormatError, match=f"3 trailing bytes at offset {size}"):
+            load_dataset(path, format="raw-f32")
+
     def test_raw_truncated(self, tmp_path):
         ds = synth_generate(1, seed=0)
         path = tmp_path / "d.raw"

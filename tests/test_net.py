@@ -163,7 +163,79 @@ class TestForward:
         np.testing.assert_allclose(_net.forward(permuted, x), base, atol=1e-12)
 
 
+def ref_pool_fwd(x, kernel, stride):
+    """Window max and first-max offset over a strided window view (old code)."""
+    win = _net._windows(x, kernel, stride, 0)
+    return win.max(axis=3), win.argmax(axis=3)
+
+
+def ref_pool_bwd(dy, arg, x_shape, kernel, stride):
+    """Pool input gradient as one masked add per window offset (old code)."""
+    dx = np.zeros(x_shape)
+    t = dy.shape[2]
+    for j in range(kernel):
+        dx[:, :, j : j + stride * t : stride] += dy * (arg == j)
+    return dx
+
+
+class TestPooling:
+    # overlapping windows, kernel == stride, and a length the windows do not cover
+    @pytest.mark.parametrize("kernel,stride,length",
+                             [(8, 4, 1800), (5, 2, 111), (2, 2, 13), (4, 4, 37), (3, 1, 9)])
+    def test_bitwise_equal_to_window_view(self, kernel, stride, length):
+        rng = np.random.default_rng(kernel * 100 + stride)
+        for trial in range(3):
+            # ReLU outputs, rounded so positive values tie too
+            x = np.maximum(np.round(rng.normal(size=(3, 4, length)), trial), 0.0)
+            want, want_arg = ref_pool_fwd(x, kernel, stride)
+            got = _net._pool_max(x, kernel, stride)
+            got2, arg = _net._pool_max(x, kernel, stride, keep_arg=True)
+            assert got.tobytes() == want.tobytes()
+            assert got2.tobytes() == want.tobytes()
+            assert arg.dtype == np.min_scalar_type(kernel - 1)
+            np.testing.assert_array_equal(arg, want_arg)
+            dy = rng.normal(size=want.shape)
+            dy[rng.random(dy.shape) < 0.2] = -0.0
+            dx = _net._pool_bwd(dy, arg, x.shape, kernel, stride)
+            assert dx.tobytes() == ref_pool_bwd(dy, want_arg, x.shape, kernel, stride).tobytes()
+
+    def test_inference_forward_keeps_no_caches(self, monkeypatch):
+        calls = []
+        real = _net._pool_max
+
+        def spy(x, kernel, stride, keep_arg=False):
+            calls.append(keep_arg)
+            return real(x, kernel, stride, keep_arg)
+
+        monkeypatch.setattr(_net, "_pool_max", spy)
+        network = init_params(default_ecgnet_spec(), 0)
+        records = [np.random.default_rng(1).normal(size=RECORD_SAMPLES)]
+        _net.predict_batch(network, records)
+        _net.batch_loss(network, records, [0])
+        assert calls == [False] * 14
+        _net.loss_gradients(network, records, [0])
+        assert calls[14:] == [True] * 7
+
+
 class TestGradients:
+    def test_first_layer_input_gradient_skipped(self, monkeypatch):
+        calls = []
+        real = _net._conv_input_grad
+
+        def spy(dy, *args):
+            calls.append(dy.shape)
+            return real(dy, *args)
+
+        monkeypatch.setattr(_net, "_conv_input_grad", spy)
+        network = init_params(default_ecgnet_spec(), 0)
+        rng = np.random.default_rng(2)
+        grads = _net.loss_gradients(network, [rng.normal(size=RECORD_SAMPLES)], [3])
+        # conv 2..7 pass their gradient down; conv 1's input gradient is unused
+        assert len(calls) == 6
+        assert calls[-1][1] == 12
+        assert grads[0].shape == (136,) and np.all(np.isfinite(grads[0]))
+
+
     def test_matches_central_differences(self):
         spec = tiny_spec()
         network = init_params(spec, 11)
@@ -348,6 +420,22 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ContainerFormatError, match="truncated"):
             load_checkpoint(path)
+
+    def test_non_finite_parameter_rejected_at_block_offset(self, tmp_path):
+        spec = tiny_spec()
+        path = tmp_path / "m.alqf"
+        save_checkpoint(init_params(spec, 0), path)
+        # blocks follow magic, version, the 8-byte header and 14-byte descriptors
+        rows, _ = param_counts(spec)
+        block = 6 + 8 + 14 * len(spec.layers) + 4 * rows[0][1]
+        for bad in (np.nan, np.inf):
+            blob = bytearray(path.read_bytes())
+            at = block + 4 * 5  # sixth value of the second block
+            blob[at : at + 4] = np.float32(bad).tobytes()
+            path.write_bytes(bytes(blob))
+            with pytest.raises(ContainerFormatError, match="Dense: non-finite") as err:
+                load_checkpoint(path)
+            assert err.value.offset == block
 
     def test_pool_padding_rejected_at_descriptor_offset(self, tmp_path):
         path = tmp_path / "m.alqf"

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alqecg import net as _net
+from alqecg import net as _net, qinfer
 from alqecg.bitpack import memory_report
 from alqecg.errors import ShapeError
 from alqecg.net import default_ecgnet_spec, init_params
@@ -270,6 +272,55 @@ class TestLayerPlan:
         assert plan.C.shape == (n_out, 0)
         y = plan.apply(np.random.default_rng(0).normal(size=(3, fan, 5)))
         np.testing.assert_array_equal(y, np.zeros((3, n_out, 5)))
+
+
+class TestPlanCache:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Layers that ``layer_plan`` was called for, in call order."""
+        built = []
+        real = qinfer.layer_plan
+
+        def spy(layer, n_out, fan):
+            built.append(layer)
+            return real(layer, n_out, fan)
+
+        monkeypatch.setattr(qinfer, "layer_plan", spy)
+        return built
+
+    def test_second_predict_builds_nothing(self, builds):
+        model = random_model(np.random.default_rng(31), tiny_spec())
+        records = [np.random.default_rng(32).normal(size=8) for _ in range(3)]
+        first = predict_batch(model, records)
+        assert builds == model.layers
+        np.testing.assert_array_equal(predict_batch(model, records), first)
+        assert len(builds) == len(model.layers)
+
+    def test_replaced_layer_rebuilds_only_its_plan(self, builds):
+        model = random_model(np.random.default_rng(33), tiny_spec())
+        before = list(model.layers)
+        ex = QuantExecutor(model)
+        model.layers[1] = replace(before[1], coords=2.0 * before[1].coords)
+        ex2 = QuantExecutor(model)
+        assert builds == before + [model.layers[1]]
+        for i, ql in enumerate(before):
+            same = ex2.plans[ql.layer_index] is ex.plans[ql.layer_index]
+            assert same == (i != 1)
+        x = np.random.default_rng(34).normal(size=8)
+        np.testing.assert_array_equal(ex2.logits([x]), QuantExecutor(model).logits([x]))
+        assert np.abs(ex2.logits([x]) - _net.logits_batch(dequantize(model), [x])).max() <= 1e-5
+
+    def test_layer_arrays_are_read_only(self):
+        model = random_model(np.random.default_rng(35), tiny_spec())
+        ql = model.layers[0]
+        for arr in (ql.coords, ql.signs, ql.bits):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        # the arrays a layer is built from stay the caller's to change
+        signs, coords, bits = ql.signs.copy(), ql.coords.copy(), ql.bits.copy()
+        QuantLayer(signs, coords, bits, ql.group_size, ql.param_count, ql.layer_index)
+        coords[0] = 1.0
+        bits[0] = 1
 
 
 class TestFullModelBatchInvariance:

@@ -33,7 +33,7 @@ import numpy as np
 from . import net as _net
 from .errors import ContainerFormatError
 from .net import NetworkSpec
-from .quantizer import ModelMeta, QuantLayer, QuantModel
+from .quantizer import ENUM_BITWIDTH_LIMIT, ModelMeta, QuantLayer, QuantModel
 
 MAGIC = b"ALQQ"
 VERSION = 1
@@ -89,11 +89,18 @@ def _scan_groups(reader, layer_index: int, group_size: int) -> list[tuple[int, i
     records = []
     try:
         for gi in range(n_groups):
+            header = reader.offset
             size, bitwidth = reader.take("<HB", f"group {gi} header")
             if size < 1 or size > group_size:
                 raise ContainerFormatError(
                     f"layer {layer_index} group {gi}: size {size} out of range",
                     reader.offset,
+                )
+            if bitwidth > ENUM_BITWIDTH_LIMIT:
+                raise ContainerFormatError(
+                    f"layer {layer_index} group {gi}: bitwidth {bitwidth} exceeds "
+                    f"{ENUM_BITWIDTH_LIMIT}",
+                    header,
                 )
             start = reader.offset
             reader.take_bytes(bitwidth * 4, f"group {gi} coordinate block")

@@ -185,7 +185,7 @@ def sweep(
     rates = [float(r) for r in rates]
     if rates != sorted(rates) or any(not 0.0 <= r < 1.0 for r in rates):
         raise ShapeError("rates must be ascending and within [0, 1)")
-    initial = init_layers(network, config.group_size, config.i_max_for)
+    initial = init_layers(network, config.group_size, config.i_max)
     batch = calib_subset(calib, config)
     scores = score_coordinates(
         initial, network, batch, config.scorer, config.curvature_weight

@@ -597,6 +597,8 @@ def pack_spec(spec: NetworkSpec) -> bytes:
 
 
 def unpack_spec(reader: ByteReader) -> NetworkSpec:
+    """The network descriptor at the reader; raises ShapeError for a spec
+    that ``validate_spec`` rejects."""
     n_layers, input_length, input_channels, class_count = reader.take(
         "<HHHH", "network descriptor"
     )
@@ -614,7 +616,9 @@ def unpack_spec(reader: ByteReader) -> NetworkSpec:
             LayerSpec(_KIND_NAMES[kind], kernel, units, stride, padding,
                       _ACT_NAMES[act], float(drop))
         )
-    return NetworkSpec(layers, input_length, input_channels, class_count)
+    spec = NetworkSpec(layers, input_length, input_channels, class_count)
+    validate_spec(spec)
+    return spec
 
 
 def save_checkpoint(network: Network, path) -> None:

@@ -8,21 +8,27 @@ The engine therefore cuts every group into segments, one per output channel
 it touches, and builds from the layer's ``signs`` and ``coords`` arrays
 
 * ``M``, a {-1, 0, +1} matrix with one row per segment and retained bit and
-  one column per input of an output position (the layer's ``fan``); the
-  signs of bias positions form the separate column ``m_b``;
-* ``C``, an (outputs x rows) matrix whose single non-zero per column is the
-  row's coordinate a_k, which scatters every row onto its output channel.
+  one column per input of an output position (the layer's ``fan``);
+* a channel-slot layout: every row owns one of its output channel's ``R``
+  slots, where ``R`` is the largest row count of any channel, and
+  ``coords`` (outputs x R) holds each slot's coordinate a_k, 0 in the
+  padding slots that hold no row;
+* ``bias``, each channel's sum of a_k times the sign of its bias position.
+  The bias input is the constant 1, so that reduction is done once, when
+  the plan is built, and a row with only a bias position is dropped.
 
-A layer then computes ``y = C @ (M @ x + m_b)`` for inputs ``x`` shaped
-(records, fan, positions); dense layers have one position. The dequantized
-weights ``C @ M`` are never formed. A row of ``M`` touches at most one
-group's width of consecutive inputs, so rows are ordered by their first
-column and each run of rows with the same first column multiplies only that
-window of ``x``. Quantized layers are immutable, so each layer's plan is
-built once and cached for as long as the layer lives. Records run in fixed
-blocks of stacked per-record matmuls, so each record's arithmetic is
-independent of its batch: logits are bitwise identical at every batch size,
-and the blocks bound the working memory.
+A layer computes ``z = M @ x`` into the slots of its rows, zeroes the
+padding slots, and reduces each channel's slots with one batched GEMV,
+``y = coords @ z + bias``, for inputs ``x`` shaped (records, fan,
+positions); dense layers have one position. The dequantized weights are
+never formed. A row of ``M`` touches at most one group's width of
+consecutive inputs, so rows are ordered by their first column and each run
+of rows with the same first column multiplies only that window of ``x``.
+Quantized layers are immutable, so each layer's plan is built once and
+cached for as long as the layer lives. Records run in fixed blocks of
+stacked per-record matmuls whose shapes do not depend on the batch, so each
+record's arithmetic is independent of its batch: logits are bitwise
+identical at every batch size, and the blocks bound the working memory.
 
 Activations stay full-precision; accumulation is float64 so the bit-driven
 path tracks the dequantized reference within tight tolerances.
@@ -52,31 +58,39 @@ def dequantize(model: QuantModel) -> Network:
 
 @dataclass
 class LayerPlan:
-    """Bit-plane form of one quantized layer: ``y = C @ (M @ x + m_b)``.
+    """Bit-plane form of one quantized layer in a channel-slot layout.
 
-    Rows are sorted by the first input column they touch. A row spans at
-    most ``width`` consecutive columns, so the rows of one entry ``(lo, r0,
-    r1)`` of ``windows`` read only the inputs ``lo:lo + width``.
+    Row ``r`` of ``M`` fills slot ``dest[r]`` of an (outputs x slots) grid,
+    one of its output channel's slots; ``coords`` holds each slot's
+    coordinate and is 0 at the slots in ``pad``, which hold no row. ``bias``
+    is each channel's reduction of the constant bias input. Rows are sorted
+    by the first input column they touch. A row spans at most ``width``
+    consecutive columns, so the rows of one entry ``(lo, r0, r1)`` of
+    ``windows`` read only the inputs ``lo:lo + width``.
     """
 
     M: np.ndarray  # (rows, fan) signs of the weight positions
-    m_b: np.ndarray  # (rows,) signs of the bias positions
-    C: np.ndarray  # (outputs, rows) coordinate of each row on its channel
+    dest: np.ndarray  # (rows,) slot of each row: channel * slots + rank
+    coords: np.ndarray  # (outputs, slots) coordinate of each slot's row
+    pad: np.ndarray  # slots that hold no row
+    bias: np.ndarray  # (outputs,) sum of a_r * (sign of r's bias position)
     width: int
     windows: list[tuple[int, int, int]]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """(records, fan, positions) inputs -> (records, outputs, positions)."""
-        z = np.empty((x.shape[0], self.M.shape[0], x.shape[2]))
+        n_out, slots = self.coords.shape
+        z = np.empty((x.shape[0], n_out * slots, x.shape[2]))
+        z[:, self.pad] = 0.0
         for lo, r0, r1 in self.windows:
             hi = lo + self.width
-            z[:, r0:r1] = self.M[r0:r1, lo:hi] @ x[:, lo:hi]
-        z += self.m_b[:, None]
-        return self.C @ z
+            z[:, self.dest[r0:r1]] = self.M[r0:r1, lo:hi] @ x[:, lo:hi]
+        z = z.reshape(x.shape[0], n_out, slots, x.shape[2])
+        return (self.coords[:, None, :] @ z)[:, :, 0] + self.bias[:, None]
 
 
 def layer_plan(layer: QuantLayer, n_out: int, fan: int) -> LayerPlan:
-    """Bit-plane matrices of a layer with ``n_out`` outputs of ``fan`` inputs."""
+    """Bit-plane plan of a layer with ``n_out`` outputs of ``fan`` inputs."""
     sizes, bits = layer.sizes, layer.bits
     # every flattened position: its group, output channel and input column;
     # bias positions take column fan
@@ -94,15 +108,28 @@ def layer_plan(layer: QuantLayer, n_out: int, fan: int) -> LayerPlan:
     p, pk = np.nonzero(np.arange(bits.max()) < bits[g][:, None])
     m = np.zeros((s.size, fan + 1))
     m[row[seg[p], pk], col[p]] = layer.signs[g[p], j[p], pk]
-    c = np.zeros((n_out, s.size))
-    c[seg_out[s], np.arange(s.size)] = layer.coords[seg_g[s], k]
-    # a bias-only row touches no weight column and joins the window at 0
+    a, ch = layer.coords[seg_g[s], k], seg_out[s]
+    # the bias input is the constant 1, so its reduction is done here; a row
+    # that touches no weight column has nothing left to compute
+    bias = np.bincount(ch, weights=a * m[:, fan], minlength=n_out)
     lo = (m[:, :fan] != 0).argmax(axis=1)
+    kept = np.flatnonzero(m[np.arange(s.size), lo])
+    a, ch, lo = a[kept], ch[kept], lo[kept]
+    # each row's slot is its rank among its channel's rows, in row order
+    counts = np.bincount(ch, minlength=n_out)
+    slots = int(counts.max(initial=0))
+    by_ch = np.argsort(ch, kind="stable")
+    rank = np.empty_like(by_ch)
+    rank[by_ch] = np.arange(ch.size) - (np.cumsum(counts) - counts)[ch[by_ch]]
+    dest = ch * slots + rank
+    coords = np.zeros(n_out * slots)
+    coords[dest] = a
+    pad = np.flatnonzero(np.arange(slots) >= counts[:, None])
     order = np.argsort(lo, kind="stable")
     starts, r0 = np.unique(lo[order], return_index=True)
-    windows = list(zip(starts.tolist(), r0.tolist(), r0[1:].tolist() + [s.size]))
-    m = m[order]
-    return LayerPlan(m[:, :fan], m[:, fan], c[:, order], int(sizes.max()), windows)
+    windows = list(zip(starts.tolist(), r0.tolist(), r0[1:].tolist() + [ch.size]))
+    return LayerPlan(m[kept[order], :fan], dest[order], coords.reshape(n_out, slots), pad,
+                     bias, int(sizes.max()), windows)
 
 
 # plans by layer, then by (n_out, fan); a layer's entry goes with the layer

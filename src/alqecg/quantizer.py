@@ -109,6 +109,14 @@ class QuantModel:
     meta: ModelMeta = field(default_factory=ModelMeta)
 
 
+def layer_i_max(i_max: int | dict, layer_name: str) -> int:
+    """One layer's bit cap: ``i_max`` itself, or the map's entry for the
+    layer, else its "default" entry (2 without one)."""
+    if isinstance(i_max, dict):
+        return int(i_max.get(layer_name, i_max.get("default", 2)))
+    return int(i_max)
+
+
 @dataclass
 class AlqConfig:
     """Quantization pipeline parameters.
@@ -149,11 +157,6 @@ class AlqConfig:
             raise ConfigError("refine_iters must be >= 0")
         if self.calib_batch < 1:
             raise ConfigError("calib_batch must be >= 1")
-
-    def i_max_for(self, layer_name: str) -> int:
-        if isinstance(self.i_max, dict):
-            return int(self.i_max.get(layer_name, self.i_max.get("default", 2)))
-        return int(self.i_max)
 
     def to_dict(self) -> dict:
         prune: dict = {}
@@ -555,11 +558,21 @@ class PipelineReport:
     calib_loss_final: float | None = None
 
 
-def init_layers(network: Network, group_size: int, i_max_for) -> list[QuantLayer]:
-    """Greedy init of every parameterized layer; ``i_max_for(name)`` caps its bits."""
+def init_layers(network: Network, group_size: int, i_max: int | dict) -> list[QuantLayer]:
+    """Greedy init of every parameterized layer, its bits capped by ``i_max``.
+
+    Raises ConfigError for an ``i_max`` map key other than "default" that
+    names no parameterized layer of the network.
+    """
+    names = _net.parameterized_layers(network.spec)
+    if isinstance(i_max, dict):
+        unknown = set(i_max) - {name for _, name in names} - {"default"}
+        if unknown:
+            raise ConfigError(f"i_max names no parameterized layer: {sorted(unknown)}")
     return [
-        init_decompose(_net.flatten_params(network, idx), group_size, i_max_for(name), idx)
-        for idx, name in _net.parameterized_layers(network.spec)
+        init_decompose(_net.flatten_params(network, idx), group_size,
+                       layer_i_max(i_max, name), idx)
+        for idx, name in names
     ]
 
 
@@ -604,7 +617,7 @@ def alq_pipeline(network: Network, calib, config: AlqConfig) -> tuple[QuantModel
     the loss figures in the report; it may be None when the scorer is
     magnitude-based or no pruning is requested (losses are then omitted).
     """
-    qlayers = init_layers(network, config.group_size, config.i_max_for)
+    qlayers = init_layers(network, config.group_size, config.i_max)
     batch = calib_subset(calib, config)
     names = dict(_net.parameterized_layers(network.spec))
 
@@ -662,7 +675,7 @@ def uniform_baseline(network: Network, i: int, n: int) -> QuantModel:
     """Fixed-bitwidth comparator: greedy init at exactly i bits, no pruning."""
     if i < 1:
         raise ConfigError("bitwidth must be >= 1")
-    qlayers = init_layers(network, n, lambda _name: i)
+    qlayers = init_layers(network, n, i)
     digest = hashlib.sha256(
         json.dumps({"uniform": i, "group_size": n}, sort_keys=True).encode()
     ).hexdigest()

@@ -14,11 +14,12 @@ from alqecg.bitpack import (
     serialize,
     serialize_bytes,
 )
-from alqecg.errors import ContainerFormatError
+from alqecg.errors import ContainerFormatError, ShapeError
 from alqecg.net import (
     NetworkSpec,
     conv,
     default_ecgnet_spec,
+    dense,
     flatten,
     init_params,
     param_counts,
@@ -26,6 +27,7 @@ from alqecg.net import (
     softmax_dense,
 )
 from alqecg.quantizer import (
+    ENUM_BITWIDTH_LIMIT,
     ModelMeta,
     QuantLayer,
     QuantModel,
@@ -197,6 +199,30 @@ class TestDeserializeErrors:
         blob, at = patch_pool_padding(serialize_bytes(model), 1, 6)
         with pytest.raises(ContainerFormatError, match="pool padding") as err:
             deserialize_bytes(blob)
+        assert err.value.offset == at
+
+    @pytest.mark.parametrize("spec, match", [
+        (NetworkSpec([conv(3, 2, padding=1), pool(2, 2), flatten(), dense(3)],
+                     input_length=16, input_channels=1, class_count=3),
+         "softmax-dense classifier head"),
+        (replace(small_spec(), class_count=4), "outputs 3 values, expected 4"),
+    ])
+    def test_invalid_spec_rejected(self, spec, match):
+        blob = serialize_bytes(random_model(np.random.default_rng(8), spec))
+        with pytest.raises(ShapeError, match=match):
+            deserialize_bytes(blob)
+
+    @pytest.mark.parametrize("bitwidth", [ENUM_BITWIDTH_LIMIT + 1, 255])
+    def test_bitwidth_above_limit_rejected_at_header(self, bitwidth):
+        model = random_model(np.random.default_rng(9), group_size=8)
+        data = bytearray(serialize_bytes(model))
+        # the first layer's group count, then group 0's u16 size and u8 bitwidth
+        at = header_bytes(model) + 4
+        assert data[at + 2] == model.layers[0].bits[0]
+        data[at + 2] = bitwidth
+        with pytest.raises(ContainerFormatError, match=f"group 0: bitwidth {bitwidth} "
+                           f"exceeds {ENUM_BITWIDTH_LIMIT}") as err:
+            deserialize_bytes(bytes(data))
         assert err.value.offset == at
 
     def test_non_canonical_rejected(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -436,6 +438,18 @@ class TestCheckpoint:
             with pytest.raises(ContainerFormatError, match="Dense: non-finite") as err:
                 load_checkpoint(path)
             assert err.value.offset == block
+
+    @pytest.mark.parametrize("spec, match", [
+        (NetworkSpec([conv(3, 2, padding=1), pool(2, 2), flatten(), dense(3)],
+                     input_length=8, input_channels=1, class_count=3),
+         "softmax-dense classifier head"),
+        (replace(tiny_spec(3), class_count=4), "outputs 3 values, expected 4"),
+    ])
+    def test_invalid_spec_rejected_at_load(self, tmp_path, spec, match):
+        path = tmp_path / "m.alqf"
+        save_checkpoint(init_params(spec, 0), path)
+        with pytest.raises(ShapeError, match=match):
+            load_checkpoint(path)
 
     def test_pool_padding_rejected_at_descriptor_offset(self, tmp_path):
         path = tmp_path / "m.alqf"

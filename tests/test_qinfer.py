@@ -221,6 +221,53 @@ def layer_geometry(model, ql) -> tuple[int, int]:
     return w_shape[0], int(np.prod(w_shape[1:]))
 
 
+def dense_scatter_apply(ql, n_out, fan, x) -> np.ndarray:
+    """The former executor, kept as an oracle: ``y = C @ (M @ x + m_b)``.
+
+    ``M`` has one row per (group, output channel) segment and retained bit,
+    ``m_b`` holds the row's bias sign, and the dense (outputs x rows) ``C``
+    holds the row's coordinate on its channel.
+    """
+    w_total = n_out * fan
+    rows, scatter, off = [], [], 0
+    for bases, coords in groups_of(ql):
+        pos = off + np.arange(bases.shape[0])
+        off += bases.shape[0]
+        out = np.where(pos < w_total, pos // fan, pos - w_total)
+        col = np.where(pos < w_total, pos % fan, fan)
+        for o in np.unique(out):
+            for k in range(bases.shape[1]):
+                m = np.zeros(fan + 1)
+                m[col[out == o]] = bases[out == o, k]
+                c = np.zeros(n_out)
+                c[o] = coords[k]
+                rows.append(m)
+                scatter.append(c)
+    m = np.array(rows).reshape(-1, fan + 1)
+    c = np.array(scatter).reshape(-1, n_out).T
+    return c @ (m[:, :fan] @ x + m[:, fan][:, None])
+
+
+def prune_channel(ql, o: int, fan: int) -> QuantLayer:
+    """The layer with every group that holds a weight of channel ``o`` pruned."""
+    start = np.cumsum(ql.sizes) - ql.sizes
+    hit = (start < (o + 1) * fan) & (start + ql.sizes > o * fan)
+    return QuantLayer(ql.signs * ~hit[:, None, None], ql.coords * ~hit[:, None],
+                      ql.bits * ~hit, ql.group_size, ql.param_count, ql.layer_index)
+
+
+def has_bias_only_rows(ql, n_out: int, fan: int) -> bool:
+    """Whether a retained bit covers a bias position of a channel none of
+    whose weights are in the same group."""
+    start = np.cumsum(ql.sizes) - ql.sizes
+    for g, (size, bits) in enumerate(zip(ql.sizes, ql.bits)):
+        pos = start[g] + np.arange(size)
+        weights = pos < n_out * fan
+        if bits and not set(pos[~weights] - n_out * fan) <= set(pos[weights] // fan):
+            return True
+    return False
+
+
 class TestLayerPlan:
     def test_structure(self):
         rng = np.random.default_rng(21)
@@ -236,32 +283,61 @@ class TestLayerPlan:
                 for (bases, _), off in zip(groups, offsets):
                     size, bitwidth = bases.shape
                     pos = np.arange(off, off + size)
-                    out = np.where(pos < w_total, pos // fan, pos - w_total)
-                    rows += np.unique(out).size * bitwidth
+                    rows += np.unique(pos[pos < w_total] // fan).size * bitwidth
                     bias_bits += np.count_nonzero(pos >= w_total) * bitwidth
+                slots = plan.coords.shape[1]
                 assert plan.M.shape == (rows, fan)
-                assert plan.C.shape == (n_out, rows)
+                assert plan.coords.shape[0] == n_out
+                # a channel has as many slots as the largest channel has rows
+                assert slots == (np.bincount(plan.dest // slots).max() if rows else 0)
                 assert np.isin(plan.M, (-1, 0, 1)).all()
-                assert np.isin(plan.m_b, (-1, 0, 1)).all()
                 assert np.count_nonzero(plan.M) == mem.base_bits - bias_bits
-                assert np.count_nonzero(plan.m_b) == bias_bits
-                assert (np.count_nonzero(plan.C, axis=0) == 1).all()
+                # every slot holds one row or is padding, and padding is 0
+                np.testing.assert_array_equal(
+                    np.sort(np.concatenate([plan.dest, plan.pad])), np.arange(n_out * slots))
+                assert (plan.coords.ravel()[plan.pad] == 0).all()
+                # the bias is each channel's reduction of its bias position
+                dequantized = np.concatenate([ref_reconstruct(*g) for g in groups])
+                np.testing.assert_allclose(plan.bias, dequantized[w_total:], rtol=0,
+                                           atol=1e-12)
                 # each row holds one sign column of one group, restricted to
-                # one output channel, and C holds that column's coordinate
+                # the weights of the output channel its slot lies in, and the
+                # slot's coordinate is that column's
                 for r in range(rows):
-                    o = int(np.flatnonzero(plan.C[:, r])[0])
+                    o, coord = plan.dest[r] // slots, plan.coords.ravel()[plan.dest[r]]
                     cols = np.flatnonzero(plan.M[r])
                     pos = o * fan + cols
-                    signs = plan.M[r, cols]
-                    if plan.m_b[r]:
-                        pos = np.append(pos, w_total + o)
-                        signs = np.append(signs, plan.m_b[r])
                     gi = np.searchsorted(offsets, pos, side="right") - 1
                     assert (gi == gi[0]).all()
                     bases, coords = groups[gi[0]]
-                    ks = np.flatnonzero(coords == plan.C[o, r])
+                    ks = np.flatnonzero(coords == coord)
                     local = pos - offsets[gi[0]]
-                    assert any(np.array_equal(bases[local, k], signs) for k in ks)
+                    assert any(np.array_equal(bases[local, k], plan.M[r, cols]) for k in ks)
+                # the rows of a window start at its column and fit its width
+                for lo, r0, r1 in plan.windows:
+                    nz = plan.M[r0:r1] != 0
+                    assert (nz.argmax(axis=1) == lo).all()
+                    assert not nz[:, lo + plan.width:].any()
+
+    @pytest.mark.parametrize("group_size", [None, 11])
+    def test_matches_dense_scatter_oracle(self, group_size):
+        rng = np.random.default_rng(23)
+        bias_only = empty_channels = 0
+        for spec in [small_spec(), tiny_spec()] * 10:
+            model = random_model(rng, spec, group_size)
+            for ql in model.layers:
+                n_out, fan = layer_geometry(model, ql)
+                x = rng.normal(size=(3, fan, 5))
+                variants = [ql, prune_channel(ql, int(rng.integers(n_out)), fan)]
+                for layer in variants:
+                    plan = layer_plan(layer, n_out, fan)
+                    bias_only += has_bias_only_rows(layer, n_out, fan)
+                    channel = plan.dest // max(plan.coords.shape[1], 1)
+                    empty_channels += np.count_nonzero(np.bincount(channel, minlength=n_out) == 0)
+                    y = plan.apply(x)
+                    np.testing.assert_allclose(y, dense_scatter_apply(layer, n_out, fan, x),
+                                               rtol=0, atol=1e-12)
+        assert bias_only > 0 and empty_channels > 0
 
     def test_fully_pruned_layer(self):
         model = random_model(np.random.default_rng(22), tiny_spec())
@@ -269,7 +345,9 @@ class TestLayerPlan:
         n_out, fan = layer_geometry(model, ql)
         plan = layer_plan(ql, n_out, fan)
         assert plan.M.shape == (0, fan)
-        assert plan.C.shape == (n_out, 0)
+        assert plan.coords.shape == (n_out, 0)
+        assert plan.pad.size == 0
+        np.testing.assert_array_equal(plan.bias, np.zeros(n_out))
         y = plan.apply(np.random.default_rng(0).normal(size=(3, fan, 5)))
         np.testing.assert_array_equal(y, np.zeros((3, n_out, 5)))
 

@@ -21,6 +21,7 @@ from alqecg.quantizer import (
     canonicalize,
     dequantized_network,
     init_decompose,
+    layer_i_max,
     model_avg_bitwidth,
     optimize_bases,
     optimize_coords,
@@ -828,10 +829,24 @@ class TestConfig:
         )
         config = AlqConfig.from_json_file(path)
         assert config.group_size == 8
-        assert config.i_max_for("Softmax") == 4
-        assert config.i_max_for("Conv1D_1") == 2
+        assert layer_i_max(config.i_max, "Softmax") == 4
+        assert layer_i_max(config.i_max, "Conv1D_1") == 2
         assert config.target_avg_bitwidth == 1.5
         assert config.seed == 9
+
+    def test_unknown_i_max_key_rejected(self):
+        network = init_params(NetworkSpec(
+            [flatten(), softmax_dense(3)], input_length=4, input_channels=1,
+            class_count=3), 0)
+        for i_max in ({"default": 2, "Softmax": 3, "Dense_2": 1}, {"Dense_2": 1}):
+            config = AlqConfig(group_size=4, i_max=i_max, prune_rate=0.0,
+                               scorer="magnitude", refine_iters=0)
+            with pytest.raises(ConfigError, match=r"\['Dense_2'\]"):
+                alq_pipeline(network, None, config)
+        config = AlqConfig(group_size=4, i_max={"default": 2, "Softmax": 3},
+                           prune_rate=0.0, scorer="magnitude", refine_iters=0)
+        model, _ = alq_pipeline(network, None, config)
+        assert model.layers[0].bits.max() == 3
 
     def test_bad_rate(self):
         with pytest.raises(ConfigError, match=r"prune.rate must be in \[0,1\)"):

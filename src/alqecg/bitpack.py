@@ -83,37 +83,45 @@ def serialize(model: QuantModel, path) -> None:
     Path(path).write_bytes(serialize_bytes(model))
 
 
+_GROUP_HEADER = struct.Struct("<HB")
+
+
 def _scan_groups(reader, layer_index: int, group_size: int) -> list[tuple[int, int, int]]:
     """(coordinate offset, size, bitwidth) of each group record of one layer."""
     n_groups = reader.take("<I", "group count")
-    records = []
+    data, off, records = reader.data, reader.offset, []
     try:
         for gi in range(n_groups):
-            header = reader.offset
-            size, bitwidth = reader.take("<HB", f"group {gi} header")
+            if off + _GROUP_HEADER.size > len(data):
+                reader.offset = off
+                reader.take_bytes(_GROUP_HEADER.size, f"group {gi} header")
+            size, bitwidth = _GROUP_HEADER.unpack_from(data, off)
+            start = off + _GROUP_HEADER.size
             if size < 1 or size > group_size:
                 raise ContainerFormatError(
-                    f"layer {layer_index} group {gi}: size {size} out of range",
-                    reader.offset,
-                )
+                    f"layer {layer_index} group {gi}: size {size} out of range", start)
             if bitwidth > ENUM_BITWIDTH_LIMIT:
                 raise ContainerFormatError(
                     f"layer {layer_index} group {gi}: bitwidth {bitwidth} exceeds "
                     f"{ENUM_BITWIDTH_LIMIT}",
-                    header,
+                    off,
                 )
-            start = reader.offset
-            reader.take_bytes(bitwidth * 4, f"group {gi} coordinate block")
             col_bytes = (size + 7) // 8
-            whole = min(bitwidth, (len(reader.data) - reader.offset) // col_bytes)
-            reader.offset += whole * col_bytes
-            if whole < bitwidth:
+            off = start + bitwidth * (4 + col_bytes)
+            if off > len(data):
+                # the record is cut short: the reader raises for its first
+                # incomplete part, the coordinate block or a base column
+                reader.offset = start
+                reader.take_bytes(bitwidth * 4, f"group {gi} coordinate block")
+                whole = (len(data) - reader.offset) // col_bytes
+                reader.offset += whole * col_bytes
                 reader.take_bytes(col_bytes, f"group {gi} base column {whole}")
             records.append((start, size, bitwidth))
     except ContainerFormatError:
         # a fault in an earlier, complete group is reported first
-        _unpack_groups(reader.data, records, layer_index, group_size)
+        _unpack_groups(data, records, layer_index, group_size)
         raise
+    reader.offset = off
     return records
 
 

@@ -255,7 +255,9 @@ def unflatten_params(
 def _windows(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     # x (B, C, L) -> (B, C, T, K) strided view of every window
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+        xp = np.zeros(x.shape[:2] + (x.shape[2] + 2 * padding,), dtype=x.dtype)
+        xp[:, :, padding:-padding] = x
+        x = xp
     return sliding_window_view(x, kernel, axis=2)[:, :, ::stride, :]
 
 

@@ -4,30 +4,32 @@ A group w = B @ a contributes sum_k a_k (b_k . x) to its layer's outputs:
 one add/subtract reduction per retained sign column b_k, scaled by its
 coordinate. Groups follow flattened layer order (weights row-major, then
 biases), so one group may span several output channels and the bias tail.
-The engine therefore cuts every group into segments, one per output channel
-it touches, and builds from the layer's ``signs`` and ``coords`` arrays
+The part of a group on one output channel is a segment; with group size n,
+a channel's s-th segment lies inside the s-th window of input columns,
+``[s*n - left, s*n - left + width)``. ``left`` is 0 and ``width`` n when n
+divides the layer's ``fan`` (its inputs per output position); otherwise
+``left`` is n and ``width`` 2n, and a layer has at most ceil(fan / n) + 1
+windows. From the layer's ``signs`` and ``coords`` arrays the engine builds
 
-* ``M``, a {-1, 0, +1} matrix with one row per segment and retained bit and
-  one column per input of an output position (the layer's ``fan``);
-* a channel-slot layout: every row owns one of its output channel's ``R``
-  slots, where ``R`` is the largest row count of any channel, and
-  ``coords`` (outputs x R) holds each slot's coordinate a_k, 0 in the
-  padding slots that hold no row;
+* ``M``, a {-1, 0, +1} grid of shape (windows, K * outputs, width), K the
+  layer's largest bitwidth: row ``k * outputs + o`` of window ``s`` holds
+  the k-th retained sign column of channel o's s-th segment, and rows with
+  no segment behind them are zero;
+* ``coords`` (outputs x windows * K), the coordinate a_k of each row;
 * ``bias``, each channel's sum of a_k times the sign of its bias position.
   The bias input is the constant 1, so that reduction is done once, when
-  the plan is built, and a row with only a bias position is dropped.
+  the plan is built.
 
-A layer computes ``z = M @ x`` into the slots of its rows, zeroes the
-padding slots, and reduces each channel's slots with one batched GEMV,
-``y = coords @ z + bias``, for inputs ``x`` shaped (records, fan,
-positions); dense layers have one position. The dequantized weights are
-never formed. A row of ``M`` touches at most one group's width of
-consecutive inputs, so rows are ordered by their first column and each run
-of rows with the same first column multiplies only that window of ``x``.
-Quantized layers are immutable, so each layer's plan is built once and
-cached for as long as the layer lives. Records run in fixed blocks of
-stacked per-record matmuls whose shapes do not depend on the batch, so each
-record's arithmetic is independent of its batch: logits are bitwise
+For inputs ``x`` shaped (records, fan, positions), where dense layers have
+one position, a layer writes ``x`` once into a zero-padded column buffer,
+computes ``z = M @ x_windows`` with one matmul over a strided (records,
+windows, width, positions) view of it, and reduces every channel's rows
+with one batched GEMV, ``y = coords @ z + bias``, over a strided (records,
+outputs, windows * K, positions) view of ``z``. The dequantized weights are
+never formed. Quantized layers are immutable, so each layer's plan is built
+once and cached for as long as the layer lives. Records run in fixed blocks
+of stacked per-record matmuls whose shapes do not depend on the batch, so
+each record's arithmetic is independent of its batch: logits are bitwise
 identical at every batch size, and the blocks bound the working memory.
 
 Activations stay full-precision; accumulation is float64 so the bit-driven
@@ -40,6 +42,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import net as _net
 from .errors import NumericError
@@ -58,78 +61,64 @@ def dequantize(model: QuantModel) -> Network:
 
 @dataclass
 class LayerPlan:
-    """Bit-plane form of one quantized layer in a channel-slot layout.
+    """Bit-plane form of one quantized layer on a (window, bit, channel) grid.
 
-    Row ``r`` of ``M`` fills slot ``dest[r]`` of an (outputs x slots) grid,
-    one of its output channel's slots; ``coords`` holds each slot's
-    coordinate and is 0 at the slots in ``pad``, which hold no row. ``bias``
-    is each channel's reduction of the constant bias input. Rows are sorted
-    by the first input column they touch. A row spans at most ``width``
-    consecutive columns, so the rows of one entry ``(lo, r0, r1)`` of
-    ``windows`` read only the inputs ``lo:lo + width``.
+    Window ``s`` covers the input columns ``[s*n - left, s*n - left + width)``
+    for group size ``n``, where ``width = n + left`` and ``left`` is 0 when
+    ``n`` divides the fan and ``n`` otherwise, so every output channel's
+    ``s``-th group segment lies inside window ``s``. Row ``k*outputs + o`` of
+    ``M[s]`` holds the ``k``-th retained sign column of channel ``o``'s
+    segment in window ``s``, and ``coords[o, s*K + k]`` its coordinate; rows
+    with no segment behind them are zero, as are their coordinates. ``bias``
+    is each channel's reduction of the constant bias input.
     """
 
-    M: np.ndarray  # (rows, fan) signs of the weight positions
-    dest: np.ndarray  # (rows,) slot of each row: channel * slots + rank
-    coords: np.ndarray  # (outputs, slots) coordinate of each slot's row
-    pad: np.ndarray  # slots that hold no row
-    bias: np.ndarray  # (outputs,) sum of a_r * (sign of r's bias position)
-    width: int
-    windows: list[tuple[int, int, int]]
+    M: np.ndarray  # (windows, K * outputs, width) signs of the weight positions
+    coords: np.ndarray  # (outputs, windows * K) coordinate of each row
+    bias: np.ndarray  # (outputs,) sum of a_k * (sign of the bias position)
+    group_size: int
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """(records, fan, positions) inputs -> (records, outputs, positions)."""
-        n_out, slots = self.coords.shape
-        z = np.empty((x.shape[0], n_out * slots, x.shape[2]))
-        z[:, self.pad] = 0.0
-        for lo, r0, r1 in self.windows:
-            hi = lo + self.width
-            z[:, self.dest[r0:r1]] = self.M[r0:r1, lo:hi] @ x[:, lo:hi]
-        z = z.reshape(x.shape[0], n_out, slots, x.shape[2])
+        """(records, ..., positions) inputs -> (records, outputs, positions).
+
+        The middle axes of ``x`` flatten, row-major, to the layer's fan.
+        """
+        records, positions = x.shape[0], x.shape[-1]
+        windows, rows, width = self.M.shape
+        n, n_out = self.group_size, self.bias.size
+        left, fan = width - n, int(np.prod(x.shape[1:-1]))
+        buf = np.zeros((records, (windows - 1) * n + width, positions))
+        # splitting the column axis gives a view, so x is written in place
+        buf[:, left : left + fan].reshape(x.shape)[...] = x
+        xs = sliding_window_view(buf, width, axis=1)[:, ::n].transpose(0, 1, 3, 2)
+        z = (self.M @ xs).reshape(records, windows, rows // n_out, n_out, positions)
+        z = z.transpose(0, 3, 1, 2, 4).reshape(records, n_out, self.coords.shape[1], positions)
         return (self.coords[:, None, :] @ z)[:, :, 0] + self.bias[:, None]
 
 
 def layer_plan(layer: QuantLayer, n_out: int, fan: int) -> LayerPlan:
     """Bit-plane plan of a layer with ``n_out`` outputs of ``fan`` inputs."""
-    sizes, bits = layer.sizes, layer.bits
-    # every flattened position: its group, output channel and input column;
-    # bias positions take column fan
-    g, j = np.nonzero(np.arange(sizes.max()) < sizes[:, None])
-    pos = (np.cumsum(sizes) - sizes)[g] + j
+    n, bits = layer.group_size, layer.signs.shape[2]
+    left = 0 if fan % n == 0 else n
+    # every flattened position's group and place in it; the partition is
+    # standard, so position p is place p % n of group p // n
+    g, j = np.divmod(np.arange(layer.param_count), n)
     w_total = n_out * fan
-    out = np.where(pos < w_total, pos // fan, pos - w_total)
-    col = np.where(pos < w_total, pos % fan, fan)
-    # one row per (group, output channel) segment and retained bit
-    seg_key, seg = np.unique(g * n_out + out, return_inverse=True)
-    seg_g, seg_out = np.divmod(seg_key, n_out)
-    s, k = np.nonzero(np.arange(bits.max()) < bits[seg_g][:, None])
-    row = np.zeros((seg_key.size, bits.max()), dtype=np.intp)
-    row[s, k] = np.arange(s.size)
-    p, pk = np.nonzero(np.arange(bits.max()) < bits[g][:, None])
-    m = np.zeros((s.size, fan + 1))
-    m[row[seg[p], pk], col[p]] = layer.signs[g[p], j[p], pk]
-    a, ch = layer.coords[seg_g[s], k], seg_out[s]
-    # the bias input is the constant 1, so its reduction is done here; a row
-    # that touches no weight column has nothing left to compute
-    bias = np.bincount(ch, weights=a * m[:, fan], minlength=n_out)
-    lo = (m[:, :fan] != 0).argmax(axis=1)
-    kept = np.flatnonzero(m[np.arange(s.size), lo])
-    a, ch, lo = a[kept], ch[kept], lo[kept]
-    # each row's slot is its rank among its channel's rows, in row order
-    counts = np.bincount(ch, minlength=n_out)
-    slots = int(counts.max(initial=0))
-    by_ch = np.argsort(ch, kind="stable")
-    rank = np.empty_like(by_ch)
-    rank[by_ch] = np.arange(ch.size) - (np.cumsum(counts) - counts)[ch[by_ch]]
-    dest = ch * slots + rank
-    coords = np.zeros(n_out * slots)
-    coords[dest] = a
-    pad = np.flatnonzero(np.arange(slots) >= counts[:, None])
-    order = np.argsort(lo, kind="stable")
-    starts, r0 = np.unique(lo[order], return_index=True)
-    windows = list(zip(starts.tolist(), r0.tolist(), r0[1:].tolist() + [ch.size]))
-    return LayerPlan(m[kept[order], :fan], dest[order], coords.reshape(n_out, slots), pad,
-                     bias, int(sizes.max()), windows)
+    # each weight's output channel, input column and window: its group's
+    # index among the groups that hold the channel's weights
+    out, col = np.divmod(np.arange(w_total), fan)
+    s = g[:w_total] - out * fan // n
+    windows = int(s.max()) + 1
+    k = np.arange(bits)
+    M = np.zeros((windows, bits * n_out, n + left))
+    M[s[:, None], k * n_out + out[:, None], (col - s * n + left)[:, None]] = \
+        layer.signs[g[:w_total], j[:w_total]]
+    coords = np.zeros((n_out, windows, bits))
+    coords[out, s] = layer.coords[g[:w_total]]
+    # the bias input is the constant 1, so its reduction is done here
+    gb, jb = g[w_total:], j[w_total:]
+    bias = (layer.coords[gb] * layer.signs[gb, jb]).sum(axis=1)
+    return LayerPlan(M, coords.reshape(n_out, windows * bits), bias, n)
 
 
 # plans by layer, then by (n_out, fan); a layer's entry goes with the layer
@@ -156,8 +145,7 @@ class QuantExecutor:
         for i, layer in enumerate(self.model.spec.layers):
             if layer.kind == CONV:
                 win = _net._windows(h, layer.kernel, layer.stride, layer.padding)
-                _, c, t, k = win.shape
-                h = self.plans[i].apply(win.transpose(0, 1, 3, 2).reshape(bsz, c * k, t))
+                h = self.plans[i].apply(win.transpose(0, 1, 3, 2))
                 if layer.activation == "relu":
                     h = np.maximum(h, 0.0)
             elif layer.kind == POOL:

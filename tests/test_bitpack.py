@@ -22,6 +22,7 @@ from alqecg.net import (
     dense,
     flatten,
     init_params,
+    pack_spec,
     param_counts,
     pool,
     softmax_dense,
@@ -37,6 +38,7 @@ from alqecg.quantizer import (
     init_decompose,
     uniform_baseline,
 )
+from conftest import tiny_spec
 from test_quantizer import empty_layer, groups_of, layers_equal
 
 # SHA-256 of the ALQQ bytes of a 2-bit uniform baseline of the untrained
@@ -225,6 +227,17 @@ class TestDeserializeErrors:
             deserialize_bytes(bytes(data))
         assert err.value.offset == at
 
+    @pytest.mark.parametrize("size", [0, 9])
+    def test_group_size_out_of_range_rejected_after_header(self, size):
+        model = random_model(np.random.default_rng(9), group_size=8)
+        data = bytearray(serialize_bytes(model))
+        at = header_bytes(model) + 4
+        data[at : at + 2] = size.to_bytes(2, "little")
+        with pytest.raises(ContainerFormatError,
+                           match=f"group 0: size {size} out of range") as err:
+            deserialize_bytes(bytes(data))
+        assert err.value.offset == at + 3
+
     def test_non_canonical_rejected(self):
         model = random_model(np.random.default_rng(6), group_size=8)
         # force a duplicate column pair into the first group
@@ -288,6 +301,53 @@ class TestDeserializeErrors:
         with pytest.raises(ContainerFormatError, match="size 2, partition expects 3") as err:
             deserialize_bytes(bytes(data))
         assert err.value.offset == at + 3
+
+
+# containers the loader fuzz tests mutate: two specs, group sizes that do and
+# do not divide the layers' parameter counts
+FUZZ_BLOBS = [
+    serialize_bytes(random_model(np.random.default_rng(seed), spec(), group_size))
+    for seed, (spec, group_size) in enumerate(
+        [(small_spec, 3), (small_spec, 8), (tiny_spec, 11), (tiny_spec, 16)])
+]
+
+
+def assert_rejected_or_round_trips(data: bytes, source: bytes) -> None:
+    """``deserialize_bytes(data)`` raises with an offset inside ``data``, or
+    loads a model that re-serializes to ``data`` byte for byte."""
+    try:
+        model = deserialize_bytes(data)
+    except ContainerFormatError as err:
+        assert err.offset is not None and 0 <= err.offset <= len(data)
+    except ShapeError:
+        # a spec that fails validation: only a changed network descriptor
+        # (which follows the magic and u16 version) can give one
+        end = 6 + len(pack_spec(deserialize_bytes(source).spec))
+        assert data[:end] != source[:end]
+    else:
+        assert serialize_bytes(model) == data
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(blob=st.sampled_from(FUZZ_BLOBS), cut=st.floats(0, 1, exclude_max=True))
+    def test_truncation(self, blob, cut):
+        assert_rejected_or_round_trips(blob[: int(cut * len(blob))], blob)
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=st.sampled_from(FUZZ_BLOBS), at=st.floats(0, 1, exclude_max=True))
+    def test_single_bit_flip(self, blob, at):
+        bit = int(at * 8 * len(blob))
+        data = bytearray(blob)
+        data[bit // 8] ^= 1 << (bit % 8)
+        assert_rejected_or_round_trips(bytes(data), blob)
+
+    @settings(max_examples=200, deadline=None)
+    @given(head=st.sampled_from(FUZZ_BLOBS), tail=st.sampled_from(FUZZ_BLOBS),
+           i=st.floats(0, 1), j=st.floats(0, 1))
+    def test_splice(self, head, tail, i, j):
+        data = head[: int(i * len(head))] + tail[int(j * len(tail)) :]
+        assert_rejected_or_round_trips(data, head)
 
 
 class TestMemoryReport:

@@ -256,16 +256,10 @@ def prune_channel(ql, o: int, fan: int) -> QuantLayer:
                       ql.bits * ~hit, ql.group_size, ql.param_count, ql.layer_index)
 
 
-def has_bias_only_rows(ql, n_out: int, fan: int) -> bool:
-    """Whether a retained bit covers a bias position of a channel none of
-    whose weights are in the same group."""
-    start = np.cumsum(ql.sizes) - ql.sizes
-    for g, (size, bits) in enumerate(zip(ql.sizes, ql.bits)):
-        pos = start[g] + np.arange(size)
-        weights = pos < n_out * fan
-        if bits and not set(pos[~weights] - n_out * fan) <= set(pos[weights] // fan):
-            return True
-    return False
+def grid_rows(plan, n_out: int) -> np.ndarray:
+    """(windows, K, outputs): whether each row of the plan's grid is non-zero."""
+    windows, rows, _ = plan.M.shape
+    return (plan.M != 0).any(axis=2).reshape(windows, rows // n_out, n_out)
 
 
 class TestLayerPlan:
@@ -275,49 +269,52 @@ class TestLayerPlan:
             model = random_model(rng, spec)
             for ql, mem in zip(model.layers, memory_report(model).rows):
                 n_out, fan = layer_geometry(model, ql)
-                w_total = n_out * fan
+                w_total, n = n_out * fan, ql.group_size
                 plan = layer_plan(ql, n_out, fan)
                 groups = groups_of(ql)
                 offsets = np.cumsum([0] + [b.shape[0] for b, _ in groups])
-                rows = bias_bits = 0
+                segments = bias_bits = 0
                 for (bases, _), off in zip(groups, offsets):
                     size, bitwidth = bases.shape
                     pos = np.arange(off, off + size)
-                    rows += np.unique(pos[pos < w_total] // fan).size * bitwidth
+                    segments += np.unique(pos[pos < w_total] // fan).size * bitwidth
                     bias_bits += np.count_nonzero(pos >= w_total) * bitwidth
-                slots = plan.coords.shape[1]
-                assert plan.M.shape == (rows, fan)
-                assert plan.coords.shape[0] == n_out
-                # a channel has as many slots as the largest channel has rows
-                assert slots == (np.bincount(plan.dest // slots).max() if rows else 0)
+                windows, rows, width = plan.M.shape
+                left = 0 if fan % n == 0 else n
+                assert rows == n_out * ql.bits.max(initial=0)
+                assert width == n + left
+                assert windows <= -(-fan // n) + 1
+                assert plan.coords.shape == (n_out, windows * (rows // n_out))
                 assert np.isin(plan.M, (-1, 0, 1)).all()
                 assert np.count_nonzero(plan.M) == mem.base_bits - bias_bits
-                # every slot holds one row or is padding, and padding is 0
-                np.testing.assert_array_equal(
-                    np.sort(np.concatenate([plan.dest, plan.pad])), np.arange(n_out * slots))
-                assert (plan.coords.ravel()[plan.pad] == 0).all()
+                # one non-zero row per segment and retained bit
+                used = grid_rows(plan, n_out)
+                assert np.count_nonzero(used) == segments
+                # coords[o, s*K + k] belongs to row k*outputs + o of window s,
+                # and is 0 wherever that row is all zero
+                row_coords = plan.coords.reshape(n_out, windows, -1).transpose(1, 2, 0)
+                assert (row_coords[~used] == 0).all()
                 # the bias is each channel's reduction of its bias position
                 dequantized = np.concatenate([ref_reconstruct(*g) for g in groups])
                 np.testing.assert_allclose(plan.bias, dequantized[w_total:], rtol=0,
                                            atol=1e-12)
-                # each row holds one sign column of one group, restricted to
-                # the weights of the output channel its slot lies in, and the
-                # slot's coordinate is that column's
-                for r in range(rows):
-                    o, coord = plan.dest[r] // slots, plan.coords.ravel()[plan.dest[r]]
-                    cols = np.flatnonzero(plan.M[r])
+                # a non-zero row lies inside its window and holds one sign
+                # column of channel o's s-th group segment, the whole segment,
+                # with that column's coordinate
+                for s, k, o in zip(*np.nonzero(used)):
+                    c = np.flatnonzero(plan.M[s, k * n_out + o])
+                    cols = s * n - left + c
+                    assert cols.min() >= 0 and cols.max() < fan
                     pos = o * fan + cols
                     gi = np.searchsorted(offsets, pos, side="right") - 1
-                    assert (gi == gi[0]).all()
+                    assert (gi == gi[0]).all() and gi[0] - o * fan // n == s
                     bases, coords = groups[gi[0]]
-                    ks = np.flatnonzero(coords == coord)
-                    local = pos - offsets[gi[0]]
-                    assert any(np.array_equal(bases[local, k], plan.M[r, cols]) for k in ks)
-                # the rows of a window start at its column and fit its width
-                for lo, r0, r1 in plan.windows:
-                    nz = plan.M[r0:r1] != 0
-                    assert (nz.argmax(axis=1) == lo).all()
-                    assert not nz[:, lo + plan.width:].any()
+                    in_group = np.arange(offsets[gi[0]], offsets[gi[0] + 1])
+                    np.testing.assert_array_equal(
+                        pos, in_group[(in_group >= o * fan) & (in_group < (o + 1) * fan)])
+                    np.testing.assert_array_equal(plan.M[s, k * n_out + o, c],
+                                                  bases[pos - offsets[gi[0]], k])
+                    assert row_coords[s, k, o] == coords[k]
 
     @pytest.mark.parametrize("group_size", [None, 11])
     def test_matches_dense_scatter_oracle(self, group_size):
@@ -331,9 +328,11 @@ class TestLayerPlan:
                 variants = [ql, prune_channel(ql, int(rng.integers(n_out)), fan)]
                 for layer in variants:
                     plan = layer_plan(layer, n_out, fan)
-                    bias_only += has_bias_only_rows(layer, n_out, fan)
-                    channel = plan.dest // max(plan.coords.shape[1], 1)
-                    empty_channels += np.count_nonzero(np.bincount(channel, minlength=n_out) == 0)
+                    # channels with no grid row, and those of them whose
+                    # output is their bias alone
+                    empty = ~grid_rows(plan, n_out).any(axis=(0, 1))
+                    empty_channels += np.count_nonzero(empty)
+                    bias_only += np.count_nonzero(empty & (plan.bias != 0))
                     y = plan.apply(x)
                     np.testing.assert_allclose(y, dense_scatter_apply(layer, n_out, fan, x),
                                                rtol=0, atol=1e-12)
@@ -344,12 +343,43 @@ class TestLayerPlan:
         ql = empty_layer(model.layers[0])
         n_out, fan = layer_geometry(model, ql)
         plan = layer_plan(ql, n_out, fan)
-        assert plan.M.shape == (0, fan)
+        assert plan.M.shape[1] == 0
         assert plan.coords.shape == (n_out, 0)
-        assert plan.pad.size == 0
         np.testing.assert_array_equal(plan.bias, np.zeros(n_out))
         y = plan.apply(np.random.default_rng(0).normal(size=(3, fan, 5)))
         np.testing.assert_array_equal(y, np.zeros((3, n_out, 5)))
+
+
+class DenseScatterPlan:
+    """A layer plan whose ``apply`` is the dense-scatter oracle."""
+
+    def __init__(self, ql, n_out, fan):
+        self.ql, self.n_out, self.fan = ql, n_out, fan
+
+    def apply(self, x):
+        x = x.reshape(x.shape[0], self.fan, x.shape[-1])
+        return dense_scatter_apply(self.ql, self.n_out, self.fan, x)
+
+
+class TestGridWindows:
+    # the default network's layers have fans 16, 96, 108, 224, 320, 192, 192,
+    # 216 and 64; group size 11 divides none of them
+    @pytest.mark.parametrize("group_size", [16, 11])
+    def test_window_count_bounded(self, group_size):
+        model = uniform_baseline(init_params(default_ecgnet_spec(), 14), 2, group_size)
+        for ql in model.layers:
+            n_out, fan = layer_geometry(model, ql)
+            windows = layer_plan(ql, n_out, fan).M.shape[0]
+            assert windows <= -(-fan // group_size) + 1
+
+    def test_group_11_logits_match_dense_scatter_oracle(self):
+        model = uniform_baseline(init_params(default_ecgnet_spec(), 14), 2, 11)
+        record = np.random.default_rng(16).normal(size=3600)
+        oracle = QuantExecutor(model)
+        oracle.plans = {ql.layer_index: DenseScatterPlan(ql, *layer_geometry(model, ql))
+                        for ql in model.layers}
+        np.testing.assert_allclose(QuantExecutor(model).logits([record]),
+                                   oracle.logits([record]), rtol=0, atol=1e-12)
 
 
 class TestPlanCache:

@@ -25,7 +25,7 @@ container size are reported separately. 1 KB = 1024 bytes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 from . import net as _net
 from .errors import ContainerFormatError
 from .net import NetworkSpec
-from .quantizer import ENUM_BITWIDTH_LIMIT, ModelMeta, QuantLayer, QuantModel
+from .quantizer import ENUM_BITWIDTH_LIMIT, ModelMeta, QuantLayer, QuantModel, row_keys
 
 MAGIC = b"ALQQ"
 VERSION = 1
@@ -136,9 +136,12 @@ def _unpack_groups(data: bytes, records, layer_index: int, group_size: int):
     retained = k < bits[:, None]
     col_bytes = (size + 7) // 8
     buf = np.frombuffer(data, dtype=np.uint8)
-    coords = np.zeros(retained.shape)
     coord_at = (start[:, None] + 4 * k)[retained][:, None] + np.arange(4)
-    coords[retained] = buf[coord_at].view("<f4")[:, 0]
+    raw = buf[coord_at].view("<f4")[:, 0]
+    # checked on the f32 values: the f64 cast warns on a signalling NaN
+    finite = np.isfinite(raw)
+    coords = np.zeros(retained.shape)
+    coords[retained] = np.where(finite, raw, 0)
     col_at = (start + 4 * bits)[:, None] + k * col_bytes[:, None]
     j = np.arange((group_size + 7) // 8)
     in_column = retained[:, :, None] & (j < col_bytes[:, None, None])
@@ -148,11 +151,12 @@ def _unpack_groups(data: bytes, records, layer_index: int, group_size: int):
     in_group = np.arange(plane.shape[2]) < size[:, None, None]
 
     g, c = np.nonzero(retained)
-    distinct = np.unique(np.column_stack([g, packed[g, c]]), axis=0)[:, 0]
+    _, first = np.unique(row_keys(g, packed[g, c]), return_index=True)
+    distinct = g[first]
     pad_bits = (plane & ~in_group).any(axis=2)
     faults = np.stack([
         pad_bits.any(axis=1),
-        ~np.isfinite(coords).all(axis=1),
+        np.bincount(g[~finite], minlength=len(bits)) > 0,
         ((coords <= 0) & retained).any(axis=1),
         (np.diff(coords, axis=1) > 0).any(axis=1),
         np.bincount(distinct, minlength=len(bits)) < bits,
@@ -185,21 +189,18 @@ def deserialize_bytes(data: bytes) -> QuantModel:
     if group_size < 1:
         raise ContainerFormatError("group size must be >= 1", reader.offset)
 
-    counts = dict(zip(
-        (i for i, _ in _net.parameterized_layers(spec)),
-        (c for _, c in _net.param_counts(spec)[0]),
-    ))
     layers = []
-    for layer_index, name in _net.parameterized_layers(spec):
+    for (layer_index, name), (_, count) in zip(_net.parameterized_layers(spec),
+                                               _net.param_counts(spec)[0]):
         reader.at_context(name)
         records = _scan_groups(reader, layer_index, group_size)
         layer = QuantLayer(*_unpack_groups(data, records, layer_index, group_size),
-                           group_size, counts[layer_index], layer_index)
+                           group_size, count, layer_index)
         size = np.array([r[1] for r in records], dtype=np.int64)
-        if size.sum() != counts[layer_index]:
+        if size.sum() != count:
             raise ContainerFormatError(
                 f"layer {layer_index}: groups cover {size.sum()} values, "
-                f"spec expects {counts[layer_index]}",
+                f"spec expects {count}",
                 reader.offset,
             )
         off = np.flatnonzero(size != layer.sizes)
@@ -244,25 +245,11 @@ class MemoryReport:
     container_bits: int | None = None
 
     def to_json_dict(self) -> dict:
-        rate = self.compression_rate
-        return {
-            "layers": [
-                {
-                    "name": r.name,
-                    "avg_bitwidth": r.avg_bitwidth,
-                    "params": r.params,
-                    "base_bits": r.base_bits,
-                }
-                for r in self.rows
-            ],
-            "total_params": self.total_params,
-            "total_base_bits": self.total_base_bits,
-            "total_avg_bitwidth": self.total_avg_bitwidth,
-            "total_kb": self.total_kb,
-            "compression_rate": None if not np.isfinite(rate) else rate,
-            "coord_overhead_bits": self.coord_overhead_bits,
-            "container_bits": self.container_bits,
-        }
+        out = asdict(self)
+        out["layers"] = out.pop("rows")
+        if not np.isfinite(self.compression_rate):
+            out["compression_rate"] = None
+        return out
 
     def format_table(self) -> str:
         lines = [f"{'Layer':<10} {'Average Bitwidth':>16} {'Params':>8} {'Memory':>12}"]

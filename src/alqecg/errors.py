@@ -9,8 +9,16 @@ class EmptyDatasetError(ValueError):
     """A dataset file contains no records."""
 
 
-class ShapeError(ValueError):
-    """A layer configuration produces an impossible tensor shape."""
+class _OffsetError(ValueError):
+    def __init__(self, message: str, offset: int | None = None):
+        if offset is not None:
+            message = f"{message} at offset {offset}"
+        super().__init__(message)
+        self.offset = offset
+
+
+class ShapeError(_OffsetError):
+    """An impossible layer shape; loaders give the descriptor's byte offset."""
 
 
 class ConfigError(ValueError):
@@ -25,11 +33,5 @@ class NumericError(RuntimeError):
     """A forward pass produced non-finite intermediate values."""
 
 
-class ContainerFormatError(ValueError):
+class ContainerFormatError(_OffsetError):
     """A binary container is malformed; carries the offending byte offset."""
-
-    def __init__(self, message: str, offset: int | None = None):
-        if offset is not None:
-            message = f"{message} at offset {offset}"
-        super().__init__(message)
-        self.offset = offset

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,16 +89,10 @@ class MetricsReport:
 
     def to_json_dict(self) -> dict:
         clean = lambda v: None if v is None or not np.isfinite(v) else float(v)
-        return {
-            "oa": self.oa,
-            "spe": self.spe,
-            "sen": self.sen,
-            "per_class_sensitivity": [clean(v) for v in self.per_class_sensitivity],
-            "per_class_specificity": [clean(v) for v in self.per_class_specificity],
-            "n": self.n,
-            "excluded_classes": self.excluded_classes,
-            "oa_ovr_sum": self.oa_ovr_sum,
-        }
+        out = asdict(self)
+        for key in ("per_class_sensitivity", "per_class_specificity"):
+            out[key] = [clean(v) for v in out[key]]
+        return out
 
 
 def metrics(cm: ConfusionMatrix) -> MetricsReport:
@@ -187,7 +181,7 @@ def sweep(
         raise ShapeError("rates must be ascending and within [0, 1)")
     initial = init_layers(network, config.group_size, config.i_max)
     batch = calib_subset(calib, config)
-    scores = score_coordinates(
+    scores, _ = score_coordinates(
         initial, network, batch, config.scorer, config.curvature_weight
     )
 

@@ -128,6 +128,8 @@ def validate_spec(spec: NetworkSpec) -> None:
     for i, layer in enumerate(spec.layers):
         if layer.kind == POOL and layer.padding:
             raise ShapeError(f"layer {i}: pool padding is not supported")
+        if not 0.0 <= layer.dropout_rate < 1.0:  # NaN too: it would not re-save
+            raise ShapeError(f"layer {i}: dropout rate {layer.dropout_rate} not in [0, 1)")
     shapes = propagate_shapes(spec)
     if not spec.layers or spec.layers[-1].kind != SOFTMAX_DENSE:
         raise ShapeError("final layer must be a softmax-dense classifier head")
@@ -429,23 +431,26 @@ def logits_batch(network: Network, records) -> np.ndarray:
     return _forward_batch(network, _as_batch(network.spec, records))
 
 
+def _cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of (B, classes) logits, and the class probabilities."""
+    logp = _log_softmax(logits)
+    return float(-logp[np.arange(len(labels)), labels].mean()), np.exp(logp)
+
+
 def batch_loss(network: Network, records, labels) -> float:
     """Mean cross-entropy of the inference-mode forward pass."""
-    logp = _log_softmax(logits_batch(network, records))
-    labels = np.asarray(labels)
-    return float(-logp[np.arange(len(labels)), labels].mean())
+    return _cross_entropy(logits_batch(network, records), np.asarray(labels))[0]
 
 
-def loss_gradients(network: Network, records, labels) -> list[np.ndarray | None]:
-    """Flattened mean-cross-entropy gradient per parameterized layer (no dropout)."""
+def loss_gradients(network: Network, records, labels) -> tuple[float, list[np.ndarray | None]]:
+    """(mean cross-entropy, flattened gradient per parameterized layer), no
+    dropout, from one forward pass; the loss equals ``batch_loss``'s bitwise."""
     caches: list[dict] = []
+    labels = np.asarray(labels)
     logits = _forward_batch(network, _as_batch(network.spec, records), caches=caches)
-    probs = np.exp(_log_softmax(logits))
-    grads = _backward_batch(network, caches, probs, np.asarray(labels))
-    out: list[np.ndarray | None] = []
-    for g in grads:
-        out.append(None if g is None else np.concatenate([g[0].ravel(), g[1]]))
-    return out
+    loss, probs = _cross_entropy(logits, labels)
+    grads = _backward_batch(network, caches, probs, labels)
+    return loss, [None if g is None else np.concatenate([g[0].ravel(), g[1]]) for g in grads]
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +556,7 @@ class ByteReader:
         self.context = context
 
     def take(self, fmt: str, what: str):
-        size = struct.calcsize(fmt)
-        if self.offset + size > len(self.data):
-            prefix = f"{self.context}: " if self.context else ""
-            raise ContainerFormatError(f"{prefix}truncated {what}", self.offset)
-        values = struct.unpack_from(fmt, self.data, self.offset)
-        self.offset += size
+        values = struct.unpack(fmt, self.take_bytes(struct.calcsize(fmt), what))
         return values if len(values) > 1 else values[0]
 
     def take_bytes(self, size: int, what: str) -> bytes:
@@ -599,8 +599,9 @@ def pack_spec(spec: NetworkSpec) -> bytes:
 
 
 def unpack_spec(reader: ByteReader) -> NetworkSpec:
-    """The network descriptor at the reader; raises ShapeError for a spec
-    that ``validate_spec`` rejects."""
+    """The network descriptor at the reader; raises ShapeError, at the
+    descriptor's start, for a spec that ``validate_spec`` rejects."""
+    descriptor = reader.offset
     n_layers, input_length, input_channels, class_count = reader.take(
         "<HHHH", "network descriptor"
     )
@@ -619,7 +620,10 @@ def unpack_spec(reader: ByteReader) -> NetworkSpec:
                       _ACT_NAMES[act], float(drop))
         )
     spec = NetworkSpec(layers, input_length, input_channels, class_count)
-    validate_spec(spec)
+    try:
+        validate_spec(spec)
+    except ShapeError as err:
+        raise ShapeError(str(err), descriptor) from None
     return spec
 
 
@@ -648,10 +652,11 @@ def load_checkpoint(path) -> Network:
         count = int(np.prod(w_shape)) + int(np.prod(b_shape))
         start = reader.offset
         raw = reader.at_context(name).take_bytes(count * 4, "parameter block")
-        flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        flat = np.frombuffer(raw, dtype="<f4")
+        # checked on the f32 values: the f64 cast warns on a signalling NaN
         if not np.all(np.isfinite(flat)):
             raise ContainerFormatError(f"{name}: non-finite parameter", start)
-        params[idx] = unflatten_params(spec, idx, flat)
+        params[idx] = unflatten_params(spec, idx, flat.astype(np.float64))
     if reader.offset != len(data):
         raise ContainerFormatError("trailing bytes", reader.offset)
     return Network(spec, params)

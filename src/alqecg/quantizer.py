@@ -158,6 +158,11 @@ class AlqConfig:
         if self.calib_batch < 1:
             raise ConfigError("calib_batch must be >= 1")
 
+    @property
+    def prunes(self) -> bool:
+        """Whether the pruning target removes anything."""
+        return self.target_avg_bitwidth is not None or bool(self.prune_rate)
+
     def to_dict(self) -> dict:
         prune: dict = {}
         if self.prune_rate is not None:
@@ -181,10 +186,7 @@ class AlqConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AlqConfig":
-        known = {
-            "group_size", "i_max", "prune", "scorer", "refine_iters",
-            "calib_batch", "seed", "curvature_weight",
-        }
+        known = set(cls().to_dict())
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -234,6 +236,13 @@ def _batches(sizes: np.ndarray, bits: np.ndarray):
             yield np.flatnonzero((sizes == m) & (bits == b)), int(m), int(b)
 
 
+def row_keys(group: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """One void key per (group >= 0, uint8 row): the group's big-endian int64
+    bytes, then the row, so keys sort like the (group, row) rows do."""
+    table = np.concatenate([group.astype(">i8")[:, None].view(np.uint8), rows], axis=1)
+    return table.view(f"V{table.shape[1]}")[:, 0]
+
+
 def canonicalize(signs: np.ndarray, coords: np.ndarray):
     """Canonical decompositions of a batch of groups without changing B @ a.
 
@@ -243,6 +252,7 @@ def canonicalize(signs: np.ndarray, coords: np.ndarray):
     COORD_EPS are dropped, and the result is sorted by descending coordinate
     (column bytes break exact ties). Returns (signs, coords, bits) zero-padded
     to the input's k columns.
+    Duplicates are found with one ``row_keys`` key per column.
     """
     signs = np.asarray(signs, dtype=np.int8)
     coords = np.asarray(coords, dtype=np.float64)
@@ -251,20 +261,21 @@ def canonicalize(signs: np.ndarray, coords: np.ndarray):
     signs = np.where(neg[:, None, :], -signs, signs)
     coords = np.where(neg, -coords, coords)
     group, col = np.nonzero(coords > COORD_EPS)
-    # rows of (group, column bytes) in column order; sorted unique rows
-    # order each group's distinct columns by their bytes (+1 before -1)
-    keys = np.column_stack([group, signs[group, :, col] < 0]).astype(np.int64)
-    uniq, ids = np.unique(keys, axis=0, return_inverse=True)
-    merged = np.zeros(len(uniq))
-    np.add.at(merged, ids.reshape(-1), coords[group, col])
+    # sorted unique keys order each group's distinct columns by their bytes
+    # (+1 before -1)
+    minus = signs[group, :, col] < 0
+    _, first, ids = np.unique(row_keys(group, np.packbits(minus, axis=1)),
+                              return_index=True, return_inverse=True)
+    merged = np.zeros(len(first))
+    np.add.at(merged, ids, coords[group, col])
     kept = np.flatnonzero(merged > COORD_EPS)
-    kept = kept[np.lexsort((kept, -merged[kept], uniq[kept, 0]))]
-    out_group = uniq[kept, 0]
+    kept = kept[np.lexsort((kept, -merged[kept], group[first[kept]]))]
+    out_group = group[first[kept]]
     bits = np.bincount(out_group, minlength=n_groups)
     pos = np.arange(kept.size) - (np.cumsum(bits) - bits)[out_group]
     out_signs = np.zeros_like(signs)
     out_coords = np.zeros_like(coords)
-    out_signs[out_group, :, pos] = 1 - 2 * uniq[kept, 1:]
+    out_signs[out_group, :, pos] = 1 - 2 * minus[first[kept]]
     out_coords[out_group, pos] = merged[kept]
     return out_signs, out_coords, bits
 
@@ -431,11 +442,13 @@ def score_coordinates(
     calib,
     mode: str,
     curvature_weight: float = 1.0,
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], float | None]:
     """Significance score for every retained coordinate (lower = prune first).
 
     Returns one array per layer, shaped like its ``coords``, NaN past each
-    group's bitwidth.
+    group's bitwidth, and the mean cross-entropy of the calibration forward
+    pass that the loss-aware gradient came from (None for magnitude). That
+    loss equals ``calib_loss`` of the layers on ``calib`` bit for bit.
 
     magnitude: a * sqrt(group size), the norm of the removed contribution.
     loss_aware: |g . (a * column)| + curvature_weight/2 * a^2 * group size,
@@ -446,11 +459,12 @@ def score_coordinates(
     if mode not in ("magnitude", "loss_aware"):
         raise ConfigError(f"unknown scorer {mode!r}")
     grads: dict[int, np.ndarray] = {}
+    loss: float | None = None
     if mode == "loss_aware":
         if calib is None or len(calib.records) == 0:
             raise ConfigError("loss_aware scoring requires a calibration set")
         deq = dequantized_network(network.spec, qlayers)
-        flat_grads = _net.loss_gradients(deq, calib.records, calib.labels())
+        loss, flat_grads = _net.loss_gradients(deq, calib.records, calib.labels())
         grads = {i: g for i, g in enumerate(flat_grads) if g is not None}
 
     scores = []
@@ -469,7 +483,7 @@ def score_coordinates(
                 dots[idx, :b] = (cols.reshape(-1, 1, m) @ g_rows).reshape(len(idx), b)
             s = a * np.abs(dots) + 0.5 * curvature_weight * a * a * sizes
         scores.append(np.where(_retained(ql), s, np.nan))
-    return scores
+    return scores, loss
 
 
 def prune_coordinates(
@@ -616,6 +630,8 @@ def alq_pipeline(network: Network, calib, config: AlqConfig) -> tuple[QuantModel
     ``calib`` supplies the calibration records for loss-aware scoring and for
     the loss figures in the report; it may be None when the scorer is
     magnitude-based or no pruning is requested (losses are then omitted).
+    The loss-aware scorer's forward pass also gives ``calib_loss_init``, so
+    that path runs three calibration forwards: score, pruned and final.
     """
     qlayers = init_layers(network, config.group_size, config.i_max)
     batch = calib_subset(calib, config)
@@ -628,24 +644,21 @@ def alq_pipeline(network: Network, calib, config: AlqConfig) -> tuple[QuantModel
         for ql in qlayers
     }
     avg_init = model_avg_bitwidth(qlayers)
-    loss_init = calib_loss(network.spec, qlayers, batch)
 
-    want_prune = (
-        config.target_avg_bitwidth is not None
-        or (config.prune_rate is not None and config.prune_rate > 0)
-    )
     coords_before = total_coords(qlayers)
-    if want_prune:
-        scores = score_coordinates(
+    loss_init = None
+    if config.prunes:
+        scores, loss_init = score_coordinates(
             qlayers, network, batch, config.scorer, config.curvature_weight
         )
-        qlayers = prune_coordinates(
-            qlayers, scores,
-            rate=config.prune_rate,
-            target_avg_bitwidth=config.target_avg_bitwidth,
-        )
+    if loss_init is None:  # no loss-aware forward ran
+        loss_init = calib_loss(network.spec, qlayers, batch)
+    loss_pruned = loss_init
+    if config.prunes:
+        qlayers = prune_coordinates(qlayers, scores, rate=config.prune_rate,
+                                    target_avg_bitwidth=config.target_avg_bitwidth)
+        loss_pruned = calib_loss(network.spec, qlayers, batch)
     avg_pruned = model_avg_bitwidth(qlayers)
-    loss_pruned = calib_loss(network.spec, qlayers, batch) if want_prune else loss_init
     for ql in qlayers:
         stats[ql.layer_index].bitwidth_pruned = average_bitwidth(ql)[1]
 

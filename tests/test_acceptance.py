@@ -139,7 +139,7 @@ def test_criterion_03_quantizer_oracles():
     calib = toy_calib()
     counts_total = sum(ql.param_count for ql in qlayers)
     assert counts_total <= 50
-    scores = score_coordinates(qlayers, network, calib, "loss_aware")
+    scores, _ = score_coordinates(qlayers, network, calib, "loss_aware")
     ranked = ranked_coordinates(qlayers, scores)
     predicted = ranked[0][2:]
     base = _net.batch_loss(

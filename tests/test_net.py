@@ -1,7 +1,12 @@
+import tempfile
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alqecg import net as _net
 from alqecg.data import Dataset, EcgRecord, RECORD_SAMPLES, synth_generate, normalize_dataset
@@ -231,12 +236,20 @@ class TestGradients:
         monkeypatch.setattr(_net, "_conv_input_grad", spy)
         network = init_params(default_ecgnet_spec(), 0)
         rng = np.random.default_rng(2)
-        grads = _net.loss_gradients(network, [rng.normal(size=RECORD_SAMPLES)], [3])
+        _, grads = _net.loss_gradients(network, [rng.normal(size=RECORD_SAMPLES)], [3])
         # conv 2..7 pass their gradient down; conv 1's input gradient is unused
         assert len(calls) == 6
         assert calls[-1][1] == 12
         assert grads[0].shape == (136,) and np.all(np.isfinite(grads[0]))
 
+
+    def test_loss_is_batch_loss(self):
+        network = init_params(tiny_spec(), 12)
+        rng = np.random.default_rng(5)
+        records = [rng.normal(size=8) for _ in range(7)]
+        labels = [0, 1, 2, 2, 1, 0, 1]
+        loss, _ = _net.loss_gradients(network, records, labels)
+        assert loss == _net.batch_loss(network, records, labels)
 
     def test_matches_central_differences(self):
         spec = tiny_spec()
@@ -246,7 +259,7 @@ class TestGradients:
         rng = np.random.default_rng(4)
         records = [rng.normal(size=8) for _ in range(6)]
         labels = np.array([0, 1, 2, 0, 1, 2])
-        grads = _net.loss_gradients(network, records, labels)
+        _, grads = _net.loss_gradients(network, records, labels)
 
         step = 1e-4
         for idx, _name in parameterized_layers(spec):
@@ -430,13 +443,16 @@ class TestCheckpoint:
         # blocks follow magic, version, the 8-byte header and 14-byte descriptors
         rows, _ = param_counts(spec)
         block = 6 + 8 + 14 * len(spec.layers) + 4 * rows[0][1]
-        for bad in (np.nan, np.inf):
+        # quiet NaN, infinity and a signalling NaN, which must not warn
+        for bad in (0x7FC00000, 0x7F800000, 0x7FA00000):
             blob = bytearray(path.read_bytes())
             at = block + 4 * 5  # sixth value of the second block
-            blob[at : at + 4] = np.float32(bad).tobytes()
+            blob[at : at + 4] = bad.to_bytes(4, "little")
             path.write_bytes(bytes(blob))
-            with pytest.raises(ContainerFormatError, match="Dense: non-finite") as err:
-                load_checkpoint(path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ContainerFormatError, match="Dense: non-finite") as err:
+                    load_checkpoint(path)
             assert err.value.offset == block
 
     @pytest.mark.parametrize("spec, match", [
@@ -444,12 +460,18 @@ class TestCheckpoint:
                      input_length=8, input_channels=1, class_count=3),
          "softmax-dense classifier head"),
         (replace(tiny_spec(3), class_count=4), "outputs 3 values, expected 4"),
+        *[(NetworkSpec([flatten(), dense(3, dropout_rate=rate), softmax_dense(3)],
+                       input_length=4, input_channels=1, class_count=3),
+           r"layer 1: dropout rate .* not in \[0, 1\)")
+          for rate in (float("nan"), 1.0, -0.5)],
     ])
     def test_invalid_spec_rejected_at_load(self, tmp_path, spec, match):
         path = tmp_path / "m.alqf"
         save_checkpoint(init_params(spec, 0), path)
-        with pytest.raises(ShapeError, match=match):
+        with pytest.raises(ShapeError, match=match) as err:
             load_checkpoint(path)
+        # the descriptor follows the magic and u16 version
+        assert err.value.offset == 6
 
     def test_pool_padding_rejected_at_descriptor_offset(self, tmp_path):
         path = tmp_path / "m.alqf"
@@ -460,3 +482,59 @@ class TestCheckpoint:
         with pytest.raises(ContainerFormatError, match="pool padding") as err:
             load_checkpoint(path)
         assert err.value.offset == at
+
+
+def checkpoint_bytes(network: Network) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.alqf"
+        save_checkpoint(network, path)
+        return path.read_bytes()
+
+
+# checkpoints the loader fuzz tests mutate: conv, pool, dense and classifier
+# layers, strided and padded
+FUZZ_CHECKPOINTS = [
+    checkpoint_bytes(init_params(spec, seed)) for seed, spec in enumerate([
+        tiny_spec(),
+        tiny_spec(5),
+        NetworkSpec([conv(4, 3, stride=2, padding=2), pool(3, 2), conv(2, 2),
+                     flatten(), dense(3, dropout_rate=0.5), softmax_dense(2)],
+                    input_length=20, input_channels=2, class_count=2),
+    ])
+]
+
+
+def assert_checkpoint_rejected_or_round_trips(data: bytes) -> None:
+    """``load_checkpoint`` of ``data`` raises with an offset inside it, or
+    loads a network that ``save_checkpoint`` writes back as ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.alqf"
+        path.write_bytes(data)
+        try:
+            network = load_checkpoint(path)
+        except (ContainerFormatError, ShapeError) as err:
+            assert err.offset is not None and 0 <= err.offset <= len(data)
+        else:
+            assert checkpoint_bytes(network) == data
+
+
+class TestCheckpointLoaderFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(blob=st.sampled_from(FUZZ_CHECKPOINTS), cut=st.floats(0, 1, exclude_max=True))
+    def test_truncation(self, blob, cut):
+        assert_checkpoint_rejected_or_round_trips(blob[: int(cut * len(blob))])
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=st.sampled_from(FUZZ_CHECKPOINTS), at=st.floats(0, 1, exclude_max=True))
+    def test_single_bit_flip(self, blob, at):
+        bit = int(at * 8 * len(blob))
+        data = bytearray(blob)
+        data[bit // 8] ^= 1 << (bit % 8)
+        assert_checkpoint_rejected_or_round_trips(bytes(data))
+
+    @settings(max_examples=150, deadline=None)
+    @given(head=st.sampled_from(FUZZ_CHECKPOINTS), tail=st.sampled_from(FUZZ_CHECKPOINTS),
+           i=st.floats(0, 1), j=st.floats(0, 1))
+    def test_splice(self, head, tail, i, j):
+        assert_checkpoint_rejected_or_round_trips(
+            head[: int(i * len(head))] + tail[int(j * len(tail)) :])

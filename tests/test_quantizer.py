@@ -18,15 +18,19 @@ from alqecg.quantizer import (
     QuantLayer,
     alq_pipeline,
     average_bitwidth,
+    calib_loss,
+    calib_subset,
     canonicalize,
     dequantized_network,
     init_decompose,
+    init_layers,
     layer_i_max,
     model_avg_bitwidth,
     optimize_bases,
     optimize_coords,
     partition_groups,
     prune_coordinates,
+    row_keys,
     score_coordinates,
     total_coords,
     uniform_baseline,
@@ -134,6 +138,32 @@ def ref_canonicalize(bases, coords):
     order = sorted(range(len(keys)),
                    key=lambda i: (-out_coords[i], out_bases[:, i].tobytes()))
     return out_bases[:, order], out_coords[order]
+
+
+def row_unique_canonicalize(signs, coords):
+    """The batched canonicalize as it was before the 1-D merge key: distinct
+    columns come from ``np.unique(axis=0)`` over (group, sign < 0 ...) rows."""
+    signs = np.asarray(signs, dtype=np.int8)
+    coords = np.asarray(coords, dtype=np.float64)
+    n_groups = len(signs)
+    neg = coords < 0
+    signs = np.where(neg[:, None, :], -signs, signs)
+    coords = np.where(neg, -coords, coords)
+    group, col = np.nonzero(coords > COORD_EPS)
+    keys = np.column_stack([group, signs[group, :, col] < 0]).astype(np.int64)
+    uniq, ids = np.unique(keys, axis=0, return_inverse=True)
+    merged = np.zeros(len(uniq))
+    np.add.at(merged, ids.reshape(-1), coords[group, col])
+    kept = np.flatnonzero(merged > COORD_EPS)
+    kept = kept[np.lexsort((kept, -merged[kept], uniq[kept, 0]))]
+    out_group = uniq[kept, 0]
+    bits = np.bincount(out_group, minlength=n_groups)
+    pos = np.arange(kept.size) - (np.cumsum(bits) - bits)[out_group]
+    out_signs = np.zeros_like(signs)
+    out_coords = np.zeros_like(coords)
+    out_signs[out_group, :, pos] = 1 - 2 * uniq[kept, 1:]
+    out_coords[out_group, pos] = merged[kept]
+    return out_signs, out_coords, bits
 
 
 def ref_init_decompose(w, i_max):
@@ -454,6 +484,41 @@ class TestBatchedMatchesPerGroupReference:
                 assert out_coords[g, : bits[g]].tobytes() == want_c.tobytes()
                 assert not out_coords[g, bits[g] :].any()
 
+    @pytest.mark.parametrize("size", [9, 17, 33])
+    def test_canonicalize_key_across_bytes(self, size):
+        # sizes whose packed columns end in pad bits, and more than 256 groups
+        # so that the group's higher key bytes take part in the order
+        rng = np.random.default_rng(size)
+        n_groups, k = 700, 6
+        pool = rng.choice(np.array([-1, 1], dtype=np.int8), size=(4, size))
+        # columns that differ only in their last row, past the first byte
+        pool[1] = pool[0]
+        pool[1, -1] = -pool[0, -1]
+        signs = pool[rng.integers(0, 4, size=(n_groups, k))].transpose(0, 2, 1)
+        coords = rng.choice([-1.0, 1.0], size=(n_groups, k)) * rng.uniform(
+            0.01, 2, size=(n_groups, k))
+        coords[rng.random((n_groups, k)) < 0.15] = 0.0
+        coords[:, -1] = coords[:, 0]  # exact ties, broken by column bytes
+        got = canonicalize(signs, coords)
+        want = row_unique_canonicalize(signs, coords)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        out_signs, out_coords, bits = got
+        for g in range(n_groups):
+            want_b, want_c = ref_canonicalize(signs[g], coords[g])
+            assert np.array_equal(out_signs[g, :, : bits[g]], want_b)
+            assert out_coords[g, : bits[g]].tobytes() == want_c.tobytes()
+
+    def test_row_keys_sort_like_rows(self):
+        rng = np.random.default_rng(37)
+        group = rng.integers(0, 70000, size=3000)
+        group[:1000] = group[1000:2000]  # equal groups, so the rows decide
+        rows = rng.integers(0, 256, size=(3000, 3), dtype=np.uint8)
+        rows[::3, 1:] = rows[1::3, 1:]
+        order = np.argsort(row_keys(group, rows), kind="stable")
+        want = np.lexsort((*rows.T[::-1], group))
+        assert np.array_equal(order, want)
+
     def test_init_decompose(self):
         rng = np.random.default_rng(32)
         for _ in range(100):
@@ -500,12 +565,12 @@ class TestBatchedMatchesPerGroupReference:
         network = init_params(tiny_spec(), 35)
         qlayers = uniform_baseline(network, 3, group_size).layers
         qlayers = prune_coordinates(
-            qlayers, score_coordinates(qlayers, None, None, "magnitude"), rate=0.4)
+            qlayers, score_coordinates(qlayers, None, None, "magnitude")[0], rate=0.4)
         calib = Dataset([_Rec(rng.normal(size=8), int(rng.integers(0, 3)))
                          for _ in range(12)], class_count=3)
         deq = dequantized_network(network.spec, qlayers)
-        grads = _net.loss_gradients(deq, calib.records, calib.labels())
-        scores = score_coordinates(qlayers, network, calib, "loss_aware", 0.7)
+        _, grads = _net.loss_gradients(deq, calib.records, calib.labels())
+        scores, _ = score_coordinates(qlayers, network, calib, "loss_aware", 0.7)
         for ql, s in zip(qlayers, scores):
             for gi, (bases, coords) in enumerate(groups_of(ql)):
                 off = gi * ql.group_size
@@ -601,14 +666,15 @@ class TestScoring:
     def test_magnitude_example(self):
         bases = np.ones((16, 2), dtype=np.int8) * np.array([1, -1], dtype=np.int8)
         layer = layer_of([(bases, [2.0, 0.001])])
-        (scores,) = score_coordinates([layer], None, None, "magnitude")
+        (scores,), loss = score_coordinates([layer], None, None, "magnitude")
+        assert loss is None
         assert scores[0, 0] == pytest.approx(8.0)
         assert scores[0, 1] == pytest.approx(0.004)
 
     def test_loss_aware_matches_exhaustive_removal(self):
         network, qlayers = toy_quant_net()
         calib = toy_calib()
-        scores = score_coordinates(qlayers, network, calib, "loss_aware")
+        scores, _ = score_coordinates(qlayers, network, calib, "loss_aware")
         ranked = ranked_coordinates(qlayers, scores)
         predicted = ranked[0][2:]
 
@@ -622,6 +688,12 @@ class TestScoring:
                 best = (key, (li, gi, ci))
         assert predicted == best[1]
 
+    def test_loss_aware_loss_is_calib_loss(self):
+        network, qlayers = toy_quant_net()
+        calib = toy_calib()
+        _, loss = score_coordinates(qlayers, network, calib, "loss_aware")
+        assert loss == calib_loss(network.spec, qlayers, calib)
+
     def test_loss_aware_requires_calib(self):
         network, qlayers = toy_quant_net()
         with pytest.raises(ConfigError, match="calibration"):
@@ -630,8 +702,8 @@ class TestScoring:
     def test_deterministic(self):
         network, qlayers = toy_quant_net()
         calib = toy_calib()
-        a = score_coordinates(qlayers, network, calib, "loss_aware")
-        b = score_coordinates(qlayers, network, calib, "loss_aware")
+        a, _ = score_coordinates(qlayers, network, calib, "loss_aware")
+        b, _ = score_coordinates(qlayers, network, calib, "loss_aware")
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
@@ -663,7 +735,7 @@ class TestPrune:
             s, c, b = canonicalize(signs, np.array([coords]))
             groups.append((s[0, :, : b[0]], c[0, : b[0]]))
         layers = [layer_of(groups)]
-        scores = score_coordinates(layers, None, None, "magnitude")
+        scores, _ = score_coordinates(layers, None, None, "magnitude")
         return layers, scores
 
     def test_rate_zero_noop(self):
@@ -711,7 +783,7 @@ class TestPrune:
     def test_monotone_in_rate(self):
         rng = np.random.default_rng(9)
         layers = [init_decompose(rng.normal(size=128), 16, 3)]
-        scores = score_coordinates(layers, None, None, "magnitude")
+        scores, _ = score_coordinates(layers, None, None, "magnitude")
         prev_bits = np.inf
         for rate in [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]:
             out = prune_coordinates(layers, scores, rate=rate)
@@ -725,7 +797,7 @@ class TestPrune:
             layers = [random_layer(rng, i_max=3)[1] for _ in range(3)]
             # coarse scores produce ties, broken by magnitude and position
             scores = [np.where(np.isnan(s), s, np.round(s, 1))
-                      for s in score_coordinates(layers, None, None, "magnitude")]
+                      for s in score_coordinates(layers, None, None, "magnitude")[0]]
             for kwargs in ({"rate": float(rng.uniform(0, 1))},
                            {"target_avg_bitwidth": float(rng.uniform(0, 3))}):
                 want = ref_prune(layers, scores, kwargs.get("rate"),
@@ -786,6 +858,33 @@ class TestPipeline:
         assert report.pruned_coords > 0
         assert report.calib_loss_init is not None
         assert report.calib_loss_pruned >= report.calib_loss_init - 1e-9
+
+
+    @pytest.mark.parametrize("scorer, rate, forwards", [
+        ("loss_aware", 0.5, 3),  # score (with the initial loss), pruned, final
+        ("magnitude", 0.5, 3),  # initial, pruned, final
+        ("loss_aware", 0.0, 2),  # no pruning: initial, final
+    ])
+    def test_calibration_forwards(self, monkeypatch, scorer, rate, forwards):
+        network, _ = toy_quant_net()
+        calib = toy_calib()
+        config = AlqConfig(group_size=4, i_max=2, prune_rate=rate, scorer=scorer,
+                           refine_iters=1, seed=0)
+        calls = []
+        real = _net._forward_batch
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("caches") is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(_net, "_forward_batch", spy)
+        _, report = alq_pipeline(network, calib, config)
+        assert len(calls) == forwards
+        assert calls[0] == (scorer == "loss_aware" and rate > 0)
+        monkeypatch.undo()
+        initial = init_layers(network, config.group_size, config.i_max)
+        assert report.calib_loss_init == calib_loss(
+            network.spec, initial, calib_subset(calib, config))
 
 
 class TestUniformBaseline:

@@ -21,7 +21,6 @@ from .net import (
     TrainResult,
     default_ecgnet_spec,
     flatten_params,
-    forward,
     load_checkpoint,
     out_length,
     param_counts,
@@ -50,7 +49,7 @@ from .bitpack import (
     memory_report,
     serialize,
 )
-from .qinfer import dequantize, qforward
+from .qinfer import dequantize
 
 # the metrics() operation itself stays at alqecg.metrics.metrics so the
 # submodule name is not shadowed

@@ -141,23 +141,30 @@ def _load_csv(path: Path) -> list[EcgRecord]:
 
 def _load_raw_f32(path: Path) -> list[EcgRecord]:
     data = Path(path).read_bytes()
-    if len(data) < 8 or data[:4] != RAW_MAGIC:
-        raise DataFormatError(f"{path}: not a raw-f32 dataset (bad magic)")
+    if data[:4] != RAW_MAGIC:
+        raise DataFormatError(f"{path}: not a raw-f32 dataset (bad magic)", 0)
+    if len(data) < 8:
+        raise DataFormatError(f"{path}: truncated record count", 4)
     (count,) = struct.unpack_from("<I", data, 4)
     rec_bytes = RECORD_SAMPLES * 4 + 1
     records = []
     off = 8
     for i in range(count):
         if off + rec_bytes > len(data):
-            raise DataFormatError(f"record {i}: truncated")
+            raise DataFormatError(f"record {i}: truncated", off)
         samples = np.frombuffer(data, dtype="<f4", count=RECORD_SAMPLES, offset=off)
-        label = data[off + RECORD_SAMPLES * 4]
+        # checked on the f32 values: the f64 cast warns on a signalling NaN
+        finite = np.isfinite(samples)
+        if not finite.all():
+            at = off + 4 * int(finite.argmin())
+            raise DataFormatError(f"record {i}: non-finite sample", at)
+        label = data[off + rec_bytes - 1]
         if label >= CLASS_COUNT:
-            raise DataFormatError(f"record {i}: label out of range")
+            raise DataFormatError(f"record {i}: label out of range", off + rec_bytes - 1)
         records.append(EcgRecord(samples.astype(np.float64), int(label)))
         off += rec_bytes
     if off != len(data):
-        raise DataFormatError(f"{path}: {len(data) - off} trailing bytes at offset {off}")
+        raise DataFormatError(f"{path}: {len(data) - off} trailing bytes", off)
     return records
 
 

@@ -1,20 +1,21 @@
 """Exception types shared across the toolkit."""
 
 
-class DataFormatError(ValueError):
-    """A dataset file or record violates the expected layout."""
-
-
-class EmptyDatasetError(ValueError):
-    """A dataset file contains no records."""
-
-
 class _OffsetError(ValueError):
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:
             message = f"{message} at offset {offset}"
         super().__init__(message)
         self.offset = offset
+
+
+class DataFormatError(_OffsetError):
+    """A dataset file or record violates the expected layout; raw-f32
+    rejections give the byte offset, CSV ones leave it unset."""
+
+
+class EmptyDatasetError(ValueError):
+    """A dataset file contains no records."""
 
 
 class ShapeError(_OffsetError):

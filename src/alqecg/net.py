@@ -263,12 +263,6 @@ def _windows(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarra
     return sliding_window_view(x, kernel, axis=2)[:, :, ::stride, :]
 
 
-def _conv_fwd(x, w, b, stride, padding):
-    win = _windows(x, w.shape[2], stride, padding)
-    y = np.einsum("bctk,ock->bot", win, w, optimize=True) + b[:, None]
-    return y, win
-
-
 def _conv_param_grads(dy, win):
     dw = np.einsum("bot,bctk->ock", dy, win, optimize=True)
     return dw, dy.sum(axis=(0, 2))
@@ -323,34 +317,33 @@ def _log_softmax(z):
     return zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
 
 
-def _forward_batch(network: Network, x: np.ndarray, train_rng=None, caches=None):
+def _forward_batch(spec: NetworkSpec, x: np.ndarray, affine, train_rng=None, caches=None):
     """Run the stack on a (B, C, L) batch and return its logits.
 
-    If ``caches`` is a list, it receives one dict per layer holding what the
-    backward pass needs; inference leaves it None and keeps nothing. Dropout
-    is active only when ``train_rng`` is given.
+    This is the one walk over the layer stack: ``affine(i, h)`` maps
+    parameterized layer i's conv windows (B, C, T, K) to (B, O, T), or its
+    dense rows (B, F) to (B, O), and the walk does everything else. If
+    ``caches`` is a list, it receives one dict per layer holding what the
+    backward pass needs. Dropout is active only when ``train_rng`` is given.
     """
     h = x
-    for i, layer in enumerate(network.spec.layers):
+    for i, layer in enumerate(spec.layers):
         cache = {"x_shape": h.shape}
-        if layer.kind == CONV:
-            w, b = network.params[i]
-            h, cache["win"] = _conv_fwd(h, w, b, layer.stride, layer.padding)
-            if layer.activation == "relu":
-                cache["pre_relu"] = h
-                h = np.maximum(h, 0.0)
-        elif layer.kind == POOL:
+        if layer.kind == POOL:
             if caches is None:
                 h = _pool_max(h, layer.kernel, layer.stride)
             else:
                 h, cache["arg"] = _pool_max(h, layer.kernel, layer.stride, keep_arg=True)
         elif layer.kind == FLATTEN:
             h = h.reshape(h.shape[0], -1)
-        elif layer.kind in (DENSE, SOFTMAX_DENSE):
-            w, b = network.params[i]
-            cache["x"] = h
-            h = h @ w.T + b
-            if layer.kind == DENSE and layer.activation == "relu":
+        elif layer.kind in PARAMETERIZED_KINDS:
+            if layer.kind == CONV:
+                h = cache["win"] = _windows(h, layer.kernel, layer.stride, layer.padding)
+            else:
+                cache["x"] = h
+            h = affine(i, h)
+            # the head emits raw logits, whatever activation its descriptor holds
+            if layer.kind != SOFTMAX_DENSE and layer.activation == "relu":
                 cache["pre_relu"] = h
                 h = np.maximum(h, 0.0)
             if layer.kind == DENSE and layer.dropout_rate > 0 and train_rng is not None:
@@ -362,6 +355,16 @@ def _forward_batch(network: Network, x: np.ndarray, train_rng=None, caches=None)
         if caches is not None:
             caches.append(cache)
     return h
+
+
+def _fp_affine(network: Network):
+    """The affine map of ``network``'s own parameters, for ``_forward_batch``."""
+    def affine(i, h):
+        w, b = network.params[i]
+        if h.ndim == 4:  # conv windows
+            return np.einsum("bctk,ock->bot", h, w, optimize=True) + b[:, None]
+        return h @ w.T + b
+    return affine
 
 
 def _backward_batch(network: Network, caches, probs, labels):
@@ -416,11 +419,6 @@ def _as_batch(spec: NetworkSpec, records) -> np.ndarray:
     return np.stack(rows)
 
 
-def forward(network: Network, record) -> np.ndarray:
-    """Class probabilities for one record (dropout only runs inside train())."""
-    return predict_batch(network, [record])[0]
-
-
 def predict_batch(network: Network, records) -> np.ndarray:
     """Probabilities for many records, (n_records, class_count)."""
     return np.exp(_log_softmax(logits_batch(network, records)))
@@ -428,13 +426,27 @@ def predict_batch(network: Network, records) -> np.ndarray:
 
 def logits_batch(network: Network, records) -> np.ndarray:
     """Pre-softmax outputs, used for path-equivalence checks."""
-    return _forward_batch(network, _as_batch(network.spec, records))
+    return _forward_batch(network.spec, _as_batch(network.spec, records), _fp_affine(network))
 
 
 def _cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of (B, classes) logits, and the class probabilities."""
     logp = _log_softmax(logits)
     return float(-logp[np.arange(len(labels)), labels].mean()), np.exp(logp)
+
+
+def _loss_step(network: Network, records, labels, train_rng=None):
+    """Mean cross-entropy of one forward pass over ``records`` and the
+    (weight, bias) gradient of every layer (None where it has no parameters).
+
+    The input batch is built as a temporary, so the backward pass runs
+    without it.
+    """
+    caches: list[dict] = []
+    logits = _forward_batch(network.spec, _as_batch(network.spec, records),
+                            _fp_affine(network), train_rng=train_rng, caches=caches)
+    loss, probs = _cross_entropy(logits, labels)
+    return loss, _backward_batch(network, caches, probs, labels)
 
 
 def batch_loss(network: Network, records, labels) -> float:
@@ -445,11 +457,8 @@ def batch_loss(network: Network, records, labels) -> float:
 def loss_gradients(network: Network, records, labels) -> tuple[float, list[np.ndarray | None]]:
     """(mean cross-entropy, flattened gradient per parameterized layer), no
     dropout, from one forward pass; the loss equals ``batch_loss``'s bitwise."""
-    caches: list[dict] = []
     labels = np.asarray(labels)
-    logits = _forward_batch(network, _as_batch(network.spec, records), caches=caches)
-    loss, probs = _cross_entropy(logits, labels)
-    grads = _backward_batch(network, caches, probs, labels)
+    loss, grads = _loss_step(network, records, labels)
     return loss, [None if g is None else np.concatenate([g[0].ravel(), g[1]]) for g in grads]
 
 
@@ -488,7 +497,6 @@ def train(network: Network, train_set, config: TrainConfig) -> TrainResult:
     labels = np.array([r.label for r in records])
     if labels.max() >= network.spec.class_count:
         raise TrainingError("label exceeds class_count")
-    x_all = _as_batch(network.spec, records)
 
     params = [None if p is None else (p[0].copy(), p[1].copy()) for p in network.params]
     net = Network(network.spec, params)
@@ -506,17 +514,11 @@ def train(network: Network, train_set, config: TrainConfig) -> TrainResult:
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            xb, yb = x_all[idx], labels[idx]
-            caches: list[dict] = []
             try:
-                logits = _forward_batch(net, xb, train_rng=rng, caches=caches)
+                loss, grads = _loss_step(net, [records[j] for j in idx], labels[idx], rng)
             except NumericError as exc:
                 raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
-            logp = _log_softmax(logits)
-            probs = np.exp(logp)
-            loss = float(-logp[np.arange(len(idx)), yb].mean())
             total += loss * len(idx)
-            grads = _backward_batch(net, caches, probs, yb)
             step += 1
             for li, g in enumerate(grads):
                 if g is None:

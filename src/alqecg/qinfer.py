@@ -20,6 +20,10 @@ windows. From the layer's ``signs`` and ``coords`` arrays the engine builds
   The bias input is the constant 1, so that reduction is done once, when
   the plan is built.
 
+The executor supplies only these per-layer affine maps: ``net._forward_batch``,
+the network's one layer walk, does the windowing, ReLU, pooling, flatten and
+non-finite check for the bit-plane path exactly as for the fp path.
+
 For inputs ``x`` shaped (records, fan, positions), where dense layers have
 one position, a layer writes ``x`` once into a zero-padded column buffer,
 computes ``z = M @ x_windows`` with one matmul over a strided (records,
@@ -45,8 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import net as _net
-from .errors import NumericError
-from .net import CONV, DENSE, FLATTEN, POOL, SOFTMAX_DENSE, Network
+from .net import Network
 from .quantizer import QuantLayer, QuantModel, dequantized_network
 from .util import chunked_rows
 
@@ -140,39 +143,21 @@ class QuantExecutor:
                 plans[key] = layer_plan(ql, *key)
             self.plans[ql.layer_index] = plans[key]
 
-    def _block_logits(self, h: np.ndarray) -> np.ndarray:
-        bsz = h.shape[0]
-        for i, layer in enumerate(self.model.spec.layers):
-            if layer.kind == CONV:
-                win = _net._windows(h, layer.kernel, layer.stride, layer.padding)
-                h = self.plans[i].apply(win.transpose(0, 1, 3, 2))
-                if layer.activation == "relu":
-                    h = np.maximum(h, 0.0)
-            elif layer.kind == POOL:
-                h = _net._pool_max(h, layer.kernel, layer.stride)
-            elif layer.kind == FLATTEN:
-                h = h.reshape(bsz, -1)
-            elif layer.kind in (DENSE, SOFTMAX_DENSE):
-                h = self.plans[i].apply(h[:, :, None])[:, :, 0]
-                if layer.kind == DENSE and layer.activation == "relu":
-                    h = np.maximum(h, 0.0)
-            if not np.all(np.isfinite(h)):
-                raise NumericError(f"non-finite values in layer {i} ({layer.kind})")
-        return h
+    def _affine(self, i: int, h: np.ndarray) -> np.ndarray:
+        if h.ndim == 2:  # dense rows
+            return self.plans[i].apply(h[:, :, None])[:, :, 0]
+        return self.plans[i].apply(h.transpose(0, 1, 3, 2))  # conv windows
 
     def logits(self, records) -> np.ndarray:
-        x = _net._as_batch(self.model.spec, records)
+        spec = self.model.spec
+        x = _net._as_batch(spec, records)
         return np.concatenate(
-            [self._block_logits(x[i : i + BLOCK]) for i in range(0, len(x), BLOCK)]
+            [_net._forward_batch(spec, x[i : i + BLOCK], self._affine)
+             for i in range(0, len(x), BLOCK)]
         )
 
     def probs(self, records) -> np.ndarray:
         return np.exp(_net._log_softmax(self.logits(records)))
-
-
-def qforward(model: QuantModel, record) -> np.ndarray:
-    """Class probabilities for one record via the sign-bit path."""
-    return QuantExecutor(model).probs([record])[0]
 
 
 def predict_batch(model: QuantModel, records) -> np.ndarray:

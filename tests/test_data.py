@@ -1,3 +1,8 @@
+import struct
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +111,121 @@ class TestRoundTrip:
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(DataFormatError, match="record 16: truncated"):
             load_dataset(path, format="raw-f32")
+
+
+def raw_bytes(dataset: Dataset) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.raw"
+        save_dataset(path, dataset, "raw-f32")
+        return path.read_bytes()
+
+
+def load_raw_bytes(data: bytes) -> Dataset:
+    """``load_dataset`` of raw-f32 ``data``, with every warning an error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.raw"
+        path.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return load_dataset(path, format="raw-f32")
+
+
+RAW_RECORD_BYTES = RECORD_SAMPLES * 4 + 1
+SNAN_F32 = struct.pack("<I", 0x7FA00000)
+
+
+class TestRawOffsets:
+    def _two_records(self) -> bytes:
+        return raw_bytes(Dataset([make_record(0.5, 3), make_record(-1.5, 16)]))
+
+    @pytest.mark.parametrize("sample", [struct.pack("<f", np.nan), struct.pack("<f", -np.inf),
+                                        SNAN_F32])
+    def test_non_finite_sample_at_its_offset(self, sample):
+        data = bytearray(self._two_records())
+        at = 8 + RAW_RECORD_BYTES + 4 * 1234  # record 1, sample 1234
+        data[at : at + 4] = sample
+        with pytest.raises(DataFormatError, match="record 1: non-finite sample") as err:
+            load_raw_bytes(bytes(data))
+        assert err.value.offset == at
+
+    @pytest.mark.parametrize("cut, record, offset", [
+        (7, None, 4), (8 + 100, 0, 8), (8 + 2 * RAW_RECORD_BYTES - 1, 1, 8 + RAW_RECORD_BYTES),
+    ])
+    def test_truncation_at_the_record_start(self, cut, record, offset):
+        with pytest.raises(DataFormatError) as err:
+            load_raw_bytes(self._two_records()[:cut])
+        what = "truncated record count" if record is None else f"record {record}: truncated"
+        assert what in str(err.value) and err.value.offset == offset
+
+    def test_label_at_its_offset(self):
+        data = bytearray(self._two_records())
+        at = 8 + 2 * RAW_RECORD_BYTES - 1
+        data[at] = CLASS_COUNT
+        with pytest.raises(DataFormatError, match="record 1: label out of range") as err:
+            load_raw_bytes(bytes(data))
+        assert err.value.offset == at
+
+    def test_magic_and_trailing_offsets(self):
+        data = self._two_records()
+        with pytest.raises(DataFormatError, match="bad magic") as err:
+            load_raw_bytes(b"ALQX" + data[4:])
+        assert err.value.offset == 0
+        with pytest.raises(DataFormatError, match="1 trailing bytes") as err:
+            load_raw_bytes(data + b"\0")
+        assert err.value.offset == len(data)
+
+    def test_csv_errors_have_no_offset(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, [[0.1] * RECORD_SAMPLES + [17]])
+        with pytest.raises(DataFormatError, match="record 0: label out of range") as err:
+            load_dataset(path)
+        assert err.value.offset is None
+
+
+def fuzz_record(seed: int, label: int) -> EcgRecord:
+    """Noise plus signed zeros, f32 subnormals and f32 extremes."""
+    samples = np.random.default_rng(seed).normal(size=RECORD_SAMPLES)
+    samples[:6] = [0.0, -0.0, 1e-45, -1e-40, 3.4e38, -3.4e38]
+    return EcgRecord(samples, label)
+
+
+# raw-f32 files the loader fuzz tests mutate: zero, one and two records
+FUZZ_RAW = [raw_bytes(Dataset([fuzz_record(i, 5 * i) for i in range(n)])) for n in (0, 1, 2)]
+
+
+def assert_raw_rejected_or_round_trips(data: bytes) -> None:
+    """Loading ``data`` raises ``DataFormatError`` with an offset inside it,
+    raises ``EmptyDatasetError`` for a zero count and no payload, or gives a
+    dataset that ``save_dataset`` writes back as ``data``."""
+    try:
+        dataset = load_raw_bytes(data)
+    except DataFormatError as err:
+        assert err.offset is not None and 0 <= err.offset <= len(data)
+    except EmptyDatasetError:
+        assert data == b"ALQD" + bytes(4)
+    else:
+        assert raw_bytes(dataset) == data
+
+
+class TestRawLoaderFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(blob=st.sampled_from(FUZZ_RAW), cut=st.floats(0, 1, exclude_max=True))
+    def test_truncation(self, blob, cut):
+        assert_raw_rejected_or_round_trips(blob[: int(cut * len(blob))])
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=st.sampled_from(FUZZ_RAW), at=st.floats(0, 1, exclude_max=True))
+    def test_single_bit_flip(self, blob, at):
+        bit = int(at * 8 * len(blob))
+        data = bytearray(blob)
+        data[bit // 8] ^= 1 << (bit % 8)
+        assert_raw_rejected_or_round_trips(bytes(data))
+
+    @settings(max_examples=150, deadline=None)
+    @given(head=st.sampled_from(FUZZ_RAW), tail=st.sampled_from(FUZZ_RAW),
+           i=st.floats(0, 1), j=st.floats(0, 1))
+    def test_splice(self, head, tail, i, j):
+        assert_raw_rejected_or_round_trips(head[: int(i * len(head))] + tail[int(j * len(tail)) :])
 
 
 class TestNormalize:

@@ -1,3 +1,4 @@
+import hashlib
 import tempfile
 import warnings
 from dataclasses import replace
@@ -133,7 +134,7 @@ class TestForward:
              for p in network.params],
         )
         rec = EcgRecord(np.zeros(RECORD_SAMPLES), 0)
-        probs = _net.forward(network, rec)
+        probs = predict_batch(network, [rec])[0]
         np.testing.assert_allclose(probs, np.full(17, 1 / 17), atol=1e-12)
 
     def test_identity_kernel_conv(self):
@@ -141,7 +142,8 @@ class TestForward:
         x = np.random.default_rng(0).normal(size=(2, 1, 9))
         w = np.ones((1, 1, 1))
         b = np.zeros(1)
-        y, _ = _net._conv_fwd(x, w, b, stride=1, padding=0)
+        affine = _net._fp_affine(Network(NetworkSpec([conv(1, 1)], input_length=9), [(w, b)]))
+        y = affine(0, _net._windows(x, 1, 1, 0))
         np.testing.assert_array_equal(y, x)
 
     def test_nonfinite_raises_with_layer(self):
@@ -156,7 +158,7 @@ class TestForward:
         spec = tiny_spec()
         network = init_params(spec, 3)
         x = np.random.default_rng(2).normal(size=8)
-        base = _net.forward(network, x)
+        base = predict_batch(network, [x])[0]
 
         perm = [1, 0]
         w0, b0 = network.params[0]
@@ -167,7 +169,7 @@ class TestForward:
             spec,
             [(w0[perm], b0[perm]), None, None, (w3_perm, b3), network.params[4]],
         )
-        np.testing.assert_allclose(_net.forward(permuted, x), base, atol=1e-12)
+        np.testing.assert_allclose(predict_batch(permuted, [x])[0], base, atol=1e-12)
 
 
 def ref_pool_fwd(x, kernel, stride):
@@ -401,6 +403,63 @@ class TestTrain:
         with pytest.raises(TrainingError, match="epoch 0"):
             train(network, raw,
                   TrainConfig(epochs=1, batch_size=4, learning_rate=1e200, optimizer="sgd"))
+
+
+def sha256_of(*arrays) -> str:
+    """SHA-256 of the float64 bytes of each array in turn."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def random_records(n: int, seed: int) -> list[EcgRecord]:
+    rng = np.random.default_rng(seed)
+    return [EcgRecord(rng.normal(size=RECORD_SAMPLES), int(rng.integers(17)))
+            for _ in range(n)]
+
+
+def golden_network() -> Network:
+    """Padded, strided convs, overlapping pools and a dropout dense layer.
+
+    Its outputs keep their bytes at 1 to 4 BLAS threads; the default
+    network's logits do not (they move in the last bit)."""
+    spec = NetworkSpec([
+        conv(16, 4, stride=4, padding=7), pool(4, 4),
+        conv(5, 6, padding=2), pool(3, 2),
+        flatten(), dense(12, dropout_rate=0.1), softmax_dense(17)])
+    validate_spec(spec)
+    return init_params(spec, 21)
+
+
+class TestGoldenDigests:
+    """fp outputs pinned to the bytes of the code before the fp and
+    bit-plane passes shared one layer walk."""
+
+    def test_logits(self):
+        logits = _net.logits_batch(golden_network(), random_records(6, 22))
+        assert sha256_of(logits) == (
+            "04ef573baba59e0656fe2bde7b1da98d00005e55a865e802291639a9678f9a27")
+
+    def test_loss_gradients(self):
+        records = random_records(6, 22)
+        loss, grads = _net.loss_gradients(golden_network(), records,
+                                          [r.label for r in records])
+        assert sha256_of([loss], *[g for g in grads if g is not None]) == (
+            "ecdb5b29e08637230fe23a6fa303190c0684576fa3ab1082984e0c3a9c98153d")
+
+    @pytest.mark.parametrize("optimizer, rate, digest", [
+        ("adam", 1e-3, "863ab6f628526c3f20c2f678debcd3d03c7c88a4672a80b08c52751022c34669"),
+        ("sgd", 0.01, "c98ec8a4f801ff4a525e069452e82649f59515665b3ccc35f3f980b1f473126a"),
+    ])
+    def test_train_epoch(self, optimizer, rate, digest):
+        network = golden_network()
+        result = train(network, Dataset(random_records(10, 23)),
+                       TrainConfig(epochs=1, batch_size=4, seed=24,
+                                   optimizer=optimizer, learning_rate=rate))
+        params = [flatten_params(result.network, i)
+                  for i, _ in parameterized_layers(network.spec)]
+        assert sha256_of(result.epoch_losses, *params) == digest
 
 
 class TestCheckpoint:

@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 
 from alqecg import net as _net, qinfer
 from alqecg.bitpack import memory_report
-from alqecg.errors import ShapeError
+from alqecg.errors import NumericError, ShapeError
 from alqecg.net import default_ecgnet_spec, init_params
 from alqecg.qinfer import (
     QuantExecutor,
     dequantize,
     layer_plan,
     predict_batch,
-    qforward,
 )
 from alqecg.quantizer import QuantLayer, canonicalize, uniform_baseline
 from conftest import tiny_spec
 from test_bitpack import random_model, small_spec
 from test_quantizer import empty_layer, groups_of, layer_of, ref_reconstruct
+from test_net import random_records, sha256_of
 
 
 class TestDequantize:
@@ -140,15 +140,26 @@ class TestQforward:
         model, reference = self._model_and_reference(seed=4)
         rng = np.random.default_rng(5)
         rec = rng.normal(size=8)
-        probs = qforward(model, rec)
+        probs = QuantExecutor(model).probs([rec])[0]
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
-        np.testing.assert_allclose(probs, _net.forward(reference, rec), atol=1e-6)
+        np.testing.assert_allclose(probs, _net.predict_batch(reference, [rec])[0], atol=1e-6)
 
     def test_fully_pruned_uniform_output(self):
         model, _ = self._model_and_reference()
         model.layers = [empty_layer(ql) for ql in model.layers]
-        probs = qforward(model, np.random.default_rng(0).normal(size=8))
+        probs = QuantExecutor(model).probs([np.random.default_rng(0).normal(size=8)])[0]
         np.testing.assert_allclose(probs, np.full(3, 1 / 3), atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    @pytest.mark.parametrize("layer, kind", [(0, "conv1d"), (3, "dense"),
+                                             (4, "softmax-dense")])
+    def test_nonfinite_raises_with_layer(self, layer, kind):
+        model, _ = self._model_and_reference()
+        at = [ql.layer_index for ql in model.layers].index(layer)
+        ql = model.layers[at]
+        model.layers[at] = replace(ql, coords=np.full_like(ql.coords, 1e308))
+        with pytest.raises(NumericError, match=rf"layer {layer} \({kind}\)"):
+            QuantExecutor(model).logits([np.full(8, 1e10)])
 
     def test_batching_invariant(self):
         model, _ = self._model_and_reference(seed=6)
@@ -447,3 +458,20 @@ class TestFullModelBatchInvariance:
         np.testing.assert_array_equal(chunks, whole)
         reference = _net.logits_batch(dequantize(model), records)
         assert np.abs(whole - reference).max() <= 1e-5
+
+
+class TestExecutorGoldenDigests:
+    # logits pinned to the bytes of the executor before it ran on the
+    # network's layer walk; 40 records make three blocks
+    @pytest.mark.parametrize("group_size, b1, batch", [
+        (16, "322d17eac2bba6072f79ef6b433f32ebc476891c5c2e10b76a7a492a4a1773a4",
+         "981659f890ed00c51deafb141d52141a6907866d652ec10fb25667367937105f"),
+        (11, "81e8e9c4dea41a8d7e5b2c867cb0d198e80eb510d5cc91347f12d936bde42455",
+         "44990e3304506084ebd965d16bf88df79d6c27cb0070fe1c79495a13fdbeba09"),
+    ])
+    def test_logits(self, group_size, b1, batch):
+        model = uniform_baseline(init_params(default_ecgnet_spec(), 14), 2, group_size)
+        records = random_records(40, 25)
+        ex = QuantExecutor(model)
+        assert sha256_of(ex.logits(records[:1])) == b1
+        assert sha256_of(ex.logits(records)) == batch

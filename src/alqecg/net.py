@@ -327,33 +327,34 @@ def _forward_batch(spec: NetworkSpec, x: np.ndarray, affine, train_rng=None, cac
     backward pass needs. Dropout is active only when ``train_rng`` is given.
     """
     h = x
-    for i, layer in enumerate(spec.layers):
-        cache = {"x_shape": h.shape}
-        if layer.kind == POOL:
-            if caches is None:
-                h = _pool_max(h, layer.kernel, layer.stride)
-            else:
-                h, cache["arg"] = _pool_max(h, layer.kernel, layer.stride, keep_arg=True)
-        elif layer.kind == FLATTEN:
-            h = h.reshape(h.shape[0], -1)
-        elif layer.kind in PARAMETERIZED_KINDS:
-            if layer.kind == CONV:
-                h = cache["win"] = _windows(h, layer.kernel, layer.stride, layer.padding)
-            else:
-                cache["x"] = h
-            h = affine(i, h)
-            # the head emits raw logits, whatever activation its descriptor holds
-            if layer.kind != SOFTMAX_DENSE and layer.activation == "relu":
-                cache["pre_relu"] = h
-                h = np.maximum(h, 0.0)
-            if layer.kind == DENSE and layer.dropout_rate > 0 and train_rng is not None:
-                keep = train_rng.random(h.shape) >= layer.dropout_rate
-                h = h * keep / (1.0 - layer.dropout_rate)
-                cache["drop_keep"] = keep
-        if not np.all(np.isfinite(h)):
-            raise NumericError(f"non-finite values in layer {i} ({layer.kind})")
-        if caches is not None:
-            caches.append(cache)
+    with np.errstate(invalid="ignore", over="ignore"):  # NumericError below, not a warning
+        for i, layer in enumerate(spec.layers):
+            cache = {"x_shape": h.shape}
+            if layer.kind == POOL:
+                if caches is None:
+                    h = _pool_max(h, layer.kernel, layer.stride)
+                else:
+                    h, cache["arg"] = _pool_max(h, layer.kernel, layer.stride, keep_arg=True)
+            elif layer.kind == FLATTEN:
+                h = h.reshape(h.shape[0], -1)
+            elif layer.kind in PARAMETERIZED_KINDS:
+                if layer.kind == CONV:
+                    h = cache["win"] = _windows(h, layer.kernel, layer.stride, layer.padding)
+                else:
+                    cache["x"] = h
+                h = affine(i, h)
+                # the head emits raw logits, whatever activation its descriptor holds
+                if layer.kind != SOFTMAX_DENSE and layer.activation == "relu":
+                    cache["pre_relu"] = h
+                    h = np.maximum(h, 0.0)
+                if layer.kind == DENSE and layer.dropout_rate > 0 and train_rng is not None:
+                    keep = train_rng.random(h.shape) >= layer.dropout_rate
+                    h = h * keep / (1.0 - layer.dropout_rate)
+                    cache["drop_keep"] = keep
+            if not np.all(np.isfinite(h)):
+                raise NumericError(f"non-finite values in layer {i} ({layer.kind})")
+            if caches is not None:
+                caches.append(cache)
     return h
 
 

@@ -18,12 +18,13 @@ The pipeline is:
 2. global pruning of the least significant coordinates, scored either by
    magnitude or by an estimated loss impact on a calibration batch,
 3. alternating refinement: exact per-position sign assignment with fixed
-   coordinates, then least-squares coordinates with fixed signs.
+   coordinates, then least-squares coordinates with fixed signs, on every
+   layer's groups as one set.
 
-Each stage is a layer-level function that runs all groups of one size and
-bitwidth as one batch, with the same arithmetic per group as a loop over
-groups. Every operation is a pure function of its inputs, so a fixed seed
-and calibration batch reproduce the quantized model bit for bit.
+Each stage runs all groups of one size and bitwidth as one batch, with the
+same arithmetic per group as a loop over groups. Every operation is a pure
+function of its inputs, so a fixed seed and calibration batch reproduce the
+quantized model bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import hashlib
 import itertools
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, make_dataclass, replace
 
 import numpy as np
 
@@ -91,6 +92,11 @@ class QuantLayer:
     def reconstruct(self) -> np.ndarray:
         """The layer's flattened values."""
         return _reconstruct(self.signs, self.coords).reshape(-1)[: self.param_count]
+
+
+# groups of any layers for the refinement steps: signs, coords and bits laid
+# out as in QuantLayer, plus every group's size
+GroupSet = make_dataclass("GroupSet", ["signs", "coords", "bits", "sizes"])
 
 
 @dataclass
@@ -338,18 +344,19 @@ def _nearest_levels(w: np.ndarray, coords: np.ndarray) -> np.ndarray:
 def optimize_bases(flat: np.ndarray, ql: QuantLayer) -> QuantLayer:
     """Exact per-position sign assignment for fixed coordinates.
 
+    ``flat`` is a layer's flattened values and ``ql`` its QuantLayer, or
+    (groups, size) weight rows with their GroupSet (as for optimize_coords).
+
     Every weight picks the reachable level (one of the 2^bitwidth signed sums
     of its group's coordinates) nearest to it; ties go to the
     smaller-magnitude level, then to the positive one. Never increases the
     reconstruction error.
     """
-    w = partition_groups(flat, ql.group_size)
+    w = flat if np.ndim(flat) == 2 else partition_groups(flat, ql.group_size)
     signs = ql.signs.copy()
     for idx, m, b in _batches(ql.sizes, ql.bits):
         if b > ENUM_BITWIDTH_LIMIT:
-            raise ConfigError(
-                f"bitwidth {b} exceeds enumeration limit {ENUM_BITWIDTH_LIMIT}"
-            )
+            raise ConfigError(f"bitwidth {b} exceeds enumeration limit {ENUM_BITWIDTH_LIMIT}")
         if b:
             signs[idx, :m, :b] = _nearest_levels(w[idx, :m], ql.coords[idx, :b])
     return replace(ql, signs=signs)
@@ -366,10 +373,13 @@ def optimize_coords(flat: np.ndarray, ql: QuantLayer) -> QuantLayer:
 
     Solves the normal equations, falling back to the pseudo-inverse
     (minimum-norm solution) for groups whose Gram matrix is ill conditioned.
-    A group whose reconstruction error floating-point canonicalization would
-    bump keeps its previous decomposition, so the error never increases.
+    A nonsingular Gram of b sign columns of length m is an integer matrix with
+    |det| >= 1 and cond <= (b m)^b, so where that bound is below the limit,
+    |det| > 0.5 decides exactly as cond would. A group whose reconstruction
+    error floating-point canonicalization would bump keeps its previous
+    decomposition, so the error never increases.
     """
-    w = partition_groups(flat, ql.group_size)
+    w = flat if np.ndim(flat) == 2 else partition_groups(flat, ql.group_size)
     signs, coords, bits = ql.signs.copy(), ql.coords.copy(), ql.bits.copy()
     for idx, m, b in _batches(ql.sizes, ql.bits):
         if b == 0:
@@ -379,8 +389,11 @@ def optimize_coords(flat: np.ndarray, ql: QuantLayer) -> QuantLayer:
         basis_t = basis.transpose(0, 2, 1)
         gram = basis_t @ basis
         rhs = basis_t @ wb[:, :, None]
-        cond = np.linalg.cond(gram)
-        solvable = np.isfinite(cond) & (cond < GRAM_COND_LIMIT)
+        if (b * m) ** b < GRAM_COND_LIMIT:
+            solvable = np.abs(np.linalg.det(gram)) > 0.5
+        else:
+            cond = np.linalg.cond(gram)
+            solvable = np.isfinite(cond) & (cond < GRAM_COND_LIMIT)
         new = np.zeros((len(idx), b, 1))
         new[solvable] = np.linalg.solve(gram[solvable], rhs[solvable])
         new[~solvable] = np.linalg.pinv(basis[~solvable]) @ wb[~solvable][:, :, None]
@@ -591,14 +604,38 @@ def init_layers(network: Network, group_size: int, i_max: int | dict) -> list[Qu
 
 
 def refine_layers(network: Network, qlayers: list[QuantLayer], iters: int) -> list[QuantLayer]:
-    """``iters`` rounds of optimize_bases then optimize_coords on every layer."""
-    out = []
-    for ql in qlayers:
+    """``iters`` rounds of optimize_bases then optimize_coords on all layers'
+    groups as one set. Both steps act on each group alone, so a group that a
+    round leaves bitwise unchanged is at a fixed point and drops out."""
+    if iters == 0 or not qlayers:
+        return list(qlayers)
+    ends = np.cumsum([len(ql.bits) for ql in qlayers])
+    spans = [slice(end - len(ql.bits), end) for ql, end in zip(qlayers, ends)]
+    n = max(ql.group_size for ql in qlayers)
+    width = max(ql.coords.shape[1] for ql in qlayers)
+    rows = np.zeros((ends[-1], n))
+    full = GroupSet(np.zeros((ends[-1], n, width), np.int8), np.zeros((ends[-1], width)),
+                    np.concatenate([ql.bits for ql in qlayers]),
+                    np.concatenate([ql.sizes for ql in qlayers]))
+    for ql, at in zip(qlayers, spans):
         flat = _net.flatten_params(network, ql.layer_index)
-        for _ in range(iters):
-            ql = optimize_coords(flat, optimize_bases(flat, ql))
-        out.append(ql)
-    return out
+        rows[at, : ql.group_size] = partition_groups(flat, ql.group_size)
+        full.signs[at, : ql.group_size, : ql.coords.shape[1]] = ql.signs
+        full.coords[at, : ql.coords.shape[1]] = ql.coords
+    # the groups still changing: their indices, weight rows and current state
+    live, cur = np.arange(ends[-1]), full
+    for _ in range(iters):
+        if live.size == 0:
+            break
+        new = optimize_coords(rows, optimize_bases(rows, cur))
+        changed = ((new.signs != cur.signs).any(axis=(1, 2)) | (new.bits != cur.bits)
+                   | (new.coords.view(np.int64) != cur.coords.view(np.int64)).any(axis=1))
+        live, rows = live[changed], rows[changed]
+        cur = GroupSet(new.signs[changed], new.coords[changed], new.bits[changed],
+                       cur.sizes[changed])
+        full.signs[live], full.coords[live], full.bits[live] = cur.signs, cur.coords, cur.bits
+    return [replace(ql, signs=full.signs[at, : ql.group_size], coords=full.coords[at],
+                    bits=full.bits[at]) for ql, at in zip(qlayers, spans)]
 
 
 def _recon_rmse(network: Network, ql: QuantLayer) -> float:

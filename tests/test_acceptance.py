@@ -46,6 +46,9 @@ pytestmark = pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
 # criterion-7 sweep.json bytes
 DESK_ALQQ_SHA256 = "c401fd07eb19ad4ee26696959b8eb8169f45e775cac157521fd4a29e3e746777"
 SWEEP_JSON_SHA256 = "f5361050aa4a0fa9f793c9986a2a0abf33c4e9b3f73474221105f36fc26065ec"
+# the criterion-6 config at group size 11 and 4 refinement rounds: each layer's
+# short last group then sits inside the network-wide set of groups
+DESK_G11_ALQQ_SHA256 = "17de31b98d1c41b530a81dd6459d1a4e7b9ef2378fa95e34768311661ee4e0cd"
 
 
 def _record(criterion: int, description: str):
@@ -220,6 +223,15 @@ def test_criterion_06_desk_scale_end_to_end(trained_network, desk_data, desk_qua
     assert digest == DESK_ALQQ_SHA256
     _record(6, f"desk scale: full OA {full_report.oa:.2f}%, quantized OA "
                f"{quant_report.oa:.2f}% at {mem.compression_rate:.1f}x compression")
+
+
+def test_group11_refinement_digest(trained_network, desk_data):
+    train_set, _ = desk_data
+    config = AlqConfig(group_size=11, i_max=3, target_avg_bitwidth=2.0, scorer="loss_aware",
+                       refine_iters=4, calib_batch=64, seed=11)
+    model, _ = alq_pipeline(trained_network, train_set, config)
+    digest = hashlib.sha256(bitpack.serialize_bytes(model)).hexdigest()
+    assert digest == DESK_G11_ALQQ_SHA256
 
 
 def test_criterion_07_sweep_shape(trained_network, desk_data):

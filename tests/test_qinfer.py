@@ -150,7 +150,6 @@ class TestQforward:
         probs = QuantExecutor(model).probs([np.random.default_rng(0).normal(size=8)])[0]
         np.testing.assert_allclose(probs, np.full(3, 1 / 3), atol=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     @pytest.mark.parametrize("layer, kind", [(0, "conv1d"), (3, "dense"),
                                              (4, "softmax-dense")])
     def test_nonfinite_raises_with_layer(self, layer, kind):

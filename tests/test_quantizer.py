@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,14 +8,25 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from alqecg import net as _net
+from alqecg import quantizer as _quantizer
 from alqecg.data import Dataset, EcgRecord
 from alqecg.errors import ConfigError
-from alqecg.net import Network, NetworkSpec, flatten, init_params, softmax_dense
+from alqecg.net import (
+    Network,
+    NetworkSpec,
+    conv,
+    dense,
+    flatten,
+    init_params,
+    pool,
+    softmax_dense,
+)
 from alqecg.quantizer import (
     COORD_EPS,
     ENUM_BITWIDTH_LIMIT,
     GRAM_COND_LIMIT,
     AlqConfig,
+    GroupSet,
     QuantLayer,
     alq_pipeline,
     average_bitwidth,
@@ -30,6 +42,7 @@ from alqecg.quantizer import (
     optimize_coords,
     partition_groups,
     prune_coordinates,
+    refine_layers,
     row_keys,
     score_coordinates,
     total_coords,
@@ -458,6 +471,45 @@ class TestOptimizeCoords:
             oracle = bases.astype(float) @ (np.linalg.pinv(bases.astype(float)) @ w)
             assert recon_error(w, *out) <= float(np.linalg.norm(w - oracle)) + 1e-8
 
+    def test_gram_rule_decides_as_cond(self, monkeypatch):
+        # where (b m)^b < GRAM_COND_LIMIT the solvable groups are picked by
+        # |det| instead of cond; on random +-1 bases, a third with a duplicated
+        # or negated column, the solved Grams must be exactly those whose cond
+        # is finite and below the limit
+        rng = np.random.default_rng(41)
+        solved = []
+        real_solve = np.linalg.solve
+
+        def spy(a, b):
+            solved.append(a.copy())
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        outcomes = set()
+        for m in (1, 2, 3, 5, 8, 16):
+            for b in range(1, 9):
+                n = 60
+                signs = rng.choice(np.array([-1, 1], np.int8), size=(n, m, b))
+                for g in range(0, n, 3):
+                    if b > 1:
+                        i, j = rng.choice(b, size=2, replace=False)
+                        signs[g, :, j] = signs[g, :, i] * rng.choice([-1, 1])
+                coords = np.sort(rng.uniform(0.1, 2, size=(n, b)), axis=1)[:, ::-1]
+                rows = rng.normal(size=(n, m))
+                basis = signs.astype(np.float64)
+                grams = basis.transpose(0, 2, 1) @ basis
+                cond = np.linalg.cond(grams)
+                ok = np.isfinite(cond) & (cond < GRAM_COND_LIMIT)
+                got = optimize_coords(rows, GroupSet(signs, coords, np.full(n, b),
+                                                     np.full(n, m)))
+                assert np.array_equal(solved[-1], grams[ok])
+                rule = "det" if (b * m) ** b < GRAM_COND_LIMIT else "cond"
+                outcomes |= {(rule, bool(x)) for x in ok}
+                want = [ref_optimize_coords(rows[g], signs[g], coords[g]) for g in range(n)]
+                assert_groups_equal([(got.signs[g, :, : k], got.coords[g, : k])
+                                     for g, k in enumerate(got.bits)], want)
+        assert {("det", True), ("det", False), ("cond", True)} <= outcomes
+
 
 class TestBatchedMatchesPerGroupReference:
     """The layer functions reproduce the per-group reference bit for bit."""
@@ -557,6 +609,21 @@ class TestBatchedMatchesPerGroupReference:
                 assert_groups_equal(groups_of(ql), want)
         assert paths["pinv"] > 0 and paths["guard"] > 0
 
+    def test_group_rows_form(self):
+        # (weight rows, GroupSet) gives the groups the (flat, QuantLayer) form gives
+        rng = np.random.default_rng(36)
+        for _ in range(40):
+            flat, ql = random_layer(rng)
+            rows = partition_groups(flat, ql.group_size)
+            for step in (optimize_bases, optimize_coords):
+                got = step(rows, GroupSet(ql.signs, ql.coords, ql.bits, ql.sizes))
+                ql = step(flat, ql)
+                assert isinstance(got, GroupSet)
+                assert_groups_equal(
+                    [(got.signs[g, :m, :b], got.coords[g, :b])
+                     for g, (m, b) in enumerate(zip(got.sizes, got.bits))],
+                    groups_of(ql))
+
     @pytest.mark.parametrize("group_size", [1, 5, 7, 16])
     def test_scores(self, group_size):
         from conftest import tiny_spec
@@ -600,6 +667,85 @@ class TestRefinementVsExhaustive:
             assert refined_err <= init_err + 1e-12
             floor = oracle_best_sign_matrix(w, i)
             assert floor <= refined_err + 1e-9
+
+
+def ref_refine_layers(network, qlayers, iters):
+    """Per-layer refinement: every round on every group of one layer at a time."""
+    out = []
+    for ql in qlayers:
+        flat = _net.flatten_params(network, ql.layer_index)
+        for _ in range(iters):
+            ql = optimize_coords(flat, optimize_bases(flat, ql))
+        out.append(ql)
+    return out
+
+
+def refine_case(group_size, scorer, seed=0):
+    """(network, pruned layers) of an 841-parameter conv/dense network with an
+    i_max map, pruned by ``scorer`` on random calibration records. Every fifth
+    group's coordinates are scaled by 1e-9: its weights then all take the
+    outermost level, so its sign columns coincide and refinement merges them."""
+    spec = NetworkSpec([conv(5, 6, padding=2), pool(2, 2), conv(3, 8, padding=1),
+                        pool(2, 2), flatten(), dense(12), softmax_dense(5)],
+                       input_length=24, input_channels=1, class_count=5)
+    network = init_params(spec, seed)
+    i_max = {"default": 3, "Conv1D_1": 4, "Softmax": 2}
+    rng = np.random.default_rng(seed + 1)
+    calib = Dataset([_Rec(rng.normal(size=24), int(rng.integers(0, 5)))
+                     for _ in range(16)], class_count=5)
+    layers = init_layers(network, group_size, i_max)
+    scores, _ = score_coordinates(layers, network, calib, scorer)
+    layers = prune_coordinates(layers, scores, rate=0.3)
+    return network, [replace(ql, coords=ql.coords * np.where(
+        np.arange(len(ql.bits)) % 5 == 0, 1e-9, 1.0)[:, None]) for ql in layers]
+
+
+def changed_groups(before, after) -> int:
+    """Number of groups whose (bases, coords) differ between two layer lists."""
+    return sum(
+        not (np.array_equal(bb, ab) and bc.tobytes() == ac.tobytes())
+        for x, y in zip(before, after)
+        for (bb, bc), (ab, ac) in zip(groups_of(x), groups_of(y))
+    )
+
+
+class TestRefineLayers:
+    @pytest.mark.parametrize("scorer", ["magnitude", "loss_aware"])
+    @pytest.mark.parametrize("group_size", [16, 11, 7])
+    def test_matches_per_layer_rounds(self, group_size, scorer):
+        network, layers = refine_case(group_size, scorer)
+        assert len({int(ql.bits.max()) for ql in layers}) > 1
+        assert any(ql.param_count % group_size for ql in layers)
+        for iters in range(5):
+            got = refine_layers(network, layers, iters)
+            assert layers_equal(got, ref_refine_layers(network, layers, iters)), iters
+        assert any((a.bits < b.bits).any() for a, b in zip(got, layers))
+        assert all(a is b for a, b in zip(refine_layers(network, layers, 0), layers))
+
+    @pytest.mark.parametrize("group_size", [16, 7])
+    def test_rounds_refine_only_changed_groups(self, monkeypatch, group_size):
+        network, layers = refine_case(group_size, "loss_aware", seed=2)
+        iters = 8
+        rounds = [layers]
+        for _ in range(iters):
+            rounds.append(ref_refine_layers(network, rounds[-1], 1))
+        changed = [changed_groups(a, b) for a, b in zip(rounds, rounds[1:])]
+        sizes = []
+        real = _quantizer.optimize_coords
+
+        def spy(rows, groups):
+            sizes.append(len(groups.bits))
+            return real(rows, groups)
+
+        monkeypatch.setattr(_quantizer, "optimize_coords", spy)
+        got = refine_layers(network, layers, iters)
+        assert layers_equal(got, rounds[-1])
+        # round 1 takes every group, round r the groups round r - 1 changed;
+        # refinement stops once a round changes none
+        want = [sum(len(ql.bits) for ql in layers)] + changed
+        want = want[: want.index(0) if 0 in want else iters]
+        assert sizes == want
+        assert want[1] < want[0] and len(want) > 2
 
 
 class TestAverageBitwidth:

@@ -86,9 +86,20 @@ def serialize(model: QuantModel, path) -> None:
 _GROUP_HEADER = struct.Struct("<HB")
 
 
-def _scan_groups(reader, layer_index: int, group_size: int) -> list[tuple[int, int, int]]:
-    """(coordinate offset, size, bitwidth) of each group record of one layer."""
+def _scan_groups(reader, layer_index: int, group_size: int,
+                 count: int) -> list[tuple[int, int, int]]:
+    """(coordinate offset, size, bitwidth) of each group record of one layer.
+
+    The headers are checked against the layer's partition of ``count``
+    values before any group is unpacked. To report an earlier group's fault
+    first, only the groups up to the first one off the partition are
+    unpacked, so the arrays stay within one group of the layer's size
+    whatever group count and sizes the headers declare.
+    """
     n_groups = reader.take("<I", "group count")
+    # the first group off the partition; until one is seen, the end of the
+    # partition or of the declared groups, whichever comes first
+    partition = min(-(-count // group_size), n_groups)
     data, off, records = reader.data, reader.offset, []
     try:
         for gi in range(n_groups):
@@ -116,10 +127,25 @@ def _scan_groups(reader, layer_index: int, group_size: int) -> list[tuple[int, i
                 whole = (len(data) - reader.offset) // col_bytes
                 reader.offset += whole * col_bytes
                 reader.take_bytes(col_bytes, f"group {gi} base column {whole}")
+            if gi < partition and size != min(group_size, count - gi * group_size):
+                partition = gi
             records.append((start, size, bitwidth))
+        covered = sum(r[1] for r in records)
+        if covered != count:
+            raise ContainerFormatError(
+                f"layer {layer_index}: groups cover {covered} values, spec expects {count}",
+                off,
+            )
+        if partition < n_groups:
+            start, size, _ = records[partition]
+            raise ContainerFormatError(
+                f"layer {layer_index} group {partition}: size {size}, partition "
+                f"expects {min(group_size, count - partition * group_size)}",
+                start,
+            )
     except ContainerFormatError:
         # a fault in an earlier, complete group is reported first
-        _unpack_groups(data, records, layer_index, group_size)
+        _unpack_groups(data, records[: partition + 1], layer_index, group_size)
         raise
     reader.offset = off
     return records
@@ -193,24 +219,9 @@ def deserialize_bytes(data: bytes) -> QuantModel:
     for (layer_index, name), (_, count) in zip(_net.parameterized_layers(spec),
                                                _net.param_counts(spec)[0]):
         reader.at_context(name)
-        records = _scan_groups(reader, layer_index, group_size)
+        records = _scan_groups(reader, layer_index, group_size, count)
         layer = QuantLayer(*_unpack_groups(data, records, layer_index, group_size),
                            group_size, count, layer_index)
-        size = np.array([r[1] for r in records], dtype=np.int64)
-        if size.sum() != count:
-            raise ContainerFormatError(
-                f"layer {layer_index}: groups cover {size.sum()} values, "
-                f"spec expects {count}",
-                reader.offset,
-            )
-        off = np.flatnonzero(size != layer.sizes)
-        if off.size:
-            gi = off[0]
-            raise ContainerFormatError(
-                f"layer {layer_index} group {gi}: size {size[gi]}, "
-                f"partition expects {layer.sizes[gi]}",
-                records[gi][0],
-            )
         layers.append(layer)
     if reader.offset != len(data):
         raise ContainerFormatError("trailing bytes", reader.offset)

@@ -322,9 +322,12 @@ def _forward_batch(spec: NetworkSpec, x: np.ndarray, affine, train_rng=None, cac
 
     This is the one walk over the layer stack: ``affine(i, h)`` maps
     parameterized layer i's conv windows (B, C, T, K) to (B, O, T), or its
-    dense rows (B, F) to (B, O), and the walk does everything else. If
-    ``caches`` is a list, it receives one dict per layer holding what the
-    backward pass needs. Dropout is active only when ``train_rng`` is given.
+    dense rows (B, F) to (B, O), and the walk does everything else.
+    ``affine`` must return a fresh array that aliases nothing, because ReLU
+    is applied to it in place. If ``caches`` is a list, it receives one dict
+    per layer holding what the backward pass needs; a ReLU layer keeps only
+    its boolean ``h > 0`` mask. Dropout is active only when ``train_rng`` is
+    given.
     """
     h = x
     with np.errstate(invalid="ignore", over="ignore"):  # NumericError below, not a warning
@@ -345,8 +348,9 @@ def _forward_batch(spec: NetworkSpec, x: np.ndarray, affine, train_rng=None, cac
                 h = affine(i, h)
                 # the head emits raw logits, whatever activation its descriptor holds
                 if layer.kind != SOFTMAX_DENSE and layer.activation == "relu":
-                    cache["pre_relu"] = h
-                    h = np.maximum(h, 0.0)
+                    if caches is not None:
+                        cache["relu_mask"] = h > 0
+                    np.maximum(h, 0.0, out=h)
                 if layer.kind == DENSE and layer.dropout_rate > 0 and train_rng is not None:
                     keep = train_rng.random(h.shape) >= layer.dropout_rate
                     h = h * keep / (1.0 - layer.dropout_rate)
@@ -363,8 +367,12 @@ def _fp_affine(network: Network):
     def affine(i, h):
         w, b = network.params[i]
         if h.ndim == 4:  # conv windows
-            return np.einsum("bctk,ock->bot", h, w, optimize=True) + b[:, None]
-        return h @ w.T + b
+            y = np.einsum("bctk,ock->bot", h, w, optimize=True)
+            y += b[:, None]
+        else:
+            y = h @ w.T
+            y += b
+        return y
     return affine
 
 
@@ -372,7 +380,10 @@ def _backward_batch(network: Network, caches, probs, labels):
     """Gradient of mean cross-entropy w.r.t. every parameter tensor.
 
     The walk stops at the first parameterized layer, whose input gradient
-    nothing reads.
+    nothing reads. It pops each layer's cache off ``caches`` once it has
+    used it, so a layer's windows and masks are freed as the walk passes
+    them, and ``caches`` is empty on return. Every step makes a fresh
+    ``dh``, so masks are applied to it in place where that keeps its layout.
     """
     bsz = probs.shape[0]
     onehot = np.zeros_like(probs)
@@ -383,12 +394,12 @@ def _backward_batch(network: Network, caches, probs, labels):
     first = min(i for i, l in enumerate(layers) if l.kind in PARAMETERIZED_KINDS)
     for i in range(len(layers) - 1, first - 1, -1):
         layer = layers[i]
-        cache = caches[i]
+        cache = caches.pop()
         if layer.kind in (DENSE, SOFTMAX_DENSE):
             if "drop_keep" in cache:
                 dh = dh * cache["drop_keep"] / (1.0 - layer.dropout_rate)
-            if "pre_relu" in cache:
-                dh = dh * (cache["pre_relu"] > 0)
+            if "relu_mask" in cache:
+                dh *= cache["relu_mask"]
             w, _ = network.params[i]
             grads[i] = (dh.T @ cache["x"], dh.sum(axis=0))
             if i > first:
@@ -398,12 +409,17 @@ def _backward_batch(network: Network, caches, probs, labels):
         elif layer.kind == POOL:
             dh = _pool_bwd(dh, cache["arg"], cache["x_shape"], layer.kernel, layer.stride)
         elif layer.kind == CONV:
-            if "pre_relu" in cache:
-                dh = dh * (cache["pre_relu"] > 0)
+            if "relu_mask" in cache:
+                # a padded conv's input gradient is a strided slice: masking
+                # it into a new array keeps the contiguous layout the einsum
+                # and the bias sum below round in
+                dh = np.multiply(dh, cache["relu_mask"],
+                                 out=dh if dh.flags.c_contiguous else None)
             grads[i] = _conv_param_grads(dh, cache["win"])
             if i > first:
                 w, _ = network.params[i]
                 dh = _conv_input_grad(dh, cache["x_shape"], w, layer.stride, layer.padding)
+    caches.clear()
     return grads
 
 

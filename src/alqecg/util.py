@@ -27,8 +27,12 @@ def worker_count() -> int:
 def chunked_rows(fn, items, min_chunk: int = 16) -> np.ndarray:
     """Apply ``fn`` (list -> row matrix) over chunks, preserving order.
 
-    Chunks are independent, so the concatenated result is bitwise identical
-    to one sequential call; threads only help when numpy releases the GIL.
+    Rows keep their bytes across chunkings only where ``fn``'s rows keep
+    them across batch sizes. ``QuantExecutor.probs`` runs fixed blocks, so
+    its rows are bitwise equal at any worker count. fp64 matmuls may round
+    differently at another batch size (up to about 5e-18 per logit on the
+    default network), so fp probabilities may move in the last bit.
+    Threads only help when numpy releases the GIL.
     """
     items = list(items)
     workers = worker_count()

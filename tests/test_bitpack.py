@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -317,6 +318,43 @@ class TestDeserializeErrors:
         with pytest.raises(ContainerFormatError, match="size 2, partition expects 3") as err:
             deserialize_bytes(bytes(data))
         assert err.value.offset == at + 3
+
+    @staticmethod
+    def one_value_groups() -> tuple[QuantModel, bytearray]:
+        """289 one-value groups of a 1-bit dense layer; the 17 zero biases
+        are 0-bit groups, bare 3-byte headers."""
+        spec = NetworkSpec([flatten(), softmax_dense(17)], input_length=16)
+        model = uniform_baseline(init_params(spec, 0), 1, 1)
+        return model, bytearray(serialize_bytes(model))
+
+    def test_partition_checked_before_groups_unpack(self):
+        # at a declared group size of 65535 the partition is one group of
+        # 289, so group 0 is rejected before any group is unpacked to 65535
+        # positions (97 MiB of arrays when the check came after unpacking)
+        model, data = self.one_value_groups()
+        at = header_bytes(model) - 2  # the u16 group size
+        data[at : at + 2] = (65535).to_bytes(2, "little")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContainerFormatError,
+                               match="layer 1 group 0: size 1, partition expects 289") as err:
+                deserialize_bytes(bytes(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) == 2315 and err.value.offset == at + 2 + 4 + 3 == 91
+        assert peak < 1 << 20
+
+    def test_missing_groups_rejected_at_layer_end(self):
+        model, data = self.one_value_groups()
+        at = header_bytes(model)
+        data[at : at + 4] = (288).to_bytes(4, "little")
+        assert data[-3:] == b"\x01\x00\x00"
+        del data[-3:]  # the last group's record
+        with pytest.raises(ContainerFormatError,
+                           match="layer 1: groups cover 288 values, spec expects 289") as err:
+            deserialize_bytes(bytes(data))
+        assert err.value.offset == len(data)
 
 
 # containers the loader fuzz tests mutate: two specs, group sizes that do and

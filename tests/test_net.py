@@ -1,6 +1,8 @@
 import hashlib
 import tempfile
+import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -226,6 +228,66 @@ class TestPooling:
         assert calls[14:] == [True] * 7
 
 
+class _Compared(np.ndarray):
+    """An array that counts its ``>`` comparisons, as a ReLU mask makes."""
+
+    count = 0
+
+    def __gt__(self, other):
+        _Compared.count += 1
+        return np.asarray(self) > other
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrainingMemory:
+    def test_loss_gradients_peak_near_inference_peak(self):
+        network = init_params(default_ecgnet_spec(), 0)
+        rng = np.random.default_rng(1)
+        records = [rng.normal(size=RECORD_SAMPLES) for _ in range(64)]
+        labels = rng.integers(17, size=64)
+        _net.loss_gradients(network, records, labels)  # warm up
+        inference = _traced_peak(lambda: _net.batch_loss(network, records, labels))
+        training = _traced_peak(lambda: _net.loss_gradients(network, records, labels))
+        # boolean ReLU masks, in-place bias and ReLU, and caches freed by the
+        # backward pass keep training within a third of the inference peak
+        assert training <= 1.35 * inference
+
+    def test_inference_walk_builds_no_relu_masks(self, monkeypatch):
+        network = init_params(default_ecgnet_spec(), 0)
+        fp = _net._fp_affine(network)
+        x = np.random.default_rng(3).normal(size=(2, 1, RECORD_SAMPLES))
+        monkeypatch.setattr(_Compared, "count", 0)
+        _net._forward_batch(network.spec, x, lambda i, h: fp(i, h).view(_Compared))
+        assert _Compared.count == 0
+        caches = []
+        _net._forward_batch(network.spec, x, fp, caches=caches)
+        masks = [c["relu_mask"] for c in caches if "relu_mask" in c]
+        assert len(masks) == 8 and all(m.dtype == bool for m in masks)
+        assert not any("pre_relu" in c for c in caches)
+
+    def test_backward_pass_frees_every_cache(self):
+        network = init_params(default_ecgnet_spec(), 0)
+        x = np.random.default_rng(4).normal(size=(3, 1, RECORD_SAMPLES))
+        caches = []
+        logits = _net._forward_batch(network.spec, x, _net._fp_affine(network),
+                                     train_rng=np.random.default_rng(5), caches=caches)
+        refs = [weakref.ref(v) for c in caches for v in c.values()
+                if isinstance(v, np.ndarray)]
+        assert len(refs) > 20
+        _, probs = _net._cross_entropy(logits, [0, 1, 2])
+        _net._backward_batch(network, caches, probs, [0, 1, 2])
+        assert caches == []
+        assert all(ref() is None for ref in refs)
+
+
 class TestGradients:
     def test_first_layer_input_gradient_skipped(self, monkeypatch):
         calls = []
@@ -432,6 +494,16 @@ def golden_network() -> Network:
     return init_params(spec, 21)
 
 
+def conv_stack_network() -> Network:
+    """Convs that feed convs: a padded conv's input gradient, a strided
+    slice, reaches the next ReLU mask."""
+    spec = NetworkSpec([
+        conv(16, 4, stride=4, padding=7), conv(5, 6, padding=2), conv(3, 5),
+        pool(4, 4), flatten(), dense(12, dropout_rate=0.2), softmax_dense(17)])
+    validate_spec(spec)
+    return init_params(spec, 25)
+
+
 class TestGoldenDigests:
     """fp outputs pinned to the bytes of the code before the fp and
     bit-plane passes shared one layer walk."""
@@ -460,6 +532,21 @@ class TestGoldenDigests:
         params = [flatten_params(result.network, i)
                   for i, _ in parameterized_layers(network.spec)]
         assert sha256_of(result.epoch_losses, *params) == digest
+
+    def test_conv_stack_train_epoch(self):
+        # pinned to the bytes of the code before ReLU masks were boolean and
+        # applied in place
+        network = conv_stack_network()
+        records = random_records(6, 26)
+        loss, grads = _net.loss_gradients(network, records, [r.label for r in records])
+        result = train(network, Dataset(random_records(10, 27)),
+                       TrainConfig(epochs=1, batch_size=4, seed=28))
+        params = [flatten_params(result.network, i)
+                  for i, _ in parameterized_layers(network.spec)]
+        assert sha256_of([loss], *[g for g in grads if g is not None]) == (
+            "aad97cb5d0393422bb07607f7d267cd324245e988b20eddae17e63f354bb9194")
+        assert sha256_of(result.epoch_losses, *params) == (
+            "4f7a08c871746f8d11c92851ea739081f5f2fcf694d55fd972c1ddd987a4c1f6")
 
 
 class TestCheckpoint:

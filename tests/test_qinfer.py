@@ -179,6 +179,22 @@ class TestQforward:
         par = predict_batch(model, records)
         np.testing.assert_array_equal(seq, par)
 
+    def test_thread_env_keeps_fp_labels_and_executor_bytes(self, monkeypatch):
+        # fp logits move by up to about 5e-18 between batch sizes here; the
+        # executor's fixed blocks keep every byte
+        from alqecg.metrics import predict_labels
+
+        network = init_params(default_ecgnet_spec(), 21)
+        rng = np.random.default_rng(22)
+        records = [rng.normal(size=3600) for _ in range(136)]
+        model = uniform_baseline(network, 2, 16)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ALQ_THREADS", threads)
+            runs.append((predict_labels(network, records), predict_batch(model, records)))
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1].tobytes() == runs[1][1].tobytes()
+
     def test_thread_env_validation(self, monkeypatch):
         from alqecg.errors import ConfigError
         from alqecg.util import worker_count

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 argument/config/input validation failure, 2
 runtime or numeric failure. Every run writes a manifest (resolved settings,
 seed, config digest, package versions, input hashes) next to its outputs so
-the run can be reproduced exactly. ALQ_THREADS caps worker threads
-(0 or unset = one per CPU).
+the run can be reproduced exactly. ALQ_THREADS caps the threads that run
+the quantized executor's record blocks (0 or unset = one per CPU); no output
+depends on it. Full-precision passes use BLAS's own threads.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=["csv", "raw-f32"], default="csv")
     p.add_argument("--out", required=True)
     p.add_argument("--group-size", type=int, default=None)
-    p.add_argument("--prune-rate", type=float, default=None)
-    p.add_argument("--target-bitwidth", type=float, default=None)
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--prune-rate", type=float, default=None)
+    target.add_argument("--target-bitwidth", type=float, default=None)
     p.add_argument("--scorer", choices=["magnitude", "loss_aware"], default=None)
     p.add_argument("--refine-iters", type=int, default=None)
     p.add_argument("--calib-batch", type=int, default=None)
@@ -108,14 +110,11 @@ def _build_parser() -> _Parser:
 
 def _alq_config(args) -> AlqConfig:
     raw = AlqConfig.from_json_file(args.config).to_dict() if args.config else AlqConfig().to_dict()
-    prune = dict(raw.get("prune", {}))
+    # the two flags are exclusive; either one replaces the file's target
     if args.prune_rate is not None:
-        if not 0.0 <= args.prune_rate < 1.0:
-            raise ConfigError("prune.rate must be in [0,1)")
-        prune = {"rate": args.prune_rate}
+        raw["prune"] = {"rate": args.prune_rate}
     if args.target_bitwidth is not None:
-        prune = {"target_avg_bitwidth": args.target_bitwidth}
-    raw["prune"] = prune
+        raw["prune"] = {"target_avg_bitwidth": args.target_bitwidth}
     for key, flag in [
         ("group_size", args.group_size), ("scorer", args.scorer),
         ("refine_iters", args.refine_iters), ("calib_batch", args.calib_batch),

@@ -31,7 +31,7 @@ from .quantizer import (
     refine_layers,
     score_coordinates,
 )
-from .util import canonical_json_bytes, chunked_rows
+from .util import canonical_json_bytes
 
 log = logging.getLogger(__name__)
 
@@ -134,7 +134,7 @@ def predict_labels(model, records) -> np.ndarray:
     if isinstance(model, QuantModel):
         probs = qinfer.predict_batch(model, records)
     else:
-        probs = chunked_rows(lambda recs: _net.predict_batch(model, recs), records)
+        probs = _net.predict_batch(model, records)
     return probs.argmax(axis=1)
 
 

@@ -519,8 +519,10 @@ def train(network: Network, train_set, config: TrainConfig) -> TrainResult:
     net = Network(network.spec, params)
     rng = np.random.default_rng(config.seed)
 
-    adam_m = [None if p is None else (np.zeros_like(p[0]), np.zeros_like(p[1])) for p in params]
-    adam_v = [None if p is None else (np.zeros_like(p[0]), np.zeros_like(p[1])) for p in params]
+    # every weight and bias array, with its Adam moments
+    arrays = [a for p in params if p is not None for a in p]
+    adam_m = [np.zeros_like(a) for a in arrays]
+    adam_v = [np.zeros_like(a) for a in arrays]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
@@ -537,24 +539,15 @@ def train(network: Network, train_set, config: TrainConfig) -> TrainResult:
                 raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
             total += loss * len(idx)
             step += 1
-            for li, g in enumerate(grads):
-                if g is None:
-                    continue
-                w, b = net.params[li]
+            corr1, corr2 = 1 - beta1 ** step, 1 - beta2 ** step
+            grad_arrays = (g for gp in grads if gp is not None for g in gp)
+            for a, g, m, v in zip(arrays, grad_arrays, adam_m, adam_v):
                 if config.optimizer == "sgd":
-                    w -= config.learning_rate * g[0]
-                    b -= config.learning_rate * g[1]
+                    a -= config.learning_rate * g
                 else:
-                    mw, mb = adam_m[li]
-                    vw, vb = adam_v[li]
-                    mw *= beta1; mw += (1 - beta1) * g[0]
-                    mb *= beta1; mb += (1 - beta1) * g[1]
-                    vw *= beta2; vw += (1 - beta2) * g[0] ** 2
-                    vb *= beta2; vb += (1 - beta2) * g[1] ** 2
-                    corr1 = 1 - beta1 ** step
-                    corr2 = 1 - beta2 ** step
-                    w -= config.learning_rate * (mw / corr1) / (np.sqrt(vw / corr2) + eps)
-                    b -= config.learning_rate * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
+                    m *= beta1; m += (1 - beta1) * g
+                    v *= beta2; v += (1 - beta2) * g ** 2
+                    a -= config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + eps)
         epoch_loss = total / n
         if not np.isfinite(epoch_loss):
             raise TrainingError(f"training diverged at epoch {epoch}")

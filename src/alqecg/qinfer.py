@@ -35,6 +35,8 @@ once and cached for as long as the layer lives. Records run in fixed blocks
 of stacked per-record matmuls whose shapes do not depend on the batch, so
 each record's arithmetic is independent of its batch: logits are bitwise
 identical at every batch size, and the blocks bound the working memory.
+The blocks are also the unit of parallel work: with ``ALQ_THREADS`` above
+one they run on a thread pool, which cannot change a byte of the output.
 
 Activations stay full-precision; accumulation is float64 so the bit-driven
 path tracks the dequantized reference within tight tolerances.
@@ -43,7 +45,9 @@ path tracks the dequantized reference within tight tolerances.
 from __future__ import annotations
 
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,7 +55,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import net as _net
 from .net import Network
 from .quantizer import QuantLayer, QuantModel, dequantized_network
-from .util import chunked_rows
+from .util import worker_count
 
 # records per stacked matmul
 BLOCK = 16
@@ -149,18 +153,20 @@ class QuantExecutor:
         return self.plans[i].apply(h.transpose(0, 1, 3, 2))  # conv windows
 
     def logits(self, records) -> np.ndarray:
-        spec = self.model.spec
-        x = _net._as_batch(spec, records)
-        return np.concatenate(
-            [_net._forward_batch(spec, x[i : i + BLOCK], self._affine)
-             for i in range(0, len(x), BLOCK)]
-        )
+        run = partial(_net._forward_batch, self.model.spec, affine=self._affine)
+        x = _net._as_batch(self.model.spec, records)
+        blocks = [x[i : i + BLOCK] for i in range(0, len(x), BLOCK)]
+        workers = min(worker_count(), len(blocks))
+        if workers <= 1:
+            return np.concatenate([run(b) for b in blocks])
+        # numpy releases the GIL in the matmuls, so the blocks overlap
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return np.concatenate(list(pool.map(run, blocks)))
 
     def probs(self, records) -> np.ndarray:
         return np.exp(_net._log_softmax(self.logits(records)))
 
 
 def predict_batch(model: QuantModel, records) -> np.ndarray:
-    """Probabilities for many records; chunks may run on worker threads."""
-    ex = QuantExecutor(model)
-    return chunked_rows(ex.probs, records)
+    """Probabilities for many records, (n_records, class_count)."""
+    return QuantExecutor(model).probs(records)

@@ -137,6 +137,24 @@ class TestValidation:
         assert rc == 1
         assert "prune.rate must be in [0,1)" in capsys.readouterr().err
 
+    def test_prune_rate_and_target_bitwidth_are_exclusive(self, capsys):
+        # the model is never opened: the parser rejects the pair first
+        assert run(["quantize", "--model", "m.alqf", "--prune-rate", "0.3",
+                    "--target-bitwidth", "2.0", "--out", "x.alqq"]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, prune", [
+        ("--prune-rate", "0.3", {"rate": 0.3}),
+        ("--target-bitwidth", "2.0", {"target_avg_bitwidth": 2.0}),
+    ])
+    def test_either_flag_replaces_config_file_prune(self, workdir, flag, value, prune):
+        from alqecg.cli import _alq_config, _build_parser
+
+        (workdir / "alq.json").write_text(json.dumps({"prune": {"rate": 0.5}}))
+        args = _build_parser().parse_args(["quantize", "--model", "m.alqf", "--config",
+                                           "alq.json", flag, value, "--out", "x.alqq"])
+        assert _alq_config(args).to_dict()["prune"] == prune
+
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err.lower()

@@ -1,3 +1,5 @@
+import os
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -180,20 +182,43 @@ class TestQforward:
         np.testing.assert_array_equal(seq, par)
 
     def test_thread_env_keeps_fp_labels_and_executor_bytes(self, monkeypatch):
-        # fp logits move by up to about 5e-18 between batch sizes here; the
-        # executor's fixed blocks keep every byte
+        # ALQ_THREADS only spreads the executor's fixed blocks over threads;
+        # the fp pass runs as one batch, so no output moves a bit
         from alqecg.metrics import predict_labels
 
         network = init_params(default_ecgnet_spec(), 21)
         rng = np.random.default_rng(22)
         records = [rng.normal(size=3600) for _ in range(136)]
         model = uniform_baseline(network, 2, 16)
+        fp_batch, fp_probs = _net.predict_batch, []
+
+        def spy(net, recs):  # the fp probabilities predict_labels reads
+            fp_probs.append(fp_batch(net, recs))
+            return fp_probs[-1]
+
+        monkeypatch.setattr(_net, "predict_batch", spy)
         runs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("ALQ_THREADS", threads)
-            runs.append((predict_labels(network, records), predict_batch(model, records)))
+            fp_probs.clear()
+            labels = predict_labels(network, records)
+            runs.append((labels, np.concatenate(fp_probs), predict_batch(model, records)))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1].tobytes() == runs[1][1].tobytes()
+        assert runs[0][2].tobytes() == runs[1][2].tobytes()
+
+    def test_numeric_error_raised_from_worker_thread(self, monkeypatch):
+        model, _ = self._model_and_reference()
+        at = [ql.layer_index for ql in model.layers].index(3)
+        model.layers[at] = replace(model.layers[at],
+                                   coords=np.full_like(model.layers[at].coords, 1e308))
+        monkeypatch.setenv("ALQ_THREADS", "2")
+        records = [np.full(8, 1e10)] * (qinfer.BLOCK + 1)  # two blocks
+        with pytest.raises(NumericError, match=r"layer 3 \(dense\)") as info:
+            QuantExecutor(model).logits(records)
+        # the traceback runs through the pool's worker, not the caller alone
+        files = [frame.filename for frame in traceback.extract_tb(info.value.__traceback__)]
+        assert any(f.endswith(os.path.join("concurrent", "futures", "thread.py")) for f in files)
 
     def test_thread_env_validation(self, monkeypatch):
         from alqecg.errors import ConfigError

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContainerFormatError, NumericError, ShapeError, TrainingError
 
@@ -254,13 +254,26 @@ def unflatten_params(
 # forward / backward
 
 
+def _strided_windows(x: np.ndarray, axis: int, width: int, step: int) -> np.ndarray:
+    """Read-only view of every ``step``-th length-``width`` window of ``x``
+    along ``axis``: that axis indexes the windows, and a new last axis the
+    place in each window. It equals ``sliding_window_view(x, width,
+    axis)`` sliced by ``step`` on ``axis``, strides included.
+    """
+    count = (x.shape[axis] - width) // step + 1
+    shape = x.shape[:axis] + (count,) + x.shape[axis + 1 :] + (width,)
+    stride = x.strides[axis]
+    strides = x.strides[:axis] + (stride * step,) + x.strides[axis + 1 :] + (stride,)
+    return as_strided(x, shape, strides, writeable=False)
+
+
 def _windows(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     # x (B, C, L) -> (B, C, T, K) strided view of every window
     if padding:
         xp = np.zeros(x.shape[:2] + (x.shape[2] + 2 * padding,), dtype=x.dtype)
         xp[:, :, padding:-padding] = x
         x = xp
-    return sliding_window_view(x, kernel, axis=2)[:, :, ::stride, :]
+    return _strided_windows(x, 2, kernel, stride)
 
 
 def _conv_param_grads(dy, win):
@@ -339,7 +352,8 @@ def _forward_batch(spec: NetworkSpec, x: np.ndarray, affine, train_rng=None, cac
                 else:
                     h, cache["arg"] = _pool_max(h, layer.kernel, layer.stride, keep_arg=True)
             elif layer.kind == FLATTEN:
-                h = h.reshape(h.shape[0], -1)
+                # sized explicitly, as -1 cannot be resolved for an empty batch
+                h = h.reshape(h.shape[0], int(np.prod(h.shape[1:])))
             elif layer.kind in PARAMETERIZED_KINDS:
                 if layer.kind == CONV:
                     h = cache["win"] = _windows(h, layer.kernel, layer.stride, layer.padding)
@@ -433,6 +447,8 @@ def _as_batch(spec: NetworkSpec, records) -> np.ndarray:
                 f"{spec.input_channels * spec.input_length}"
             )
         rows.append(samples.reshape(spec.input_channels, spec.input_length))
+    if not rows:
+        return np.zeros((0, spec.input_channels, spec.input_length))
     return np.stack(rows)
 
 

@@ -11,10 +11,10 @@ divides the layer's ``fan`` (its inputs per output position); otherwise
 ``left`` is n and ``width`` 2n, and a layer has at most ceil(fan / n) + 1
 windows. From the layer's ``signs`` and ``coords`` arrays the engine builds
 
-* ``M``, a {-1, 0, +1} grid of shape (windows, K * outputs, width), K the
-  layer's largest bitwidth: row ``k * outputs + o`` of window ``s`` holds
-  the k-th retained sign column of channel o's s-th segment, and rows with
-  no segment behind them are zero;
+* ``M``, an int8 {-1, 0, +1} grid of shape (windows, K * outputs, width),
+  K the layer's largest bitwidth: row ``k * outputs + o`` of window ``s``
+  holds the k-th retained sign column of channel o's s-th segment, and rows
+  with no segment behind them are zero;
 * ``coords`` (outputs x windows * K), the coordinate a_k of each row;
 * ``bias``, each channel's sum of a_k times the sign of its bias position.
   The bias input is the constant 1, so that reduction is done once, when
@@ -29,14 +29,17 @@ one position, a layer writes ``x`` once into a zero-padded column buffer,
 computes ``z = M @ x_windows`` with one matmul over a strided (records,
 windows, width, positions) view of it, and reduces every channel's rows
 with one batched GEMV, ``y = coords @ z + bias``, over a strided (records,
-outputs, windows * K, positions) view of ``z``. The dequantized weights are
-never formed. Quantized layers are immutable, so each layer's plan is built
-once and cached for as long as the layer lives. Records run in fixed blocks
-of stacked per-record matmuls whose shapes do not depend on the batch, so
-each record's arithmetic is independent of its batch: logits are bitwise
-identical at every batch size, and the blocks bound the working memory.
-The blocks are also the unit of parallel work: with ``ALQ_THREADS`` above
-one they run on a thread pool, which cannot change a byte of the output.
+outputs, windows * K, positions) view of ``z``. ``M`` is upcast to float64
+for that matmul alone, so only one layer's float64 grid exists at a time.
+The dequantized weights are never formed. Quantized layers are immutable,
+so each layer's plan is built once and cached for as long as the layer
+lives. Records run in fixed blocks of ``BLOCK`` stacked per-record matmuls
+whose shapes do not depend on the batch, so each record's arithmetic is
+independent of its batch: logits are bitwise identical at every batch and
+block size. Each block's inputs are stacked when the block runs, so the
+working memory is one block's, however many records there are. The blocks
+are also the unit of parallel work: with ``ALQ_THREADS`` above one they run
+on a thread pool, which cannot change a byte of the output.
 
 Activations stay full-precision; accumulation is float64 so the bit-driven
 path tracks the dequantized reference within tight tolerances.
@@ -47,10 +50,8 @@ from __future__ import annotations
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import net as _net
 from .net import Network
@@ -58,7 +59,7 @@ from .quantizer import QuantLayer, QuantModel, dequantized_network
 from .util import worker_count
 
 # records per stacked matmul
-BLOCK = 16
+BLOCK = 8
 
 
 def dequantize(model: QuantModel) -> Network:
@@ -77,10 +78,11 @@ class LayerPlan:
     ``M[s]`` holds the ``k``-th retained sign column of channel ``o``'s
     segment in window ``s``, and ``coords[o, s*K + k]`` its coordinate; rows
     with no segment behind them are zero, as are their coordinates. ``bias``
-    is each channel's reduction of the constant bias input.
+    is each channel's reduction of the constant bias input. ``M`` is int8,
+    and ``apply`` upcasts it per call.
     """
 
-    M: np.ndarray  # (windows, K * outputs, width) signs of the weight positions
+    M: np.ndarray  # (windows, K * outputs, width) int8 signs of the weight positions
     coords: np.ndarray  # (outputs, windows * K) coordinate of each row
     bias: np.ndarray  # (outputs,) sum of a_k * (sign of the bias position)
     group_size: int
@@ -97,8 +99,9 @@ class LayerPlan:
         buf = np.zeros((records, (windows - 1) * n + width, positions))
         # splitting the column axis gives a view, so x is written in place
         buf[:, left : left + fan].reshape(x.shape)[...] = x
-        xs = sliding_window_view(buf, width, axis=1)[:, ::n].transpose(0, 1, 3, 2)
-        z = (self.M @ xs).reshape(records, windows, rows // n_out, n_out, positions)
+        xs = _net._strided_windows(buf, 1, width, n).transpose(0, 1, 3, 2)
+        M = self.M.astype(np.float64)  # exact, and held for this call only
+        z = (M @ xs).reshape(records, windows, rows // n_out, n_out, positions)
         z = z.transpose(0, 3, 1, 2, 4).reshape(records, n_out, self.coords.shape[1], positions)
         return (self.coords[:, None, :] @ z)[:, :, 0] + self.bias[:, None]
 
@@ -117,7 +120,7 @@ def layer_plan(layer: QuantLayer, n_out: int, fan: int) -> LayerPlan:
     s = g[:w_total] - out * fan // n
     windows = int(s.max()) + 1
     k = np.arange(bits)
-    M = np.zeros((windows, bits * n_out, n + left))
+    M = np.zeros((windows, bits * n_out, n + left), np.int8)
     M[s[:, None], k * n_out + out[:, None], (col - s * n + left)[:, None]] = \
         layer.signs[g[:w_total], j[:w_total]]
     coords = np.zeros((n_out, windows, bits))
@@ -153,9 +156,13 @@ class QuantExecutor:
         return self.plans[i].apply(h.transpose(0, 1, 3, 2))  # conv windows
 
     def logits(self, records) -> np.ndarray:
-        run = partial(_net._forward_batch, self.model.spec, affine=self._affine)
-        x = _net._as_batch(self.model.spec, records)
-        blocks = [x[i : i + BLOCK] for i in range(0, len(x), BLOCK)]
+        spec = self.model.spec
+
+        def run(block):
+            return _net._forward_batch(spec, _net._as_batch(spec, block), self._affine)
+
+        # an empty batch is one empty block, so its logits are (0, classes)
+        blocks = [records[i : i + BLOCK] for i in range(0, max(len(records), 1), BLOCK)]
         workers = min(worker_count(), len(blocks))
         if workers <= 1:
             return np.concatenate([run(b) for b in blocks])

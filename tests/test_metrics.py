@@ -141,6 +141,27 @@ class TestEvaluate:
         with pytest.raises(ShapeError):
             evaluate(network, Dataset([], class_count=3))
 
+    @pytest.mark.parametrize("quantized", [False, True])
+    @pytest.mark.parametrize("records", [[], (), np.zeros((0, 8))],
+                             ids=["list", "tuple", "array"])
+    def test_empty_record_batch(self, quantized, records):
+        # no records give no rows, on either model kind and at every entry
+        # point, rather than a failure to stack an empty batch
+        from alqecg import net as _net, qinfer
+
+        model = init_params(tiny_spec(), 3)
+        if quantized:
+            model = uniform_baseline(model, 2, 16)
+            outputs = [qinfer.QuantExecutor(model).logits(records),
+                       qinfer.predict_batch(model, records)]
+        else:
+            outputs = [_net.logits_batch(model, records),
+                       _net.predict_batch(model, records)]
+        for out in outputs:
+            assert out.shape == (0, 3) and out.dtype == np.float64
+        labels = predict_labels(model, records)
+        assert labels.shape == (0,) and labels.dtype.kind == "i"
+
 
 class TestSweep:
     def test_single_rate_matches_pipeline(self):

@@ -500,9 +500,49 @@ class TestFullModelBatchInvariance:
         assert np.abs(whole - reference).max() <= 1e-5
 
 
+class TestBlocks:
+    """Blocks bound the executor's memory and change no output byte."""
+
+    @pytest.mark.parametrize("group_size", [16, 11])
+    def test_block_size_changes_no_byte(self, monkeypatch, group_size):
+        model = uniform_baseline(init_params(default_ecgnet_spec(), 14), 2, group_size)
+        rows = np.random.default_rng(26).normal(size=(40, 3600))
+        ex = QuantExecutor(model)
+        out = {}
+        for block in (1, 8, 16):
+            monkeypatch.setattr(qinfer, "BLOCK", block)
+            for records in (list(rows), tuple(rows), rows):
+                out[block, type(records)] = ex.logits(records).tobytes()
+        assert len(set(out.values())) == 1
+
+    def test_working_memory_does_not_grow_with_batch(self, monkeypatch):
+        import tracemalloc
+
+        monkeypatch.setenv("ALQ_THREADS", "1")
+        network = init_params(default_ecgnet_spec(), 21)
+        ex = QuantExecutor(uniform_baseline(network, 2, 16))
+        records = [np.random.default_rng(27).normal(size=3600) for _ in range(136)]
+        ex.logits(records[:1])  # plans and lazy numpy state outside the trace
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                ex.logits(records[:batch])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the whole 136-record input alone would add 3.9 MB
+        assert peak(136) - peak(qinfer.BLOCK) < 1e6
+        assert all(plan.M.dtype == np.int8 for plan in ex.plans.values())
+        grid_bytes = sum(plan.M.nbytes for plan in ex.plans.values())
+        fp_bytes = sum(a.nbytes for p in network.params if p is not None for a in p)
+        assert grid_bytes < fp_bytes
+
+
 class TestExecutorGoldenDigests:
     # logits pinned to the bytes of the executor before it ran on the
-    # network's layer walk; 40 records make three blocks
+    # network's layer walk; 40 records make five blocks
     @pytest.mark.parametrize("group_size, b1, batch", [
         (16, "322d17eac2bba6072f79ef6b433f32ebc476891c5c2e10b76a7a492a4a1773a4",
          "981659f890ed00c51deafb141d52141a6907866d652ec10fb25667367937105f"),

@@ -1,20 +1,23 @@
 """Bit-packed container for quantized models plus memory accounting.
 
-``ALQQ`` layout, all little-endian:
+``ALQQ`` version 2 layout, all little-endian:
 
 * magic ``ALQQ``, u16 version
 * network descriptor (shared with the checkpoint format), then model meta:
   u64 creation seed and the 32-byte config digest
-* u16 group size
-* per parameterized layer: u32 group count, then per group u16 size, u8
-  bitwidth, the coordinates as f32, and one packed sign column per retained
-  bit. Columns pack LSB-first: bit b of byte j holds the sign of weight
-  position 8j+b (+1 -> 1), each column padded to a whole byte with zero bits.
+* u16 group size n, at most the largest layer's parameter count
+* per parameterized layer: u32 group count, which must be ceil(count / n);
+  every group's u8 bitwidth, as one array; then per group its coordinates
+  as f32 and one packed sign column per retained bit. Columns pack
+  LSB-first: bit b of byte j holds the sign of weight position 8j+b
+  (+1 -> 1), each column padded to a whole byte with zero bits.
 
-Group sizes must follow the layer's partition (every group full except a
-short last one). A layer's records are written and read as whole arrays
-(``QuantLayer.signs``, ``coords``, ``bits``): one ``np.packbits`` or
-``np.unpackbits`` per layer, with only the group headers scanned one by one.
+No group size is stored: the partition fixes it (every group full except a
+short last one). Each group's record offset is then a cumulative sum over
+the bitwidth array, so a layer's records are written and read as whole
+arrays (``QuantLayer.signs``, ``coords``, ``bits``), with one
+``np.packbits`` or ``np.unpackbits`` per layer and no loop over groups.
+Version 1, which stored a u16 size before each bitwidth, is not read.
 
 The memory accounting mirrors the usual multi-bit storage convention:
 the headline figure counts sign bits only (params x average bitwidth),
@@ -36,32 +39,35 @@ from .net import NetworkSpec
 from .quantizer import ENUM_BITWIDTH_LIMIT, ModelMeta, QuantLayer, QuantModel, row_keys
 
 MAGIC = b"ALQQ"
-VERSION = 1
+VERSION = 2
 COORD_BITS = 32
 BASELINE_BITS = 32
 # u16 version, u64 seed, 32-byte digest, u16 group size
 _FIXED_BYTES = len(MAGIC) + 2 + 8 + 32 + 2
 
 
+def _largest_layer(spec: NetworkSpec) -> int:
+    """The bound on the group size: the largest layer's parameter count."""
+    return max(count for _, count in _net.param_counts(spec)[0])
+
+
 def _layer_records(ql: QuantLayer) -> bytes:
-    """Every group's record: header, f32 coordinates, packed sign columns."""
+    """The bitwidth array, then every group's f32 coordinates and packed
+    sign columns."""
     n_groups, _, width = ql.signs.shape
     sizes, bits = ql.sizes, ql.bits
-    header = np.column_stack([sizes.astype("<u2")[:, None].view(np.uint8),
-                              bits.astype(np.uint8)])
     coords = np.ascontiguousarray(ql.coords, dtype="<f4").view(np.uint8)
     # (G, n, W) signs -> (G, W, ceil(n/8)) column bytes, zero past each size
     plus = (ql.signs > 0) & (np.arange(ql.group_size) < sizes[:, None])[:, :, None]
     columns = np.packbits(plus, axis=1, bitorder="little").transpose(0, 2, 1)
     retained = np.arange(width) < bits[:, None]
     in_column = np.arange(columns.shape[2]) < (sizes[:, None, None] + 7) // 8
-    table = np.concatenate([header, coords, columns.reshape(n_groups, -1)], axis=1)
+    table = np.concatenate([coords, columns.reshape(n_groups, -1)], axis=1)
     mask = np.concatenate([
-        np.ones((n_groups, 3), dtype=bool),
         np.repeat(retained, 4, axis=1),
         (retained[:, :, None] & in_column).reshape(n_groups, -1),
     ], axis=1)
-    return table[mask].tobytes()
+    return bits.astype(np.uint8).tobytes() + table[mask].tobytes()
 
 
 def serialize_bytes(model: QuantModel) -> bytes:
@@ -70,6 +76,10 @@ def serialize_bytes(model: QuantModel) -> bytes:
     digest = bytes.fromhex(model.meta.config_digest)
     if len(digest) != 32:
         raise ContainerFormatError("config digest must be 32 bytes of hex")
+    largest = _largest_layer(model.spec)
+    if model.group_size > largest:
+        raise ContainerFormatError(
+            f"group size {model.group_size} exceeds the largest layer's {largest} values")
     parts.append(struct.pack("<Q", model.meta.seed))
     parts.append(digest)
     parts.append(struct.pack("<H", model.group_size))
@@ -83,81 +93,56 @@ def serialize(model: QuantModel, path) -> None:
     Path(path).write_bytes(serialize_bytes(model))
 
 
-_GROUP_HEADER = struct.Struct("<HB")
+def _read_layer(reader, layer_index: int, group_size: int, count: int):
+    """Validated (signs, coords, bits) arrays of one layer's groups.
 
-
-def _scan_groups(reader, layer_index: int, group_size: int,
-                 count: int) -> list[tuple[int, int, int]]:
-    """(coordinate offset, size, bitwidth) of each group record of one layer.
-
-    The headers are checked against the layer's partition of ``count``
-    values before any group is unpacked. To report an earlier group's fault
-    first, only the groups up to the first one off the partition are
-    unpacked, so the arrays stay within one group of the layer's size
-    whatever group count and sizes the headers declare.
+    Faults are reported in group order: a group's bad bitwidth, cut-short
+    record or bad contents, whichever group comes first. Only complete
+    groups before the first bad bitwidth are unpacked.
     """
+    at = reader.offset
     n_groups = reader.take("<I", "group count")
-    # the first group off the partition; until one is seen, the end of the
-    # partition or of the declared groups, whichever comes first
-    partition = min(-(-count // group_size), n_groups)
-    data, off, records = reader.data, reader.offset, []
-    try:
-        for gi in range(n_groups):
-            if off + _GROUP_HEADER.size > len(data):
-                reader.offset = off
-                reader.take_bytes(_GROUP_HEADER.size, f"group {gi} header")
-            size, bitwidth = _GROUP_HEADER.unpack_from(data, off)
-            start = off + _GROUP_HEADER.size
-            if size < 1 or size > group_size:
-                raise ContainerFormatError(
-                    f"layer {layer_index} group {gi}: size {size} out of range", start)
-            if bitwidth > ENUM_BITWIDTH_LIMIT:
-                raise ContainerFormatError(
-                    f"layer {layer_index} group {gi}: bitwidth {bitwidth} exceeds "
-                    f"{ENUM_BITWIDTH_LIMIT}",
-                    off,
-                )
-            col_bytes = (size + 7) // 8
-            off = start + bitwidth * (4 + col_bytes)
-            if off > len(data):
-                # the record is cut short: the reader raises for its first
-                # incomplete part, the coordinate block or a base column
-                reader.offset = start
-                reader.take_bytes(bitwidth * 4, f"group {gi} coordinate block")
-                whole = (len(data) - reader.offset) // col_bytes
-                reader.offset += whole * col_bytes
-                reader.take_bytes(col_bytes, f"group {gi} base column {whole}")
-            if gi < partition and size != min(group_size, count - gi * group_size):
-                partition = gi
-            records.append((start, size, bitwidth))
-        covered = sum(r[1] for r in records)
-        if covered != count:
-            raise ContainerFormatError(
-                f"layer {layer_index}: groups cover {covered} values, spec expects {count}",
-                off,
-            )
-        if partition < n_groups:
-            start, size, _ = records[partition]
-            raise ContainerFormatError(
-                f"layer {layer_index} group {partition}: size {size}, partition "
-                f"expects {min(group_size, count - partition * group_size)}",
-                start,
-            )
-    except ContainerFormatError:
-        # a fault in an earlier, complete group is reported first
-        _unpack_groups(data, records[: partition + 1], layer_index, group_size)
-        raise
-    reader.offset = off
-    return records
+    expected = -(-count // group_size)
+    if n_groups != expected:
+        raise ContainerFormatError(
+            f"layer {layer_index}: {n_groups} groups, partition of {count} values "
+            f"expects {expected}", at)
+    bits_at = reader.offset
+    bits = np.frombuffer(reader.take_bytes(n_groups, "group bitwidths"),
+                         dtype=np.uint8).astype(np.int64)
+    sizes = np.minimum(group_size, count - group_size * np.arange(n_groups))
+    over = bits > ENUM_BITWIDTH_LIMIT
+    valid = int(over.argmax()) if over.any() else n_groups
+    lengths = bits[:valid] * (4 + (sizes[:valid] + 7) // 8)
+    ends = reader.offset + np.cumsum(lengths)
+    starts = ends - lengths
+    complete = int(np.searchsorted(ends, len(reader.data), side="right"))
+    # a fault in an earlier, complete group is reported first
+    arrays = _unpack_groups(reader.data, starts[:complete], sizes[:complete],
+                            bits[:complete], layer_index, group_size)
+    if complete < valid:
+        # the record is cut short: the reader raises for its first
+        # incomplete part, the coordinate block or a base column
+        gi, col_bytes = complete, (sizes[complete] + 7) // 8
+        reader.offset = int(starts[gi])
+        reader.take_bytes(int(bits[gi]) * 4, f"group {gi} coordinate block")
+        whole = (len(reader.data) - reader.offset) // col_bytes
+        reader.offset += int(whole * col_bytes)
+        reader.take_bytes(int(col_bytes), f"group {gi} base column {whole}")
+    if valid < n_groups:
+        raise ContainerFormatError(
+            f"layer {layer_index} group {valid}: bitwidth {bits[valid]} exceeds "
+            f"{ENUM_BITWIDTH_LIMIT}", bits_at + valid)
+    reader.offset = bits_at + n_groups + int(lengths.sum())
+    return arrays
 
 
-def _unpack_groups(data: bytes, records, layer_index: int, group_size: int):
-    """Validated (signs, coords, bits) arrays of the scanned group records.
+def _unpack_groups(data: bytes, start, size, bits, layer_index: int, group_size: int):
+    """Validated (signs, coords, bits) arrays of group records at ``start``.
 
     Groups are checked in order; the first faulty one raises, for non-zero
     pad bits at the offending column, otherwise at the end of its record.
     """
-    start, size, bits = np.array(records, dtype=np.int64).reshape(-1, 3).T
     k = np.arange(bits.max(initial=0))
     retained = k < bits[:, None]
     col_bytes = (size + 7) // 8
@@ -211,18 +196,20 @@ def deserialize_bytes(data: bytes) -> QuantModel:
     spec = _net.unpack_spec(reader)
     seed = reader.take("<Q", "meta seed")
     digest = reader.take_bytes(32, "meta digest").hex()
+    at = reader.offset
     group_size = reader.take("<H", "group size")
-    if group_size < 1:
-        raise ContainerFormatError("group size must be >= 1", reader.offset)
+    largest = _largest_layer(spec)
+    if not 1 <= group_size <= largest:
+        raise ContainerFormatError(
+            f"group size {group_size} outside 1..{largest} (the largest layer's "
+            "parameter count)", at)
 
     layers = []
     for (layer_index, name), (_, count) in zip(_net.parameterized_layers(spec),
                                                _net.param_counts(spec)[0]):
         reader.at_context(name)
-        records = _scan_groups(reader, layer_index, group_size, count)
-        layer = QuantLayer(*_unpack_groups(data, records, layer_index, group_size),
-                           group_size, count, layer_index)
-        layers.append(layer)
+        arrays = _read_layer(reader, layer_index, group_size, count)
+        layers.append(QuantLayer(*arrays, group_size, count, layer_index))
     if reader.offset != len(data):
         raise ContainerFormatError("trailing bytes", reader.offset)
     return QuantModel(spec, layers, group_size, ModelMeta(seed, digest))
@@ -274,11 +261,14 @@ class MemoryReport:
         )
         rate = self.compression_rate
         lines.append(f"Compression vs {BASELINE_BITS}-bit baseline: "
-                     + (f"{rate:.2f}x" if np.isfinite(rate) else "n/a (0 base bits)"))
+                     + (f"{rate:.2f}x (sign bits only)" if np.isfinite(rate)
+                        else "n/a (0 base bits)"))
+        if self.container_bits is not None:
+            file_rate = self.total_params * BASELINE_BITS / self.container_bits
+            lines.append(f"Container file: {self.container_bits // 8:,} B, "
+                         f"{file_rate:.2f}x smaller than {BASELINE_BITS}-bit weights")
         if self.coord_overhead_bits is not None:
             lines.append(f"Coordinate overhead: {self.coord_overhead_bits:,} Bit")
-        if self.container_bits is not None:
-            lines.append(f"Container total: {self.container_bits:,} Bit")
         return "\n".join(lines) + "\n"
 
 
@@ -301,7 +291,9 @@ def _finish_report(rows, coord_overhead=None, container_bits=None) -> MemoryRepo
 def memory_report(model: QuantModel) -> MemoryReport:
     """Per-layer and total sign-bit accounting for a quantized model.
 
-    The container size follows from the group sizes and bitwidths alone.
+    The container size follows from the group sizes and bitwidths alone:
+    per layer a u32 group count, one u8 bitwidth per group, and each group's
+    f32 coordinates and byte-padded sign columns.
     """
     names = dict(_net.parameterized_layers(model.spec))
     rows = []
@@ -311,7 +303,7 @@ def memory_report(model: QuantModel) -> MemoryReport:
         sizes, bits = ql.sizes, ql.bits
         base_bits = int(sizes @ bits)
         coord_overhead += int(bits.sum()) * COORD_BITS
-        container += 4 + 3 * len(bits) + int(bits @ (4 + (sizes + 7) // 8))
+        container += 4 + len(bits) + int(bits @ (4 + (sizes + 7) // 8))
         rows.append(LayerMemory(names[ql.layer_index], base_bits / ql.param_count,
                                 ql.param_count, base_bits))
     return _finish_report(rows, coord_overhead, container * 8)

@@ -216,7 +216,8 @@ def _cmd_quantize(args) -> int:
 
 
 def _load_model(path):
-    magic = Path(path).read_bytes()[:4]
+    with open(path, "rb") as f:
+        magic = f.read(4)
     if magic == bitpack.MAGIC:
         return bitpack.deserialize(path)
     if magic == _net.CHECKPOINT_MAGIC:

@@ -28,6 +28,7 @@ from alqecg.util import canonical_json_bytes
 from conftest import ACCEPTANCE_LINES
 from test_bitpack import models_equal, random_model
 from test_quantizer import (
+    arrays_sha256,
     bases_one,
     coords_one,
     init_one,
@@ -44,11 +45,15 @@ pytestmark = pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
 # SHA-256 of outputs that refactors of the quantizer, the container and the
 # sweep must reproduce byte for byte: the criterion-6 desk ALQQ bytes and the
 # criterion-7 sweep.json bytes
-DESK_ALQQ_SHA256 = "c401fd07eb19ad4ee26696959b8eb8169f45e775cac157521fd4a29e3e746777"
+DESK_ALQQ_SHA256 = "20d85b6381158d5bab5582175c2079e5144be1b053c818c76851dd6b5f23e97a"
 SWEEP_JSON_SHA256 = "f5361050aa4a0fa9f793c9986a2a0abf33c4e9b3f73474221105f36fc26065ec"
 # the criterion-6 config at group size 11 and 4 refinement rounds: each layer's
 # short last group then sits inside the network-wide set of groups
-DESK_G11_ALQQ_SHA256 = "17de31b98d1c41b530a81dd6459d1a4e7b9ef2378fa95e34768311661ee4e0cd"
+DESK_G11_ALQQ_SHA256 = "979b6bc389719af94a99c17dbd4439af3e039120a06bef8c6eb96e8ea8868cf3"
+# SHA-256 of the signs, coords and bits arrays of the same two models
+# (test_quantizer.arrays_sha256)
+DESK_ARRAYS_SHA256 = "0278053e4f8f3e4951c90787a3b91f9d5c0bad640288526ada79f355918d26fe"
+DESK_G11_ARRAYS_SHA256 = "b8b63952b33dc53e8748ed1e82bbca5febfd4492c5bb949124d7c0687616b7fb"
 
 
 def _record(criterion: int, description: str):
@@ -225,13 +230,23 @@ def test_criterion_06_desk_scale_end_to_end(trained_network, desk_data, desk_qua
                f"{quant_report.oa:.2f}% at {mem.compression_rate:.1f}x compression")
 
 
-def test_group11_refinement_digest(trained_network, desk_data):
+@pytest.fixture(scope="module")
+def desk_g11_model(trained_network, desk_data):
     train_set, _ = desk_data
     config = AlqConfig(group_size=11, i_max=3, target_avg_bitwidth=2.0, scorer="loss_aware",
                        refine_iters=4, calib_batch=64, seed=11)
-    model, _ = alq_pipeline(trained_network, train_set, config)
-    digest = hashlib.sha256(bitpack.serialize_bytes(model)).hexdigest()
+    return alq_pipeline(trained_network, train_set, config)[0]
+
+
+def test_group11_refinement_digest(desk_g11_model):
+    digest = hashlib.sha256(bitpack.serialize_bytes(desk_g11_model)).hexdigest()
     assert digest == DESK_G11_ALQQ_SHA256
+
+
+def test_quantizer_arrays_golden_digests(desk_quantized, desk_g11_model):
+    # the quantizer's arrays, pinned apart from the container's bytes
+    assert arrays_sha256(desk_quantized[1]) == DESK_ARRAYS_SHA256
+    assert arrays_sha256(desk_g11_model) == DESK_G11_ARRAYS_SHA256
 
 
 def test_criterion_07_sweep_shape(trained_network, desk_data):

@@ -40,11 +40,13 @@ from alqecg.quantizer import (
     uniform_baseline,
 )
 from conftest import tiny_spec
-from test_quantizer import empty_layer, groups_of, layers_equal
+from test_quantizer import arrays_sha256, empty_layer, groups_of, layers_equal
 
 # SHA-256 of the ALQQ bytes of a 2-bit uniform baseline of the untrained
 # default network at group size 11, where every layer ends in a short group
-UNIFORM_ALQQ_SHA256 = "a5a062b661cbaa67575df1e5201b0baa092508555f6499a6c9aec1c5677b3fd4"
+UNIFORM_ALQQ_SHA256 = "83fdbaa0258c721ab02f5e4d1b3ddb7194f3edb7542c1740860036a1f8db96cf"
+# and of its signs, coords and bits arrays (test_quantizer.arrays_sha256)
+UNIFORM_ARRAYS_SHA256 = "a783296127f676d77f7cf95fce3997eafd4b67cd2afe5804f46c018e59ae9a76"
 
 
 def small_spec():
@@ -92,14 +94,6 @@ def header_bytes(model: QuantModel) -> int:
     return len(serialize_bytes(replace(model, layers=[])))
 
 
-def uniform_layer(count: int, group_size: int) -> QuantLayer:
-    """One all-+1 column per group with coordinate 1."""
-    n_groups = -(-count // group_size)
-    signs = (np.arange(n_groups * group_size) < count).reshape(n_groups, group_size, 1)
-    return QuantLayer(signs, np.ones((n_groups, 1)), np.ones(n_groups), group_size,
-                      count, 1)
-
-
 def one_group_model(column) -> QuantModel:
     """A 1-output dense model whose weights are one group holding the single
     sign column; the bias is a second, empty group."""
@@ -114,8 +108,9 @@ def one_group_model(column) -> QuantModel:
 
 
 def column_bytes(column) -> bytes:
-    """The packed sign column of a one-group container, before the bias header."""
-    return serialize_bytes(one_group_model(column))[-3 - (len(column) + 7) // 8 : -3]
+    """The packed sign column of a one-group container: its last bytes, as the
+    0-bit bias group has an empty record."""
+    return serialize_bytes(one_group_model(column))[-((len(column) + 7) // 8):]
 
 
 class TestPacking:
@@ -170,6 +165,10 @@ class TestSerializeRoundTrip:
         model = uniform_baseline(init_params(default_ecgnet_spec(), 14), 2, 11)
         assert hashlib.sha256(serialize_bytes(model)).hexdigest() == UNIFORM_ALQQ_SHA256
 
+    def test_uniform_baseline_arrays_golden_digest(self):
+        model = uniform_baseline(init_params(default_ecgnet_spec(), 14), 2, 11)
+        assert arrays_sha256(model) == UNIFORM_ARRAYS_SHA256
+
     def test_many_random_models(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
@@ -221,25 +220,22 @@ class TestDeserializeErrors:
     def test_bitwidth_above_limit_rejected_at_header(self, bitwidth):
         model = random_model(np.random.default_rng(9), group_size=8)
         data = bytearray(serialize_bytes(model))
-        # the first layer's group count, then group 0's u16 size and u8 bitwidth
+        # the first layer's group count, then its bitwidth array
         at = header_bytes(model) + 4
-        assert data[at + 2] == model.layers[0].bits[0]
-        data[at + 2] = bitwidth
+        assert data[at] == model.layers[0].bits[0]
+        data[at] = bitwidth
         with pytest.raises(ContainerFormatError, match=f"group 0: bitwidth {bitwidth} "
                            f"exceeds {ENUM_BITWIDTH_LIMIT}") as err:
             deserialize_bytes(bytes(data))
         assert err.value.offset == at
 
-    @pytest.mark.parametrize("size", [0, 9])
-    def test_group_size_out_of_range_rejected_after_header(self, size):
-        model = random_model(np.random.default_rng(9), group_size=8)
-        data = bytearray(serialize_bytes(model))
-        at = header_bytes(model) + 4
-        data[at : at + 2] = size.to_bytes(2, "little")
-        with pytest.raises(ContainerFormatError,
-                           match=f"group 0: size {size} out of range") as err:
+    def test_version_1_rejected(self):
+        data = bytearray(serialize_bytes(random_model(np.random.default_rng(9))))
+        assert data[4:6] == b"\x02\x00"
+        data[4] = 1
+        with pytest.raises(ContainerFormatError, match="unsupported version 1") as err:
             deserialize_bytes(bytes(data))
-        assert err.value.offset == at + 3
+        assert err.value.offset == 4
 
     def test_non_canonical_rejected(self):
         model = random_model(np.random.default_rng(6), group_size=8)
@@ -256,14 +252,14 @@ class TestDeserializeErrors:
         model.layers[0] = replace(ql, signs=signs, coords=coords, bits=bits)
         with pytest.raises(ContainerFormatError, match="group 0: duplicate") as err:
             deserialize_bytes(serialize_bytes(model))
-        # group count, then group 0: header, two f32 coordinates, two columns
-        assert err.value.offset == header_bytes(model) + 4 + 3 + 8 + 2
+        # group count, bitwidths, then group 0: two f32 coordinates, two columns
+        assert err.value.offset == header_bytes(model) + 4 + len(bits) + 8 + 2
 
     @pytest.mark.parametrize("nan", [0x7FC00000, 0x7FA00000])  # quiet, signalling
     def test_nan_coordinate_rejected_without_warning(self, nan):
         model = one_group_model([1, -1, 1])
         data = bytearray(serialize_bytes(model))
-        at = header_bytes(model) + 4 + 3  # group count, then group 0's header
+        at = header_bytes(model) + 4 + 2  # group count, then both bitwidths
         data[at : at + 4] = nan.to_bytes(4, "little")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -273,92 +269,103 @@ class TestDeserializeErrors:
         # the end of group 0's record: one coordinate and one column byte
         assert err.value.offset == at + 4 + 1
 
-    def test_nonzero_pad_bits_rejected(self):
-        model = random_model(np.random.default_rng(11), group_size=5)
+    @staticmethod
+    def pad_bit_fault(seed: int) -> tuple[bytearray, int]:
+        """A container whose first layer holds 1-bit groups of 5 and 3 values,
+        with a pad bit set in group 0's column; the column's offset."""
+        model = random_model(np.random.default_rng(seed), group_size=5)
         ql = model.layers[0]
         bits = np.ones_like(ql.bits)
         model.layers[0] = replace(ql, signs=np.where(ql.signs[:, :, :1] == 0, 0, 1),
                                   coords=np.ones((len(bits), 1)), bits=bits)
         data = bytearray(serialize_bytes(model))
-        # group 0 record: header, one f32 coordinate, one 1-byte column
-        column = header_bytes(model) + 4 + 3 + 4
+        # group count, bitwidths, then group 0: one f32 coordinate, one 1-byte column
+        column = header_bytes(model) + 4 + len(bits) + 4
         assert data[column] == 0b11111
         data[column] |= 0b10000000
+        return data, column
+
+    def test_nonzero_pad_bits_rejected(self):
+        data, column = self.pad_bit_fault(11)
         with pytest.raises(ContainerFormatError, match="group 0: non-zero pad bits in "
                            "base column 0") as err:
             deserialize_bytes(bytes(data))
         assert err.value.offset == column
 
     def test_earlier_group_fault_reported_before_truncation(self):
-        model = random_model(np.random.default_rng(12), group_size=5)
-        ql = model.layers[0]
-        bits = np.ones_like(ql.bits)
-        model.layers[0] = replace(ql, signs=np.where(ql.signs[:, :, :1] == 0, 0, 1),
-                                  coords=np.ones((len(bits), 1)), bits=bits)
-        data = bytearray(serialize_bytes(model))
-        column = header_bytes(model) + 4 + 3 + 4
-        data[column] |= 0b10000000
-        # cut inside the second group's record
-        with pytest.raises(ContainerFormatError, match="pad bits"):
+        data, column = self.pad_bit_fault(12)
+        # cut inside the second group's record, after its coordinate
+        with pytest.raises(ContainerFormatError, match="group 0: non-zero pad bits") as err:
             deserialize_bytes(bytes(data[: column + 5]))
+        assert err.value.offset == column
 
-    def test_nonstandard_partition_rejected(self):
-        # sizes 2 + 3 cover the 5 values of a group-size-3 layer, but the
-        # partition is 3 + 2
-        spec = NetworkSpec([flatten(), softmax_dense(1)], input_length=4,
-                           input_channels=1, class_count=1)
-        model = QuantModel(spec, [uniform_layer(5, 3)], 3, ModelMeta())
-        data = bytearray(serialize_bytes(model))
-        at = header_bytes(model) + 4
-        assert data[at : at + 2] == b"\x03\x00"
-        data[at] = 2
-        data[at + 3 + 4 + 1] = 3  # the second header follows the 1-byte column
-        data[at + 3 + 4 + 1 + 3 + 4] = 0b111
-        data[at + 3 + 4] = 0b11
-        with pytest.raises(ContainerFormatError, match="size 2, partition expects 3") as err:
+    def test_earlier_group_fault_reported_before_later_bitwidth(self):
+        data, column = self.pad_bit_fault(12)
+        # group 1's bitwidth is the second byte of the array, 4 + 1 bytes
+        # before group 0's column
+        data[column - 4 - 1] = ENUM_BITWIDTH_LIMIT + 1
+        with pytest.raises(ContainerFormatError, match="group 0: non-zero pad bits") as err:
             deserialize_bytes(bytes(data))
-        assert err.value.offset == at + 3
+        assert err.value.offset == column
 
     @staticmethod
     def one_value_groups() -> tuple[QuantModel, bytearray]:
         """289 one-value groups of a 1-bit dense layer; the 17 zero biases
-        are 0-bit groups, bare 3-byte headers."""
+        are 0-bit groups with empty records."""
         spec = NetworkSpec([flatten(), softmax_dense(17)], input_length=16)
         model = uniform_baseline(init_params(spec, 0), 1, 1)
         return model, bytearray(serialize_bytes(model))
 
-    def test_partition_checked_before_groups_unpack(self):
-        # at a declared group size of 65535 the partition is one group of
-        # 289, so group 0 is rejected before any group is unpacked to 65535
-        # positions (97 MiB of arrays when the check came after unpacking)
+    @pytest.mark.parametrize("group_size", [0, 290, 65535])
+    def test_group_size_out_of_range_rejected(self, group_size):
+        # the layer has 289 values: a larger group would pad every array
+        # past the layer's own size
         model, data = self.one_value_groups()
         at = header_bytes(model) - 2  # the u16 group size
-        data[at : at + 2] = (65535).to_bytes(2, "little")
+        data[at : at + 2] = group_size.to_bytes(2, "little")
+        with pytest.raises(ContainerFormatError,
+                           match=f"group size {group_size} outside 1..289") as err:
+            deserialize_bytes(bytes(data))
+        assert err.value.offset == at
+
+    def test_serialize_refuses_group_size_above_largest_layer(self):
+        spec = NetworkSpec([flatten(), softmax_dense(17)], input_length=16)
+        model = uniform_baseline(init_params(spec, 0), 16, 65535)
+        with pytest.raises(ContainerFormatError,
+                           match="group size 65535 exceeds the largest layer's 289 values"):
+            serialize_bytes(model)
+
+    def test_partition_checked_before_groups_unpack(self):
+        # at the largest group size, 289, the partition is one group, so the
+        # 289 declared groups are rejected at their count, before any is
+        # unpacked to 289 positions
+        model, data = self.one_value_groups()
+        at = header_bytes(model) - 2  # the u16 group size
+        data[at : at + 2] = (289).to_bytes(2, "little")
         tracemalloc.start()
         try:
-            with pytest.raises(ContainerFormatError,
-                               match="layer 1 group 0: size 1, partition expects 289") as err:
+            with pytest.raises(ContainerFormatError, match="layer 1: 289 groups, "
+                               "partition of 289 values expects 1") as err:
                 deserialize_bytes(bytes(data))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(data) == 2315 and err.value.offset == at + 2 + 4 + 3 == 91
+        assert len(data) == 1737 and err.value.offset == at + 2 == 84
         assert peak < 1 << 20
 
     def test_missing_groups_rejected_at_layer_end(self):
         model, data = self.one_value_groups()
-        at = header_bytes(model)
-        data[at : at + 4] = (288).to_bytes(4, "little")
-        assert data[-3:] == b"\x01\x00\x00"
-        del data[-3:]  # the last group's record
+        # group 271, the last weight, holds one coordinate and a 1-byte
+        # column; the 17 bias groups after it have empty records
+        del data[-5:]
         with pytest.raises(ContainerFormatError,
-                           match="layer 1: groups cover 288 values, spec expects 289") as err:
+                           match="truncated group 271 coordinate block") as err:
             deserialize_bytes(bytes(data))
         assert err.value.offset == len(data)
 
 
-# containers the loader fuzz tests mutate: two specs, group sizes that do and
-# do not divide the layers' parameter counts
+# version-2 containers the loader fuzz tests mutate: two specs, group sizes
+# that do and do not divide the layers' parameter counts
 FUZZ_BLOBS = [
     serialize_bytes(random_model(np.random.default_rng(seed), spec(), group_size))
     for seed, (spec, group_size) in enumerate(
@@ -468,7 +475,7 @@ class TestMemoryReport:
             group_header_bits += 32  # group count u32
             for bases, _ in groups_of(ql):
                 size, bitwidth = bases.shape
-                group_header_bits += (2 + 1) * 8
+                group_header_bits += 8  # u8 bitwidth
                 coord_bits += bitwidth * 32
                 payload_bits += size * bitwidth
                 padding_bits += bitwidth * (((size + 7) // 8) * 8 - size)
@@ -514,6 +521,16 @@ class TestMemoryReport:
         lines = table.strip().splitlines()
         assert len(lines) == 1 + 9 + 1 + 1  # header, layers, total, compression
         assert "110,901 Bit = 13.538 KB" in table
+
+    def test_format_table_prints_container_bytes(self):
+        model = random_model(np.random.default_rng(7))
+        report = memory_report(model)
+        size = len(serialize_bytes(model))
+        table = report.format_table()
+        rate = f"{report.compression_rate:.2f}x (sign bits only)"
+        file_rate = f"{report.total_params * 4 / size:.2f}x smaller than 32-bit weights"
+        assert f"Compression vs 32-bit baseline: {rate}\n" in table
+        assert f"Container file: {size:,} B, {file_rate}\n" in table
 
     def test_injected_validates_names(self):
         with pytest.raises(ValueError, match="missing bitwidth"):

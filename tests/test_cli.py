@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from alqecg import cli
+from alqecg.bitpack import serialize
 from alqecg.cli import run
 from alqecg.data import load_dataset, synth_generate, save_dataset
+from test_bitpack import models_equal, random_model
 
 
 @pytest.fixture()
@@ -167,6 +171,16 @@ class TestValidation:
         (workdir / "junk.alqq").write_bytes(b"JUNKJUNKJUNK")
         _synth(workdir)
         assert run(["eval", "--model", "junk.alqq", "--data", "d.csv"]) == 1
+
+    def test_model_file_read_once(self, workdir, monkeypatch):
+        model = random_model(np.random.default_rng(0))
+        serialize(model, workdir / "m.alqq")
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda self: reads.append(self) or read_bytes(self))
+        assert models_equal(cli._load_model(workdir / "m.alqq"), model)
+        assert len(reads) == 1  # the loader's; the magic is sniffed alone
 
     def test_inputs_not_mutated(self, workdir):
         path = _synth(workdir)

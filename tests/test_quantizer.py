@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from dataclasses import replace
 
@@ -93,6 +94,17 @@ def layers_equal(a: list[QuantLayer], b: list[QuantLayer]) -> bool:
         and x.coords.tobytes() == y.coords.tobytes()
         for x, y in zip(a, b)
     )
+
+
+def arrays_sha256(model) -> str:
+    """SHA-256 of every layer's signs, coords and bits arrays, with their
+    shapes: the quantizer's output, apart from any container format."""
+    h = hashlib.sha256()
+    for ql in model.layers:
+        for a in (ql.signs, ql.coords, ql.bits):
+            h.update(repr(a.shape).encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 def init_one(w, i_max):

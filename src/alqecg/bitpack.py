@@ -36,7 +36,15 @@ import numpy as np
 from . import net as _net
 from .errors import ContainerFormatError
 from .net import NetworkSpec
-from .quantizer import ENUM_BITWIDTH_LIMIT, ModelMeta, QuantLayer, QuantModel, row_keys
+from .quantizer import (
+    ENUM_BITWIDTH_LIMIT,
+    ModelMeta,
+    QuantLayer,
+    QuantModel,
+    check_group_size,
+    largest_layer,
+    row_keys,
+)
 
 MAGIC = b"ALQQ"
 VERSION = 2
@@ -44,11 +52,6 @@ COORD_BITS = 32
 BASELINE_BITS = 32
 # u16 version, u64 seed, 32-byte digest, u16 group size
 _FIXED_BYTES = len(MAGIC) + 2 + 8 + 32 + 2
-
-
-def _largest_layer(spec: NetworkSpec) -> int:
-    """The bound on the group size: the largest layer's parameter count."""
-    return max(count for _, count in _net.param_counts(spec)[0])
 
 
 def _layer_records(ql: QuantLayer) -> bytes:
@@ -76,10 +79,7 @@ def serialize_bytes(model: QuantModel) -> bytes:
     digest = bytes.fromhex(model.meta.config_digest)
     if len(digest) != 32:
         raise ContainerFormatError("config digest must be 32 bytes of hex")
-    largest = _largest_layer(model.spec)
-    if model.group_size > largest:
-        raise ContainerFormatError(
-            f"group size {model.group_size} exceeds the largest layer's {largest} values")
+    check_group_size(model.spec, model.group_size, ContainerFormatError)
     parts.append(struct.pack("<Q", model.meta.seed))
     parts.append(digest)
     parts.append(struct.pack("<H", model.group_size))
@@ -198,7 +198,7 @@ def deserialize_bytes(data: bytes) -> QuantModel:
     digest = reader.take_bytes(32, "meta digest").hex()
     at = reader.offset
     group_size = reader.take("<H", "group size")
-    largest = _largest_layer(spec)
+    largest = largest_layer(spec)
     if not 1 <= group_size <= largest:
         raise ContainerFormatError(
             f"group size {group_size} outside 1..{largest} (the largest layer's "

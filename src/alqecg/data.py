@@ -170,11 +170,13 @@ def _load_raw_f32(path: Path) -> list[EcgRecord]:
 
 def normalize(record: EcgRecord) -> EcgRecord:
     """Per-record z-score (population std). Constant signals map to all zeros."""
-    mu = record.samples.mean()
-    sd = record.samples.std()
+    return _zscore(record, record.samples.std())
+
+
+def _zscore(record: EcgRecord, sd: float) -> EcgRecord:
     if sd == 0.0:
         return EcgRecord(np.zeros_like(record.samples), record.label)
-    return EcgRecord((record.samples - mu) / sd, record.label)
+    return EcgRecord((record.samples - record.samples.mean()) / sd, record.label)
 
 
 def normalize_dataset(dataset: Dataset) -> tuple[Dataset, int]:
@@ -182,9 +184,10 @@ def normalize_dataset(dataset: Dataset) -> tuple[Dataset, int]:
     out = []
     flat = 0
     for rec in dataset.records:
-        if rec.samples.std() == 0.0:
+        sd = rec.samples.std()
+        if sd == 0.0:
             flat += 1
-        out.append(normalize(rec))
+        out.append(_zscore(rec, sd))
     if flat:
         log.warning("%d constant record(s) normalized to all zeros", flat)
     return Dataset(out, dataset.class_count), flat

@@ -25,6 +25,7 @@ from .quantizer import (
     QuantModel,
     calib_loss,
     calib_subset,
+    check_group_size,
     init_layers,
     model_avg_bitwidth,
     prune_coordinates,
@@ -179,6 +180,7 @@ def sweep(
     rates = [float(r) for r in rates]
     if rates != sorted(rates) or any(not 0.0 <= r < 1.0 for r in rates):
         raise ShapeError("rates must be ascending and within [0, 1)")
+    check_group_size(network.spec, config.group_size)
     initial = init_layers(network, config.group_size, config.i_max)
     batch = calib_subset(calib, config)
     scores, _ = score_coordinates(

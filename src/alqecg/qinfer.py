@@ -26,20 +26,25 @@ non-finite check for the bit-plane path exactly as for the fp path.
 
 For inputs ``x`` shaped (records, fan, positions), where dense layers have
 one position, a layer writes ``x`` once into a zero-padded column buffer,
-computes ``z = M @ x_windows`` with one matmul over a strided (records,
+computes ``z = M @ x_windows`` with a matmul over a strided (records,
 windows, width, positions) view of it, and reduces every channel's rows
-with one batched GEMV, ``y = coords @ z + bias``, over a strided (records,
+with a batched GEMV, ``y = coords @ z + bias``, over a strided (records,
 outputs, windows * K, positions) view of ``z``. ``M`` is upcast to float64
-for that matmul alone, so only one layer's float64 grid exists at a time.
-The dequantized weights are never formed. Quantized layers are immutable,
-so each layer's plan is built once and cached for as long as the layer
-lives. Records run in fixed blocks of ``BLOCK`` stacked per-record matmuls
-whose shapes do not depend on the batch, so each record's arithmetic is
-independent of its batch: logits are bitwise identical at every batch and
-block size. Each block's inputs are stacked when the block runs, so the
-working memory is one block's, however many records there are. The blocks
-are also the unit of parallel work: with ``ALQ_THREADS`` above one they run
-on a thread pool, which cannot change a byte of the output.
+once per call, so only one layer's float64 grid exists at a time. The
+matmul and the GEMV run over chunks of records whose float64 ``z`` stays
+within ``Z_BYTES`` (one record when a record's ``z`` alone is larger), so
+a layer's largest transient does not grow with the block; a layer whose
+whole ``z`` fits runs as one chunk. The dequantized weights are never
+formed. Quantized layers are immutable, so each layer's plan is built once
+and cached for as long as the layer lives. Records run in fixed blocks of
+``BLOCK`` stacked per-record matmuls whose shapes do not depend on the
+batch, so each record's arithmetic is independent of its batch: logits
+are bitwise identical at every batch, block and chunk size. Each block's
+inputs are stacked when the block runs, so the working memory is one
+block's activations plus one chunk's ``z``, however many records there
+are. The blocks are also the unit of parallel work: with ``ALQ_THREADS``
+above one they run on a thread pool, which cannot change a byte of the
+output.
 
 Activations stay full-precision; accumulation is float64 so the bit-driven
 path tracks the dequantized reference within tight tolerances.
@@ -60,6 +65,8 @@ from .util import worker_count
 
 # records per stacked matmul
 BLOCK = 8
+# bytes of one layer's float64 bit-plane product held at a time
+Z_BYTES = 1 << 20
 
 
 def dequantize(model: QuantModel) -> Network:
@@ -78,8 +85,9 @@ class LayerPlan:
     ``M[s]`` holds the ``k``-th retained sign column of channel ``o``'s
     segment in window ``s``, and ``coords[o, s*K + k]`` its coordinate; rows
     with no segment behind them are zero, as are their coordinates. ``bias``
-    is each channel's reduction of the constant bias input. ``M`` is int8,
-    and ``apply`` upcasts it per call.
+    is each channel's reduction of the constant bias input. ``M`` is int8;
+    ``apply`` upcasts it once per call and runs it over chunks of records
+    whose float64 product stays within ``Z_BYTES``.
     """
 
     M: np.ndarray  # (windows, K * outputs, width) int8 signs of the weight positions
@@ -101,9 +109,16 @@ class LayerPlan:
         buf[:, left : left + fan].reshape(x.shape)[...] = x
         xs = _net._strided_windows(buf, 1, width, n).transpose(0, 1, 3, 2)
         M = self.M.astype(np.float64)  # exact, and held for this call only
-        z = (M @ xs).reshape(records, windows, rows // n_out, n_out, positions)
-        z = z.transpose(0, 3, 1, 2, 4).reshape(records, n_out, self.coords.shape[1], positions)
-        return (self.coords[:, None, :] @ z)[:, :, 0] + self.bias[:, None]
+        y = np.empty((records, n_out, positions))
+        # records per chunk whose product z stays within Z_BYTES, at least one
+        step = max(1, Z_BYTES // max(8 * windows * rows * positions, 1))
+        for r in range(0, records, step):
+            k = min(step, records - r)  # a fully pruned layer's z has no rows to infer it
+            z = (M @ xs[r : r + step]).reshape(k, windows, rows // n_out, n_out, positions)
+            z = z.transpose(0, 3, 1, 2, 4).reshape(k, n_out, self.coords.shape[1], positions)
+            y[r : r + step] = (self.coords[:, None, :] @ z)[:, :, 0]
+        y += self.bias[:, None]
+        return y
 
 
 def layer_plan(layer: QuantLayer, n_out: int, fan: int) -> LayerPlan:

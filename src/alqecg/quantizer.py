@@ -585,6 +585,20 @@ class PipelineReport:
     calib_loss_final: float | None = None
 
 
+def largest_layer(spec: NetworkSpec) -> int:
+    """The bound on the group size: the largest layer's parameter count."""
+    return max(count for _, count in _net.param_counts(spec)[0])
+
+
+def check_group_size(spec: NetworkSpec, group_size: int,
+                     error: type[Exception] = ConfigError) -> None:
+    """Raise ``error`` for a group size above the largest layer's parameter
+    count, which no ``ALQQ`` container can declare."""
+    largest = largest_layer(spec)
+    if group_size > largest:
+        raise error(f"group size {group_size} exceeds the largest layer's {largest} values")
+
+
 def init_layers(network: Network, group_size: int, i_max: int | dict) -> list[QuantLayer]:
     """Greedy init of every parameterized layer, its bits capped by ``i_max``.
 
@@ -669,7 +683,10 @@ def alq_pipeline(network: Network, calib, config: AlqConfig) -> tuple[QuantModel
     magnitude-based or no pruning is requested (losses are then omitted).
     The loss-aware scorer's forward pass also gives ``calib_loss_init``, so
     that path runs three calibration forwards: score, pruned and final.
+    Raises ConfigError for a group size above the largest layer's parameter
+    count before any work is done.
     """
+    check_group_size(network.spec, config.group_size)
     qlayers = init_layers(network, config.group_size, config.i_max)
     batch = calib_subset(calib, config)
     names = dict(_net.parameterized_layers(network.spec))

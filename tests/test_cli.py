@@ -141,6 +141,27 @@ class TestValidation:
         assert rc == 1
         assert "prune.rate must be in [0,1)" in capsys.readouterr().err
 
+    def test_group_size_above_largest_layer_rejected_before_the_pipeline(
+            self, workdir, capsys, monkeypatch):
+        from alqecg import metrics, quantizer
+
+        _synth(workdir)
+        assert run(["train", "--data", "d.csv", "--out", "m.alqf",
+                    "--epochs", "1", "--seed", "0"]) == 0
+        calls = []
+        for module in (quantizer, metrics):
+            monkeypatch.setattr(module, "init_layers", lambda *a: calls.append(a))
+        capsys.readouterr()
+        assert run(["quantize", "--model", "m.alqf", "--group-size", "30000",
+                    "--prune-rate", "0.5", "--scorer", "magnitude", "--out", "x.alqq"]) == 1
+        (workdir / "alq.json").write_text(json.dumps({"group_size": 30000}))
+        assert run(["sweep", "--model", "m.alqf", "--data", "d.csv", "--test", "d.csv",
+                    "--config", "alq.json", "--rates", "0,0.5", "--out", "swp"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: group size 30000 exceeds the largest layer's 20544 values"] * 2
+        assert calls == []
+        assert not (workdir / "x.alqq").exists() and not (workdir / "swp").exists()
+
     def test_prune_rate_and_target_bitwidth_are_exclusive(self, capsys):
         # the model is never opened: the parser rejects the pair first
         assert run(["quantize", "--model", "m.alqf", "--prune-rate", "0.3",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from alqecg import net as _net, qinfer
 from alqecg.bitpack import memory_report
+from alqecg.data import Dataset
 from alqecg.errors import NumericError, ShapeError
 from alqecg.net import default_ecgnet_spec, init_params
 from alqecg.qinfer import (
@@ -17,7 +18,7 @@ from alqecg.qinfer import (
     layer_plan,
     predict_batch,
 )
-from alqecg.quantizer import QuantLayer, canonicalize, uniform_baseline
+from alqecg.quantizer import AlqConfig, QuantLayer, alq_pipeline, canonicalize, uniform_baseline
 from conftest import tiny_spec
 from test_bitpack import random_model, small_spec
 from test_quantizer import empty_layer, groups_of, layer_of, ref_reconstruct
@@ -513,31 +514,46 @@ class TestBlocks:
             monkeypatch.setattr(qinfer, "BLOCK", block)
             for records in (list(rows), tuple(rows), rows):
                 out[block, type(records)] = ex.logits(records).tobytes()
+        # nor do a layer's record chunks: one record each, or the whole block
+        for cap in (0, 1 << 40):
+            monkeypatch.setattr(qinfer, "Z_BYTES", cap)
+            out[cap] = ex.logits(rows).tobytes()
         assert len(set(out.values())) == 1
 
-    def test_working_memory_does_not_grow_with_batch(self, monkeypatch):
+    @staticmethod
+    def logits_peak(ex, records) -> int:
         import tracemalloc
 
+        ex.logits(records[:1])  # plans and lazy numpy state outside the trace
+        tracemalloc.start()
+        try:
+            ex.logits(records)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_working_memory_does_not_grow_with_batch(self, monkeypatch):
         monkeypatch.setenv("ALQ_THREADS", "1")
         network = init_params(default_ecgnet_spec(), 21)
         ex = QuantExecutor(uniform_baseline(network, 2, 16))
         records = [np.random.default_rng(27).normal(size=3600) for _ in range(136)]
-        ex.logits(records[:1])  # plans and lazy numpy state outside the trace
-
-        def peak(batch):
-            tracemalloc.start()
-            try:
-                ex.logits(records[:batch])
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
 
         # the whole 136-record input alone would add 3.9 MB
-        assert peak(136) - peak(qinfer.BLOCK) < 1e6
+        assert (self.logits_peak(ex, records)
+                - self.logits_peak(ex, records[: qinfer.BLOCK])) < 1e6
         assert all(plan.M.dtype == np.int8 for plan in ex.plans.values())
         grid_bytes = sum(plan.M.nbytes for plan in ex.plans.values())
         fp_bytes = sum(a.nbytes for p in network.params if p is not None for a in p)
         assert grid_bytes < fp_bytes
+
+    def test_products_are_capped_within_a_block(self, monkeypatch):
+        monkeypatch.setenv("ALQ_THREADS", "1")
+        ex = QuantExecutor(uniform_baseline(init_params(default_ecgnet_spec(), 21), 3, 16))
+        records = [np.random.default_rng(27).normal(size=3600) for _ in range(qinfer.BLOCK)]
+        # a whole block's float64 bit-plane product is 9.3 MB at Conv1D_4 of
+        # this 3-bit model; held whole, it puts the peak at 11.3 MB, and held
+        # in chunks under Z_BYTES, at 5.3 MB
+        assert self.logits_peak(ex, records) < 7e6
 
 
 class TestExecutorGoldenDigests:
@@ -555,3 +571,20 @@ class TestExecutorGoldenDigests:
         ex = QuantExecutor(model)
         assert sha256_of(ex.logits(records[:1])) == b1
         assert sha256_of(ex.logits(records)) == batch
+
+    def test_mixed_bitwidth_logits(self):
+        # loss-aware ALQ at 1.37 bits: groups of 0 to 3 bits, so the plans
+        # hold zero sign rows and fully pruned groups; pinned to the bytes of
+        # the executor that held each block's whole bit-plane product
+        network = init_params(default_ecgnet_spec(), 14)
+        config = AlqConfig(group_size=16, i_max=3, target_avg_bitwidth=1.37,
+                           refine_iters=2, calib_batch=24, seed=5)
+        model, _ = alq_pipeline(network, Dataset(random_records(24, 31), 17), config)
+        bits = np.concatenate([ql.bits for ql in model.layers])
+        assert set(np.unique(bits)) == {0, 1, 2, 3}
+        records = random_records(40, 25)
+        ex = QuantExecutor(model)
+        assert (sha256_of(ex.logits(records[:1]))
+                == "827ef642aae98bf6603bdd177b8a064db48d3c1449930befc6f8bdc49b879956")
+        assert (sha256_of(ex.logits(records))
+                == "32b4610284c39259569711f51a58c4cd9e4a3997d81ffe24ef69f21f0505c089")

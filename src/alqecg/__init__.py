@@ -33,7 +33,6 @@ from .quantizer import (
     QuantLayer,
     QuantModel,
     alq_pipeline,
-    average_bitwidth,
     init_decompose,
     optimize_bases,
     optimize_coords,

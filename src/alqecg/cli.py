@@ -194,8 +194,6 @@ def _cmd_quantize(args) -> int:
     config = _alq_config(args)
     network = _net.load_checkpoint(args.model)
     calib = _load_normalized(args.data, args.format) if args.data else None
-    if config.scorer == "loss_aware" and config.prunes and calib is None:
-        raise ConfigError("loss_aware pruning requires --data (calibration records)")
     model, report = alq_pipeline(network, calib, config)
     bitpack.serialize(model, args.out)
     _write_manifest(

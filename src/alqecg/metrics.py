@@ -20,18 +20,7 @@ from . import bitpack, net as _net, qinfer
 from .data import Dataset
 from .errors import ShapeError
 from .net import Network
-from .quantizer import (
-    AlqConfig,
-    QuantModel,
-    calib_loss,
-    calib_subset,
-    check_group_size,
-    init_layers,
-    model_avg_bitwidth,
-    prune_coordinates,
-    refine_layers,
-    score_coordinates,
-)
+from .quantizer import AlqConfig, QuantModel, alq_runs
 from .util import canonical_json_bytes
 
 log = logging.getLogger(__name__)
@@ -176,31 +165,23 @@ def sweep(
     rates,
     config: AlqConfig,
 ) -> list[SweepPoint]:
-    """Re-prune one shared initial decomposition at each rate and evaluate."""
+    """Quantize at each rate with ``alq_runs``, which prunes one shared
+    initial decomposition per rate, and evaluate every refined model."""
     rates = [float(r) for r in rates]
-    if rates != sorted(rates) or any(not 0.0 <= r < 1.0 for r in rates):
-        raise ShapeError("rates must be ascending and within [0, 1)")
-    check_group_size(network.spec, config.group_size)
-    initial = init_layers(network, config.group_size, config.i_max)
-    batch = calib_subset(calib, config)
-    scores, _ = score_coordinates(
-        initial, network, batch, config.scorer, config.curvature_weight
-    )
-
+    if not rates or rates != sorted(rates) or any(not 0.0 <= r < 1.0 for r in rates):
+        raise ShapeError("rates must be a non-empty ascending list within [0, 1)")
     points = []
-    for rate in rates:
-        layers = prune_coordinates(initial, scores, rate=rate)
-        loss_pre = calib_loss(network.spec, layers, batch)
-        bw_pre = model_avg_bitwidth(layers)
-        layers = refine_layers(network, layers, config.refine_iters)
-        loss_post = calib_loss(network.spec, layers, batch)
-        _, rep = evaluate(QuantModel(network.spec, layers, config.group_size), test)
-        points.append(
-            SweepPoint(rate, bw_pre, loss_pre, model_avg_bitwidth(layers), loss_post, rep.oa)
-        )
+    runs = alq_runs(network, calib, config, [(rate, None) for rate in rates])
+    for rate, (model, report) in zip(rates, runs):
+        _, rep = evaluate(model, test)
+        points.append(SweepPoint(
+            rate, report.avg_bitwidth_pruned, report.calib_loss_pruned,
+            report.avg_bitwidth_final, report.calib_loss_final, rep.oa,
+        ))
         log.info(
             "sweep rate %.2f: bitwidth %.4f -> %.4f, loss %.4f -> %.4f, OA %.2f%%",
-            rate, bw_pre, points[-1].avg_bitwidth_refined, loss_pre, loss_post, rep.oa,
+            rate, report.avg_bitwidth_pruned, report.avg_bitwidth_final,
+            report.calib_loss_pruned, report.calib_loss_final, rep.oa,
         )
     return points
 

@@ -21,6 +21,9 @@ The pipeline is:
    coordinates, then least-squares coordinates with fixed signs, on every
    layer's groups as one set.
 
+``alq_runs`` runs step 1 and the scoring once and shares them across all
+pruning targets; ``alq_pipeline`` is its one-target case.
+
 Each stage runs all groups of one size and bitwidth as one batch, with the
 same arithmetic per group as a loop over groups. Every operation is a pure
 function of its inputs, so a fixed seed and calibration batch reproduce the
@@ -406,13 +409,6 @@ def optimize_coords(flat: np.ndarray, ql: QuantLayer) -> QuantLayer:
     return replace(ql, signs=signs, coords=coords, bits=bits)
 
 
-def average_bitwidth(qlayer: QuantLayer) -> tuple[float, float]:
-    """(plain group mean of bitwidths, weight-weighted mean) for one layer."""
-    bits = qlayer.bits.astype(np.float64)
-    sizes = qlayer.sizes.astype(np.float64)
-    return float(bits.mean()), float((bits * sizes).sum() / sizes.sum())
-
-
 def model_avg_bitwidth(layers: list[QuantLayer]) -> float:
     """Network-wide weight-weighted average bitwidth."""
     bits = sum(int(ql.sizes @ ql.bits) for ql in layers)
@@ -563,19 +559,7 @@ def prune_coordinates(
 
 
 @dataclass
-class LayerQuantStats:
-    name: str
-    params: int
-    bitwidth_init: float
-    bitwidth_pruned: float
-    bitwidth_final: float
-    recon_rmse_init: float
-    recon_rmse_final: float
-
-
-@dataclass
 class PipelineReport:
-    layers: list[LayerQuantStats]
     avg_bitwidth_init: float
     avg_bitwidth_pruned: float
     avg_bitwidth_final: float
@@ -652,11 +636,6 @@ def refine_layers(network: Network, qlayers: list[QuantLayer], iters: int) -> li
                     bits=full.bits[at]) for ql, at in zip(qlayers, spans)]
 
 
-def _recon_rmse(network: Network, ql: QuantLayer) -> float:
-    flat = _net.flatten_params(network, ql.layer_index)
-    return float(np.sqrt(np.mean((flat - ql.reconstruct()) ** 2)))
-
-
 def calib_subset(calib, config: AlqConfig):
     """At most ``config.calib_batch`` calibration records, drawn with the config seed."""
     if calib is None or len(calib.records) == 0:
@@ -675,67 +654,65 @@ def calib_loss(spec, qlayers, batch):
     return _net.batch_loss(dequantized_network(spec, qlayers), batch.records, batch.labels())
 
 
-def alq_pipeline(network: Network, calib, config: AlqConfig) -> tuple[QuantModel, PipelineReport]:
-    """Quantize a trained network: init, prune to target, refine.
+def alq_runs(network: Network, calib, config: AlqConfig, targets):
+    """Quantize a trained network once per (prune_rate, target_avg_bitwidth)
+    pair in ``targets``: init and scoring run once and are shared by every
+    target, then each target prunes, refines and yields (QuantModel,
+    PipelineReport) with its own config digest.
 
-    ``calib`` supplies the calibration records for loss-aware scoring and for
-    the loss figures in the report; it may be None when the scorer is
-    magnitude-based or no pruning is requested (losses are then omitted).
-    The loss-aware scorer's forward pass also gives ``calib_loss_init``, so
-    that path runs three calibration forwards: score, pruned and final.
-    Raises ConfigError for a group size above the largest layer's parameter
-    count before any work is done.
+    ``calib`` supplies the records for loss-aware scoring and the report's
+    losses; it may be None for the magnitude scorer or when no target prunes
+    (losses are then None). The loss-aware score's forward also gives
+    ``calib_loss_init``, so a target costs a pruned and a final calibration
+    forward, or only the final one if it prunes nothing. Invalid targets, a
+    group size above the largest layer's parameter count and loss-aware
+    pruning without records raise ConfigError before any layer is decomposed.
     """
+    configs = [replace(config, prune_rate=rate, target_avg_bitwidth=avg)
+               for rate, avg in targets]
+    prunes = any(c.prunes for c in configs)
     check_group_size(network.spec, config.group_size)
-    qlayers = init_layers(network, config.group_size, config.i_max)
+    if prunes and config.scorer == "loss_aware" and not calib:  # None or no records
+        raise ConfigError("loss_aware pruning requires calibration records")
+    initial = init_layers(network, config.group_size, config.i_max)
     batch = calib_subset(calib, config)
-    names = dict(_net.parameterized_layers(network.spec))
-
-    stats = {
-        ql.layer_index: LayerQuantStats(
-            names[ql.layer_index], ql.param_count, average_bitwidth(ql)[1], 0.0, 0.0,
-            _recon_rmse(network, ql), 0.0)
-        for ql in qlayers
-    }
-    avg_init = model_avg_bitwidth(qlayers)
-
-    coords_before = total_coords(qlayers)
+    avg_init, coords_init = model_avg_bitwidth(initial), total_coords(initial)
     loss_init = None
-    if config.prunes:
+    if prunes:
         scores, loss_init = score_coordinates(
-            qlayers, network, batch, config.scorer, config.curvature_weight
+            initial, network, batch, config.scorer, config.curvature_weight
         )
     if loss_init is None:  # no loss-aware forward ran
-        loss_init = calib_loss(network.spec, qlayers, batch)
-    loss_pruned = loss_init
-    if config.prunes:
-        qlayers = prune_coordinates(qlayers, scores, rate=config.prune_rate,
-                                    target_avg_bitwidth=config.target_avg_bitwidth)
-        loss_pruned = calib_loss(network.spec, qlayers, batch)
-    avg_pruned = model_avg_bitwidth(qlayers)
-    for ql in qlayers:
-        stats[ql.layer_index].bitwidth_pruned = average_bitwidth(ql)[1]
+        loss_init = calib_loss(network.spec, initial, batch)
 
-    qlayers = refine_layers(network, qlayers, config.refine_iters)
-    for ql in qlayers:
-        stats[ql.layer_index].bitwidth_final = average_bitwidth(ql)[1]
-        stats[ql.layer_index].recon_rmse_final = _recon_rmse(network, ql)
+    for target in configs:
+        qlayers, loss_pruned = initial, loss_init
+        if target.prunes:
+            qlayers = prune_coordinates(initial, scores, rate=target.prune_rate,
+                                        target_avg_bitwidth=target.target_avg_bitwidth)
+            loss_pruned = calib_loss(network.spec, qlayers, batch)
+        avg_pruned = model_avg_bitwidth(qlayers)
+        qlayers = refine_layers(network, qlayers, config.refine_iters)
+        report = PipelineReport(
+            avg_bitwidth_init=avg_init,
+            avg_bitwidth_pruned=avg_pruned,
+            avg_bitwidth_final=model_avg_bitwidth(qlayers),
+            pruned_coords=coords_init - total_coords(qlayers),
+            calib_loss_init=loss_init,
+            calib_loss_pruned=loss_pruned,
+            calib_loss_final=calib_loss(network.spec, qlayers, batch),
+        )
+        model = QuantModel(network.spec, qlayers, config.group_size,
+                           ModelMeta(target.seed, target.digest()))
+        yield model, report
 
-    report = PipelineReport(
-        layers=list(stats.values()),
-        avg_bitwidth_init=avg_init,
-        avg_bitwidth_pruned=avg_pruned,
-        avg_bitwidth_final=model_avg_bitwidth(qlayers),
-        pruned_coords=coords_before - total_coords(qlayers),
-        calib_loss_init=loss_init,
-        calib_loss_pruned=loss_pruned,
-        calib_loss_final=calib_loss(network.spec, qlayers, batch),
-    )
-    model = QuantModel(
-        network.spec, qlayers, config.group_size,
-        ModelMeta(config.seed, config.digest()),
-    )
-    return model, report
+
+def alq_pipeline(network: Network, calib, config: AlqConfig) -> tuple[QuantModel, PipelineReport]:
+    """Quantize a trained network at ``config``'s own pruning target: the one
+    run of ``alq_runs`` (see there for ``calib``, the calibration forwards
+    and the errors)."""
+    return next(alq_runs(network, calib, config,
+                         [(config.prune_rate, config.target_avg_bitwidth)]))
 
 
 def uniform_baseline(network: Network, i: int, n: int) -> QuantModel:

@@ -19,8 +19,8 @@ from alqecg.qinfer import QuantExecutor, dequantize
 from alqecg.quantizer import (
     AlqConfig,
     alq_pipeline,
-    average_bitwidth,
     dequantized_network,
+    model_avg_bitwidth,
     score_coordinates,
     uniform_baseline,
 )
@@ -271,7 +271,7 @@ def test_importance_ordering_under_heavy_pruning(trained_network, desk_data):
                        scorer="loss_aware", refine_iters=0, calib_batch=64, seed=11)
     model, _ = alq_pipeline(trained_network, train_set, config)
     names = dict(_net.parameterized_layers(model.spec))
-    widths = {names[ql.layer_index]: average_bitwidth(ql)[1] for ql in model.layers}
+    widths = {names[ql.layer_index]: model_avg_bitwidth([ql]) for ql in model.layers}
     assert widths["Softmax"] > widths["Conv1D_6"]
     assert widths["Softmax"] > widths["Conv1D_7"]
     assert widths["Conv1D_2"] > widths["Conv1D_6"]

@@ -130,6 +130,13 @@ class TestQuantizeEvalPipeline:
         bitwidths = [float(l.split(",")[1]) for l in lines[1:]]
         assert bitwidths == sorted(bitwidths, reverse=True)
 
+    def test_sweep_rejects_empty_rate_list(self, workdir, capsys):
+        self._train(workdir)
+        assert run(["sweep", "--model", "m.alqf", "--data", "d.csv",
+                    "--test", "d.csv", "--rates", ",", "--out", "swp"]) == 1
+        assert "rates must be a non-empty" in capsys.readouterr().err
+        assert not (workdir / "swp" / "sweep.json").exists()
+
 
 class TestValidation:
     def test_bad_prune_rate_message(self, workdir, capsys):
@@ -143,14 +150,13 @@ class TestValidation:
 
     def test_group_size_above_largest_layer_rejected_before_the_pipeline(
             self, workdir, capsys, monkeypatch):
-        from alqecg import metrics, quantizer
+        from alqecg import quantizer
 
         _synth(workdir)
         assert run(["train", "--data", "d.csv", "--out", "m.alqf",
                     "--epochs", "1", "--seed", "0"]) == 0
         calls = []
-        for module in (quantizer, metrics):
-            monkeypatch.setattr(module, "init_layers", lambda *a: calls.append(a))
+        monkeypatch.setattr(quantizer, "init_layers", lambda *a: calls.append(a))
         capsys.readouterr()
         assert run(["quantize", "--model", "m.alqf", "--group-size", "30000",
                     "--prune-rate", "0.5", "--scorer", "magnitude", "--out", "x.alqq"]) == 1

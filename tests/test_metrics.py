@@ -179,6 +179,59 @@ class TestSweep:
         assert points[0].avg_bitwidth_refined == pytest.approx(report.avg_bitwidth_final)
         assert points[0].calib_loss_refined == pytest.approx(report.calib_loss_final)
 
+    @pytest.mark.parametrize("scorer", ["magnitude", "loss_aware"])
+    def test_points_equal_pipeline_runs(self, monkeypatch, scorer):
+        from dataclasses import replace
+
+        from alqecg import metrics as _metrics
+        from alqecg.metrics import sweep as run_sweep
+        from alqecg.quantizer import AlqConfig, alq_pipeline
+        from test_quantizer import arrays_sha256, toy_calib, toy_quant_net
+
+        network, _ = toy_quant_net()
+        calib = toy_calib()
+        config = AlqConfig(group_size=4, i_max=2, scorer=scorer, refine_iters=2, seed=0)
+        models = []
+
+        def spy(model, test):
+            models.append(model)
+            return evaluate(model, test)
+
+        monkeypatch.setattr(_metrics, "evaluate", spy)
+        points = run_sweep(network, calib, calib, [0.0, 0.5], config)
+        assert len(points) == len(models) == 2
+        assert points[1].avg_bitwidth < points[0].avg_bitwidth
+        for point, model in zip(points, models):
+            want, report = alq_pipeline(network, calib,
+                                        replace(config, prune_rate=point.prune_rate))
+            assert point.avg_bitwidth == report.avg_bitwidth_pruned
+            assert point.calib_loss == report.calib_loss_pruned
+            assert point.avg_bitwidth_refined == report.avg_bitwidth_final
+            assert point.calib_loss_refined == report.calib_loss_final
+            assert point.test_oa == evaluate(want, calib)[1].oa
+            assert arrays_sha256(model) == arrays_sha256(want)
+
+    def test_loss_aware_sweep_shares_init_and_gradient(self, monkeypatch):
+        from alqecg import net as _net, quantizer as _quantizer
+        from alqecg.metrics import sweep as run_sweep
+        from alqecg.quantizer import AlqConfig
+        from test_quantizer import toy_calib, toy_quant_net
+
+        network, _ = toy_quant_net()
+        calls = {"init_layers": 0, "loss_gradients": 0, "batch_loss": 0}
+        for module, name in [(_quantizer, "init_layers"), (_net, "loss_gradients"),
+                             (_net, "batch_loss")]:
+            def spy(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        config = AlqConfig(group_size=4, i_max=2, scorer="loss_aware", refine_iters=1, seed=0)
+        run_sweep(network, toy_calib(), toy_calib(), [0.0, 0.5], config)
+        # one init and one scoring gradient (which also gives the initial
+        # loss) for both rates; a final forward per rate, a pruned one at 0.5
+        assert calls == {"init_layers": 1, "loss_gradients": 1, "batch_loss": 3}
+
     def test_rates_must_ascend(self):
         from alqecg.metrics import sweep as run_sweep
         from alqecg.quantizer import AlqConfig

@@ -30,7 +30,6 @@ from alqecg.quantizer import (
     GroupSet,
     QuantLayer,
     alq_pipeline,
-    average_bitwidth,
     calib_loss,
     calib_subset,
     canonicalize,
@@ -769,20 +768,15 @@ class TestAverageBitwidth:
 
     def test_group_mean(self):
         layer = self._layer([8, 8, 8, 8], [2, 1, 1, 0])
-        mean, weighted = average_bitwidth(layer)
-        assert mean == pytest.approx(1.0)
-        assert weighted == pytest.approx(1.0)
+        assert model_avg_bitwidth([layer]) == pytest.approx(1.0)
 
     def test_weighted_mean_with_tail(self):
         layer = self._layer([16, 8], [1, 2])
-        mean, weighted = average_bitwidth(layer)
-        assert mean == pytest.approx(1.5)
-        assert weighted == pytest.approx((16 + 16) / 24)
+        assert model_avg_bitwidth([layer]) == pytest.approx((16 + 16) / 24)
 
     def test_equal_bits_degenerate(self):
         layer = self._layer([16, 16], [3, 3])
-        mean, weighted = average_bitwidth(layer)
-        assert mean == weighted == pytest.approx(3.0)
+        assert model_avg_bitwidth([layer]) == pytest.approx(3.0)
 
 
 def toy_quant_net(eps=1e-3):
@@ -975,6 +969,16 @@ class TestPrune:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize("calib", [None, Dataset([], class_count=3)])
+    def test_loss_aware_pruning_without_calib_rejected_before_init(self, monkeypatch, calib):
+        network, _ = toy_quant_net()
+        calls = []
+        monkeypatch.setattr(_quantizer, "init_layers", lambda *a: calls.append(a))
+        config = AlqConfig(group_size=4, i_max=2, prune_rate=0.5, scorer="loss_aware")
+        with pytest.raises(ConfigError, match="calibration"):
+            alq_pipeline(network, calib, config)
+        assert calls == []
+
     def test_lossless_regime_small_net(self):
         from conftest import tiny_spec
         from alqecg.qinfer import QuantExecutor, dequantize

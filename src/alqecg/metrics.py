@@ -147,15 +147,20 @@ class SweepPoint:
 
     ``avg_bitwidth`` and ``calib_loss`` describe the pruned model before
     refinement (the series that is monotone in the rate); the ``*_refined``
-    fields describe the final model that ``test_oa`` is measured on.
+    fields describe the final model that ``test_oa`` is measured on. The
+    losses are None for a sweep without calibration records.
     """
 
     prune_rate: float
     avg_bitwidth: float
-    calib_loss: float
+    calib_loss: float | None
     avg_bitwidth_refined: float
-    calib_loss_refined: float
+    calib_loss_refined: float | None
     test_oa: float
+
+
+def _loss_text(loss: float | None, spec: str, missing: str) -> str:
+    return missing if loss is None else format(loss, spec)
 
 
 def sweep(
@@ -179,9 +184,10 @@ def sweep(
             report.avg_bitwidth_final, report.calib_loss_final, rep.oa,
         ))
         log.info(
-            "sweep rate %.2f: bitwidth %.4f -> %.4f, loss %.4f -> %.4f, OA %.2f%%",
+            "sweep rate %.2f: bitwidth %.4f -> %.4f, loss %s -> %s, OA %.2f%%",
             rate, report.avg_bitwidth_pruned, report.avg_bitwidth_final,
-            report.calib_loss_pruned, report.calib_loss_final, rep.oa,
+            _loss_text(report.calib_loss_pruned, ".4f", "-"),
+            _loss_text(report.calib_loss_final, ".4f", "-"), rep.oa,
         )
     return points
 
@@ -223,9 +229,9 @@ def write_sweep_csv(path, points: list[SweepPoint]) -> None:
         )
         for p in points:
             writer.writerow(
-                [f"{p.prune_rate:.6f}", f"{p.avg_bitwidth:.6f}", f"{p.calib_loss:.10g}",
-                 f"{p.avg_bitwidth_refined:.6f}", f"{p.calib_loss_refined:.10g}",
-                 f"{p.test_oa:.6f}"]
+                [f"{p.prune_rate:.6f}", f"{p.avg_bitwidth:.6f}",
+                 _loss_text(p.calib_loss, ".10g", ""), f"{p.avg_bitwidth_refined:.6f}",
+                 _loss_text(p.calib_loss_refined, ".10g", ""), f"{p.test_oa:.6f}"]
             )
 
 

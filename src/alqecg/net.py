@@ -37,6 +37,10 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 _ACT_CODES = {"none": 0, "relu": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
+# records per block: batched inference and the calibration gradient run in
+# blocks of at most this many, so their memory does not grow with the batch
+BLOCK = 8
+
 
 @dataclass
 class LayerSpec:
@@ -390,8 +394,10 @@ def _fp_affine(network: Network):
     return affine
 
 
-def _backward_batch(network: Network, caches, probs, labels):
-    """Gradient of mean cross-entropy w.r.t. every parameter tensor.
+def _backward_batch(network: Network, caches, probs, labels, count=None):
+    """Gradient w.r.t. every parameter tensor of the batch's summed
+    cross-entropy divided by ``count`` records (by default the batch's own,
+    which makes it the mean).
 
     The walk stops at the first parameterized layer, whose input gradient
     nothing reads. It pops each layer's cache off ``caches`` once it has
@@ -402,7 +408,7 @@ def _backward_batch(network: Network, caches, probs, labels):
     bsz = probs.shape[0]
     onehot = np.zeros_like(probs)
     onehot[np.arange(bsz), labels] = 1.0
-    dh = (probs - onehot) / bsz
+    dh = (probs - onehot) / (bsz if count is None else count)
     layers = network.spec.layers
     grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(layers)
     first = min(i for i, l in enumerate(layers) if l.kind in PARAMETERIZED_KINDS)
@@ -452,14 +458,26 @@ def _as_batch(spec: NetworkSpec, records) -> np.ndarray:
     return np.stack(rows)
 
 
+def run_blocks(count: int, fn, mapper=map) -> list:
+    """``fn(rows)`` for each slice ``rows`` of at most ``BLOCK`` of ``count``
+    records, in order; ``mapper`` may be a thread pool's ``map``. Each ``fn``
+    stacks its own block's input, so a pass holds one block's activations at
+    a time. No records make one empty block, so the outputs have no rows."""
+    return list(mapper(fn, [slice(i, i + BLOCK) for i in range(0, max(count, 1), BLOCK)]))
+
+
 def predict_batch(network: Network, records) -> np.ndarray:
     """Probabilities for many records, (n_records, class_count)."""
     return np.exp(_log_softmax(logits_batch(network, records)))
 
 
 def logits_batch(network: Network, records) -> np.ndarray:
-    """Pre-softmax outputs, used for path-equivalence checks."""
-    return _forward_batch(network.spec, _as_batch(network.spec, records), _fp_affine(network))
+    """Pre-softmax outputs, run in blocks of ``BLOCK`` records. Above
+    ``BLOCK`` records their bytes depend on it: BLAS may round a block's
+    matmuls differently from a whole batch's."""
+    spec, affine = network.spec, _fp_affine(network)
+    return np.concatenate(run_blocks(
+        len(records), lambda rows: _forward_batch(spec, _as_batch(spec, records[rows]), affine)))
 
 
 def _cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
@@ -468,9 +486,11 @@ def _cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     return float(-logp[np.arange(len(labels)), labels].mean()), np.exp(logp)
 
 
-def _loss_step(network: Network, records, labels, train_rng=None):
-    """Mean cross-entropy of one forward pass over ``records`` and the
-    (weight, bias) gradient of every layer (None where it has no parameters).
+def _loss_step(network: Network, records, labels, train_rng=None, count=None):
+    """Mean cross-entropy of one forward pass over ``records``, the
+    (weight, bias) gradient of every layer (None where it has no parameters)
+    of their summed cross-entropy divided by ``count`` (by default the
+    number of records), and the logits.
 
     The input batch is built as a temporary, so the backward pass runs
     without it.
@@ -479,7 +499,7 @@ def _loss_step(network: Network, records, labels, train_rng=None):
     logits = _forward_batch(network.spec, _as_batch(network.spec, records),
                             _fp_affine(network), train_rng=train_rng, caches=caches)
     loss, probs = _cross_entropy(logits, labels)
-    return loss, _backward_batch(network, caches, probs, labels)
+    return loss, _backward_batch(network, caches, probs, labels, count), logits
 
 
 def batch_loss(network: Network, records, labels) -> float:
@@ -489,10 +509,27 @@ def batch_loss(network: Network, records, labels) -> float:
 
 def loss_gradients(network: Network, records, labels) -> tuple[float, list[np.ndarray | None]]:
     """(mean cross-entropy, flattened gradient per parameterized layer), no
-    dropout, from one forward pass; the loss equals ``batch_loss``'s bitwise."""
+    dropout, from one forward and backward pass per block of ``BLOCK``
+    records. Each block's gradient is divided by the whole record count and
+    the blocks add up in order, so above ``BLOCK`` records the bytes depend
+    on it. The loss comes from the concatenated logits, so it equals
+    ``batch_loss``'s bitwise."""
     labels = np.asarray(labels)
-    loss, grads = _loss_step(network, records, labels)
-    return loss, [None if g is None else np.concatenate([g[0].ravel(), g[1]]) for g in grads]
+    totals: list[np.ndarray | None] = [None] * len(network.spec.layers)
+
+    def block(rows):
+        _, grads, logits = _loss_step(network, records[rows], labels[rows], count=len(labels))
+        for i, g in enumerate(grads):
+            if g is not None:
+                flat = np.concatenate([g[0].ravel(), g[1]])
+                if totals[i] is None:
+                    totals[i] = flat
+                else:
+                    totals[i] += flat
+        return logits
+
+    logits = np.concatenate(run_blocks(len(records), block))
+    return _cross_entropy(logits, labels)[0], totals
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +587,7 @@ def train(network: Network, train_set, config: TrainConfig) -> TrainResult:
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             try:
-                loss, grads = _loss_step(net, [records[j] for j in idx], labels[idx], rng)
+                loss, grads, _ = _loss_step(net, [records[j] for j in idx], labels[idx], rng)
             except NumericError as exc:
                 raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
             total += loss * len(idx)

@@ -36,15 +36,16 @@ within ``Z_BYTES`` (one record when a record's ``z`` alone is larger), so
 a layer's largest transient does not grow with the block; a layer whose
 whole ``z`` fits runs as one chunk. The dequantized weights are never
 formed. Quantized layers are immutable, so each layer's plan is built once
-and cached for as long as the layer lives. Records run in fixed blocks of
-``BLOCK`` stacked per-record matmuls whose shapes do not depend on the
-batch, so each record's arithmetic is independent of its batch: logits
-are bitwise identical at every batch, block and chunk size. Each block's
-inputs are stacked when the block runs, so the working memory is one
-block's activations plus one chunk's ``z``, however many records there
-are. The blocks are also the unit of parallel work: with ``ALQ_THREADS``
-above one they run on a thread pool, which cannot change a byte of the
-output.
+and cached for as long as the layer lives. Records run in the fixed blocks
+of ``net.BLOCK`` that ``net.run_blocks`` hands out, the same blocks the fp
+passes run in. Here a block is a stack of per-record matmuls whose shapes
+do not depend on the batch, so each record's arithmetic is independent of
+its batch: logits are bitwise identical at every batch, block and chunk
+size. Each block's inputs are stacked when the block runs, so the working
+memory is one block's activations plus one chunk's ``z``, however many
+records there are. The blocks are also the unit of parallel work: with
+``ALQ_THREADS`` above one they run on a thread pool, which cannot change a
+byte of the output.
 
 Activations stay full-precision; accumulation is float64 so the bit-driven
 path tracks the dequantized reference within tight tolerances.
@@ -63,8 +64,6 @@ from .net import Network
 from .quantizer import QuantLayer, QuantModel, dequantized_network
 from .util import worker_count
 
-# records per stacked matmul
-BLOCK = 8
 # bytes of one layer's float64 bit-plane product held at a time
 Z_BYTES = 1 << 20
 
@@ -173,17 +172,15 @@ class QuantExecutor:
     def logits(self, records) -> np.ndarray:
         spec = self.model.spec
 
-        def run(block):
-            return _net._forward_batch(spec, _net._as_batch(spec, block), self._affine)
+        def run(rows):
+            return _net._forward_batch(spec, _net._as_batch(spec, records[rows]), self._affine)
 
-        # an empty batch is one empty block, so its logits are (0, classes)
-        blocks = [records[i : i + BLOCK] for i in range(0, max(len(records), 1), BLOCK)]
-        workers = min(worker_count(), len(blocks))
+        workers = min(worker_count(), -(-len(records) // _net.BLOCK))
         if workers <= 1:
-            return np.concatenate([run(b) for b in blocks])
+            return np.concatenate(_net.run_blocks(len(records), run))
         # numpy releases the GIL in the matmuls, so the blocks overlap
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return np.concatenate(list(pool.map(run, blocks)))
+            return np.concatenate(_net.run_blocks(len(records), run, pool.map))
 
     def probs(self, records) -> np.ndarray:
         return np.exp(_net._log_softmax(self.logits(records)))

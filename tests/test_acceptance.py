@@ -44,9 +44,10 @@ pytestmark = pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
 
 # SHA-256 of outputs that refactors of the quantizer, the container and the
 # sweep must reproduce byte for byte: the criterion-6 desk ALQQ bytes and the
-# criterion-7 sweep.json bytes
+# criterion-7 sweep.json bytes, whose calibration passes run in blocks of
+# net.BLOCK records
 DESK_ALQQ_SHA256 = "20d85b6381158d5bab5582175c2079e5144be1b053c818c76851dd6b5f23e97a"
-SWEEP_JSON_SHA256 = "f5361050aa4a0fa9f793c9986a2a0abf33c4e9b3f73474221105f36fc26065ec"
+SWEEP_JSON_SHA256 = "692a791a496a175e5ec15d5fdf70539765eee5da84334db580156bdb3b1d0c9e"
 # the criterion-6 config at group size 11 and 4 refinement rounds: each layer's
 # short last group then sits inside the network-wide set of groups
 DESK_G11_ALQQ_SHA256 = "979b6bc389719af94a99c17dbd4439af3e039120a06bef8c6eb96e8ea8868cf3"

@@ -232,6 +232,27 @@ class TestSweep:
         # loss) for both rates; a final forward per rate, a pruned one at 0.5
         assert calls == {"init_layers": 1, "loss_gradients": 1, "batch_loss": 3}
 
+    def test_without_calibration_logs_and_writes_missing_losses(self, caplog, tmp_path):
+        from alqecg.metrics import sweep as run_sweep
+        from alqecg.quantizer import AlqConfig
+        from test_quantizer import toy_calib, toy_quant_net
+
+        network, _ = toy_quant_net()
+        config = AlqConfig(group_size=4, i_max=2, scorer="magnitude", refine_iters=1, seed=0)
+        with caplog.at_level("INFO", logger="alqecg.metrics"):
+            points = run_sweep(network, None, toy_calib(), [0.0, 0.5], config)
+        assert [p.calib_loss for p in points] == [None, None]
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2 and all(", loss - -> -, OA " in m for m in messages)
+        emit_reports(tmp_path, sweep_points=points)
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        for row, point in zip(rows, points):
+            cells = row.split(",")
+            assert cells[2] == cells[4] == ""
+            assert float(cells[3]) == pytest.approx(point.avg_bitwidth_refined)
+        assert b"null" in (tmp_path / "sweep.json").read_bytes()
+
     def test_rates_must_ascend(self):
         from alqecg.metrics import sweep as run_sweep
         from alqecg.quantizer import AlqConfig

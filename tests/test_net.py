@@ -253,9 +253,13 @@ class TestTrainingMemory:
         rng = np.random.default_rng(1)
         records = [rng.normal(size=RECORD_SAMPLES) for _ in range(64)]
         labels = rng.integers(17, size=64)
-        _net.loss_gradients(network, records, labels)  # warm up
-        inference = _traced_peak(lambda: _net.batch_loss(network, records, labels))
-        training = _traced_peak(lambda: _net.loss_gradients(network, records, labels))
+        spec, affine = network.spec, _net._fp_affine(network)
+        _net._loss_step(network, records, labels)  # warm up
+        # the unblocked walk that a training step runs, against the forward
+        # pass alone on the same batch
+        inference = _traced_peak(
+            lambda: _net._forward_batch(spec, _net._as_batch(spec, records), affine))
+        training = _traced_peak(lambda: _net._loss_step(network, records, labels))
         # boolean ReLU masks, in-place bias and ReLU, and caches freed by the
         # backward pass keep training within a third of the inference peak
         assert training <= 1.35 * inference
@@ -286,6 +290,50 @@ class TestTrainingMemory:
         _net._backward_batch(network, caches, probs, [0, 1, 2])
         assert caches == []
         assert all(ref() is None for ref in refs)
+
+
+class TestBlockedPasses:
+    """fp inference and the calibration gradient run in blocks of
+    ``net.BLOCK`` records."""
+
+    def test_working_memory_does_not_grow_with_batch(self):
+        network = init_params(default_ecgnet_spec(), 0)
+        rng = np.random.default_rng(6)
+        records = [rng.normal(size=RECORD_SAMPLES) for _ in range(136)]
+        labels = rng.integers(17, size=136)
+        calls = [lambda n: _net.predict_batch(network, records[:n]),
+                 lambda n: _net.batch_loss(network, records[:n], labels[:n]),
+                 lambda n: _net.loss_gradients(network, records[:n], labels[:n])]
+        _net.loss_gradients(network, records[:1], labels[:1])  # lazy numpy state
+        for call in calls:
+            # the whole 136-record batch put predict_batch at 54.9 MB
+            growth = _traced_peak(lambda: call(136)) - _traced_peak(lambda: call(_net.BLOCK))
+            assert growth < 1e6
+
+    def test_gradient_sums_blocks(self):
+        # two full blocks and a short one
+        network = init_params(default_ecgnet_spec(), 3)
+        records = random_records(21, 7)
+        labels = [r.label for r in records]
+        loss, grads = _net.loss_gradients(network, records, labels)
+        assert loss == _net.batch_loss(network, records, labels)
+        _, whole, _ = _net._loss_step(network, records, np.asarray(labels))
+        for g, w in zip(grads, whole):
+            assert (g is None) == (w is None)
+            if w is not None:
+                flat = np.concatenate([w[0].ravel(), w[1]])
+                assert np.linalg.norm(g - flat) <= 1e-12 * np.linalg.norm(flat)
+
+    @pytest.mark.parametrize("n", [1, 5, 8])
+    def test_one_block_is_one_pass(self, n):
+        network = conv_stack_network()
+        records = random_records(n, 8)
+        labels = np.array([r.label for r in records])
+        loss, grads = _net.loss_gradients(network, records, labels)
+        want_loss, want, _ = _net._loss_step(network, records, labels)
+        assert loss == want_loss
+        assert sha256_of(*[g for g in grads if g is not None]) == sha256_of(
+            *[np.concatenate([w[0].ravel(), w[1]]) for w in want if w is not None])
 
 
 class TestGradients:

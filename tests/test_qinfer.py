@@ -214,7 +214,7 @@ class TestQforward:
         model.layers[at] = replace(model.layers[at],
                                    coords=np.full_like(model.layers[at].coords, 1e308))
         monkeypatch.setenv("ALQ_THREADS", "2")
-        records = [np.full(8, 1e10)] * (qinfer.BLOCK + 1)  # two blocks
+        records = [np.full(8, 1e10)] * (_net.BLOCK + 1)  # two blocks
         with pytest.raises(NumericError, match=r"layer 3 \(dense\)") as info:
             QuantExecutor(model).logits(records)
         # the traceback runs through the pool's worker, not the caller alone
@@ -511,7 +511,7 @@ class TestBlocks:
         ex = QuantExecutor(model)
         out = {}
         for block in (1, 8, 16):
-            monkeypatch.setattr(qinfer, "BLOCK", block)
+            monkeypatch.setattr(_net, "BLOCK", block)
             for records in (list(rows), tuple(rows), rows):
                 out[block, type(records)] = ex.logits(records).tobytes()
         # nor do a layer's record chunks: one record each, or the whole block
@@ -540,7 +540,7 @@ class TestBlocks:
 
         # the whole 136-record input alone would add 3.9 MB
         assert (self.logits_peak(ex, records)
-                - self.logits_peak(ex, records[: qinfer.BLOCK])) < 1e6
+                - self.logits_peak(ex, records[: _net.BLOCK])) < 1e6
         assert all(plan.M.dtype == np.int8 for plan in ex.plans.values())
         grid_bytes = sum(plan.M.nbytes for plan in ex.plans.values())
         fp_bytes = sum(a.nbytes for p in network.params if p is not None for a in p)
@@ -549,7 +549,7 @@ class TestBlocks:
     def test_products_are_capped_within_a_block(self, monkeypatch):
         monkeypatch.setenv("ALQ_THREADS", "1")
         ex = QuantExecutor(uniform_baseline(init_params(default_ecgnet_spec(), 21), 3, 16))
-        records = [np.random.default_rng(27).normal(size=3600) for _ in range(qinfer.BLOCK)]
+        records = [np.random.default_rng(27).normal(size=3600) for _ in range(_net.BLOCK)]
         # a whole block's float64 bit-plane product is 9.3 MB at Conv1D_4 of
         # this 3-bit model; held whole, it puts the peak at 11.3 MB, and held
         # in chunks under Z_BYTES, at 5.3 MB

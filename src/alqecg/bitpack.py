@@ -42,6 +42,7 @@ from .quantizer import (
     QuantLayer,
     QuantModel,
     check_group_size,
+    group_sizes,
     largest_layer,
     row_keys,
 )
@@ -102,15 +103,14 @@ def _read_layer(reader, layer_index: int, group_size: int, count: int):
     """
     at = reader.offset
     n_groups = reader.take("<I", "group count")
-    expected = -(-count // group_size)
-    if n_groups != expected:
+    sizes = group_sizes(count, group_size)
+    if n_groups != len(sizes):
         raise ContainerFormatError(
             f"layer {layer_index}: {n_groups} groups, partition of {count} values "
-            f"expects {expected}", at)
+            f"expects {len(sizes)}", at)
     bits_at = reader.offset
     bits = np.frombuffer(reader.take_bytes(n_groups, "group bitwidths"),
                          dtype=np.uint8).astype(np.int64)
-    sizes = np.minimum(group_size, count - group_size * np.arange(n_groups))
     over = bits > ENUM_BITWIDTH_LIMIT
     valid = int(over.argmax()) if over.any() else n_groups
     lengths = bits[:valid] * (4 + (sizes[:valid] + 7) // 8)

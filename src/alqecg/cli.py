@@ -51,13 +51,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="alqecg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
     p.add_argument("--n-per-class", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "raw-f32"], default="csv")
@@ -69,7 +76,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
 
     p = sub.add_parser("quantize", help="quantize a trained checkpoint")
@@ -85,7 +92,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--scorer", choices=["magnitude", "loss_aware"], default=None)
     p.add_argument("--refine-iters", type=int, default=None)
     p.add_argument("--calib-batch", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or quantized model")
     p.add_argument("--model", required=True)
@@ -170,11 +177,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    try:  # a bad setting is a validation failure, not a training one
+        config = TrainConfig(
+            epochs=args.epochs, batch_size=args.batch_size,
+            learning_rate=args.lr, seed=args.seed, optimizer=args.optimizer,
+        )
+    except TrainingError as exc:
+        raise ConfigError(str(exc)) from None
     ds = _load_normalized(args.data, args.format)
-    config = TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size,
-        learning_rate=args.lr, seed=args.seed, optimizer=args.optimizer,
-    )
     network = init_params(default_ecgnet_spec(), config.seed)
     result = train(network, ds, config)
     _net.save_checkpoint(result.network, args.out)
@@ -300,3 +310,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -278,8 +278,8 @@ def synth_generate(n_per_class: int, seed: int, noise_sigma: float = 0.0) -> Dat
     """
     if n_per_class < 1:
         raise DataFormatError("n_per_class must be >= 1")
-    if noise_sigma < 0:
-        raise DataFormatError("noise_sigma must be >= 0")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise DataFormatError("noise_sigma must be finite and >= 0")
     rng = np.random.default_rng(seed)
     records = []
     for c in range(CLASS_COUNT):

@@ -37,8 +37,8 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 _ACT_CODES = {"none": 0, "relu": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
-# records per block: batched inference and the calibration gradient run in
-# blocks of at most this many, so their memory does not grow with the batch
+# records per block: every fp pass (inference, training and the calibration
+# gradient) runs in blocks of at most this many, so memory is batch-independent
 BLOCK = 8
 
 
@@ -394,10 +394,9 @@ def _fp_affine(network: Network):
     return affine
 
 
-def _backward_batch(network: Network, caches, probs, labels, count=None):
+def _backward_batch(network: Network, caches, probs, labels, count: int):
     """Gradient w.r.t. every parameter tensor of the batch's summed
-    cross-entropy divided by ``count`` records (by default the batch's own,
-    which makes it the mean).
+    cross-entropy divided by ``count`` records.
 
     The walk stops at the first parameterized layer, whose input gradient
     nothing reads. It pops each layer's cache off ``caches`` once it has
@@ -408,7 +407,7 @@ def _backward_batch(network: Network, caches, probs, labels, count=None):
     bsz = probs.shape[0]
     onehot = np.zeros_like(probs)
     onehot[np.arange(bsz), labels] = 1.0
-    dh = (probs - onehot) / (bsz if count is None else count)
+    dh = (probs - onehot) / count
     layers = network.spec.layers
     grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(layers)
     first = min(i for i, l in enumerate(layers) if l.kind in PARAMETERIZED_KINDS)
@@ -486,50 +485,41 @@ def _cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     return float(-logp[np.arange(len(labels)), labels].mean()), np.exp(logp)
 
 
-def _loss_step(network: Network, records, labels, train_rng=None, count=None):
-    """Mean cross-entropy of one forward pass over ``records``, the
-    (weight, bias) gradient of every layer (None where it has no parameters)
-    of their summed cross-entropy divided by ``count`` (by default the
-    number of records), and the logits.
-
-    The input batch is built as a temporary, so the backward pass runs
-    without it.
-    """
-    caches: list[dict] = []
-    logits = _forward_batch(network.spec, _as_batch(network.spec, records),
-                            _fp_affine(network), train_rng=train_rng, caches=caches)
-    loss, probs = _cross_entropy(logits, labels)
-    return loss, _backward_batch(network, caches, probs, labels, count), logits
-
-
 def batch_loss(network: Network, records, labels) -> float:
     """Mean cross-entropy of the inference-mode forward pass."""
     return _cross_entropy(logits_batch(network, records), np.asarray(labels))[0]
 
 
-def loss_gradients(network: Network, records, labels) -> tuple[float, list[np.ndarray | None]]:
-    """(mean cross-entropy, flattened gradient per parameterized layer), no
-    dropout, from one forward and backward pass per block of ``BLOCK``
-    records. Each block's gradient is divided by the whole record count and
-    the blocks add up in order, so above ``BLOCK`` records the bytes depend
-    on it. The loss comes from the concatenated logits, so it equals
-    ``batch_loss``'s bitwise."""
+def _gradients(network: Network, records, labels, train_rng=None):
+    """Mean cross-entropy of ``records`` and the (weight, bias) gradient of
+    every layer (None where it has no parameters), from one forward and
+    backward pass per block of ``BLOCK`` records. Dropout is active only
+    when ``train_rng`` is given. Each block's gradient is divided by the
+    whole record count and the blocks add up in order, so above ``BLOCK``
+    records the bytes depend on it. The loss comes from the concatenated
+    logits, so without dropout it equals ``batch_loss``'s bitwise."""
+    spec, affine = network.spec, _fp_affine(network)
     labels = np.asarray(labels)
-    totals: list[np.ndarray | None] = [None] * len(network.spec.layers)
+    totals: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(spec.layers)
 
     def block(rows):
-        _, grads, logits = _loss_step(network, records[rows], labels[rows], count=len(labels))
-        for i, g in enumerate(grads):
-            if g is not None:
-                flat = np.concatenate([g[0].ravel(), g[1]])
-                if totals[i] is None:
-                    totals[i] = flat
-                else:
-                    totals[i] += flat
+        caches: list[dict] = []
+        logits = _forward_batch(spec, _as_batch(spec, records[rows]), affine,
+                                train_rng=train_rng, caches=caches)
+        probs = _cross_entropy(logits, labels[rows])[1]
+        for i, g in enumerate(_backward_batch(network, caches, probs, labels[rows], len(labels))):
+            totals[i] = g if totals[i] is None else (totals[i][0] + g[0], totals[i][1] + g[1])
         return logits
 
-    logits = np.concatenate(run_blocks(len(records), block))
+    logits = np.concatenate(run_blocks(len(labels), block))
     return _cross_entropy(logits, labels)[0], totals
+
+
+def loss_gradients(network: Network, records, labels) -> tuple[float, list[np.ndarray | None]]:
+    """(mean cross-entropy, flattened gradient per parameterized layer) of
+    ``_gradients`` without dropout."""
+    loss, grads = _gradients(network, records, labels)
+    return loss, [None if g is None else np.concatenate([g[0].ravel(), g[1]]) for g in grads]
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +537,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise TrainingError("epochs and batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise TrainingError("learning_rate must be >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise TrainingError("learning_rate must be finite and >= 0")
         if self.optimizer not in ("adam", "sgd"):
             raise TrainingError(f"unknown optimizer {self.optimizer!r}")
 
@@ -587,7 +577,7 @@ def train(network: Network, train_set, config: TrainConfig) -> TrainResult:
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             try:
-                loss, grads, _ = _loss_step(net, [records[j] for j in idx], labels[idx], rng)
+                loss, grads = _gradients(net, [records[j] for j in idx], labels[idx], rng)
             except NumericError as exc:
                 raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
             total += loss * len(idx)

@@ -89,8 +89,7 @@ class QuantLayer:
 
     @property
     def sizes(self) -> np.ndarray:
-        starts = np.arange(len(self.bits)) * self.group_size
-        return np.minimum(self.group_size, self.param_count - starts)
+        return group_sizes(self.param_count, self.group_size)
 
     def reconstruct(self) -> np.ndarray:
         """The layer's flattened values."""
@@ -158,14 +157,19 @@ class AlqConfig:
             raise ConfigError("set prune.rate or prune.target_avg_bitwidth, not both")
         if self.prune_rate is not None and not 0.0 <= self.prune_rate < 1.0:
             raise ConfigError("prune.rate must be in [0,1)")
-        if self.target_avg_bitwidth is not None and self.target_avg_bitwidth < 0:
-            raise ConfigError("prune.target_avg_bitwidth must be >= 0")
+        target = self.target_avg_bitwidth
+        if target is not None and not (np.isfinite(target) and target >= 0):
+            raise ConfigError("prune.target_avg_bitwidth must be finite and >= 0")
         if self.scorer not in ("magnitude", "loss_aware"):
             raise ConfigError(f"unknown scorer {self.scorer!r}")
         if self.refine_iters < 0:
             raise ConfigError("refine_iters must be >= 0")
         if self.calib_batch < 1:
             raise ConfigError("calib_batch must be >= 1")
+        if not 0 <= self.seed < 2**64:  # the container stores it as a u64
+            raise ConfigError("seed must be in 0..2**64-1")
+        if not np.isfinite(self.curvature_weight):
+            raise ConfigError("curvature_weight must be finite")
 
     @property
     def prunes(self) -> bool:
@@ -226,6 +230,11 @@ class AlqConfig:
 
 # ---------------------------------------------------------------------------
 # layer-level operations
+
+
+def group_sizes(count: int, n: int) -> np.ndarray:
+    """Sizes of the ceil(count / n) groups of ``count`` values; the last may be short."""
+    return np.minimum(n, count - n * np.arange(-(-count // n)))
 
 
 def partition_groups(flat: np.ndarray, n: int) -> np.ndarray:
@@ -299,7 +308,7 @@ def init_decompose(flat: np.ndarray, group_size: int, i_max: int,
     if i_max < 1:
         raise ConfigError("i_max must be >= 1")
     w = partition_groups(flat, group_size)
-    sizes = np.minimum(group_size, np.size(flat) - group_size * np.arange(len(w)))
+    sizes = group_sizes(np.size(flat), group_size)
     signs = np.zeros((*w.shape, i_max), dtype=np.int8)
     coords = np.zeros((len(w), i_max))
     bits = np.zeros(len(w), dtype=np.int64)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +189,40 @@ class TestValidation:
                                            "alq.json", flag, value, "--out", "x.alqq"])
         assert _alq_config(args).to_dict()["prune"] == prune
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--n-per-class", "1", "--noise-sigma", "nan", "--out", "d.csv"],
+        ["train", "--data", "d.csv", "--epochs", "1", "--lr", "nan", "--out", "m.alqf"],
+        ["train", "--data", "d.csv", "--epochs", "1", "--lr", "inf", "--out", "m.alqf"],
+        ["quantize", "--model", "m.alqf", "--target-bitwidth", "nan", "--out", "x.alqq"],
+    ])
+    def test_non_finite_setting_rejected(self, workdir, argv, capsys):
+        _synth(workdir)
+        assert run(["train", "--data", "d.csv", "--out", "m.alqf",
+                    "--epochs", "1", "--seed", "0"]) == 0
+        out = argv[-1]
+        (workdir / out).unlink(missing_ok=True)
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (workdir / out).exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--n-per-class", "1", "--seed", "-1", "--out", "d.csv"],
+        ["train", "--data", "d.csv", "--seed", "-1", "--out", "m.alqf"],
+        ["quantize", "--model", "m.alqf", "--prune-rate", "0", "--seed", "-1",
+         "--out", "x.alqq"],
+    ])
+    def test_negative_seed_rejected_by_the_parser(self, argv, capsys):
+        # no input is opened: the parser rejects the flag first
+        assert run(argv) == 1
+        assert "expected a non-negative integer" in capsys.readouterr().err
+
+    def test_config_seed_outside_u64_rejected_before_the_pipeline(self, workdir, capsys):
+        (workdir / "alq.json").write_text(json.dumps({"seed": -3}))
+        assert run(["quantize", "--model", "m.alqf", "--config", "alq.json",
+                    "--prune-rate", "0", "--out", "x.alqq"]) == 1
+        assert "seed must be in 0..2**64-1" in capsys.readouterr().err
+
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err.lower()
@@ -236,3 +273,14 @@ class TestManifest:
         first = (workdir / "m.alqf.manifest.json").read_bytes()
         assert run(args) == 0
         assert (workdir / "m.alqf.manifest.json").read_bytes() == first
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # python -m alqecg.cli runs the command, like the installed entry point
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "alqecg.cli", "synth", "--n-per-class", "1", "--out", "d.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len(load_dataset(tmp_path / "d.csv")) == 17

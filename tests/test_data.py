@@ -351,3 +351,9 @@ class TestSynth:
             synth_generate(0, seed=0)
         with pytest.raises(DataFormatError):
             synth_generate(1, seed=0, noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_noise_sigma_rejected(self, sigma):
+        # NaN fails every comparison, so a `< 0` check alone wrote noiseless data
+        with pytest.raises(DataFormatError, match="noise_sigma must be finite"):
+            synth_generate(1, seed=0, noise_sigma=sigma)

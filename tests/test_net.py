@@ -254,12 +254,12 @@ class TestTrainingMemory:
         records = [rng.normal(size=RECORD_SAMPLES) for _ in range(64)]
         labels = rng.integers(17, size=64)
         spec, affine = network.spec, _net._fp_affine(network)
-        _net._loss_step(network, records, labels)  # warm up
-        # the unblocked walk that a training step runs, against the forward
-        # pass alone on the same batch
+        unblocked_gradients(network, records, labels)  # warm up
+        # one forward and backward walk over the whole batch, against the
+        # forward pass alone on the same batch
         inference = _traced_peak(
             lambda: _net._forward_batch(spec, _net._as_batch(spec, records), affine))
-        training = _traced_peak(lambda: _net._loss_step(network, records, labels))
+        training = _traced_peak(lambda: unblocked_gradients(network, records, labels))
         # boolean ReLU masks, in-place bias and ReLU, and caches freed by the
         # backward pass keep training within a third of the inference peak
         assert training <= 1.35 * inference
@@ -287,13 +287,13 @@ class TestTrainingMemory:
                 if isinstance(v, np.ndarray)]
         assert len(refs) > 20
         _, probs = _net._cross_entropy(logits, [0, 1, 2])
-        _net._backward_batch(network, caches, probs, [0, 1, 2])
+        _net._backward_batch(network, caches, probs, [0, 1, 2], 3)
         assert caches == []
         assert all(ref() is None for ref in refs)
 
 
 class TestBlockedPasses:
-    """fp inference and the calibration gradient run in blocks of
+    """fp inference, training and the calibration gradient run in blocks of
     ``net.BLOCK`` records."""
 
     def test_working_memory_does_not_grow_with_batch(self):
@@ -301,9 +301,13 @@ class TestBlockedPasses:
         rng = np.random.default_rng(6)
         records = [rng.normal(size=RECORD_SAMPLES) for _ in range(136)]
         labels = rng.integers(17, size=136)
+        train_set = [EcgRecord(r, int(l)) for r, l in zip(records, labels)]
         calls = [lambda n: _net.predict_batch(network, records[:n]),
                  lambda n: _net.batch_loss(network, records[:n], labels[:n]),
-                 lambda n: _net.loss_gradients(network, records[:n], labels[:n])]
+                 lambda n: _net.loss_gradients(network, records[:n], labels[:n]),
+                 # one epoch of one minibatch of n records
+                 lambda n: train(network, Dataset(train_set[:n]),
+                                 TrainConfig(epochs=1, batch_size=n, seed=0))]
         _net.loss_gradients(network, records[:1], labels[:1])  # lazy numpy state
         for call in calls:
             # the whole 136-record batch put predict_batch at 54.9 MB
@@ -317,12 +321,27 @@ class TestBlockedPasses:
         labels = [r.label for r in records]
         loss, grads = _net.loss_gradients(network, records, labels)
         assert loss == _net.batch_loss(network, records, labels)
-        _, whole, _ = _net._loss_step(network, records, np.asarray(labels))
+        _, whole = unblocked_gradients(network, records, np.asarray(labels))
         for g, w in zip(grads, whole):
             assert (g is None) == (w is None)
             if w is not None:
                 flat = np.concatenate([w[0].ravel(), w[1]])
                 assert np.linalg.norm(g - flat) <= 1e-12 * np.linalg.norm(flat)
+
+    def test_gradient_sums_blocks_with_dropout(self):
+        # equally seeded rngs draw the same dropout masks, block by block
+        network = conv_stack_network()
+        records = random_records(21, 9)
+        labels = np.array([r.label for r in records])
+        loss, grads = _net._gradients(network, records, labels, np.random.default_rng(30))
+        want_loss, want = unblocked_gradients(network, records, labels,
+                                              np.random.default_rng(30))
+        assert abs(loss - want_loss) <= 1e-12 * want_loss
+        for g, w in zip(grads, want):
+            assert (g is None) == (w is None)
+            if w is not None:
+                g, w = (np.concatenate([a[0].ravel(), a[1]]) for a in (g, w))
+                assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
 
     @pytest.mark.parametrize("n", [1, 5, 8])
     def test_one_block_is_one_pass(self, n):
@@ -330,10 +349,21 @@ class TestBlockedPasses:
         records = random_records(n, 8)
         labels = np.array([r.label for r in records])
         loss, grads = _net.loss_gradients(network, records, labels)
-        want_loss, want, _ = _net._loss_step(network, records, labels)
+        want_loss, want = unblocked_gradients(network, records, labels)
         assert loss == want_loss
         assert sha256_of(*[g for g in grads if g is not None]) == sha256_of(
             *[np.concatenate([w[0].ravel(), w[1]]) for w in want if w is not None])
+
+
+def unblocked_gradients(network, records, labels, train_rng=None):
+    """Loss and (weight, bias) gradients from one forward walk with caches,
+    the cross-entropy and one backward walk over the whole batch: the walk
+    that ``net._gradients`` runs once per block."""
+    spec, caches = network.spec, []
+    logits = _net._forward_batch(spec, _net._as_batch(spec, records), _net._fp_affine(network),
+                                 train_rng=train_rng, caches=caches)
+    loss, probs = _net._cross_entropy(logits, labels)
+    return loss, _net._backward_batch(network, caches, probs, labels, len(labels))
 
 
 class TestGradients:
@@ -504,6 +534,12 @@ class TestTrain:
         network = init_params(default_ecgnet_spec(), 0)
         with pytest.raises(TrainingError):
             train(network, Dataset([]), TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1e-3])
+    def test_bad_learning_rate_rejected(self, rate):
+        # a NaN or infinite rate would train into a checkpoint that does not load
+        with pytest.raises(TrainingError, match="learning_rate must be finite and >= 0"):
+            TrainConfig(learning_rate=rate)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_names_epoch(self):

@@ -34,6 +34,7 @@ from alqecg.quantizer import (
     calib_subset,
     canonicalize,
     dequantized_network,
+    group_sizes,
     init_decompose,
     init_layers,
     layer_i_max,
@@ -331,6 +332,12 @@ class TestPartition:
     def test_exact_division(self):
         groups = partition_groups(np.arange(32, dtype=float), 16)
         assert groups.shape == (2, 16)
+
+    @pytest.mark.parametrize("count, n, sizes", [
+        (136, 16, [16] * 8 + [8]), (32, 16, [16, 16]), (5, 16, [5]), (7, 1, [1] * 7)])
+    def test_group_sizes(self, count, n, sizes):
+        assert group_sizes(count, n).tolist() == sizes
+        assert len(group_sizes(count, n)) == len(partition_groups(np.zeros(count), n))
 
     def test_short_vector(self):
         groups = partition_groups(np.arange(5, dtype=float), 16)
@@ -1110,8 +1117,31 @@ class TestConfig:
         assert model.layers[0].bits.max() == 3
 
     def test_bad_rate(self):
-        with pytest.raises(ConfigError, match=r"prune.rate must be in \[0,1\)"):
-            AlqConfig(prune_rate=1.5)
+        for rate in (1.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=r"prune.rate must be in \[0,1\)"):
+                AlqConfig(prune_rate=rate)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_bad_target_bitwidth_rejected(self, value):
+        # a NaN target pruned every coordinate
+        with pytest.raises(ConfigError, match="target_avg_bitwidth must be finite and >= 0"):
+            AlqConfig(target_avg_bitwidth=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_curvature_weight_rejected(self, value):
+        with pytest.raises(ConfigError, match="curvature_weight must be finite"):
+            AlqConfig(curvature_weight=value)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_u64_rejected(self, seed, tmp_path):
+        # the container stores the seed as a u64; a JSON config is checked too
+        with pytest.raises(ConfigError, match=r"seed must be in 0..2\*\*64-1"):
+            AlqConfig(seed=seed)
+        path = tmp_path / "alq.json"
+        path.write_text(f'{{"seed": {seed}}}')
+        with pytest.raises(ConfigError, match="seed must be in"):
+            AlqConfig.from_json_file(path)
+        assert AlqConfig(seed=2**64 - 1).seed == 2**64 - 1
 
     def test_conflicting_targets(self):
         with pytest.raises(ConfigError):

@@ -20,6 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContainerFormatError, NumericError, ShapeError, TrainingError
+from .util import require_ints
 
 CONV = "conv1d"
 POOL = "maxpool1d"
@@ -280,19 +281,28 @@ def _windows(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarra
     return _strided_windows(x, 2, kernel, stride)
 
 
+def _im2col(win: np.ndarray) -> np.ndarray:
+    """Contiguous (B, C*K, T) copy of a conv's (B, C, T, K) window view: row
+    c*K + k of a record holds tap k of channel c at every output position,
+    so the conv is one (O, C*K) @ (C*K, T) product per record."""
+    bsz, c, t, k = win.shape
+    return np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(bsz, c * k, t)
+
+
 def _conv_param_grads(dy, win):
-    dw = np.einsum("bot,bctk->ock", dy, win, optimize=True)
-    return dw, dy.sum(axis=(0, 2))
+    # per-record (O, C*K) products, summed over the records in order
+    dw = (dy @ _im2col(win).transpose(0, 2, 1)).sum(axis=0)
+    return dw.reshape(dy.shape[1], win.shape[1], win.shape[3]), dy.sum(axis=(0, 2))
 
 
 def _conv_input_grad(dy, x_shape, w, stride, padding):
-    dwin = np.einsum("bot,ock->bctk", dy, w, optimize=True)
-    k = w.shape[2]
+    o, c, k = w.shape
+    bsz, _, length = x_shape
     t = dy.shape[2]
-    bsz, c, length = x_shape
+    dcols = (w.reshape(o, c * k).T @ dy).reshape(bsz, c, k, t)
     dxp = np.zeros((bsz, c, length + 2 * padding))
     for j in range(k):
-        dxp[:, :, j : j + stride * t : stride] += dwin[:, :, :, j]
+        dxp[:, :, j : j + stride * t : stride] += dcols[:, :, j]
     return dxp[:, :, padding : padding + length] if padding else dxp
 
 
@@ -385,7 +395,7 @@ def _fp_affine(network: Network):
     def affine(i, h):
         w, b = network.params[i]
         if h.ndim == 4:  # conv windows
-            y = np.einsum("bctk,ock->bot", h, w, optimize=True)
+            y = w.reshape(w.shape[0], -1) @ _im2col(h)
             y += b[:, None]
         else:
             y = h @ w.T
@@ -430,8 +440,8 @@ def _backward_batch(network: Network, caches, probs, labels, count: int):
         elif layer.kind == CONV:
             if "relu_mask" in cache:
                 # a padded conv's input gradient is a strided slice: masking
-                # it into a new array keeps the contiguous layout the einsum
-                # and the bias sum below round in
+                # it into a new array keeps the contiguous layout that the
+                # per-record matmuls and the bias sum below round in
                 dh = np.multiply(dh, cache["relu_mask"],
                                  out=dh if dh.flags.c_contiguous else None)
             grads[i] = _conv_param_grads(dh, cache["win"])
@@ -535,8 +545,12 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
+        require_ints(TrainingError, epochs=self.epochs, batch_size=self.batch_size,
+                     seed=self.seed)
         if self.epochs < 1 or self.batch_size < 1:
             raise TrainingError("epochs and batch_size must be >= 1")
+        if self.seed < 0:  # default_rng takes no negative seed
+            raise TrainingError("seed must be >= 0")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise TrainingError("learning_rate must be finite and >= 0")
         if self.optimizer not in ("adam", "sgd"):

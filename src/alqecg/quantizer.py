@@ -44,6 +44,7 @@ from . import net as _net
 from .data import Dataset
 from .errors import ConfigError
 from .net import Network, NetworkSpec
+from .util import require_ints
 
 log = logging.getLogger(__name__)
 
@@ -147,12 +148,15 @@ class AlqConfig:
     curvature_weight: float = 1.0
 
     def __post_init__(self):
+        caps = self.i_max.values() if isinstance(self.i_max, dict) else [self.i_max]
+        require_ints(ConfigError, group_size=self.group_size, refine_iters=self.refine_iters,
+                     calib_batch=self.calib_batch, seed=self.seed)
+        for cap in caps:
+            require_ints(ConfigError, i_max=cap)
         if self.group_size < 1:
             raise ConfigError("group_size must be >= 1")
-        caps = self.i_max.values() if isinstance(self.i_max, dict) else [self.i_max]
-        for cap in caps:
-            if not 1 <= int(cap) <= 8:
-                raise ConfigError("i_max must be in 1..8")
+        if not all(1 <= cap <= 8 for cap in caps):
+            raise ConfigError("i_max must be in 1..8")
         if self.prune_rate is not None and self.target_avg_bitwidth is not None:
             raise ConfigError("set prune.rate or prune.target_avg_bitwidth, not both")
         if self.prune_rate is not None and not 0.0 <= self.prune_rate < 1.0:

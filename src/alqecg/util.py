@@ -1,10 +1,12 @@
-"""Small shared helpers: hashing, canonical JSON, and the worker count that
-caps ``QuantExecutor``'s block threads."""
+"""Small shared helpers: hashing, canonical JSON, the integer check of
+config fields, and the worker count that caps ``QuantExecutor``'s block
+threads."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 
 from .errors import ConfigError
@@ -20,6 +22,14 @@ def worker_count() -> int:
     if value < 0:
         raise ConfigError("ALQ_THREADS must be >= 0")
     return value if value > 0 else (os.cpu_count() or 1)
+
+
+def require_ints(error: type[Exception], **fields) -> None:
+    """Raise ``error`` naming the first field that is not an integer. A bool
+    or a float with an integral value is not one: JSON configs give both."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise error(f"{name} must be an integer, got {value!r}")
 
 
 def sha256_file(path) -> str:

@@ -47,15 +47,15 @@ pytestmark = pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
 # criterion-7 sweep.json bytes. The desk network's training and the
 # calibration passes run in blocks of net.BLOCK records, so the bytes depend
 # on it
-DESK_ALQQ_SHA256 = "400a9955c59ef759f512ce5aee05dcc0784b2fded322985a5303aee746ffa807"
-SWEEP_JSON_SHA256 = "de8a406d3cbb01fd59df7a20ab8c2440921f54d5d6d54e85981af746f9a36604"
+DESK_ALQQ_SHA256 = "09f10cfdcbfc9af2dc0b0545dabf94fa9ca79ccecb9e1a1aa9486979c044bf53"
+SWEEP_JSON_SHA256 = "e722751f3d05aabd3244723473e7a5c306d67162336aa9b4168adc1d49762ad1"
 # the criterion-6 config at group size 11 and 4 refinement rounds: each layer's
 # short last group then sits inside the network-wide set of groups
-DESK_G11_ALQQ_SHA256 = "4f21509b80ebbfa40ad644918394956fb73fbb6be29756b582af749c04043bd5"
+DESK_G11_ALQQ_SHA256 = "c1715af049be95a11eb22ad36e0237c1086b35b028a443616a25187f7bc90ceb"
 # SHA-256 of the signs, coords and bits arrays of the same two models
 # (test_quantizer.arrays_sha256)
-DESK_ARRAYS_SHA256 = "eec3c557e912495e92d16cf3c67fb5d49168aee10eb5daa0a62c5876a66649d0"
-DESK_G11_ARRAYS_SHA256 = "c252da250e24903a7333df82b1117c6b242acb045027010bd1036df9ebb42b0c"
+DESK_ARRAYS_SHA256 = "bfbbffa4391fbc5b2393d390c174cf843fd997afcdbda43c481defb2d0142b88"
+DESK_G11_ARRAYS_SHA256 = "36a1785f8056fad1fdadddc7d10e5d8cb33e010c7b6946cef0fc0dc67d1b2529"
 
 
 def _record(criterion: int, description: str):

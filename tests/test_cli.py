@@ -223,6 +223,25 @@ class TestValidation:
                     "--prune-rate", "0", "--out", "x.alqq"]) == 1
         assert "seed must be in 0..2**64-1" in capsys.readouterr().err
 
+    def test_config_non_integer_rejected_before_the_pipeline(self, workdir, capsys,
+                                                            monkeypatch):
+        from alqecg import quantizer
+
+        _synth(workdir)
+        assert run(["train", "--data", "d.csv", "--out", "m.alqf",
+                    "--epochs", "1", "--seed", "0"]) == 0
+        calls = []
+        monkeypatch.setattr(quantizer, "init_layers", lambda *a: calls.append(a))
+        capsys.readouterr()
+        for raw, message in [({"seed": 1.5}, "seed must be an integer, got 1.5"),
+                             ({"i_max": {"default": 2.5}}, "i_max must be an integer")]:
+            (workdir / "alq.json").write_text(json.dumps(raw))
+            assert run(["quantize", "--model", "m.alqf", "--config", "alq.json",
+                        "--prune-rate", "0", "--out", "x.alqq"]) == 1
+            assert message in capsys.readouterr().err
+        assert calls == []
+        assert not (workdir / "x.alqq").exists()
+
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err.lower()

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -172,6 +175,67 @@ class TestForward:
             [(w0[perm], b0[perm]), None, None, (w3_perm, b3), network.params[4]],
         )
         np.testing.assert_allclose(predict_batch(permuted, [x])[0], base, atol=1e-12)
+
+
+def direct_conv(x, w, b, stride, padding):
+    """Conv output, weight gradient and input gradient as a direct loop over
+    (channel c, tap k, output position t), vectorized over records and
+    output channels only. Returns a function of the output gradient."""
+    bsz, c_in, length = x.shape
+    n_out, _, kernel = w.shape
+    xp = np.zeros((bsz, c_in, length + 2 * padding))
+    xp[:, :, padding : padding + length] = x
+    positions = (length + 2 * padding - kernel) // stride + 1
+    y = np.zeros((bsz, n_out, positions)) + b[:, None]
+    for c in range(c_in):
+        for k in range(kernel):
+            for t in range(positions):
+                y[:, :, t] += xp[:, None, c, t * stride + k] * w[:, c, k]
+
+    def backward(dy):
+        dw, dxp = np.zeros_like(w), np.zeros_like(xp)
+        for c in range(c_in):
+            for k in range(kernel):
+                for t in range(positions):
+                    dw[:, c, k] += dy[:, :, t].T @ xp[:, c, t * stride + k]
+                    dxp[:, c, t * stride + k] += dy[:, :, t] @ w[:, c, k]
+        return dw, dy.sum(axis=(0, 2)), dxp[:, :, padding : padding + length]
+
+    return y, backward
+
+
+class TestConvKernels:
+    """The forward, weight-gradient and input-gradient kernels of a conv
+    layer against ``direct_conv``."""
+
+    @pytest.mark.parametrize("bsz, c_in, n_out, kernel, stride, padding, length", [
+        (1, 1, 2, 1, 1, 0, 5),      # C=1, K=1, B=1
+        (3, 2, 3, 3, 2, 0, 9),      # stride 2, padding 0
+        (3, 3, 2, 4, 3, 3, 10),     # stride 3, padding K-1
+        (1, 2, 4, 5, 2, 4, 6),      # stride 2, padding K-1
+        (3, 2, 2, 4, 2, 0, 4),      # T=1: one window, no padding
+        (3, 1, 3, 3, 3, 2, 1),      # T=1 from one padded sample, C=1
+        (3, 4, 5, 16, 2, 7, 40),    # the default network's first-layer shape
+    ])
+    def test_against_direct_loop(self, bsz, c_in, n_out, kernel, stride, padding, length):
+        rng = np.random.default_rng(bsz * 1000 + kernel * 10 + stride)
+        x = rng.normal(size=(bsz, c_in, length))
+        w, b = rng.normal(size=(n_out, c_in, kernel)), rng.normal(size=n_out)
+        spec = NetworkSpec([conv(kernel, n_out, stride, padding)], length, c_in)
+        win = _net._windows(x, kernel, stride, padding)
+        y = _net._fp_affine(Network(spec, [(w, b)]))(0, win)
+        want_y, backward = direct_conv(x, w, b, stride, padding)
+        assert y.shape == want_y.shape == (bsz, n_out, out_length(length, kernel, stride, padding))
+        assert y.flags.c_contiguous
+        np.testing.assert_allclose(y, want_y, rtol=0, atol=1e-12)
+        dy = rng.normal(size=y.shape)
+        want_dw, want_db, want_dx = backward(dy)
+        dw, db = _net._conv_param_grads(dy, win)
+        dx = _net._conv_input_grad(dy, x.shape, w, stride, padding)
+        assert dw.shape == w.shape and dx.shape == x.shape
+        np.testing.assert_allclose(dw, want_dw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(db, want_db, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-12)
 
 
 def ref_pool_fwd(x, kernel, stride):
@@ -541,6 +605,18 @@ class TestTrain:
         with pytest.raises(TrainingError, match="learning_rate must be finite and >= 0"):
             TrainConfig(learning_rate=rate)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("epochs", 1.5, "epochs must be an integer"),
+        ("epochs", True, "epochs must be an integer"),
+        ("batch_size", 32.0, "batch_size must be an integer"),
+        ("batch_size", True, "batch_size must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", -1, "seed must be >= 0"),  # default_rng rejected it in train
+    ])
+    def test_bad_integer_setting_rejected(self, field, value, message):
+        with pytest.raises(TrainingError, match=message):
+            TrainConfig(**{field: value})
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_names_epoch(self):
         recs, labels = _toy_training_set()
@@ -566,10 +642,7 @@ def random_records(n: int, seed: int) -> list[EcgRecord]:
 
 
 def golden_network() -> Network:
-    """Padded, strided convs, overlapping pools and a dropout dense layer.
-
-    Its outputs keep their bytes at 1 to 4 BLAS threads; the default
-    network's logits do not (they move in the last bit)."""
+    """Padded, strided convs, overlapping pools and a dropout dense layer."""
     spec = NetworkSpec([
         conv(16, 4, stride=4, padding=7), pool(4, 4),
         conv(5, 6, padding=2), pool(3, 2),
@@ -589,25 +662,25 @@ def conv_stack_network() -> Network:
 
 
 class TestGoldenDigests:
-    """fp outputs pinned to the bytes of the code before the fp and
-    bit-plane passes shared one layer walk."""
+    """fp outputs pinned to the bytes of conv layers run as per-record
+    GEMMs on an im2col layout. They pass at 1, 2 and 4 BLAS threads."""
 
     def test_logits(self):
         logits = _net.logits_batch(golden_network(), random_records(6, 22))
         assert sha256_of(logits) == (
-            "04ef573baba59e0656fe2bde7b1da98d00005e55a865e802291639a9678f9a27")
+            "bc54dbe0c3568031483ad2aaf0b013570ea5f7972370bb68d39c3df85a3cedaa")
 
     def test_loss_gradients(self):
         records = random_records(6, 22)
         loss, grads = _net.loss_gradients(golden_network(), records,
                                           [r.label for r in records])
         assert sha256_of([loss], *[g for g in grads if g is not None]) == (
-            "ecdb5b29e08637230fe23a6fa303190c0684576fa3ab1082984e0c3a9c98153d")
+            "b1e4f948bf2099d6fd44f1a12078b9c42ac80480c1244d97c61f317c14164955")
 
     @pytest.mark.parametrize("optimizer, rate, digest", [
-        ("adam", 1e-3, "863ab6f628526c3f20c2f678debcd3d03c7c88a4672a80b08c52751022c34669"),
-        ("sgd", 0.01, "c98ec8a4f801ff4a525e069452e82649f59515665b3ccc35f3f980b1f473126a"),
-    ])
+        ("adam", 1e-3, "87074764e03b2f6ad91a2675d948a407d24acf3abf43bbf2344a229b6c37dc91"),
+        ("sgd", 0.01, "3dfc05a7f21972c9b9aca1886248ae7f6ab85b5452af318fd6a0f9a76bcef8de"),
+    ], ids=["adam", "sgd"])
     def test_train_epoch(self, optimizer, rate, digest):
         network = golden_network()
         result = train(network, Dataset(random_records(10, 23)),
@@ -618,8 +691,6 @@ class TestGoldenDigests:
         assert sha256_of(result.epoch_losses, *params) == digest
 
     def test_conv_stack_train_epoch(self):
-        # pinned to the bytes of the code before ReLU masks were boolean and
-        # applied in place
         network = conv_stack_network()
         records = random_records(6, 26)
         loss, grads = _net.loss_gradients(network, records, [r.label for r in records])
@@ -628,9 +699,49 @@ class TestGoldenDigests:
         params = [flatten_params(result.network, i)
                   for i, _ in parameterized_layers(network.spec)]
         assert sha256_of([loss], *[g for g in grads if g is not None]) == (
-            "aad97cb5d0393422bb07607f7d267cd324245e988b20eddae17e63f354bb9194")
+            "5c5de0be8c8d76da69d42c61786afab7695d2e11f4a8818e811f2ee8dc03a7e3")
         assert sha256_of(result.epoch_losses, *params) == (
-            "4f7a08c871746f8d11c92851ea739081f5f2fcf694d55fd972c1ddd987a4c1f6")
+            "fd22c2e9b394afd76172844015f375bd6346466f581466287cf55084a6cebe0a")
+
+
+# loss_gradients and one training epoch of a three-conv network, printed as
+# one digest; its conv products are large enough for BLAS to split them
+# across threads
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from alqecg import net
+from alqecg.data import Dataset, EcgRecord, RECORD_SAMPLES
+spec = net.NetworkSpec([
+    net.conv(16, 8, stride=2, padding=7), net.pool(8, 8), net.conv(9, 32, padding=4),
+    net.pool(8, 8), net.conv(5, 64, padding=2), net.pool(6, 6), net.flatten(),
+    net.dense(12), net.softmax_dense(17)])
+rng = np.random.default_rng(0)
+records = [EcgRecord(rng.normal(size=RECORD_SAMPLES), int(rng.integers(17)))
+           for _ in range(16)]
+network = net.init_params(spec, 1)
+loss, grads = net.loss_gradients(network, records[:8], [r.label for r in records[:8]])
+result = net.train(network, Dataset(records), net.TrainConfig(epochs=1, batch_size=16, seed=2))
+arrays = [[loss], *[g for g in grads if g is not None], result.epoch_losses,
+          *[net.flatten_params(result.network, i) for i, _ in net.parameterized_layers(spec)]]
+print(hashlib.sha256(b"".join(np.asarray(a, np.float64).tobytes() for a in arrays)).hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_gradients_and_training_keep_their_bytes_at_one_and_two_threads(self):
+        src = str(Path(_net.__file__).parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+                [src, os.environ.get("PYTHONPATH", "")])}
+            env.update(dict.fromkeys(
+                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+            done = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout)
+        assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 class TestCheckpoint:

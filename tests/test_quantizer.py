@@ -1143,6 +1143,18 @@ class TestConfig:
             AlqConfig.from_json_file(path)
         assert AlqConfig(seed=2**64 - 1).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", True), ("group_size", 4.5), ("group_size", True),
+        ("refine_iters", 2.5), ("refine_iters", True), ("calib_batch", 8.5),
+        ("calib_batch", True), ("i_max", 2.5), ("i_max", True),
+        ("i_max", {"default": 2.5}), ("i_max", {"default": 2, "Softmax": True}),
+    ], ids=lambda v: str(v).replace(" ", ""))
+    def test_non_integer_field_rejected(self, field, value):
+        # a JSON config gave these to the pipeline, which failed after running
+        # or, for an i_max map, truncated the cap
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            AlqConfig(**{field: value})
+
     def test_conflicting_targets(self):
         with pytest.raises(ConfigError):
             AlqConfig(prune_rate=0.5, target_avg_bitwidth=1.0)

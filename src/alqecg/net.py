@@ -391,14 +391,17 @@ def _forward_batch(spec: NetworkSpec, x: np.ndarray, affine, train_rng=None, cac
 
 
 def _fp_affine(network: Network):
-    """The affine map of ``network``'s own parameters, for ``_forward_batch``."""
+    """The affine map of ``network``'s own parameters, for ``_forward_batch``:
+    one GEMM per record on a conv's im2col array, one GEMV per record on a
+    dense row. No product spans records, so each record's bytes are the
+    same in any batch or block."""
     def affine(i, h):
         w, b = network.params[i]
         if h.ndim == 4:  # conv windows
             y = w.reshape(w.shape[0], -1) @ _im2col(h)
             y += b[:, None]
         else:
-            y = h @ w.T
+            y = (w @ h[:, :, None])[:, :, 0]
             y += b
         return y
     return affine
@@ -481,9 +484,9 @@ def predict_batch(network: Network, records) -> np.ndarray:
 
 
 def logits_batch(network: Network, records) -> np.ndarray:
-    """Pre-softmax outputs, run in blocks of ``BLOCK`` records. Above
-    ``BLOCK`` records their bytes depend on it: BLAS may round a block's
-    matmuls differently from a whole batch's."""
+    """Pre-softmax outputs, run in blocks of ``BLOCK`` records. Every
+    product is per record, so the bytes do not depend on the batch or
+    block size."""
     spec, affine = network.spec, _fp_affine(network)
     return np.concatenate(run_blocks(
         len(records), lambda rows: _forward_batch(spec, _as_batch(spec, records[rows]), affine)))

@@ -67,9 +67,8 @@ def _reconstruct(signs: np.ndarray, coords: np.ndarray) -> np.ndarray:
 class QuantLayer:
     """One layer's groups as arrays (see above), trimmed to W = max(bits) columns.
 
-    The arrays are read-only views and layers compare and hash by identity,
-    so anything derived from a layer (such as an inference plan) can be
-    cached on it; stages that change a layer return a new one.
+    The arrays are read-only views and layers compare and hash by identity;
+    stages that change a layer return a new one.
     """
 
     signs: np.ndarray

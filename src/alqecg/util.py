@@ -1,6 +1,7 @@
 """Small shared helpers: hashing, canonical JSON, the integer check of
-config fields, and the worker count that caps ``QuantExecutor``'s block
-threads."""
+config fields, and the worker count that caps the threads running
+``QuantExecutor``'s fixed blocks (each on the weights rebuilt once per
+call)."""
 
 from __future__ import annotations
 

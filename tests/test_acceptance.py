@@ -25,6 +25,7 @@ from alqecg.quantizer import (
     uniform_baseline,
 )
 from alqecg.util import canonical_json_bytes
+from bitplane_oracle import BitPlaneExecutor
 from conftest import ACCEPTANCE_LINES
 from test_bitpack import models_equal, random_model
 from test_quantizer import (
@@ -47,15 +48,15 @@ pytestmark = pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
 # criterion-7 sweep.json bytes. The desk network's training and the
 # calibration passes run in blocks of net.BLOCK records, so the bytes depend
 # on it
-DESK_ALQQ_SHA256 = "09f10cfdcbfc9af2dc0b0545dabf94fa9ca79ccecb9e1a1aa9486979c044bf53"
-SWEEP_JSON_SHA256 = "e722751f3d05aabd3244723473e7a5c306d67162336aa9b4168adc1d49762ad1"
+DESK_ALQQ_SHA256 = "ae9cde55619bd2913e1113f2b66c6b1fb7b249912301eef001ffc6987cf38fe8"
+SWEEP_JSON_SHA256 = "670da3d017ecca4cc79af9b0b4ff23c957682fd09955b0515bbd8ea2b2bbdaec"
 # the criterion-6 config at group size 11 and 4 refinement rounds: each layer's
 # short last group then sits inside the network-wide set of groups
-DESK_G11_ALQQ_SHA256 = "c1715af049be95a11eb22ad36e0237c1086b35b028a443616a25187f7bc90ceb"
+DESK_G11_ALQQ_SHA256 = "feb4a7d265a8b31f1a2edcba12baa94e7722065c3ba0aa220e21c63496665a6f"
 # SHA-256 of the signs, coords and bits arrays of the same two models
 # (test_quantizer.arrays_sha256)
-DESK_ARRAYS_SHA256 = "bfbbffa4391fbc5b2393d390c174cf843fd997afcdbda43c481defb2d0142b88"
-DESK_G11_ARRAYS_SHA256 = "36a1785f8056fad1fdadddc7d10e5d8cb33e010c7b6946cef0fc0dc67d1b2529"
+DESK_ARRAYS_SHA256 = "3a373cbfee92533e31b89bc95cba2f00ee6dbd0ba2d4212543f9d5758df55629"
+DESK_G11_ARRAYS_SHA256 = "ce54fab1871f86d61173cfd0a2150f91ae8fe3278d87353941fd5c6ba2c99d0d"
 
 
 def _record(criterion: int, description: str):
@@ -183,11 +184,13 @@ def test_criterion_04_lossless_regime(trained_network, desk_data):
     records = test_set.records[:100]
     assert len(records) == 100
     qlog = QuantExecutor(model).logits(records)
-    flog = _net.logits_batch(snapped, records)
-    assert np.abs(qlog - flog).max() <= 1e-5
-    assert np.array_equal(qlog.argmax(axis=1), flog.argmax(axis=1))
-    _record(4, "lossless regime: packed-bit and full-precision paths agree "
-               "(<=1e-5/logit, 100/100 argmax)")
+    # two independent computations: the fp forward of the snapped network,
+    # and the bit-plane forward that never forms the weights
+    for ref in (_net.logits_batch(snapped, records), BitPlaneExecutor(model).logits(records)):
+        assert np.abs(qlog - ref).max() <= 1e-5
+        assert np.array_equal(qlog.argmax(axis=1), ref.argmax(axis=1))
+    _record(4, "lossless regime: packed-bit executor agrees with the full-precision "
+               "and bit-plane paths (<=1e-5/logit, 100/100 argmax)")
 
 
 def test_criterion_05_serialization_round_trip():

@@ -407,6 +407,20 @@ class TestBlockedPasses:
                 g, w = (np.concatenate([a[0].ravel(), a[1]]) for a in (g, w))
                 assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
 
+    def test_logits_bitwise_equal_at_every_batch_and_block_size(self, monkeypatch):
+        # every product is per record, dense layers too, so no record's
+        # bytes depend on the records around it
+        network = golden_network()
+        records = random_records(40, 29)
+        whole = _net.logits_batch(network, records)
+        out = {}
+        for block in (1, 8, 16):
+            monkeypatch.setattr(_net, "BLOCK", block)
+            for size in (1, 7, 40):
+                out[block, size] = np.concatenate([_net.logits_batch(network, records[i : i + size])
+                                                   for i in range(0, 40, size)]).tobytes()
+        assert set(out.values()) == {whole.tobytes()}
+
     @pytest.mark.parametrize("n", [1, 5, 8])
     def test_one_block_is_one_pass(self, n):
         network = conv_stack_network()
@@ -663,23 +677,24 @@ def conv_stack_network() -> Network:
 
 class TestGoldenDigests:
     """fp outputs pinned to the bytes of conv layers run as per-record
-    GEMMs on an im2col layout. They pass at 1, 2 and 4 BLAS threads."""
+    GEMMs on an im2col layout and dense layers as per-record GEMVs. They
+    pass at 1, 2 and 4 BLAS threads."""
 
     def test_logits(self):
         logits = _net.logits_batch(golden_network(), random_records(6, 22))
         assert sha256_of(logits) == (
-            "bc54dbe0c3568031483ad2aaf0b013570ea5f7972370bb68d39c3df85a3cedaa")
+            "21136ba743b3c07b931e271370937fac189245425d0a91f456593fb252ff141c")
 
     def test_loss_gradients(self):
         records = random_records(6, 22)
         loss, grads = _net.loss_gradients(golden_network(), records,
                                           [r.label for r in records])
         assert sha256_of([loss], *[g for g in grads if g is not None]) == (
-            "b1e4f948bf2099d6fd44f1a12078b9c42ac80480c1244d97c61f317c14164955")
+            "90f7d1bbb12ebadd5b73d431c26025e5710048af08af3c15983894357b453422")
 
     @pytest.mark.parametrize("optimizer, rate, digest", [
-        ("adam", 1e-3, "87074764e03b2f6ad91a2675d948a407d24acf3abf43bbf2344a229b6c37dc91"),
-        ("sgd", 0.01, "3dfc05a7f21972c9b9aca1886248ae7f6ab85b5452af318fd6a0f9a76bcef8de"),
+        ("adam", 1e-3, "19e2ac017898ab33c6292d524ccc377439781c76451ac276ccaad0c89311fb67"),
+        ("sgd", 0.01, "c6d7a657e30a9a285d1554b0bbc1be01585a0b65f910ea7c284ca9741f158987"),
     ], ids=["adam", "sgd"])
     def test_train_epoch(self, optimizer, rate, digest):
         network = golden_network()
@@ -699,19 +714,22 @@ class TestGoldenDigests:
         params = [flatten_params(result.network, i)
                   for i, _ in parameterized_layers(network.spec)]
         assert sha256_of([loss], *[g for g in grads if g is not None]) == (
-            "5c5de0be8c8d76da69d42c61786afab7695d2e11f4a8818e811f2ee8dc03a7e3")
+            "ddc2b99ed1a1f023c1ee494814081df2c1d2d6970beba4109a7eb47b8d274284")
         assert sha256_of(result.epoch_losses, *params) == (
-            "fd22c2e9b394afd76172844015f375bd6346466f581466287cf55084a6cebe0a")
+            "5e43fe8fc99f336a2bdaf7c167ccd8e281dc5467cf5b46bc0a61470a6e173202")
 
 
-# loss_gradients and one training epoch of a three-conv network, printed as
-# one digest; its conv products are large enough for BLAS to split them
-# across threads
+# loss_gradients and one training epoch of a three-conv network, and the
+# quantized executor's logits of the same network at 2 bits, printed as one
+# digest; its conv products are large enough for BLAS to split them across
+# threads
 _THREAD_PROBE = """
 import hashlib
 import numpy as np
 from alqecg import net
 from alqecg.data import Dataset, EcgRecord, RECORD_SAMPLES
+from alqecg.qinfer import QuantExecutor
+from alqecg.quantizer import uniform_baseline
 spec = net.NetworkSpec([
     net.conv(16, 8, stride=2, padding=7), net.pool(8, 8), net.conv(9, 32, padding=4),
     net.pool(8, 8), net.conv(5, 64, padding=2), net.pool(6, 6), net.flatten(),
@@ -722,8 +740,10 @@ records = [EcgRecord(rng.normal(size=RECORD_SAMPLES), int(rng.integers(17)))
 network = net.init_params(spec, 1)
 loss, grads = net.loss_gradients(network, records[:8], [r.label for r in records[:8]])
 result = net.train(network, Dataset(records), net.TrainConfig(epochs=1, batch_size=16, seed=2))
+logits = QuantExecutor(uniform_baseline(network, 2, 16)).logits(records)
 arrays = [[loss], *[g for g in grads if g is not None], result.epoch_losses,
-          *[net.flatten_params(result.network, i) for i, _ in net.parameterized_layers(spec)]]
+          *[net.flatten_params(result.network, i) for i, _ in net.parameterized_layers(spec)],
+          logits]
 print(hashlib.sha256(b"".join(np.asarray(a, np.float64).tobytes() for a in arrays)).hexdigest())
 """
 

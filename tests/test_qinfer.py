@@ -1,5 +1,7 @@
 import os
 import traceback
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,18 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alqecg import net as _net, qinfer
+from alqecg import net as _net, qinfer, quantizer
 from alqecg.bitpack import memory_report
 from alqecg.data import Dataset
 from alqecg.errors import NumericError, ShapeError
 from alqecg.net import default_ecgnet_spec, init_params
-from alqecg.qinfer import (
-    QuantExecutor,
-    dequantize,
-    layer_plan,
-    predict_batch,
-)
+from alqecg.qinfer import QuantExecutor, dequantize, predict_batch
 from alqecg.quantizer import AlqConfig, QuantLayer, alq_pipeline, canonicalize, uniform_baseline
+import bitplane_oracle
+from bitplane_oracle import BitPlaneExecutor, layer_plan
 from conftest import tiny_spec
 from test_bitpack import random_model, small_spec
 from test_quantizer import empty_layer, groups_of, layer_of, ref_reconstruct
@@ -427,48 +426,57 @@ class TestGridWindows:
     def test_group_11_logits_match_dense_scatter_oracle(self):
         model = uniform_baseline(init_params(default_ecgnet_spec(), 14), 2, 11)
         record = np.random.default_rng(16).normal(size=3600)
-        oracle = QuantExecutor(model)
+        oracle = BitPlaneExecutor(model)
         oracle.plans = {ql.layer_index: DenseScatterPlan(ql, *layer_geometry(model, ql))
                         for ql in model.layers}
-        np.testing.assert_allclose(QuantExecutor(model).logits([record]),
-                                   oracle.logits([record]), rtol=0, atol=1e-12)
+        expected = oracle.logits([record])
+        # the executor, and the bit-plane plans on the same layer walk
+        for logits in (QuantExecutor(model).logits([record]),
+                       BitPlaneExecutor(model).logits([record])):
+            np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
 
 
 class TestPlanCache:
+    """The executor caches nothing: each ``logits`` call rebuilds the
+    model's weights once, and they go when the call returns."""
+
     @pytest.fixture
-    def builds(self, monkeypatch):
-        """Layers that ``layer_plan`` was called for, in call order."""
+    def rebuilds(self, monkeypatch):
+        """The networks ``dequantized_network`` returned, in call order."""
         built = []
-        real = qinfer.layer_plan
+        real = quantizer.dequantized_network
 
-        def spy(layer, n_out, fan):
-            built.append(layer)
-            return real(layer, n_out, fan)
+        def spy(spec, layers):
+            built.append(real(spec, layers))
+            return built[-1]
 
-        monkeypatch.setattr(qinfer, "layer_plan", spy)
+        monkeypatch.setattr(qinfer, "dequantized_network", spy)
         return built
 
-    def test_second_predict_builds_nothing(self, builds):
+    def test_each_call_rebuilds_once_and_keeps_nothing(self, rebuilds):
         model = random_model(np.random.default_rng(31), tiny_spec())
-        records = [np.random.default_rng(32).normal(size=8) for _ in range(3)]
-        first = predict_batch(model, records)
-        assert builds == model.layers
-        np.testing.assert_array_equal(predict_batch(model, records), first)
-        assert len(builds) == len(model.layers)
-
-    def test_replaced_layer_rebuilds_only_its_plan(self, builds):
-        model = random_model(np.random.default_rng(33), tiny_spec())
-        before = list(model.layers)
+        records = [np.random.default_rng(32).normal(size=8) for _ in range(3 * _net.BLOCK)]
         ex = QuantExecutor(model)
-        model.layers[1] = replace(before[1], coords=2.0 * before[1].coords)
-        ex2 = QuantExecutor(model)
-        assert builds == before + [model.layers[1]]
-        for i, ql in enumerate(before):
-            same = ex2.plans[ql.layer_index] is ex.plans[ql.layer_index]
-            assert same == (i != 1)
+        first = ex.logits(records)
+        assert len(rebuilds) == 1  # once per call, not per block
+        np.testing.assert_array_equal(predict_batch(model, records),
+                                      np.exp(_net._log_softmax(first)))
+        assert len(rebuilds) == 2
+        weights = [weakref.ref(p[0]) for net in rebuilds for p in net.params if p is not None]
+        rebuilds.clear()
+        assert all(ref() is None for ref in weights)
+
+    def test_replaced_layer_is_read_by_the_next_call(self):
+        model = random_model(np.random.default_rng(33), tiny_spec())
         x = np.random.default_rng(34).normal(size=8)
-        np.testing.assert_array_equal(ex2.logits([x]), QuantExecutor(model).logits([x]))
-        assert np.abs(ex2.logits([x]) - _net.logits_batch(dequantize(model), [x])).max() <= 1e-5
+        ex = QuantExecutor(model)
+        before = ex.logits([x])
+        model.layers[1] = replace(model.layers[1], coords=2.0 * model.layers[1].coords)
+        after = ex.logits([x])
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, QuantExecutor(model).logits([x]))
+        assert np.abs(after - _net.logits_batch(dequantize(model), [x])).max() <= 1e-5
+        assert np.abs(after - BitPlaneExecutor(model).logits([x])).max() <= 1e-5
 
     def test_layer_arrays_are_read_only(self):
         model = random_model(np.random.default_rng(35), tiny_spec())
@@ -499,6 +507,9 @@ class TestFullModelBatchInvariance:
         np.testing.assert_array_equal(chunks, whole)
         reference = _net.logits_batch(dequantize(model), records)
         assert np.abs(whole - reference).max() <= 1e-5
+        oracle = BitPlaneExecutor(model).logits(records)
+        assert np.abs(whole - oracle).max() <= 1e-5
+        np.testing.assert_array_equal(whole.argmax(axis=1), oracle.argmax(axis=1))
 
 
 class TestBlocks:
@@ -508,23 +519,23 @@ class TestBlocks:
     def test_block_size_changes_no_byte(self, monkeypatch, group_size):
         model = uniform_baseline(init_params(default_ecgnet_spec(), 14), 2, group_size)
         rows = np.random.default_rng(26).normal(size=(40, 3600))
-        ex = QuantExecutor(model)
-        out = {}
+        ex, oracle = QuantExecutor(model), BitPlaneExecutor(model)
+        out, oracle_out = {}, {}
         for block in (1, 8, 16):
             monkeypatch.setattr(_net, "BLOCK", block)
             for records in (list(rows), tuple(rows), rows):
                 out[block, type(records)] = ex.logits(records).tobytes()
-        # nor do a layer's record chunks: one record each, or the whole block
+            oracle_out[block] = oracle.logits(rows).tobytes()
+        # nor do the oracle's record chunks: one record each, or the whole block
         for cap in (0, 1 << 40):
-            monkeypatch.setattr(qinfer, "Z_BYTES", cap)
-            out[cap] = ex.logits(rows).tobytes()
+            monkeypatch.setattr(bitplane_oracle, "Z_BYTES", cap)
+            oracle_out[cap] = oracle.logits(rows).tobytes()
         assert len(set(out.values())) == 1
+        assert len(set(oracle_out.values())) == 1
 
     @staticmethod
     def logits_peak(ex, records) -> int:
-        import tracemalloc
-
-        ex.logits(records[:1])  # plans and lazy numpy state outside the trace
+        ex.logits(records[:1])  # lazy numpy state outside the trace
         tracemalloc.start()
         try:
             ex.logits(records)
@@ -538,27 +549,79 @@ class TestBlocks:
         ex = QuantExecutor(uniform_baseline(network, 2, 16))
         records = [np.random.default_rng(27).normal(size=3600) for _ in range(136)]
 
+        # the lower of two runs: in the full suite one run may also hold a
+        # one-off 1.92 MB resize of an interpreter-wide table
+        peak = min(self.logits_peak(ex, records) for _ in range(2))
         # the whole 136-record input alone would add 3.9 MB
-        assert (self.logits_peak(ex, records)
-                - self.logits_peak(ex, records[: _net.BLOCK])) < 1e6
-        assert all(plan.M.dtype == np.int8 for plan in ex.plans.values())
-        grid_bytes = sum(plan.M.nbytes for plan in ex.plans.values())
-        fp_bytes = sum(a.nbytes for p in network.params if p is not None for a in p)
-        assert grid_bytes < fp_bytes
+        assert peak - self.logits_peak(ex, records[: _net.BLOCK]) < 1e6
+        # the bit-plane executor, with its plans built beforehand, peaked at
+        # 5.10 MB here; the rebuilt weights and one block peak at 3.91 MB
+        assert peak < 5.1e6
+        # nothing model-sized outlives a call: the numpy buffers allocated
+        # in it and still live after it (the bit-plane plans, cached on the
+        # layers, kept 285 KB of a new model's; its weights are 648 KB)
+        model = uniform_baseline(network, 2, 16)
+        tracemalloc.start()
+        try:
+            predict_batch(model, records)
+            kept = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        finally:
+            tracemalloc.stop()
+        assert sum(trace.size for trace in kept.traces) < 100e3
 
     def test_products_are_capped_within_a_block(self, monkeypatch):
         monkeypatch.setenv("ALQ_THREADS", "1")
         ex = QuantExecutor(uniform_baseline(init_params(default_ecgnet_spec(), 21), 3, 16))
         records = [np.random.default_rng(27).normal(size=3600) for _ in range(_net.BLOCK)]
-        # a whole block's float64 bit-plane product is 9.3 MB at Conv1D_4 of
-        # this 3-bit model; held whole, it puts the peak at 11.3 MB, and held
-        # in chunks under Z_BYTES, at 5.3 MB
+        # the executor's rebuilt weights and one block peak at 3.9 MB; in the
+        # bit-plane oracle a whole block's float64 product is 9.3 MB at
+        # Conv1D_4 of this 3-bit model: held whole, it puts the peak at
+        # 11.3 MB, and held in chunks under Z_BYTES, at 5.3 MB
         assert self.logits_peak(ex, records) < 7e6
+        assert self.logits_peak(BitPlaneExecutor(ex.model), records) < 7e6
+
+
+def deq_sha256(model) -> str:
+    """SHA-256 of the rebuilt parameters that the executor runs on."""
+    network = dequantize(model)
+    return sha256_of(*[_net.flatten_params(network, i)
+                       for i, _ in _net.parameterized_layers(network.spec)])
+
+
+def check_logits_digests(model, oracle_digests, executor_digests, deq_digest):
+    """The executor's logits of 1 and of 40 records (five blocks) against
+    their pinned digests, anchored to the bit-plane oracle: the oracle
+    reproduces the bytes the bit-plane executor was pinned to, the
+    executor stays within 1e-5 of it with the same argmax, and the weights
+    it runs on are pinned too."""
+    records = random_records(40, 25)
+    assert deq_sha256(model) == deq_digest
+    ex, oracle = QuantExecutor(model), BitPlaneExecutor(model)
+    for rows, oracle_digest, digest in zip((records[:1], records), oracle_digests,
+                                           executor_digests):
+        logits, expected = ex.logits(rows), oracle.logits(rows)
+        assert sha256_of(expected) == oracle_digest
+        assert np.abs(logits - expected).max() <= 1e-5
+        np.testing.assert_array_equal(logits.argmax(axis=1), expected.argmax(axis=1))
+        assert sha256_of(logits) == digest
+
+
+# per group size: the executor's (B=1, B=40) logits digests, and the digest
+# of its rebuilt parameters
+EXECUTOR_DIGESTS = {
+    16: ("2c6c815d7f3081228acb984d55dd7737dd4f0f7660c3d17f1caccbca0af34395",
+         "1cfcbc7343fad03103303d020dcfc05233694871e17de83899fabc392b357ac3",
+         "4577f18c617fb66f5a928808a1489b9bbd78c3cfc507c05eaa450574fc741367"),
+    11: ("bd9692b263f00c44a4ab9b8642d1b00bf00a0bcecc9de9e0e6d9d8018080c613",
+         "ff297819ad79e6d7cb840169da021dcb7b0c5092ba3e4472a7b07d5ebe67c716",
+         "cc81b46dd7662558e01f528e1184a1d6d9a470542a8a7341d8e3d02fb8f51656"),
+}
 
 
 class TestExecutorGoldenDigests:
-    # logits pinned to the bytes of the executor before it ran on the
-    # network's layer walk; 40 records make five blocks
+    # the bit-plane oracle's logits, pinned to the bytes of the bit-plane
+    # executor before it ran on the network's layer walk
     @pytest.mark.parametrize("group_size, b1, batch", [
         (16, "322d17eac2bba6072f79ef6b433f32ebc476891c5c2e10b76a7a492a4a1773a4",
          "981659f890ed00c51deafb141d52141a6907866d652ec10fb25667367937105f"),
@@ -567,24 +630,24 @@ class TestExecutorGoldenDigests:
     ])
     def test_logits(self, group_size, b1, batch):
         model = uniform_baseline(init_params(default_ecgnet_spec(), 14), 2, group_size)
-        records = random_records(40, 25)
-        ex = QuantExecutor(model)
-        assert sha256_of(ex.logits(records[:1])) == b1
-        assert sha256_of(ex.logits(records)) == batch
+        *digests, deq = EXECUTOR_DIGESTS[group_size]
+        check_logits_digests(model, (b1, batch), digests, deq)
 
     def test_mixed_bitwidth_logits(self):
         # loss-aware ALQ at 1.37 bits: groups of 0 to 3 bits, so the plans
-        # hold zero sign rows and fully pruned groups; pinned to the bytes of
-        # the executor that held each block's whole bit-plane product
+        # hold zero sign rows and fully pruned groups; the oracle's digests
+        # are the bytes of the bit-plane executor that held each block's
+        # whole bit-plane product
         network = init_params(default_ecgnet_spec(), 14)
         config = AlqConfig(group_size=16, i_max=3, target_avg_bitwidth=1.37,
                            refine_iters=2, calib_batch=24, seed=5)
         model, _ = alq_pipeline(network, Dataset(random_records(24, 31), 17), config)
         bits = np.concatenate([ql.bits for ql in model.layers])
         assert set(np.unique(bits)) == {0, 1, 2, 3}
-        records = random_records(40, 25)
-        ex = QuantExecutor(model)
-        assert (sha256_of(ex.logits(records[:1]))
-                == "827ef642aae98bf6603bdd177b8a064db48d3c1449930befc6f8bdc49b879956")
-        assert (sha256_of(ex.logits(records))
-                == "32b4610284c39259569711f51a58c4cd9e4a3997d81ffe24ef69f21f0505c089")
+        check_logits_digests(
+            model,
+            ("827ef642aae98bf6603bdd177b8a064db48d3c1449930befc6f8bdc49b879956",
+             "32b4610284c39259569711f51a58c4cd9e4a3997d81ffe24ef69f21f0505c089"),
+            ("0918c9d6b9b44cddb7b0180770fea251c089fa2d0586ca2a3788f0b29c9eaa7f",
+             "8046019e39ec5e222b4249e5b10b3ed48e72360da95803988738f5a69733eb1c"),
+            "9cbca1dc6aa879eb413241df09efbf38635dcc0b3b4e72725b932af752da1132")

@@ -43,7 +43,6 @@ from .quantizer import (
     QuantModel,
     check_group_size,
     group_sizes,
-    largest_layer,
     row_keys,
 )
 
@@ -51,8 +50,8 @@ MAGIC = b"ALQQ"
 VERSION = 2
 COORD_BITS = 32
 BASELINE_BITS = 32
-# u16 version, u64 seed, 32-byte digest, u16 group size
-_FIXED_BYTES = len(MAGIC) + 2 + 8 + 32 + 2
+# u64 seed, 32-byte digest, u16 group size
+_META_BYTES = 8 + 32 + 2
 
 
 def _layer_records(ql: QuantLayer) -> bytes:
@@ -75,8 +74,7 @@ def _layer_records(ql: QuantLayer) -> bytes:
 
 
 def serialize_bytes(model: QuantModel) -> bytes:
-    parts = [MAGIC, struct.pack("<H", VERSION)]
-    parts.append(_net.pack_spec(model.spec))
+    parts = [_net.pack_header(MAGIC, VERSION, model.spec)]
     digest = bytes.fromhex(model.meta.config_digest)
     if len(digest) != 32:
         raise ContainerFormatError("config digest must be 32 bytes of hex")
@@ -186,32 +184,23 @@ def _unpack_groups(data: bytes, start, size, bits, layer_index: int, group_size:
 
 
 def deserialize_bytes(data: bytes) -> QuantModel:
-    reader = _net.ByteReader(data)
-    magic = reader.take_bytes(4, "magic")
-    if magic != MAGIC:
-        raise ContainerFormatError("bad magic", 0)
-    version = reader.take("<H", "version")
-    if version != VERSION:
-        raise ContainerFormatError(f"unsupported version {version}", 4)
-    spec = _net.unpack_spec(reader)
+    reader, spec, table = _net.read_header(data, MAGIC, VERSION)
     seed = reader.take("<Q", "meta seed")
     digest = reader.take_bytes(32, "meta digest").hex()
     at = reader.offset
     group_size = reader.take("<H", "group size")
-    largest = largest_layer(spec)
+    largest = max(row.count for row in table)
     if not 1 <= group_size <= largest:
         raise ContainerFormatError(
             f"group size {group_size} outside 1..{largest} (the largest layer's "
             "parameter count)", at)
 
     layers = []
-    for (layer_index, name), (_, count) in zip(_net.parameterized_layers(spec),
-                                               _net.param_counts(spec)[0]):
-        reader.at_context(name)
-        arrays = _read_layer(reader, layer_index, group_size, count)
-        layers.append(QuantLayer(*arrays, group_size, count, layer_index))
-    if reader.offset != len(data):
-        raise ContainerFormatError("trailing bytes", reader.offset)
+    for row in table:
+        if row.name:
+            arrays = _read_layer(reader.at_context(row.name), row.index, group_size, row.count)
+            layers.append(QuantLayer(*arrays, group_size, row.count, row.index))
+    reader.finish()
     return QuantModel(spec, layers, group_size, ModelMeta(seed, digest))
 
 
@@ -298,7 +287,7 @@ def memory_report(model: QuantModel) -> MemoryReport:
     names = dict(_net.parameterized_layers(model.spec))
     rows = []
     coord_overhead = 0
-    container = _FIXED_BYTES + len(_net.pack_spec(model.spec))
+    container = len(_net.pack_header(MAGIC, VERSION, model.spec)) + _META_BYTES
     for ql in model.layers:
         sizes, bits = ql.sizes, ql.bits
         base_bits = int(sizes @ bits)

@@ -5,14 +5,26 @@ hidden dense layer and a softmax output, operating on a single-channel
 3,600-sample input. Everything runs on numpy in float64; training is
 deterministic for a fixed seed.
 
-Full-precision checkpoints use the ``ALQF`` container: magic, u16 version,
-a network descriptor, then each parameterized layer's flattened parameters
-(weights row-major, then biases) as little-endian f32.
+``layer_table`` is the one static walk over a spec: one ``LayerRow`` per
+layer with its output (channels, length) and, for a parameterized layer,
+its report name, weight shape and parameter count. Validation, parameter
+init, the checkpoint and ``ALQQ`` loaders, the weight rebuild and the
+memory reports all read it, once per call. ``_forward_batch`` and
+``_backward_batch`` are the dynamic walks, and ``_blocked_logits`` runs
+the forward over fixed blocks of ``BLOCK`` records for both fp inference
+and the quantized executor.
+
+Full-precision checkpoints use the ``ALQF`` container: the header that
+``pack_header`` writes and ``read_header`` checks for both containers
+(magic, u16 version, network descriptor), then each parameterized layer's
+flattened parameters (weights row-major, then biases) as little-endian f32.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -94,54 +106,93 @@ def out_length(length: int, kernel: int, stride: int, padding: int) -> int:
     return (length + 2 * padding - kernel) // stride + 1
 
 
-def propagate_shapes(spec: NetworkSpec) -> list[tuple[int, int]]:
-    """(channels, length) after every layer; raises ShapeError on a dead stack.
+@dataclass(frozen=True)
+class LayerRow:
+    """One layer's static facts: its index, the (channels, length) it
+    outputs and, for a parameterized layer, its report name, weight shape
+    and parameter count (weights plus one bias per output; 0 without)."""
+
+    index: int
+    shape: tuple[int, int]
+    name: str | None = None
+    weights: tuple[int, ...] | None = None
+    count: int = 0
+
+    def unflatten(self, flat) -> tuple[np.ndarray, np.ndarray]:
+        """Inverse of flatten_params: this layer's (weights, bias)."""
+        if self.weights is None:
+            raise ShapeError(f"layer {self.index} has no parameters")
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != (self.count,):
+            raise ShapeError(f"layer {self.index}: expected {self.count} values, got {flat.shape}")
+        n_w = self.count - self.weights[0]
+        return flat[:n_w].reshape(self.weights), flat[n_w:].copy()
+
+
+_REPORT_NAMES = {CONV: "Conv1D", DENSE: "Dense", SOFTMAX_DENSE: "Softmax"}
+
+
+def layer_table(spec: NetworkSpec) -> list[LayerRow]:
+    """One row per layer; raises ShapeError on a dead stack. This is the
+    one walk that derives shapes, report names and parameter counts.
 
     Flatten folds channels into a single row; dense layers require a prior
-    flatten (or a dense predecessor) and produce (1, units).
+    flatten (or a dense predecessor) and produce (1, units). Conv and hidden
+    dense layers are numbered in their report names (Conv1D_1, ...) where a
+    stack has more than one of them.
     """
-    shapes = []
+    kinds = Counter(layer.kind for layer in spec.layers)
+    numbered: Counter = Counter()
+    rows = []
     c, length = spec.input_channels, spec.input_length
     flat = False
     for i, layer in enumerate(spec.layers):
-        if layer.kind == CONV:
+        weights = None
+        if layer.kind in (CONV, POOL):
             if flat:
-                raise ShapeError(f"layer {i}: conv after flatten")
+                word = "conv" if layer.kind == CONV else "pool"
+                raise ShapeError(f"layer {i}: {word} after flatten")
             length = out_length(length, layer.kernel, layer.stride, layer.padding)
-            c = layer.units
-        elif layer.kind == POOL:
-            if flat:
-                raise ShapeError(f"layer {i}: pool after flatten")
-            length = out_length(length, layer.kernel, layer.stride, layer.padding)
+            if layer.kind == CONV:
+                weights, c = (layer.units, c, layer.kernel), layer.units
         elif layer.kind == FLATTEN:
-            length = c * length
-            c = 1
-            flat = True
+            length, c, flat = c * length, 1, True
         elif layer.kind in (DENSE, SOFTMAX_DENSE):
             if not flat:
                 raise ShapeError(f"layer {i}: dense requires a preceding flatten")
-            length = layer.units
+            weights, length = (layer.units, c * length), layer.units
         else:
             raise ShapeError(f"layer {i}: unknown kind {layer.kind!r}")
         if length < 1:
             raise ShapeError(f"layer {i}: output length {length} < 1")
-        shapes.append((c, length))
-    return shapes
+        name = _REPORT_NAMES.get(layer.kind)
+        if layer.kind in (CONV, DENSE) and kinds[layer.kind] > 1:
+            numbered[layer.kind] += 1
+            name += f"_{numbered[layer.kind]}"
+        count = math.prod(weights) + layer.units if weights else 0
+        rows.append(LayerRow(i, (c, length), name, weights, count))
+    return rows
 
 
-def validate_spec(spec: NetworkSpec) -> None:
+def propagate_shapes(spec: NetworkSpec) -> list[tuple[int, int]]:
+    """(channels, length) after every layer; raises ShapeError on a dead stack."""
+    return [row.shape for row in layer_table(spec)]
+
+
+def validate_spec(spec: NetworkSpec) -> list[LayerRow]:
+    """The spec's layer table; raises ShapeError for a spec that cannot run."""
     for i, layer in enumerate(spec.layers):
         if layer.kind == POOL and layer.padding:
             raise ShapeError(f"layer {i}: pool padding is not supported")
         if not 0.0 <= layer.dropout_rate < 1.0:  # NaN too: it would not re-save
             raise ShapeError(f"layer {i}: dropout rate {layer.dropout_rate} not in [0, 1)")
-    shapes = propagate_shapes(spec)
+    table = layer_table(spec)
     if not spec.layers or spec.layers[-1].kind != SOFTMAX_DENSE:
         raise ShapeError("final layer must be a softmax-dense classifier head")
-    if shapes[-1][1] != spec.class_count:
-        raise ShapeError(
-            f"final layer outputs {shapes[-1][1]} values, expected {spec.class_count}"
-        )
+    if table[-1].shape[1] != spec.class_count:
+        raise ShapeError(f"final layer outputs {table[-1].shape[1]} values, "
+                         f"expected {spec.class_count}")
+    return table
 
 
 def default_ecgnet_spec() -> NetworkSpec:
@@ -165,41 +216,17 @@ def default_ecgnet_spec() -> NetworkSpec:
 
 def parameterized_layers(spec: NetworkSpec) -> list[tuple[int, str]]:
     """(layer index, report name) for every layer that carries parameters."""
-    names = []
-    n_conv = sum(1 for l in spec.layers if l.kind == CONV)
-    n_dense = sum(1 for l in spec.layers if l.kind == DENSE)
-    ci = di = 0
-    for i, layer in enumerate(spec.layers):
-        if layer.kind == CONV:
-            ci += 1
-            names.append((i, f"Conv1D_{ci}" if n_conv > 1 else "Conv1D"))
-        elif layer.kind == DENSE:
-            di += 1
-            names.append((i, f"Dense_{di}" if n_dense > 1 else "Dense"))
-        elif layer.kind == SOFTMAX_DENSE:
-            names.append((i, "Softmax"))
-    return names
+    return [(row.index, row.name) for row in layer_table(spec) if row.name]
 
 
 def param_shapes(spec: NetworkSpec) -> dict[int, tuple[tuple, tuple]]:
     """Per parameterized layer: (weight shape, bias shape)."""
-    inputs = [(spec.input_channels, spec.input_length)] + propagate_shapes(spec)
-    shapes = {}
-    for i, (layer, (c, length)) in enumerate(zip(spec.layers, inputs)):
-        if layer.kind == CONV:
-            shapes[i] = ((layer.units, c, layer.kernel), (layer.units,))
-        elif layer.kind in (DENSE, SOFTMAX_DENSE):
-            shapes[i] = ((layer.units, c * length), (layer.units,))
-    return shapes
+    return {row.index: (row.weights, row.weights[:1]) for row in layer_table(spec) if row.name}
 
 
 def param_counts(spec: NetworkSpec) -> tuple[list[tuple[str, int]], int]:
     """Per-layer parameter counts (weights + biases) and their total."""
-    shapes = param_shapes(spec)
-    rows = []
-    for idx, name in parameterized_layers(spec):
-        w_shape, b_shape = shapes[idx]
-        rows.append((name, int(np.prod(w_shape)) + int(np.prod(b_shape))))
+    rows = [(row.name, row.count) for row in layer_table(spec) if row.name]
     return rows, sum(n for _, n in rows)
 
 
@@ -214,19 +241,13 @@ class Network:
 def init_params(spec: NetworkSpec, seed: int) -> Network:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
     rng = np.random.default_rng(seed)
-    shapes = param_shapes(spec)
-    params: list[tuple[np.ndarray, np.ndarray] | None] = []
-    for i, layer in enumerate(spec.layers):
-        if i in shapes:
-            w_shape, b_shape = shapes[i]
-            fan_in = int(np.prod(w_shape[1:]))
-            bound = 1.0 / np.sqrt(fan_in)
-            w = rng.uniform(-bound, bound, size=w_shape)
-            b = np.zeros(b_shape)
-            params.append((w, b))
-        else:
-            params.append(None)
-    return Network(spec, params)
+
+    def draw(w_shape):
+        bound = 1.0 / np.sqrt(math.prod(w_shape[1:]))
+        return rng.uniform(-bound, bound, size=w_shape), np.zeros(w_shape[0])
+
+    return Network(spec, [None if row.weights is None else draw(row.weights)
+                          for row in layer_table(spec)])
 
 
 def flatten_params(network: Network, layer_index: int) -> np.ndarray:
@@ -242,17 +263,10 @@ def unflatten_params(
     spec: NetworkSpec, layer_index: int, flat: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of flatten_params for the given layer."""
-    shapes = param_shapes(spec)
-    if layer_index not in shapes:
+    table = layer_table(spec)
+    if not 0 <= layer_index < len(table):
         raise ShapeError(f"layer {layer_index} has no parameters")
-    w_shape, b_shape = shapes[layer_index]
-    n_w, n_b = int(np.prod(w_shape)), int(np.prod(b_shape))
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.shape != (n_w + n_b,):
-        raise ShapeError(
-            f"layer {layer_index}: expected {n_w + n_b} values, got {flat.shape}"
-        )
-    return flat[:n_w].reshape(w_shape), flat[n_w:].copy()
+    return table[layer_index].unflatten(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +501,15 @@ def logits_batch(network: Network, records) -> np.ndarray:
     """Pre-softmax outputs, run in blocks of ``BLOCK`` records. Every
     product is per record, so the bytes do not depend on the batch or
     block size."""
+    return _blocked_logits(network, records)
+
+
+def _blocked_logits(network: Network, records, mapper=map) -> np.ndarray:
+    """``logits_batch``, its blocks handed to ``mapper`` (see ``run_blocks``)."""
     spec, affine = network.spec, _fp_affine(network)
     return np.concatenate(run_blocks(
-        len(records), lambda rows: _forward_batch(spec, _as_batch(spec, records[rows]), affine)))
+        len(records), lambda rows: _forward_batch(spec, _as_batch(spec, records[rows]), affine),
+        mapper))
 
 
 def _cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
@@ -643,92 +663,79 @@ class ByteReader:
         self.context = context
         return self
 
+    def finish(self) -> None:
+        """Raise for bytes left after the last field."""
+        if self.offset != len(self.data):
+            raise ContainerFormatError("trailing bytes", self.offset)
 
-def pack_spec(spec: NetworkSpec) -> bytes:
-    parts = [
-        struct.pack(
-            "<HHHH",
-            len(spec.layers),
-            spec.input_length,
-            spec.input_channels,
-            spec.class_count,
-        )
-    ]
-    for layer in spec.layers:
-        parts.append(
-            struct.pack(
-                "<BHHHHBf",
-                _KIND_CODES[layer.kind],
-                layer.kernel,
-                layer.units,
-                layer.stride,
-                layer.padding,
-                _ACT_CODES[layer.activation],
-                layer.dropout_rate,
-            )
-        )
+
+def pack_header(magic: bytes, version: int, spec: NetworkSpec) -> bytes:
+    """The head both containers share: magic, u16 version and the network
+    descriptor (u16 layer count, input length, input channels and class
+    count, then 14 bytes per layer)."""
+    parts = [magic, struct.pack("<HHHHH", version, len(spec.layers), spec.input_length,
+                                spec.input_channels, spec.class_count)]
+    parts += [struct.pack("<BHHHHBf", _KIND_CODES[l.kind], l.kernel, l.units, l.stride,
+                          l.padding, _ACT_CODES[l.activation], l.dropout_rate)
+              for l in spec.layers]
     return b"".join(parts)
 
 
-def unpack_spec(reader: ByteReader) -> NetworkSpec:
-    """The network descriptor at the reader; raises ShapeError, at the
-    descriptor's start, for a spec that ``validate_spec`` rejects."""
+def read_header(data: bytes, magic: bytes, version: int):
+    """(reader past the header, spec, layer table) of a container that
+    ``pack_header`` began. Raises ContainerFormatError for a wrong magic or
+    version or a bad layer descriptor, and ShapeError, at the descriptor's
+    start, for a spec that ``validate_spec`` rejects."""
+    reader = ByteReader(data)
+    if reader.take_bytes(len(magic), "magic") != magic:
+        raise ContainerFormatError("bad magic", 0)
+    found = reader.take("<H", "version")
+    if found != version:
+        raise ContainerFormatError(f"unsupported version {found}", len(magic))
     descriptor = reader.offset
     n_layers, input_length, input_channels, class_count = reader.take(
-        "<HHHH", "network descriptor"
-    )
+        "<HHHH", "network descriptor")
     layers = []
     for i in range(n_layers):
         start = reader.offset
         kind, kernel, units, stride, padding, act, drop = reader.take(
-            "<BHHHHBf", f"layer {i} descriptor"
-        )
+            "<BHHHHBf", f"layer {i} descriptor")
         if kind not in _KIND_NAMES or act not in _ACT_NAMES:
             raise ContainerFormatError(f"layer {i}: bad descriptor", reader.offset)
         if _KIND_NAMES[kind] == POOL and padding:
             raise ContainerFormatError(f"layer {i}: pool padding is not supported", start)
-        layers.append(
-            LayerSpec(_KIND_NAMES[kind], kernel, units, stride, padding,
-                      _ACT_NAMES[act], float(drop))
-        )
+        layers.append(LayerSpec(_KIND_NAMES[kind], kernel, units, stride, padding,
+                                _ACT_NAMES[act], float(drop)))
     spec = NetworkSpec(layers, input_length, input_channels, class_count)
     try:
-        validate_spec(spec)
+        table = validate_spec(spec)
     except ShapeError as err:
         raise ShapeError(str(err), descriptor) from None
-    return spec
+    return reader, spec, table
 
 
 def save_checkpoint(network: Network, path) -> None:
-    parts = [CHECKPOINT_MAGIC, struct.pack("<H", CHECKPOINT_VERSION)]
-    parts.append(pack_spec(network.spec))
-    for idx, _name in parameterized_layers(network.spec):
-        parts.append(flatten_params(network, idx).astype("<f4").tobytes())
+    parts = [pack_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, network.spec)]
+    for row in layer_table(network.spec):
+        if row.name:
+            parts.append(flatten_params(network, row.index).astype("<f4").tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
 def load_checkpoint(path) -> Network:
-    data = Path(path).read_bytes()
-    reader = ByteReader(data)
-    magic = reader.take_bytes(4, "magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise ContainerFormatError("bad magic", 0)
-    version = reader.take("<H", "version")
-    if version != CHECKPOINT_VERSION:
-        raise ContainerFormatError(f"unsupported version {version}", 4)
-    spec = unpack_spec(reader)
-    shapes = param_shapes(spec)
-    params: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(spec.layers)
-    for idx, name in parameterized_layers(spec):
-        w_shape, b_shape = shapes[idx]
-        count = int(np.prod(w_shape)) + int(np.prod(b_shape))
+    reader, spec, table = read_header(Path(path).read_bytes(), CHECKPOINT_MAGIC,
+                                      CHECKPOINT_VERSION)
+    params: list[tuple[np.ndarray, np.ndarray] | None] = []
+    for row in table:
+        if not row.name:
+            params.append(None)
+            continue
         start = reader.offset
-        raw = reader.at_context(name).take_bytes(count * 4, "parameter block")
+        raw = reader.at_context(row.name).take_bytes(row.count * 4, "parameter block")
         flat = np.frombuffer(raw, dtype="<f4")
         # checked on the f32 values: the f64 cast warns on a signalling NaN
         if not np.all(np.isfinite(flat)):
-            raise ContainerFormatError(f"{name}: non-finite parameter", start)
-        params[idx] = unflatten_params(spec, idx, flat.astype(np.float64))
-    if reader.offset != len(data):
-        raise ContainerFormatError("trailing bytes", reader.offset)
+            raise ContainerFormatError(f"{row.name}: non-finite parameter", start)
+        params.append(row.unflatten(flat.astype(np.float64)))
+    reader.finish()
     return Network(spec, params)

@@ -10,15 +10,17 @@ per record on its im2col array, and a dense layer one GEMV per record. The
 rebuilt parameters live for that call only; nothing derived from a model
 outlives it.
 
-Records run in the fixed blocks of ``net.BLOCK`` that ``net.run_blocks``
-hands out, the same blocks the fp passes run in. Each record's arithmetic
-is a product whose shapes do not depend on its batch, so logits are bitwise
-identical at every batch and block size, and equal to the fp logits of the
-rebuilt network. Each block's inputs are stacked when the block runs, so
-the working memory is the rebuilt parameters plus one block's activations,
-however many records there are. The blocks are also the unit of parallel
-work: with ``ALQ_THREADS`` above one they run on a thread pool, which
-cannot change a byte of the output.
+The executor itself only rebuilds the weights and picks the block mapper:
+it hands the rebuilt network to ``net._blocked_logits``, the function
+``net.logits_batch`` runs, so records run in the same fixed blocks of
+``net.BLOCK`` as the fp passes. Each record's arithmetic is a product whose
+shapes do not depend on its batch, so logits are bitwise identical at every
+batch and block size, and equal to the fp logits of the rebuilt network.
+Each block's inputs are stacked when the block runs, so the working memory
+is the rebuilt parameters plus one block's activations, however many
+records there are. The blocks are also the unit of parallel work: with
+``ALQ_THREADS`` above one they run on a thread pool, which cannot change a
+byte of the output.
 """
 
 from __future__ import annotations
@@ -45,21 +47,16 @@ class QuantExecutor:
         self.model = model
 
     def logits(self, records) -> np.ndarray:
-        spec = self.model.spec
         # weights that overflow become inf here and raise NumericError, naming
         # their layer, in the walk
         with np.errstate(over="ignore", invalid="ignore"):
-            affine = _net._fp_affine(dequantize(self.model))
-
-        def run(rows):
-            return _net._forward_batch(spec, _net._as_batch(spec, records[rows]), affine)
-
+            network = dequantize(self.model)
         workers = min(worker_count(), -(-len(records) // _net.BLOCK))
         if workers <= 1:
-            return np.concatenate(_net.run_blocks(len(records), run))
+            return _net._blocked_logits(network, records)
         # numpy releases the GIL in the matmuls, so the blocks overlap
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return np.concatenate(_net.run_blocks(len(records), run, pool.map))
+            return _net._blocked_logits(network, records, pool.map)
 
     def probs(self, records) -> np.ndarray:
         return np.exp(_net._log_softmax(self.logits(records)))

@@ -438,17 +438,18 @@ def total_coords(layers: list[QuantLayer]) -> int:
 
 def dequantized_network(spec: NetworkSpec, layers: list[QuantLayer]) -> Network:
     """Rebuild a full-precision Network from group reconstructions."""
-    params: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(spec.layers)
-    expected = dict(zip((i for i, _ in _net.parameterized_layers(spec)),
-                        (c for _, c in _net.param_counts(spec)[0])))
+    table = _net.layer_table(spec)
+    params: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(table)
+    expected = {row.index: row for row in table if row.name}
     for ql in layers:
         flat = ql.reconstruct()
-        if ql.layer_index not in expected or flat.size != expected[ql.layer_index]:
+        row = expected.get(ql.layer_index)
+        if row is None or flat.size != row.count:
             raise ConfigError(
                 f"layer {ql.layer_index}: reconstructed {flat.size} values, "
-                f"spec expects {expected.get(ql.layer_index)}"
+                f"spec expects {row and row.count}"
             )
-        params[ql.layer_index] = _net.unflatten_params(spec, ql.layer_index, flat)
+        params[ql.layer_index] = row.unflatten(flat)
     return Network(spec, params)
 
 
@@ -581,16 +582,11 @@ class PipelineReport:
     calib_loss_final: float | None = None
 
 
-def largest_layer(spec: NetworkSpec) -> int:
-    """The bound on the group size: the largest layer's parameter count."""
-    return max(count for _, count in _net.param_counts(spec)[0])
-
-
 def check_group_size(spec: NetworkSpec, group_size: int,
                      error: type[Exception] = ConfigError) -> None:
     """Raise ``error`` for a group size above the largest layer's parameter
     count, which no ``ALQQ`` container can declare."""
-    largest = largest_layer(spec)
+    largest = max(row.count for row in _net.layer_table(spec))
     if group_size > largest:
         raise error(f"group size {group_size} exceeds the largest layer's {largest} values")
 

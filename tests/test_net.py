@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alqecg import net as _net
+from alqecg.bitpack import deserialize_bytes, serialize_bytes
 from alqecg.data import Dataset, EcgRecord, RECORD_SAMPLES, synth_generate, normalize_dataset
 from alqecg.errors import ContainerFormatError, NumericError, ShapeError, TrainingError
 from alqecg.net import (
@@ -41,6 +42,7 @@ from alqecg.net import (
     unflatten_params,
     validate_spec,
 )
+from alqecg.quantizer import dequantized_network, uniform_baseline
 from conftest import tiny_spec
 
 EXPECTED_COUNTS = {
@@ -82,6 +84,69 @@ class TestArchitecture:
         assert total == 80973
         got = sum(p[0].size + p[1].size for p in network.params if p is not None)
         assert got == total
+
+
+@st.composite
+def valid_specs(draw) -> NetworkSpec:
+    """Specs that validate: convs and pools sized to their input, a flatten,
+    hidden dense layers and the classifier head."""
+    channels, length = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    layers, at = [], length
+    for kind in draw(st.lists(st.sampled_from([_net.CONV, _net.POOL]), max_size=4)):
+        padding = draw(st.integers(0, 2)) if kind == _net.CONV else 0
+        kernel = draw(st.integers(1, min(5, at + 2 * padding)))
+        stride = draw(st.integers(1, 3))
+        layers.append(conv(kernel, draw(st.integers(1, 4)), stride, padding)
+                      if kind == _net.CONV else pool(kernel, stride))
+        at = out_length(at, kernel, stride, padding)
+    layers.append(flatten())
+    layers += [dense(draw(st.integers(1, 5))) for _ in range(draw(st.integers(0, 2)))]
+    classes = draw(st.integers(1, 4))
+    spec = NetworkSpec(layers + [softmax_dense(classes)], length, channels, classes)
+    validate_spec(spec)
+    return spec
+
+
+class TestLayerTable:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=valid_specs())
+    def test_rows_match_the_forward_walk_and_the_parameters(self, spec):
+        table = _net.layer_table(spec)
+        network = init_params(spec, 0)
+        caches = []
+        x = np.zeros((2, spec.input_channels, spec.input_length))
+        logits = _net._forward_batch(spec, x, _net._fp_affine(network), caches=caches)
+        # each layer's output is the next layer's cached input
+        after = [c["x_shape"] for c in caches[1:]] + [logits.shape]
+        assert len(table) == len(after) == len(spec.layers)
+        for i, (row, shape, pair) in enumerate(zip(table, after, network.params)):
+            assert row.index == i
+            assert row.shape == (shape[1:] if len(shape) == 3 else (1, shape[1]))
+            if pair is None:
+                assert (row.name, row.weights, row.count) == (None, None, 0)
+            else:
+                assert row.weights == pair[0].shape
+                assert row.count == pair[0].size + pair[1].size
+
+    def test_each_loader_and_rebuild_builds_one_table(self, tmp_path, monkeypatch):
+        network = init_params(default_ecgnet_spec(), 0)
+        model = uniform_baseline(network, 2, 16)
+        blob = serialize_bytes(model)
+        save_checkpoint(network, tmp_path / "m.alqf")
+        builds = []
+        real = _net.layer_table
+
+        def spy(spec):
+            builds.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(_net, "layer_table", spy)
+        for call in (lambda: dequantized_network(model.spec, model.layers),
+                     lambda: load_checkpoint(tmp_path / "m.alqf"),
+                     lambda: deserialize_bytes(blob)):
+            builds.clear()
+            call()
+            assert len(builds) == 1
 
 
 def padded_pool_spec() -> NetworkSpec:
@@ -303,12 +368,18 @@ class _Compared(np.ndarray):
 
 
 def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    """The lower traced peak of two calls of ``fn``. In the full suite one
+    call may also hold a one-off 1.92 MB block: the interpreter's table of
+    interned strings, resized wherever its insertions run out of room."""
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            fn()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
 
 
 class TestTrainingMemory:

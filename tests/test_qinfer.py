@@ -550,7 +550,7 @@ class TestBlocks:
         records = [np.random.default_rng(27).normal(size=3600) for _ in range(136)]
 
         # the lower of two runs: in the full suite one run may also hold a
-        # one-off 1.92 MB resize of an interpreter-wide table
+        # one-off 1.92 MB resize of the interpreter's interned-string table
         peak = min(self.logits_peak(ex, records) for _ in range(2))
         # the whole 136-record input alone would add 3.9 MB
         assert peak - self.logits_peak(ex, records[: _net.BLOCK]) < 1e6

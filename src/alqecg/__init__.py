@@ -5,10 +5,8 @@ __version__ = "0.1.0"
 
 from .data import (
     Dataset,
-    EcgRecord,
     SplitSpec,
     load_dataset,
-    normalize,
     normalize_dataset,
     save_dataset,
     split,
@@ -33,13 +31,8 @@ from .quantizer import (
     QuantLayer,
     QuantModel,
     alq_pipeline,
-    init_decompose,
-    optimize_bases,
-    optimize_coords,
-    partition_groups,
     prune_coordinates,
     score_coordinates,
-    uniform_baseline,
 )
 from .bitpack import (
     MemoryReport,

@@ -1,18 +1,24 @@
 """Loading, normalization, splitting, and synthesis of labeled ECG fragments.
 
-A record is a 10 s single-lead fragment of 3,600 samples (360 Hz) plus one
-rhythm-class label in 0..16. Two on-disk layouts are supported:
+A dataset is one (n, L) float64 sample matrix, a row per record, and one
+vector of the n rhythm-class labels in 0..16. The file formats fix L at
+3,600 samples (10 s at 360 Hz); ``Dataset`` itself takes any L, so toy
+networks can run on short signals. Two on-disk layouts are supported:
 
 * ``csv``: 3,600 comma-separated floats followed by one integer label per line.
 * ``raw-f32``: magic ``ALQD``, u32 record count, then per record 3,600
   little-endian f32 samples followed by one u8 label.
+
+Every check reports the first faulty record, and within a record a sample
+fault (count, parse, non-finite) before a label fault. Raw-f32 rejections
+also give the fault's byte offset.
 """
 
 from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,46 +32,57 @@ CLASS_COUNT = 17
 SAMPLE_RATE_HZ = 360.0
 
 RAW_MAGIC = b"ALQD"
+# one raw-f32 record, packed: 14,401 bytes
+RAW_RECORD = np.dtype([("samples", "<f4", (RECORD_SAMPLES,)), ("label", "u1")])
 
 
-@dataclass
-class EcgRecord:
-    """One signal fragment and its class label."""
-
-    samples: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.shape != (RECORD_SAMPLES,):
-            raise DataFormatError(
-                f"expected {RECORD_SAMPLES} samples, got shape {self.samples.shape}"
-            )
-        if not np.all(np.isfinite(self.samples)):
-            raise DataFormatError("samples must be finite")
-        if not 0 <= int(self.label) < CLASS_COUNT:
-            raise DataFormatError(f"label {self.label} out of range")
-        self.label = int(self.label)
+def _first_fault(samples: np.ndarray, labels: np.ndarray, class_count: int):
+    """(record, sample) of the first record with a non-finite sample or a
+    label outside 0..class_count-1: ``sample`` indexes its first non-finite
+    sample, or is None if only the label is at fault. None if no record is."""
+    # a NaN or an infinity shows in its row's max or min, so the check makes
+    # no (n, L) mask
+    finite = (np.isfinite(samples.max(axis=1, initial=0.0))
+              & np.isfinite(samples.min(axis=1, initial=0.0)))
+    bad = ~finite | (labels < 0) | (labels >= class_count)
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    return i, None if finite[i] else int(np.isfinite(samples[i]).argmin())
 
 
-@dataclass
+def _fault_message(record: int, sample: int | None) -> str:
+    return f"record {record}: " + ("label out of range" if sample is None else "non-finite sample")
+
+
 class Dataset:
-    """An ordered collection of records."""
+    """Labeled records: ``records`` is a C-contiguous (n, L) float64 matrix,
+    one row per record, and ``labels()`` the n int64 class labels.
 
-    records: list[EcgRecord]
-    class_count: int = CLASS_COUNT
+    Raises DataFormatError for a matrix that is not 2-D, a label count other
+    than n, or, naming the first such record, a non-finite sample or a label
+    outside 0..class_count-1.
+    """
+
+    def __init__(self, records, labels, class_count: int = CLASS_COUNT):
+        self.records = np.ascontiguousarray(records, dtype=np.float64)
+        self._labels = np.asarray(labels, dtype=np.int64)
+        self.class_count = class_count
+        if self.records.ndim != 2:
+            raise DataFormatError(
+                f"records must be an (n, samples) matrix, got shape {self.records.shape}")
+        if self._labels.shape != (len(self.records),):
+            raise DataFormatError(
+                f"labels of shape {self._labels.shape} for {len(self.records)} records")
+        fault = _first_fault(self.records, self._labels, class_count)
+        if fault is not None:
+            raise DataFormatError(_fault_message(*fault))
 
     def __len__(self) -> int:
         return len(self.records)
 
     def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self.records], dtype=np.int64)
-
-    def sample_matrix(self) -> np.ndarray:
-        """All signals stacked into an (n_records, 3600) float64 matrix."""
-        if not self.records:
-            return np.zeros((0, RECORD_SAMPLES))
-        return np.stack([r.samples for r in self.records])
+        return self._labels
 
 
 @dataclass
@@ -82,38 +99,37 @@ class SplitSpec:
 
 
 def load_dataset(path, format: str = "csv") -> Dataset:
-    """Read a dataset file; raises on malformed records, naming the index."""
+    """Read a dataset file; raises on its first malformed record, naming it."""
     path = Path(path)
     if format == "csv":
-        records = _load_csv(path)
+        dataset = _load_csv(path)
     elif format == "raw-f32":
-        records = _load_raw_f32(path)
+        dataset = _load_raw_f32(path)
     else:
         raise DataFormatError(f"unknown dataset format {format!r}")
-    if not records:
+    if not len(dataset):
         raise EmptyDatasetError(f"{path}: no records")
-    return Dataset(records)
+    return dataset
 
 
 def save_dataset(path, dataset: Dataset, format: str = "csv") -> None:
     path = Path(path)
+    if dataset.records.shape[1] != RECORD_SAMPLES:
+        raise DataFormatError(f"records of {dataset.records.shape[1]} samples, "
+                              f"the file formats hold {RECORD_SAMPLES}")
     if format == "csv":
         with open(path, "w") as fh:
-            for rec in dataset.records:
-                row = ",".join(repr(float(v)) for v in rec.samples)
-                fh.write(f"{row},{rec.label}\n")
+            for row, label in zip(dataset.records, dataset.labels().tolist()):
+                fh.write(",".join(map(repr, row.tolist())) + f",{label}\n")
     elif format == "raw-f32":
-        with open(path, "wb") as fh:
-            fh.write(RAW_MAGIC)
-            fh.write(struct.pack("<I", len(dataset)))
-            for rec in dataset.records:
-                fh.write(rec.samples.astype("<f4").tobytes())
-                fh.write(struct.pack("B", rec.label))
+        raw = np.empty(len(dataset), RAW_RECORD)
+        raw["samples"], raw["label"] = dataset.records, dataset.labels()
+        path.write_bytes(RAW_MAGIC + struct.pack("<I", len(dataset)) + raw.tobytes())
     else:
         raise DataFormatError(f"unknown dataset format {format!r}")
 
 
-def _parse_record(i: int, values: list[str]) -> EcgRecord:
+def _parse_record(i: int, values: list[str]) -> tuple[np.ndarray, int]:
     if len(values) - 1 != RECORD_SAMPLES:
         raise DataFormatError(f"record {i}: expected {RECORD_SAMPLES} samples")
     try:
@@ -128,69 +144,60 @@ def _parse_record(i: int, values: list[str]) -> EcgRecord:
         raise DataFormatError(f"record {i}: non-numeric label") from None
     if not 0 <= label < CLASS_COUNT:
         raise DataFormatError(f"record {i}: label out of range")
-    return EcgRecord(samples, label)
+    return samples, label
 
 
-def _load_csv(path: Path) -> list[EcgRecord]:
-    records = []
+def _load_csv(path: Path) -> Dataset:
+    # a first pass counts the records, so that each parsed line goes
+    # straight into its row and the file never holds two matrices
     with open(path) as fh:
+        n = sum(1 for ln in fh if ln.strip())
+        fh.seek(0)
+        samples, labels = np.empty((n, RECORD_SAMPLES)), np.empty(n, dtype=np.int64)
         for i, line in enumerate(ln for ln in fh if ln.strip()):
-            records.append(_parse_record(i, line.strip().split(",")))
-    return records
+            samples[i], labels[i] = _parse_record(i, line.strip().split(","))
+    return Dataset(samples, labels)
 
 
-def _load_raw_f32(path: Path) -> list[EcgRecord]:
+def _load_raw_f32(path: Path) -> Dataset:
     data = Path(path).read_bytes()
     if data[:4] != RAW_MAGIC:
         raise DataFormatError(f"{path}: not a raw-f32 dataset (bad magic)", 0)
     if len(data) < 8:
         raise DataFormatError(f"{path}: truncated record count", 4)
     (count,) = struct.unpack_from("<I", data, 4)
-    rec_bytes = RECORD_SAMPLES * 4 + 1
-    records = []
-    off = 8
-    for i in range(count):
-        if off + rec_bytes > len(data):
-            raise DataFormatError(f"record {i}: truncated", off)
-        samples = np.frombuffer(data, dtype="<f4", count=RECORD_SAMPLES, offset=off)
-        # checked on the f32 values: the f64 cast warns on a signalling NaN
-        finite = np.isfinite(samples)
-        if not finite.all():
-            at = off + 4 * int(finite.argmin())
-            raise DataFormatError(f"record {i}: non-finite sample", at)
-        label = data[off + rec_bytes - 1]
-        if label >= CLASS_COUNT:
-            raise DataFormatError(f"record {i}: label out of range", off + rec_bytes - 1)
-        records.append(EcgRecord(samples.astype(np.float64), int(label)))
-        off += rec_bytes
-    if off != len(data):
-        raise DataFormatError(f"{path}: {len(data) - off} trailing bytes", off)
-    return records
-
-
-def normalize(record: EcgRecord) -> EcgRecord:
-    """Per-record z-score (population std). Constant signals map to all zeros."""
-    return _zscore(record, record.samples.std())
-
-
-def _zscore(record: EcgRecord, sd: float) -> EcgRecord:
-    if sd == 0.0:
-        return EcgRecord(np.zeros_like(record.samples), record.label)
-    return EcgRecord((record.samples - record.samples.mean()) / sd, record.label)
+    size = RAW_RECORD.itemsize
+    whole = min(count, (len(data) - 8) // size)
+    raw = np.frombuffer(data, RAW_RECORD, count=whole, offset=8)
+    # checked on the f32 values: the f64 cast warns on a signalling NaN
+    fault = _first_fault(raw["samples"], raw["label"], CLASS_COUNT)
+    if fault is not None:
+        record, sample = fault
+        at = 8 + record * size + (size - 1 if sample is None else 4 * sample)
+        raise DataFormatError(_fault_message(*fault), at)
+    if whole < count:
+        raise DataFormatError(f"record {whole}: truncated", 8 + whole * size)
+    end = 8 + count * size
+    if end != len(data):
+        raise DataFormatError(f"{path}: {len(data) - end} trailing bytes", end)
+    return Dataset(raw["samples"], raw["label"])
 
 
 def normalize_dataset(dataset: Dataset) -> tuple[Dataset, int]:
-    """Normalize every record; returns the dataset and a flatline-warning count."""
-    out = []
-    flat = 0
-    for rec in dataset.records:
-        sd = rec.samples.std()
-        if sd == 0.0:
-            flat += 1
-        out.append(_zscore(rec, sd))
-    if flat:
-        log.warning("%d constant record(s) normalized to all zeros", flat)
-    return Dataset(out, dataset.class_count), flat
+    """Z-score every record (population std), a constant record to all
+    zeros; returns the dataset and the count of constant records, which is
+    logged as a warning. Holds the input and one more matrix at a time."""
+    samples = dataset.records
+    sd = samples.std(axis=1)
+    flat = sd == 0.0
+    out = samples - samples.mean(axis=1)[:, None]
+    out[flat] = 0.0
+    sd[flat] = 1.0
+    out /= sd[:, None]
+    count = int(flat.sum())
+    if count:
+        log.warning("%d constant record(s) normalized to all zeros", count)
+    return Dataset(out, dataset.labels(), dataset.class_count), count
 
 
 def _train_quota(fraction: float, n: int) -> int:
@@ -199,7 +206,7 @@ def _train_quota(fraction: float, n: int) -> int:
 
 
 def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Partition records into disjoint train/test sets.
+    """Partition records into disjoint train/test sets, each in record order.
 
     The train side holds round(train_fraction * n) records. Stratified mode
     keeps per-class proportions within one record of the global fraction;
@@ -211,44 +218,31 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         raise EmptyDatasetError("cannot split an empty dataset")
     rng = np.random.default_rng(spec.seed)
     n_train = _train_quota(spec.train_fraction, n)
+    labels = dataset.labels()
+    train = np.zeros(n, dtype=bool)
 
     if not spec.stratified:
-        perm = rng.permutation(n)
-        train_idx = set(perm[:n_train].tolist())
+        train[rng.permutation(n)[:n_train]] = True
     else:
-        by_class: dict[int, list[int]] = {}
-        for i, rec in enumerate(dataset.records):
-            by_class.setdefault(rec.label, []).append(i)
-        forced = {c for c, idx in by_class.items() if len(idx) < 2}
-        if forced:
-            log.warning(
-                "classes with <2 records kept entirely in train: %s", sorted(forced)
-            )
-        train_idx = set()
-        for c in sorted(forced):
-            train_idx.update(by_class[c])
-        rest = [c for c in sorted(by_class) if c not in forced]
-        remaining = max(0, n_train - len(train_idx))
-        quotas = {c: int(np.floor(spec.train_fraction * len(by_class[c]))) for c in rest}
-        remainders = sorted(
-            rest,
-            key=lambda c: (-(spec.train_fraction * len(by_class[c]) - quotas[c]), c),
-        )
-        short = remaining - sum(quotas.values())
-        for c in remainders:
-            if short <= 0:
-                break
-            if quotas[c] < len(by_class[c]):
-                quotas[c] += 1
-                short -= 1
-        for c in rest:
-            idx = np.array(by_class[c])
-            perm = idx[rng.permutation(len(idx))]
-            train_idx.update(perm[: quotas[c]].tolist())
+        classes, sizes = np.unique(labels, return_counts=True)
+        forced = classes[sizes < 2]
+        if forced.size:
+            log.warning("classes with <2 records kept entirely in train: %s", forced.tolist())
+            train[np.isin(labels, forced)] = True
+        rest, sizes = classes[sizes >= 2], sizes[sizes >= 2]
+        quotas = np.floor(spec.train_fraction * sizes).astype(np.int64)
+        short = max(0, n_train - int(train.sum())) - int(quotas.sum())
+        # one more record for the classes with the largest fractional quota
+        # left over, the lower class first on ties
+        by_remainder = np.lexsort((rest, -(spec.train_fraction * sizes - quotas)))
+        quotas[by_remainder[: max(short, 0)]] += 1
+        for c, quota in zip(rest, quotas):
+            idx = np.flatnonzero(labels == c)
+            train[idx[rng.permutation(len(idx))[:quota]]] = True
 
-    train = [dataset.records[i] for i in range(n) if i in train_idx]
-    test = [dataset.records[i] for i in range(n) if i not in train_idx]
-    return Dataset(train, dataset.class_count), Dataset(test, dataset.class_count)
+    records = dataset.records
+    return (Dataset(records[train], labels[train], dataset.class_count),
+            Dataset(records[~train], labels[~train], dataset.class_count))
 
 
 def class_template(label: int, length: int = RECORD_SAMPLES) -> np.ndarray:
@@ -271,7 +265,7 @@ def class_template(label: int, length: int = RECORD_SAMPLES) -> np.ndarray:
 
 
 def synth_generate(n_per_class: int, seed: int, noise_sigma: float = 0.0) -> Dataset:
-    """Build 17 * n_per_class records from the class templates.
+    """Build 17 * n_per_class records from the class templates, class by class.
 
     With ``noise_sigma == 0`` the output is a pure function of ``n_per_class``
     (every copy of a class is the template itself, independent of seed).
@@ -281,13 +275,9 @@ def synth_generate(n_per_class: int, seed: int, noise_sigma: float = 0.0) -> Dat
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
         raise DataFormatError("noise_sigma must be finite and >= 0")
     rng = np.random.default_rng(seed)
-    records = []
-    for c in range(CLASS_COUNT):
-        base = class_template(c)
-        for _ in range(n_per_class):
-            if noise_sigma > 0:
-                samples = base + rng.normal(0.0, noise_sigma, size=base.shape)
-            else:
-                samples = base.copy()
-            records.append(EcgRecord(samples, c))
-    return Dataset(records)
+    samples = np.empty((CLASS_COUNT * n_per_class, RECORD_SAMPLES))
+    for c, rows in enumerate(samples.reshape(CLASS_COUNT, n_per_class, RECORD_SAMPLES)):
+        rows[:] = class_template(c)
+        if noise_sigma > 0:
+            rows += rng.normal(0.0, noise_sigma, size=rows.shape)
+    return Dataset(samples, np.repeat(np.arange(CLASS_COUNT), n_per_class))

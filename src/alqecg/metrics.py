@@ -130,7 +130,7 @@ def predict_labels(model, records) -> np.ndarray:
 
 def evaluate(model, test: Dataset) -> tuple[ConfusionMatrix, MetricsReport]:
     """Run the matching forward path over a test set and aggregate."""
-    if len(test.records) == 0:
+    if not test:
         raise ShapeError("empty test set")
     preds = predict_labels(model, test.records)
     cm = confusion(preds, test.labels(), test.class_count)

@@ -470,24 +470,20 @@ def _backward_batch(network: Network, caches, probs, labels, count: int):
 
 
 def _as_batch(spec: NetworkSpec, records) -> np.ndarray:
-    rows = []
-    for rec in records:
-        samples = rec.samples if hasattr(rec, "samples") else np.asarray(rec, dtype=np.float64)
-        if samples.size != spec.input_channels * spec.input_length:
-            raise ShapeError(
-                f"record has {samples.size} samples, spec expects "
-                f"{spec.input_channels * spec.input_length}"
-            )
-        rows.append(samples.reshape(spec.input_channels, spec.input_length))
-    if not rows:
-        return np.zeros((0, spec.input_channels, spec.input_length))
-    return np.stack(rows)
+    """``records`` as a (B, C, L) batch: an (n, C*L) sample matrix, its rows,
+    or a list of equal-length arrays. A C-contiguous float64 matrix's rows
+    become a view, not a copy; the forward pass only reads its input."""
+    x = np.asarray(records, dtype=np.float64)
+    width = spec.input_channels * spec.input_length
+    if x.size != len(x) * width:
+        raise ShapeError(f"records of shape {x.shape[1:]}, spec expects {width} samples")
+    return x.reshape(len(x), spec.input_channels, spec.input_length)
 
 
 def run_blocks(count: int, fn, mapper=map) -> list:
     """``fn(rows)`` for each slice ``rows`` of at most ``BLOCK`` of ``count``
     records, in order; ``mapper`` may be a thread pool's ``map``. Each ``fn``
-    stacks its own block's input, so a pass holds one block's activations at
+    takes its own block's rows, so a pass holds one block's activations at
     a time. No records make one empty block, so the outputs have no rows."""
     return list(mapper(fn, [slice(i, i + BLOCK) for i in range(0, max(count, 1), BLOCK)]))
 
@@ -498,9 +494,9 @@ def predict_batch(network: Network, records) -> np.ndarray:
 
 
 def logits_batch(network: Network, records) -> np.ndarray:
-    """Pre-softmax outputs, run in blocks of ``BLOCK`` records. Every
-    product is per record, so the bytes do not depend on the batch or
-    block size."""
+    """Pre-softmax outputs, run in blocks of ``BLOCK`` records; ``records``
+    is what ``_as_batch`` takes. Every product is per record, so the bytes
+    do not depend on the batch or block size."""
     return _blocked_logits(network, records)
 
 
@@ -523,22 +519,26 @@ def batch_loss(network: Network, records, labels) -> float:
     return _cross_entropy(logits_batch(network, records), np.asarray(labels))[0]
 
 
-def _gradients(network: Network, records, labels, train_rng=None):
+def _gradients(network: Network, records, labels, train_rng=None, index=None):
     """Mean cross-entropy of ``records`` and the (weight, bias) gradient of
     every layer (None where it has no parameters), from one forward and
-    backward pass per block of ``BLOCK`` records. Dropout is active only
-    when ``train_rng`` is given. Each block's gradient is divided by the
-    whole record count and the blocks add up in order, so above ``BLOCK``
-    records the bytes depend on it. The loss comes from the concatenated
-    logits, so without dropout it equals ``batch_loss``'s bitwise."""
+    backward pass per block of ``BLOCK`` records. With ``index``, the pass
+    runs on ``records[index]`` and ``labels[index]``, each block gathering
+    its own rows. Dropout is active only when ``train_rng`` is given. Each
+    block's gradient is divided by the whole record count and the blocks add
+    up in order, so above ``BLOCK`` records the bytes depend on it. The loss
+    comes from the concatenated logits, so without dropout it equals
+    ``batch_loss``'s bitwise."""
     spec, affine = network.spec, _fp_affine(network)
     labels = np.asarray(labels)
+    if index is not None:
+        labels = labels[index]
     totals: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(spec.layers)
 
     def block(rows):
         caches: list[dict] = []
-        logits = _forward_batch(spec, _as_batch(spec, records[rows]), affine,
-                                train_rng=train_rng, caches=caches)
+        batch = _as_batch(spec, records[rows if index is None else index[rows]])
+        logits = _forward_batch(spec, batch, affine, train_rng=train_rng, caches=caches)
         probs = _cross_entropy(logits, labels[rows])[1]
         for i, g in enumerate(_backward_batch(network, caches, probs, labels[rows], len(labels))):
             totals[i] = g if totals[i] is None else (totals[i][0] + g[0], totals[i][1] + g[1])
@@ -588,10 +588,9 @@ class TrainResult:
 
 def train(network: Network, train_set, config: TrainConfig) -> TrainResult:
     """Mini-batch cross-entropy training; pure function of (network, data, seed)."""
-    records = train_set.records
-    if not records:
+    records, labels = train_set.records, train_set.labels()
+    if not len(records):
         raise TrainingError("empty training set")
-    labels = np.array([r.label for r in records])
     if labels.max() >= network.spec.class_count:
         raise TrainingError("label exceeds class_count")
 
@@ -614,7 +613,7 @@ def train(network: Network, train_set, config: TrainConfig) -> TrainResult:
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             try:
-                loss, grads = _gradients(net, [records[j] for j in idx], labels[idx], rng)
+                loss, grads = _gradients(net, records, labels, rng, index=idx)
             except NumericError as exc:
                 raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
             total += loss * len(idx)

@@ -483,7 +483,7 @@ def score_coordinates(
     grads: dict[int, np.ndarray] = {}
     loss: float | None = None
     if mode == "loss_aware":
-        if calib is None or len(calib.records) == 0:
+        if not calib:
             raise ConfigError("loss_aware scoring requires a calibration set")
         deq = dequantized_network(network.spec, qlayers)
         loss, flat_grads = _net.loss_gradients(deq, calib.records, calib.labels())
@@ -646,13 +646,13 @@ def refine_layers(network: Network, qlayers: list[QuantLayer], iters: int) -> li
 
 def calib_subset(calib, config: AlqConfig):
     """At most ``config.calib_batch`` calibration records, drawn with the config seed."""
-    if calib is None or len(calib.records) == 0:
+    if not calib:  # None or no records
         return None
-    if len(calib.records) <= config.calib_batch:
+    if len(calib) <= config.calib_batch:
         return calib
     rng = np.random.default_rng(config.seed)
-    idx = rng.choice(len(calib.records), size=config.calib_batch, replace=False)
-    return Dataset([calib.records[i] for i in sorted(idx)], calib.class_count)
+    idx = np.sort(rng.choice(len(calib), size=config.calib_batch, replace=False))
+    return Dataset(calib.records[idx], calib.labels()[idx], calib.class_count)
 
 
 def calib_loss(spec, qlayers, batch):

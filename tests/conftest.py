@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from alqecg.data import SplitSpec, normalize_dataset, split, synth_generate
+from alqecg.data import Dataset, SplitSpec, normalize_dataset, split, synth_generate
 from alqecg.net import (
     NetworkSpec,
     TrainConfig,
@@ -35,6 +37,30 @@ def tiny_spec(class_count: int = 3) -> NetworkSpec:
         input_channels=1,
         class_count=class_count,
     )
+
+
+def traced_peak(fn) -> int:
+    """The lower traced peak of two calls of ``fn``, in bytes. In the full
+    suite one call may also hold a one-off 1.92 MB block: the interpreter's
+    table of interned strings, resized wherever its insertions run out of
+    room. The lower call also leaves out lazy state that a first call makes."""
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            fn()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
+
+
+def noise_dataset(rng, n: int, length: int, classes: int) -> Dataset:
+    """``n`` standard-normal records of ``length`` samples, each followed in
+    ``rng``'s stream by its label in 0..classes-1."""
+    draws = [(rng.normal(size=length), rng.integers(0, classes)) for _ in range(n)]
+    samples, labels = zip(*draws)
+    return Dataset(samples, labels, class_count=classes)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -39,7 +38,7 @@ from alqecg.quantizer import (
     init_decompose,
     uniform_baseline,
 )
-from conftest import tiny_spec
+from conftest import tiny_spec, traced_peak
 from test_quantizer import arrays_sha256, empty_layer, groups_of, layers_equal
 
 # SHA-256 of the ALQQ bytes of a 2-bit uniform baseline of the untrained
@@ -342,15 +341,15 @@ class TestDeserializeErrors:
         model, data = self.one_value_groups()
         at = header_bytes(model) - 2  # the u16 group size
         data[at : at + 2] = (289).to_bytes(2, "little")
-        tracemalloc.start()
-        try:
+
+        def rejected():
             with pytest.raises(ContainerFormatError, match="layer 1: 289 groups, "
                                "partition of 289 values expects 1") as err:
                 deserialize_bytes(bytes(data))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(data) == 1737 and err.value.offset == at + 2 == 84
+            assert err.value.offset == at + 2 == 84
+
+        peak = traced_peak(rejected)
+        assert len(data) == 1737
         assert peak < 1 << 20
 
     def test_missing_groups_rejected_at_layer_end(self):

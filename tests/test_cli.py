@@ -59,7 +59,7 @@ class TestTrainCommand:
 
     def test_flatline_record_warned_once(self, workdir, caplog):
         ds = synth_generate(1, seed=0)
-        ds.records[3].samples[:] = 0.25
+        ds.records[3] = 0.25
         save_dataset(workdir / "flat.csv", ds)
         with caplog.at_level("WARNING"):
             assert run(["train", "--data", "flat.csv", "--epochs", "1",

@@ -12,11 +12,9 @@ from alqecg.data import (
     CLASS_COUNT,
     RECORD_SAMPLES,
     Dataset,
-    EcgRecord,
     SplitSpec,
     class_template,
     load_dataset,
-    normalize,
     normalize_dataset,
     save_dataset,
     split,
@@ -25,8 +23,15 @@ from alqecg.data import (
 from alqecg.errors import DataFormatError, EmptyDatasetError
 
 
-def make_record(value=0.5, label=0):
-    return EcgRecord(np.full(RECORD_SAMPLES, value), label)
+def constant_records(values, labels) -> Dataset:
+    """One constant record per value, with its label."""
+    return Dataset(np.repeat(np.asarray(values, dtype=float)[:, None], RECORD_SAMPLES, axis=1),
+                   labels)
+
+
+def normalize_one(samples) -> np.ndarray:
+    """``normalize_dataset`` of one record's samples."""
+    return normalize_dataset(Dataset([samples], [0]))[0].records[0]
 
 
 def write_csv(path, rows):
@@ -39,8 +44,9 @@ class TestLoad:
         write_csv(path, [[0.1] * RECORD_SAMPLES + [3], [0.2] * RECORD_SAMPLES + [16]])
         ds = load_dataset(path)
         assert len(ds) == 2
-        assert ds.records[0].label == 3
-        assert ds.records[1].samples[0] == pytest.approx(0.2)
+        assert ds.labels().tolist() == [3, 16]
+        assert ds.records.shape == (2, RECORD_SAMPLES) and ds.records.flags.c_contiguous
+        assert ds.records[1, 0] == pytest.approx(0.2)
 
     def test_short_row(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -87,7 +93,19 @@ class TestRoundTrip:
         assert len(back) == len(ds)
         assert back.labels().tolist() == ds.labels().tolist()
         atol = 0 if fmt == "csv" else 1e-6  # raw stores f32
-        np.testing.assert_allclose(back.sample_matrix(), ds.sample_matrix(), atol=atol)
+        np.testing.assert_allclose(back.records, ds.records, atol=atol)
+        # signed zeros, subnormals and f32 extremes come back byte for byte
+        save_dataset(path, fuzz_records(2), fmt)
+        once = path.read_bytes()
+        save_dataset(path, load_dataset(path, fmt), fmt)
+        assert path.read_bytes() == once
+
+    @pytest.mark.parametrize("fmt", ["csv", "raw-f32"])
+    def test_short_records_not_written(self, tmp_path, fmt):
+        path = tmp_path / "d"
+        with pytest.raises(DataFormatError, match="records of 8 samples, the file formats hold 3600"):
+            save_dataset(path, Dataset(np.zeros((2, 8)), [0, 1]), fmt)
+        assert not path.exists()
 
     def test_raw_bad_magic(self, tmp_path):
         path = tmp_path / "d.raw"
@@ -136,7 +154,7 @@ SNAN_F32 = struct.pack("<I", 0x7FA00000)
 
 class TestRawOffsets:
     def _two_records(self) -> bytes:
-        return raw_bytes(Dataset([make_record(0.5, 3), make_record(-1.5, 16)]))
+        return raw_bytes(constant_records([0.5, -1.5], [3, 16]))
 
     @pytest.mark.parametrize("sample", [struct.pack("<f", np.nan), struct.pack("<f", -np.inf),
                                         SNAN_F32])
@@ -182,15 +200,17 @@ class TestRawOffsets:
         assert err.value.offset is None
 
 
-def fuzz_record(seed: int, label: int) -> EcgRecord:
-    """Noise plus signed zeros, f32 subnormals and f32 extremes."""
-    samples = np.random.default_rng(seed).normal(size=RECORD_SAMPLES)
-    samples[:6] = [0.0, -0.0, 1e-45, -1e-40, 3.4e38, -3.4e38]
-    return EcgRecord(samples, label)
+def fuzz_records(n: int) -> Dataset:
+    """``n`` records of noise from seed i and label 5 * i, each starting
+    with signed zeros, f32 subnormals and f32 extremes."""
+    samples = np.array([np.random.default_rng(i).normal(size=RECORD_SAMPLES) for i in range(n)])
+    samples = samples.reshape(n, RECORD_SAMPLES)
+    samples[:, :6] = [0.0, -0.0, 1e-45, -1e-40, 3.4e38, -3.4e38]
+    return Dataset(samples, 5 * np.arange(n))
 
 
 # raw-f32 files the loader fuzz tests mutate: zero, one and two records
-FUZZ_RAW = [raw_bytes(Dataset([fuzz_record(i, 5 * i) for i in range(n)])) for n in (0, 1, 2)]
+FUZZ_RAW = [raw_bytes(fuzz_records(n)) for n in (0, 1, 2)]
 
 
 def assert_raw_rejected_or_round_trips(data: bytes) -> None:
@@ -228,45 +248,175 @@ class TestRawLoaderFuzz:
         assert_raw_rejected_or_round_trips(head[: int(i * len(head))] + tail[int(j * len(tail)) :])
 
 
+def faulty_file(path, fmt, bad_label=(), bad_sample=(), short=None) -> None:
+    """Five valid records written as ``fmt``, then: label 17 for the records
+    in ``bad_label``, a NaN at sample 7 for those in ``bad_sample``, and
+    record ``short`` cut short, with none after it."""
+    ds = constant_records([0.1, 0.2, 0.3, 0.4, 0.5], [0, 1, 2, 3, 4])
+    if fmt == "csv":
+        rows = [row + [label] for row, label in zip(ds.records.tolist(), ds.labels().tolist())]
+        for i in bad_label:
+            rows[i][-1] = 17
+        for i in bad_sample:
+            rows[i][7] = "nan"
+        if short is not None:
+            rows = rows[:short] + [rows[short][:10] + [0]]
+        write_csv(path, rows)
+        return
+    data = bytearray(raw_bytes(ds))
+    for i in bad_label:
+        data[8 + (i + 1) * RAW_RECORD_BYTES - 1] = CLASS_COUNT
+    for i in bad_sample:
+        data[8 + i * RAW_RECORD_BYTES + 28 : 8 + i * RAW_RECORD_BYTES + 32] = SNAN_F32
+    if short is not None:
+        del data[8 + short * RAW_RECORD_BYTES + 100 :]
+    path.write_bytes(bytes(data))
+
+
+class TestFirstFault:
+    """Both loaders reject a file for its first faulty record, and within a
+    record for a sample fault before a label fault; raw-f32 at its byte."""
+
+    R = RAW_RECORD_BYTES
+
+    @pytest.mark.parametrize("fmt", ["csv", "raw-f32"])
+    @pytest.mark.parametrize("faults, message, offset", [
+        (dict(bad_label=[1], bad_sample=[3], short=4), "record 1: label out of range",
+         8 + 2 * R - 1),
+        (dict(bad_label=[2, 3], bad_sample=[2]), "record 2: non-finite sample", 8 + 2 * R + 28),
+        (dict(bad_sample=[3, 4]), "record 3: non-finite sample", 8 + 3 * R + 28),
+        (dict(short=4), "record 4: ", 8 + 4 * R),
+    ], ids=["label-before-later-faults", "sample-before-label", "first-sample", "short"])
+    def test_first_fault_reported(self, tmp_path, fmt, faults, message, offset):
+        path = tmp_path / "d"
+        faulty_file(path, fmt, **faults)
+        with pytest.raises(DataFormatError, match=message) as err:
+            load_raw_bytes(path.read_bytes()) if fmt == "raw-f32" else load_dataset(path)
+        assert err.value.offset == (offset if fmt == "raw-f32" else None)
+
+
+class TestDatasetChecks:
+    def test_matrix_and_label_vector(self):
+        ds = Dataset([[1.0, 2.0], [3.0, 4.0]], [1, 0], class_count=2)
+        assert ds.records.dtype == np.float64 and ds.records.flags.c_contiguous
+        assert ds.labels().dtype == np.int64 and ds.labels().tolist() == [1, 0]
+        assert len(ds) == 2 and ds.class_count == 2
+
+    @pytest.mark.parametrize("records, labels, match", [
+        (np.zeros(4), [0], r"records must be an \(n, samples\) matrix, got shape \(4,\)"),
+        (np.zeros((3, 4)), [0, 1], r"labels of shape \(2,\) for 3 records"),
+        (np.zeros((2, 4)), [[0, 1]], r"labels of shape \(1, 2\) for 2 records"),
+    ], ids=["1-D", "label-count", "2-D-labels"])
+    def test_shape_rejected(self, records, labels, match):
+        with pytest.raises(DataFormatError, match=match):
+            Dataset(records, labels)
+
+    @pytest.mark.parametrize("bad_sample, labels, message", [
+        (2, [0, 0, 0, 3], "record 2: non-finite sample"),
+        (2, [0, 3, 0, 0], "record 1: label out of range"),
+        (None, [0, 0, -1, 3], "record 2: label out of range"),
+        (1, [0, 3, 0, 0], "record 1: non-finite sample"),
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_first_bad_record_named(self, bad_sample, labels, message, value):
+        samples = np.zeros((4, 5))
+        if bad_sample is not None:
+            samples[bad_sample, 3] = value
+        with pytest.raises(DataFormatError, match=message) as err:
+            Dataset(samples, labels, class_count=3)
+        assert err.value.offset is None
+
+
 class TestNormalize:
     def test_constant_signal_goes_to_zero(self):
-        out = normalize(make_record(5.0))
-        assert np.all(out.samples == 0.0)
+        out = normalize_one(np.full(RECORD_SAMPLES, 5.0))
+        assert np.all(out == 0.0)
 
     def test_alternating_signal(self):
-        samples = np.tile([0.0, 2.0], RECORD_SAMPLES // 2)
-        out = normalize(EcgRecord(samples, 1))
-        np.testing.assert_array_equal(out.samples, np.tile([-1.0, 1.0], RECORD_SAMPLES // 2))
-        assert out.label == 1
+        ds = Dataset([np.tile([0.0, 2.0], RECORD_SAMPLES // 2)], [1])
+        out, _ = normalize_dataset(ds)
+        np.testing.assert_array_equal(out.records[0], np.tile([-1.0, 1.0], RECORD_SAMPLES // 2))
+        assert out.labels().tolist() == [1]
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
-        rec = EcgRecord(rng.normal(2.0, 3.0, RECORD_SAMPLES), 0)
-        once = normalize(rec)
-        twice = normalize(once)
-        np.testing.assert_allclose(twice.samples, once.samples, atol=1e-6)
+        once = normalize_one(rng.normal(2.0, 3.0, RECORD_SAMPLES))
+        twice = normalize_one(once)
+        np.testing.assert_allclose(twice, once, atol=1e-6)
 
     def test_dataset_counts_flatlines(self):
-        ds = Dataset([make_record(1.0), normalize(make_record(3.0, 2))])
+        ds = Dataset([np.full(RECORD_SAMPLES, 1.0), normalize_one(np.full(RECORD_SAMPLES, 3.0))],
+                     [0, 2])
         # second record is already all zeros, also a flatline
         out, flat = normalize_dataset(ds)
         assert flat == 2
-        assert all(np.all(r.samples == 0) for r in out.records)
+        assert np.all(out.records == 0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_normalized_moments(self, seed):
         rng = np.random.default_rng(seed)
-        rec = EcgRecord(rng.normal(0, 5, RECORD_SAMPLES), 0)
-        out = normalize(rec)
-        assert abs(out.samples.mean()) < 1e-9
-        assert abs(out.samples.std() - 1.0) < 1e-9
+        out = normalize_one(rng.normal(0, 5, RECORD_SAMPLES))
+        assert abs(out.mean()) < 1e-9
+        assert abs(out.std() - 1.0) < 1e-9
+
+    def test_rows_equal_the_per_record_zscore(self):
+        # each row's bytes are those of z-scoring that record on its own
+        rng = np.random.default_rng(12)
+        samples = rng.normal(3.0, 2.0, (5, RECORD_SAMPLES))
+        samples[2] = 0.7  # constant
+        samples[4] *= 1e-30
+        out, flat = normalize_dataset(Dataset(samples, [0, 1, 2, 3, 4]))
+        assert flat == 1
+        for row, got in zip(samples, out.records):
+            sd = row.std()
+            want = np.zeros_like(row) if sd == 0 else (row - row.mean()) / sd
+            assert got.tobytes() == want.tobytes()
+        assert samples[2, 0] == 0.7  # the input is left as it was
+
+
+def reference_split(labels, spec: SplitSpec) -> set[int]:
+    """The train indices of ``split``, from one pass over the records and
+    one over the classes in a dict of index lists."""
+    n = len(labels)
+    rng = np.random.default_rng(spec.seed)
+    n_train = int(np.floor(spec.train_fraction * n + 0.5))
+    if not spec.stratified:
+        return set(rng.permutation(n)[:n_train].tolist())
+    by_class: dict[int, list[int]] = {}
+    for i, label in enumerate(labels):
+        by_class.setdefault(label, []).append(i)
+    train = {i for idx in by_class.values() if len(idx) < 2 for i in idx}
+    rest = [c for c in sorted(by_class) if len(by_class[c]) >= 2]
+    remaining = max(0, n_train - len(train))
+    quotas = {c: int(np.floor(spec.train_fraction * len(by_class[c]))) for c in rest}
+    short = remaining - sum(quotas.values())
+    for c in sorted(rest, key=lambda c: (-(spec.train_fraction * len(by_class[c]) - quotas[c]),
+                                         c)):
+        if short <= 0:
+            break
+        if quotas[c] < len(by_class[c]):
+            quotas[c] += 1
+            short -= 1
+    for c in rest:
+        idx = np.array(by_class[c])
+        train.update(idx[rng.permutation(len(idx))][: quotas[c]].tolist())
+    return train
 
 
 class TestSplit:
+    @settings(max_examples=60, deadline=None)
+    @given(labels=st.lists(st.integers(0, 5), min_size=1, max_size=40),
+           seed=st.integers(0, 1000), frac=st.floats(0.05, 0.95), stratified=st.booleans())
+    def test_matches_the_per_record_reference(self, labels, seed, frac, stratified):
+        spec = SplitSpec(frac, seed=seed, stratified=stratified)
+        ds = constant_records(range(len(labels)), labels)
+        train, _ = split(ds, spec)
+        assert train.records[:, 0].tolist() == sorted(reference_split(labels, spec))
+
     def test_counts_and_disjoint(self):
         ds = synth_generate(1, seed=0)  # 17 records
-        ds = Dataset(ds.records[:10])
+        ds = Dataset(ds.records[:10], ds.labels()[:10])
         train, test = split(ds, SplitSpec(0.8, seed=0, stratified=False))
         assert len(train) == 8 and len(test) == 2
 
@@ -276,26 +426,25 @@ class TestSplit:
             spec = SplitSpec(0.7, seed=42, stratified=stratified)
             a_train, a_test = split(ds, spec)
             b_train, b_test = split(ds, spec)
-            assert np.array_equal(a_train.sample_matrix(), b_train.sample_matrix())
-            assert np.array_equal(a_test.sample_matrix(), b_test.sample_matrix())
+            assert np.array_equal(a_train.records, b_train.records)
+            assert np.array_equal(a_test.records, b_test.records)
 
     def test_stratified_two_class_rounding(self):
-        recs = [make_record(float(i), 0) for i in range(20)]
-        recs += [make_record(float(i), 1) for i in range(20)]
-        train, test = split(Dataset(recs), SplitSpec(0.8, seed=5))
+        ds = constant_records(list(range(20)) * 2, [0] * 20 + [1] * 20)
+        train, test = split(ds, SplitSpec(0.8, seed=5))
         assert len(train) == 32
         labels = train.labels()
         assert (labels == 0).sum() == 16 and (labels == 1).sum() == 16
 
     def test_tiny_class_forced_to_train(self):
-        recs = [make_record(float(i), 0) for i in range(10)] + [make_record(9.0, 1)]
-        train, test = split(Dataset(recs), SplitSpec(0.8, seed=0))
+        ds = constant_records(list(range(10)) + [9], [0] * 10 + [1])
+        train, test = split(ds, SplitSpec(0.8, seed=0))
         assert 1 in train.labels()
         assert 1 not in test.labels()
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
-            split(Dataset([]), SplitSpec())
+            split(Dataset(np.zeros((0, RECORD_SAMPLES)), []), SplitSpec())
 
     def test_bad_fraction(self):
         with pytest.raises(DataFormatError):
@@ -309,14 +458,14 @@ class TestSplit:
         stratified=st.booleans(),
     )
     def test_partition_property(self, n, seed, frac, stratified):
-        recs = [make_record(float(i), i % 4) for i in range(n)]
-        ds = Dataset(recs)
+        ds = constant_records(range(n), [i % 4 for i in range(n)])
         train, test = split(ds, SplitSpec(frac, seed=seed, stratified=stratified))
-        got = sorted(r.samples[0] for r in train.records + test.records)
-        assert got == sorted(float(i) for i in range(n))
-        train_vals = {r.samples[0] for r in train.records}
-        test_vals = {r.samples[0] for r in test.records}
-        assert not train_vals & test_vals
+        train_vals, test_vals = train.records[:, 0].tolist(), test.records[:, 0].tolist()
+        assert sorted(train_vals + test_vals) == [float(i) for i in range(n)]
+        # each side keeps the records' order and their labels
+        assert train_vals == sorted(train_vals) and test_vals == sorted(test_vals)
+        for side in (train, test):
+            assert side.labels().tolist() == [int(v) % 4 for v in side.records[:, 0]]
 
 
 class TestSynth:
@@ -329,14 +478,22 @@ class TestSynth:
     def test_noiseless_is_seed_independent(self):
         a = synth_generate(2, seed=1, noise_sigma=0.0)
         b = synth_generate(2, seed=999, noise_sigma=0.0)
-        assert np.array_equal(a.sample_matrix(), b.sample_matrix())
+        assert np.array_equal(a.records, b.records)
 
     def test_noisy_same_seed_identical(self):
         a = synth_generate(2, seed=5, noise_sigma=0.4)
         b = synth_generate(2, seed=5, noise_sigma=0.4)
-        assert np.array_equal(a.sample_matrix(), b.sample_matrix())
+        assert np.array_equal(a.records, b.records)
         c = synth_generate(2, seed=6, noise_sigma=0.4)
-        assert not np.array_equal(a.sample_matrix(), c.sample_matrix())
+        assert not np.array_equal(a.records, c.records)
+
+    def test_records_are_templates_plus_noise_drawn_in_record_order(self):
+        ds = synth_generate(3, seed=8, noise_sigma=0.5)
+        rng = np.random.default_rng(8)
+        for i, (row, label) in enumerate(zip(ds.records, ds.labels())):
+            assert label == i // 3
+            want = class_template(label) + rng.normal(0.0, 0.5, size=RECORD_SAMPLES)
+            assert row.tobytes() == want.tobytes()
 
     def test_templates_separated(self):
         # every class pair differs by more than 0.1 on at least 10% of samples

@@ -17,8 +17,8 @@ from alqecg.net import init_params
 from alqecg.qinfer import dequantize
 from alqecg.quantizer import uniform_baseline
 from alqecg.data import Dataset
-from conftest import tiny_spec
-from test_quantizer import _Rec, empty_layer
+from conftest import noise_dataset, tiny_spec
+from test_quantizer import empty_layer
 
 
 class TestConfusion:
@@ -108,12 +108,7 @@ class TestMetrics:
 
 class TestEvaluate:
     def _records(self, n=30, length=8, classes=3, seed=0):
-        rng = np.random.default_rng(seed)
-        return Dataset(
-            [_Rec(rng.normal(size=length), int(rng.integers(0, classes)))
-             for _ in range(n)],
-            class_count=classes,
-        )
+        return noise_dataset(np.random.default_rng(seed), n, length, classes)
 
     def test_quantized_equals_dequantized_reference(self):
         network = init_params(tiny_spec(), 3)
@@ -139,7 +134,7 @@ class TestEvaluate:
     def test_empty_test_set(self):
         network = init_params(tiny_spec(), 3)
         with pytest.raises(ShapeError):
-            evaluate(network, Dataset([], class_count=3))
+            evaluate(network, Dataset(np.zeros((0, 8)), [], class_count=3))
 
     @pytest.mark.parametrize("quantized", [False, True])
     @pytest.mark.parametrize("records", [[], (), np.zeros((0, 8))],

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 
 from alqecg import net as _net
 from alqecg.bitpack import deserialize_bytes, serialize_bytes
-from alqecg.data import Dataset, EcgRecord, RECORD_SAMPLES, synth_generate, normalize_dataset
+from alqecg.data import Dataset, RECORD_SAMPLES, synth_generate, normalize_dataset
 from alqecg.errors import ContainerFormatError, NumericError, ShapeError, TrainingError
 from alqecg.net import (
     LayerSpec,
@@ -43,7 +42,7 @@ from alqecg.net import (
     validate_spec,
 )
 from alqecg.quantizer import dequantized_network, uniform_baseline
-from conftest import tiny_spec
+from conftest import noise_dataset, tiny_spec, traced_peak
 
 EXPECTED_COUNTS = {
     "Conv1D_1": 136, "Conv1D_2": 1164, "Conv1D_3": 3488, "Conv1D_4": 14400,
@@ -203,8 +202,7 @@ class TestForward:
             [None if p is None else (np.zeros_like(p[0]), np.zeros_like(p[1]))
              for p in network.params],
         )
-        rec = EcgRecord(np.zeros(RECORD_SAMPLES), 0)
-        probs = predict_batch(network, [rec])[0]
+        probs = predict_batch(network, np.zeros((1, RECORD_SAMPLES)))[0]
         np.testing.assert_allclose(probs, np.full(17, 1 / 17), atol=1e-12)
 
     def test_identity_kernel_conv(self):
@@ -367,21 +365,6 @@ class _Compared(np.ndarray):
         return np.asarray(self) > other
 
 
-def _traced_peak(fn) -> int:
-    """The lower traced peak of two calls of ``fn``. In the full suite one
-    call may also hold a one-off 1.92 MB block: the interpreter's table of
-    interned strings, resized wherever its insertions run out of room."""
-    peaks = []
-    for _ in range(2):
-        tracemalloc.start()
-        try:
-            fn()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    return min(peaks)
-
-
 class TestTrainingMemory:
     def test_loss_gradients_peak_near_inference_peak(self):
         network = init_params(default_ecgnet_spec(), 0)
@@ -392,9 +375,9 @@ class TestTrainingMemory:
         unblocked_gradients(network, records, labels)  # warm up
         # one forward and backward walk over the whole batch, against the
         # forward pass alone on the same batch
-        inference = _traced_peak(
+        inference = traced_peak(
             lambda: _net._forward_batch(spec, _net._as_batch(spec, records), affine))
-        training = _traced_peak(lambda: unblocked_gradients(network, records, labels))
+        training = traced_peak(lambda: unblocked_gradients(network, records, labels))
         # boolean ReLU masks, in-place bias and ReLU, and caches freed by the
         # backward pass keep training within a third of the inference peak
         assert training <= 1.35 * inference
@@ -436,24 +419,23 @@ class TestBlockedPasses:
         rng = np.random.default_rng(6)
         records = [rng.normal(size=RECORD_SAMPLES) for _ in range(136)]
         labels = rng.integers(17, size=136)
-        train_set = [EcgRecord(r, int(l)) for r, l in zip(records, labels)]
+        train_set = Dataset(records, labels)
         calls = [lambda n: _net.predict_batch(network, records[:n]),
                  lambda n: _net.batch_loss(network, records[:n], labels[:n]),
                  lambda n: _net.loss_gradients(network, records[:n], labels[:n]),
                  # one epoch of one minibatch of n records
-                 lambda n: train(network, Dataset(train_set[:n]),
+                 lambda n: train(network, Dataset(train_set.records[:n], labels[:n]),
                                  TrainConfig(epochs=1, batch_size=n, seed=0))]
         _net.loss_gradients(network, records[:1], labels[:1])  # lazy numpy state
         for call in calls:
             # the whole 136-record batch put predict_batch at 54.9 MB
-            growth = _traced_peak(lambda: call(136)) - _traced_peak(lambda: call(_net.BLOCK))
+            growth = traced_peak(lambda: call(136)) - traced_peak(lambda: call(_net.BLOCK))
             assert growth < 1e6
 
     def test_gradient_sums_blocks(self):
         # two full blocks and a short one
         network = init_params(default_ecgnet_spec(), 3)
-        records = random_records(21, 7)
-        labels = [r.label for r in records]
+        records, labels = random_records(21, 7)
         loss, grads = _net.loss_gradients(network, records, labels)
         assert loss == _net.batch_loss(network, records, labels)
         _, whole = unblocked_gradients(network, records, np.asarray(labels))
@@ -466,8 +448,7 @@ class TestBlockedPasses:
     def test_gradient_sums_blocks_with_dropout(self):
         # equally seeded rngs draw the same dropout masks, block by block
         network = conv_stack_network()
-        records = random_records(21, 9)
-        labels = np.array([r.label for r in records])
+        records, labels = random_records(21, 9)
         loss, grads = _net._gradients(network, records, labels, np.random.default_rng(30))
         want_loss, want = unblocked_gradients(network, records, labels,
                                               np.random.default_rng(30))
@@ -482,7 +463,7 @@ class TestBlockedPasses:
         # every product is per record, dense layers too, so no record's
         # bytes depend on the records around it
         network = golden_network()
-        records = random_records(40, 29)
+        records, _ = random_records(40, 29)
         whole = _net.logits_batch(network, records)
         out = {}
         for block in (1, 8, 16):
@@ -495,8 +476,7 @@ class TestBlockedPasses:
     @pytest.mark.parametrize("n", [1, 5, 8])
     def test_one_block_is_one_pass(self, n):
         network = conv_stack_network()
-        records = random_records(n, 8)
-        labels = np.array([r.label for r in records])
+        records, labels = random_records(n, 8)
         loss, grads = _net.loss_gradients(network, records, labels)
         want_loss, want = unblocked_gradients(network, records, labels)
         assert loss == want_loss
@@ -603,20 +583,6 @@ class TestFlattenParams:
             flatten_params(network, 1)
 
 
-from dataclasses import dataclass
-
-
-@dataclass
-class _RawRec:
-    samples: np.ndarray
-    label: int
-
-
-@dataclass
-class _RawSet:
-    records: list
-
-
 def _toy_training_set(n_per_class=6):
     rng = np.random.default_rng(0)
     recs = []
@@ -682,7 +648,7 @@ class TestTrain:
     def test_empty_dataset(self):
         network = init_params(default_ecgnet_spec(), 0)
         with pytest.raises(TrainingError):
-            train(network, Dataset([]), TrainConfig(epochs=1))
+            train(network, Dataset(np.zeros((0, RECORD_SAMPLES)), []), TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1e-3])
     def test_bad_learning_rate_rejected(self, rate):
@@ -706,9 +672,8 @@ class TestTrain:
     def test_divergence_names_epoch(self):
         recs, labels = _toy_training_set()
         network = init_params(tiny_spec(), 0)
-        raw = _RawSet([_RawRec(r, int(l)) for r, l in zip(recs, labels)])
         with pytest.raises(TrainingError, match="epoch 0"):
-            train(network, raw,
+            train(network, Dataset(recs, labels),
                   TrainConfig(epochs=1, batch_size=4, learning_rate=1e200, optimizer="sgd"))
 
 
@@ -720,10 +685,10 @@ def sha256_of(*arrays) -> str:
     return h.hexdigest()
 
 
-def random_records(n: int, seed: int) -> list[EcgRecord]:
-    rng = np.random.default_rng(seed)
-    return [EcgRecord(rng.normal(size=RECORD_SAMPLES), int(rng.integers(17)))
-            for _ in range(n)]
+def random_records(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(records, labels) of ``n`` 3,600-sample noise records in 17 classes."""
+    ds = noise_dataset(np.random.default_rng(seed), n, RECORD_SAMPLES, 17)
+    return ds.records, ds.labels()
 
 
 def golden_network() -> Network:
@@ -752,14 +717,12 @@ class TestGoldenDigests:
     pass at 1, 2 and 4 BLAS threads."""
 
     def test_logits(self):
-        logits = _net.logits_batch(golden_network(), random_records(6, 22))
+        logits = _net.logits_batch(golden_network(), random_records(6, 22)[0])
         assert sha256_of(logits) == (
             "21136ba743b3c07b931e271370937fac189245425d0a91f456593fb252ff141c")
 
     def test_loss_gradients(self):
-        records = random_records(6, 22)
-        loss, grads = _net.loss_gradients(golden_network(), records,
-                                          [r.label for r in records])
+        loss, grads = _net.loss_gradients(golden_network(), *random_records(6, 22))
         assert sha256_of([loss], *[g for g in grads if g is not None]) == (
             "90f7d1bbb12ebadd5b73d431c26025e5710048af08af3c15983894357b453422")
 
@@ -769,7 +732,7 @@ class TestGoldenDigests:
     ], ids=["adam", "sgd"])
     def test_train_epoch(self, optimizer, rate, digest):
         network = golden_network()
-        result = train(network, Dataset(random_records(10, 23)),
+        result = train(network, Dataset(*random_records(10, 23)),
                        TrainConfig(epochs=1, batch_size=4, seed=24,
                                    optimizer=optimizer, learning_rate=rate))
         params = [flatten_params(result.network, i)
@@ -778,9 +741,8 @@ class TestGoldenDigests:
 
     def test_conv_stack_train_epoch(self):
         network = conv_stack_network()
-        records = random_records(6, 26)
-        loss, grads = _net.loss_gradients(network, records, [r.label for r in records])
-        result = train(network, Dataset(random_records(10, 27)),
+        loss, grads = _net.loss_gradients(network, *random_records(6, 26))
+        result = train(network, Dataset(*random_records(10, 27)),
                        TrainConfig(epochs=1, batch_size=4, seed=28))
         params = [flatten_params(result.network, i)
                   for i, _ in parameterized_layers(network.spec)]
@@ -798,7 +760,7 @@ _THREAD_PROBE = """
 import hashlib
 import numpy as np
 from alqecg import net
-from alqecg.data import Dataset, EcgRecord, RECORD_SAMPLES
+from alqecg.data import Dataset, RECORD_SAMPLES
 from alqecg.qinfer import QuantExecutor
 from alqecg.quantizer import uniform_baseline
 spec = net.NetworkSpec([
@@ -806,11 +768,12 @@ spec = net.NetworkSpec([
     net.pool(8, 8), net.conv(5, 64, padding=2), net.pool(6, 6), net.flatten(),
     net.dense(12), net.softmax_dense(17)])
 rng = np.random.default_rng(0)
-records = [EcgRecord(rng.normal(size=RECORD_SAMPLES), int(rng.integers(17)))
-           for _ in range(16)]
+draws = [(rng.normal(size=RECORD_SAMPLES), rng.integers(17)) for _ in range(16)]
+records, labels = (np.array(a) for a in zip(*draws))
+data = Dataset(records, labels)
 network = net.init_params(spec, 1)
-loss, grads = net.loss_gradients(network, records[:8], [r.label for r in records[:8]])
-result = net.train(network, Dataset(records), net.TrainConfig(epochs=1, batch_size=16, seed=2))
+loss, grads = net.loss_gradients(network, records[:8], labels[:8])
+result = net.train(network, data, net.TrainConfig(epochs=1, batch_size=16, seed=2))
 logits = QuantExecutor(uniform_baseline(network, 2, 16)).logits(records)
 arrays = [[loss], *[g for g in grads if g is not None], result.epoch_losses,
           *[net.flatten_params(result.network, i) for i, _ in net.parameterized_layers(spec)],

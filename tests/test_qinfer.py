@@ -18,7 +18,7 @@ from alqecg.qinfer import QuantExecutor, dequantize, predict_batch
 from alqecg.quantizer import AlqConfig, QuantLayer, alq_pipeline, canonicalize, uniform_baseline
 import bitplane_oracle
 from bitplane_oracle import BitPlaneExecutor, layer_plan
-from conftest import tiny_spec
+from conftest import tiny_spec, traced_peak
 from test_bitpack import random_model, small_spec
 from test_quantizer import empty_layer, groups_of, layer_of, ref_reconstruct
 from test_net import random_records, sha256_of
@@ -535,13 +535,7 @@ class TestBlocks:
 
     @staticmethod
     def logits_peak(ex, records) -> int:
-        ex.logits(records[:1])  # lazy numpy state outside the trace
-        tracemalloc.start()
-        try:
-            ex.logits(records)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: ex.logits(records))
 
     def test_working_memory_does_not_grow_with_batch(self, monkeypatch):
         monkeypatch.setenv("ALQ_THREADS", "1")
@@ -549,9 +543,7 @@ class TestBlocks:
         ex = QuantExecutor(uniform_baseline(network, 2, 16))
         records = [np.random.default_rng(27).normal(size=3600) for _ in range(136)]
 
-        # the lower of two runs: in the full suite one run may also hold a
-        # one-off 1.92 MB resize of the interpreter's interned-string table
-        peak = min(self.logits_peak(ex, records) for _ in range(2))
+        peak = self.logits_peak(ex, records)
         # the whole 136-record input alone would add 3.9 MB
         assert peak - self.logits_peak(ex, records[: _net.BLOCK]) < 1e6
         # the bit-plane executor, with its plans built beforehand, peaked at
@@ -595,7 +587,7 @@ def check_logits_digests(model, oracle_digests, executor_digests, deq_digest):
     reproduces the bytes the bit-plane executor was pinned to, the
     executor stays within 1e-5 of it with the same argmax, and the weights
     it runs on are pinned too."""
-    records = random_records(40, 25)
+    records, _ = random_records(40, 25)
     assert deq_sha256(model) == deq_digest
     ex, oracle = QuantExecutor(model), BitPlaneExecutor(model)
     for rows, oracle_digest, digest in zip((records[:1], records), oracle_digests,
@@ -641,7 +633,7 @@ class TestExecutorGoldenDigests:
         network = init_params(default_ecgnet_spec(), 14)
         config = AlqConfig(group_size=16, i_max=3, target_avg_bitwidth=1.37,
                            refine_iters=2, calib_batch=24, seed=5)
-        model, _ = alq_pipeline(network, Dataset(random_records(24, 31), 17), config)
+        model, _ = alq_pipeline(network, Dataset(*random_records(24, 31)), config)
         bits = np.concatenate([ql.bits for ql in model.layers])
         assert set(np.unique(bits)) == {0, 1, 2, 3}
         check_logits_digests(

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as npst
 
 from alqecg import net as _net
 from alqecg import quantizer as _quantizer
-from alqecg.data import Dataset, EcgRecord
+from alqecg.data import Dataset
 from alqecg.errors import ConfigError
 from alqecg.net import (
     Network,
@@ -49,6 +49,7 @@ from alqecg.quantizer import (
     total_coords,
     uniform_baseline,
 )
+from conftest import noise_dataset
 from alqecg.bitpack import serialize_bytes
 
 
@@ -651,8 +652,7 @@ class TestBatchedMatchesPerGroupReference:
         qlayers = uniform_baseline(network, 3, group_size).layers
         qlayers = prune_coordinates(
             qlayers, score_coordinates(qlayers, None, None, "magnitude")[0], rate=0.4)
-        calib = Dataset([_Rec(rng.normal(size=8), int(rng.integers(0, 3)))
-                         for _ in range(12)], class_count=3)
+        calib = noise_dataset(rng, 12, 8, 3)
         deq = dequantized_network(network.spec, qlayers)
         _, grads = _net.loss_gradients(deq, calib.records, calib.labels())
         scores, _ = score_coordinates(qlayers, network, calib, "loss_aware", 0.7)
@@ -709,8 +709,7 @@ def refine_case(group_size, scorer, seed=0):
     network = init_params(spec, seed)
     i_max = {"default": 3, "Conv1D_1": 4, "Softmax": 2}
     rng = np.random.default_rng(seed + 1)
-    calib = Dataset([_Rec(rng.normal(size=24), int(rng.integers(0, 5)))
-                     for _ in range(16)], class_count=5)
+    calib = noise_dataset(rng, 16, 24, 5)
     layers = init_layers(network, group_size, i_max)
     scores, _ = score_coordinates(layers, network, calib, scorer)
     layers = prune_coordinates(layers, scores, rate=0.3)
@@ -806,19 +805,8 @@ def toy_quant_net(eps=1e-3):
 
 
 def toy_calib() -> Dataset:
-    recs = [
-        _Rec([1.0, 1.0], 0), _Rec([-1.0, 1.0], 1), _Rec([1.0, -1.0], 2),
-        _Rec([1.2, 0.8], 0), _Rec([-0.8, 1.2], 1), _Rec([0.8, -1.2], 2),
-    ]
-    return Dataset(recs, class_count=3)
-
-
-class _Rec:
-    """Short-signal stand-in for EcgRecord in toy-network tests."""
-
-    def __init__(self, samples, label):
-        self.samples = np.asarray(samples, dtype=np.float64)
-        self.label = label
+    samples = [[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [1.2, 0.8], [-0.8, 1.2], [0.8, -1.2]]
+    return Dataset(samples, [0, 1, 2, 0, 1, 2], class_count=3)
 
 
 class TestScoring:
@@ -976,7 +964,7 @@ class TestPrune:
 
 
 class TestPipeline:
-    @pytest.mark.parametrize("calib", [None, Dataset([], class_count=3)])
+    @pytest.mark.parametrize("calib", [None, Dataset(np.zeros((0, 2)), [], class_count=3)])
     def test_loss_aware_pruning_without_calib_rejected_before_init(self, monkeypatch, calib):
         network, _ = toy_quant_net()
         calls = []

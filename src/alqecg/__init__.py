@@ -24,7 +24,6 @@ from .net import (
     param_counts,
     save_checkpoint,
     train,
-    unflatten_params,
 )
 from .quantizer import (
     AlqConfig,

@@ -77,7 +77,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
 
     p = sub.add_parser("quantize", help="quantize a trained checkpoint")
     p.add_argument("--model", required=True)
@@ -180,7 +179,7 @@ def _cmd_train(args) -> int:
     try:  # a bad setting is a validation failure, not a training one
         config = TrainConfig(
             epochs=args.epochs, batch_size=args.batch_size,
-            learning_rate=args.lr, seed=args.seed, optimizer=args.optimizer,
+            learning_rate=args.lr, seed=args.seed,
         )
     except TrainingError as exc:
         raise ConfigError(str(exc)) from None
@@ -191,7 +190,7 @@ def _cmd_train(args) -> int:
     _write_manifest(
         Path(args.out), "train",
         {"epochs": config.epochs, "batch_size": config.batch_size,
-         "learning_rate": config.learning_rate, "optimizer": config.optimizer,
+         "learning_rate": config.learning_rate,
          "data": str(args.data), "format": args.format,
          "epoch_losses": result.epoch_losses},
         [args.data], [args.out], seed=config.seed,

@@ -11,7 +11,9 @@ networks can run on short signals. Two on-disk layouts are supported:
 
 Every check reports the first faulty record, and within a record a sample
 fault (count, parse, non-finite) before a label fault. Raw-f32 rejections
-also give the fault's byte offset.
+also give the fault's byte offset. The raw-f32 writer makes the loader's
+check on the f32 values it would write, so it refuses a sample beyond the
+f32 range rather than write a file that does not load.
 """
 
 from __future__ import annotations
@@ -87,11 +89,10 @@ class Dataset:
 
 @dataclass
 class SplitSpec:
-    """Train/test split parameters."""
+    """Stratified train/test split parameters."""
 
     train_fraction: float = 0.8
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
@@ -123,7 +124,14 @@ def save_dataset(path, dataset: Dataset, format: str = "csv") -> None:
                 fh.write(",".join(map(repr, row.tolist())) + f",{label}\n")
     elif format == "raw-f32":
         raw = np.empty(len(dataset), RAW_RECORD)
-        raw["samples"], raw["label"] = dataset.records, dataset.labels()
+        with np.errstate(over="ignore"):  # a sample cast to inf is rejected below
+            raw["samples"], raw["label"] = dataset.records, dataset.labels()
+        # the loader's own check, so no file is written that it rejects
+        fault = _first_fault(raw["samples"], dataset.labels(), CLASS_COUNT)
+        if fault is not None:
+            record, sample = fault
+            raise DataFormatError(f"record {record}: " + (
+                "label out of range" if sample is None else "sample beyond the float32 range"))
         path.write_bytes(RAW_MAGIC + struct.pack("<I", len(dataset)) + raw.tobytes())
     else:
         raise DataFormatError(f"unknown dataset format {format!r}")
@@ -206,12 +214,13 @@ def _train_quota(fraction: float, n: int) -> int:
 
 
 def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Partition records into disjoint train/test sets, each in record order.
+    """Partition records into disjoint, stratified train/test sets, each in
+    record order.
 
-    The train side holds round(train_fraction * n) records. Stratified mode
-    keeps per-class proportions within one record of the global fraction;
-    classes with fewer than two records go entirely to train (with a warning).
-    Identical seeds produce identical splits.
+    The train side holds round(train_fraction * n) records, and each class
+    keeps its share within one record of the global fraction; classes with
+    fewer than two records go entirely to train (with a warning). Identical
+    seeds produce identical splits.
     """
     n = len(dataset)
     if n == 0:
@@ -221,31 +230,28 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     labels = dataset.labels()
     train = np.zeros(n, dtype=bool)
 
-    if not spec.stratified:
-        train[rng.permutation(n)[:n_train]] = True
-    else:
-        classes, sizes = np.unique(labels, return_counts=True)
-        forced = classes[sizes < 2]
-        if forced.size:
-            log.warning("classes with <2 records kept entirely in train: %s", forced.tolist())
-            train[np.isin(labels, forced)] = True
-        rest, sizes = classes[sizes >= 2], sizes[sizes >= 2]
-        quotas = np.floor(spec.train_fraction * sizes).astype(np.int64)
-        short = max(0, n_train - int(train.sum())) - int(quotas.sum())
-        # one more record for the classes with the largest fractional quota
-        # left over, the lower class first on ties
-        by_remainder = np.lexsort((rest, -(spec.train_fraction * sizes - quotas)))
-        quotas[by_remainder[: max(short, 0)]] += 1
-        for c, quota in zip(rest, quotas):
-            idx = np.flatnonzero(labels == c)
-            train[idx[rng.permutation(len(idx))[:quota]]] = True
+    classes, sizes = np.unique(labels, return_counts=True)
+    forced = classes[sizes < 2]
+    if forced.size:
+        log.warning("classes with <2 records kept entirely in train: %s", forced.tolist())
+        train[np.isin(labels, forced)] = True
+    rest, sizes = classes[sizes >= 2], sizes[sizes >= 2]
+    quotas = np.floor(spec.train_fraction * sizes).astype(np.int64)
+    short = max(0, n_train - int(train.sum())) - int(quotas.sum())
+    # one more record for the classes with the largest fractional quota
+    # left over, the lower class first on ties
+    by_remainder = np.lexsort((rest, -(spec.train_fraction * sizes - quotas)))
+    quotas[by_remainder[: max(short, 0)]] += 1
+    for c, quota in zip(rest, quotas):
+        idx = np.flatnonzero(labels == c)
+        train[idx[rng.permutation(len(idx))[:quota]]] = True
 
     records = dataset.records
     return (Dataset(records[train], labels[train], dataset.class_count),
             Dataset(records[~train], labels[~train], dataset.class_count))
 
 
-def class_template(label: int, length: int = RECORD_SAMPLES) -> np.ndarray:
+def class_template(label: int) -> np.ndarray:
     """Deterministic per-class waveform: sinusoid mixture plus a pulse train.
 
     Each class gets a distinct fundamental frequency, phase, pulse period and
@@ -253,14 +259,14 @@ def class_template(label: int, length: int = RECORD_SAMPLES) -> np.ndarray:
     """
     if not 0 <= label < CLASS_COUNT:
         raise DataFormatError(f"label {label} out of range")
-    t = np.arange(length) / SAMPLE_RATE_HZ
+    t = np.arange(RECORD_SAMPLES) / SAMPLE_RATE_HZ
     freq = 0.8 + 0.45 * label
     phase = 2.0 * np.pi * ((0.37 * label) % 1.0)
     wave = np.sin(2.0 * np.pi * freq * t + phase)
     wave += 0.5 * np.sin(2.0 * np.pi * (2.3 * freq) * t)
     period = 90 + 23 * label
     width = 12 + 3 * (label % 5)
-    pulse = (np.arange(length) % period) < width
+    pulse = (np.arange(RECORD_SAMPLES) % period) < width
     return wave + (1.5 + 0.1 * label) * pulse
 
 

@@ -10,9 +10,9 @@ layer with its output (channels, length) and, for a parameterized layer,
 its report name, weight shape and parameter count. Validation, parameter
 init, the checkpoint and ``ALQQ`` loaders, the weight rebuild and the
 memory reports all read it, once per call. ``_forward_batch`` and
-``_backward_batch`` are the dynamic walks, and ``_blocked_logits`` runs
-the forward over fixed blocks of ``BLOCK`` records for both fp inference
-and the quantized executor.
+``_backward_batch`` are the dynamic walks, and ``logits_batch`` runs the
+forward over fixed blocks of ``BLOCK`` records for both fp inference and
+the quantized executor, which hands it its thread pool's ``map``.
 
 Full-precision checkpoints use the ``ALQF`` container: the header that
 ``pack_header`` writes and ``read_header`` checks for both containers
@@ -219,11 +219,6 @@ def parameterized_layers(spec: NetworkSpec) -> list[tuple[int, str]]:
     return [(row.index, row.name) for row in layer_table(spec) if row.name]
 
 
-def param_shapes(spec: NetworkSpec) -> dict[int, tuple[tuple, tuple]]:
-    """Per parameterized layer: (weight shape, bias shape)."""
-    return {row.index: (row.weights, row.weights[:1]) for row in layer_table(spec) if row.name}
-
-
 def param_counts(spec: NetworkSpec) -> tuple[list[tuple[str, int]], int]:
     """Per-layer parameter counts (weights + biases) and their total."""
     rows = [(row.name, row.count) for row in layer_table(spec) if row.name]
@@ -257,16 +252,6 @@ def flatten_params(network: Network, layer_index: int) -> np.ndarray:
         raise ShapeError(f"layer {layer_index} has no parameters")
     w, b = pair
     return np.concatenate([w.ravel(), b]).astype(np.float64)
-
-
-def unflatten_params(
-    spec: NetworkSpec, layer_index: int, flat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of flatten_params for the given layer."""
-    table = layer_table(spec)
-    if not 0 <= layer_index < len(table):
-        raise ShapeError(f"layer {layer_index} has no parameters")
-    return table[layer_index].unflatten(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +478,11 @@ def predict_batch(network: Network, records) -> np.ndarray:
     return np.exp(_log_softmax(logits_batch(network, records)))
 
 
-def logits_batch(network: Network, records) -> np.ndarray:
-    """Pre-softmax outputs, run in blocks of ``BLOCK`` records; ``records``
-    is what ``_as_batch`` takes. Every product is per record, so the bytes
-    do not depend on the batch or block size."""
-    return _blocked_logits(network, records)
-
-
-def _blocked_logits(network: Network, records, mapper=map) -> np.ndarray:
-    """``logits_batch``, its blocks handed to ``mapper`` (see ``run_blocks``)."""
+def logits_batch(network: Network, records, mapper=map) -> np.ndarray:
+    """Pre-softmax outputs, run in blocks of ``BLOCK`` records handed to
+    ``mapper`` (see ``run_blocks``); ``records`` is what ``_as_batch``
+    takes. Every product is per record, so the bytes do not depend on the
+    batch or block size."""
     spec, affine = network.spec, _fp_affine(network)
     return np.concatenate(run_blocks(
         len(records), lambda rows: _forward_batch(spec, _as_batch(spec, records[rows]), affine),
@@ -565,7 +546,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     seed: int = 0
-    optimizer: str = "adam"
 
     def __post_init__(self):
         require_ints(TrainingError, epochs=self.epochs, batch_size=self.batch_size,
@@ -576,8 +556,6 @@ class TrainConfig:
             raise TrainingError("seed must be >= 0")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise TrainingError("learning_rate must be finite and >= 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise TrainingError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -587,7 +565,8 @@ class TrainResult:
 
 
 def train(network: Network, train_set, config: TrainConfig) -> TrainResult:
-    """Mini-batch cross-entropy training; pure function of (network, data, seed)."""
+    """Mini-batch cross-entropy training with Adam; pure function of
+    (network, data, seed)."""
     records, labels = train_set.records, train_set.labels()
     if not len(records):
         raise TrainingError("empty training set")
@@ -621,12 +600,9 @@ def train(network: Network, train_set, config: TrainConfig) -> TrainResult:
             corr1, corr2 = 1 - beta1 ** step, 1 - beta2 ** step
             grad_arrays = (g for gp in grads if gp is not None for g in gp)
             for a, g, m, v in zip(arrays, grad_arrays, adam_m, adam_v):
-                if config.optimizer == "sgd":
-                    a -= config.learning_rate * g
-                else:
-                    m *= beta1; m += (1 - beta1) * g
-                    v *= beta2; v += (1 - beta2) * g ** 2
-                    a -= config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + eps)
+                m *= beta1; m += (1 - beta1) * g
+                v *= beta2; v += (1 - beta2) * g ** 2
+                a -= config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + eps)
         epoch_loss = total / n
         if not np.isfinite(epoch_loss):
             raise TrainingError(f"training diverged at epoch {epoch}")

@@ -11,8 +11,8 @@ rebuilt parameters live for that call only; nothing derived from a model
 outlives it.
 
 The executor itself only rebuilds the weights and picks the block mapper:
-it hands the rebuilt network to ``net._blocked_logits``, the function
-``net.logits_batch`` runs, so records run in the same fixed blocks of
+it hands the rebuilt network and its thread pool's ``map`` to
+``net.logits_batch``, so records run in the same fixed blocks of
 ``net.BLOCK`` as the fp passes. Each record's arithmetic is a product whose
 shapes do not depend on its batch, so logits are bitwise identical at every
 batch and block size, and equal to the fp logits of the rebuilt network.
@@ -53,10 +53,10 @@ class QuantExecutor:
             network = dequantize(self.model)
         workers = min(worker_count(), -(-len(records) // _net.BLOCK))
         if workers <= 1:
-            return _net._blocked_logits(network, records)
+            return _net.logits_batch(network, records)
         # numpy releases the GIL in the matmuls, so the blocks overlap
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return _net._blocked_logits(network, records, pool.map)
+            return _net.logits_batch(network, records, pool.map)
 
     def probs(self, records) -> np.ndarray:
         return np.exp(_net._log_softmax(self.logits(records)))

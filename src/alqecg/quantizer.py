@@ -356,25 +356,22 @@ def _nearest_levels(w: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return table[np.take_along_axis(rank, best, axis=1)]
 
 
-def optimize_bases(flat: np.ndarray, ql: QuantLayer) -> QuantLayer:
-    """Exact per-position sign assignment for fixed coordinates.
-
-    ``flat`` is a layer's flattened values and ``ql`` its QuantLayer, or
-    (groups, size) weight rows with their GroupSet (as for optimize_coords).
+def optimize_bases(w: np.ndarray, groups: GroupSet) -> GroupSet:
+    """Exact per-position sign assignment for fixed coordinates, on
+    (groups, size) weight rows ``w`` and their GroupSet.
 
     Every weight picks the reachable level (one of the 2^bitwidth signed sums
     of its group's coordinates) nearest to it; ties go to the
     smaller-magnitude level, then to the positive one. Never increases the
     reconstruction error.
     """
-    w = flat if np.ndim(flat) == 2 else partition_groups(flat, ql.group_size)
-    signs = ql.signs.copy()
-    for idx, m, b in _batches(ql.sizes, ql.bits):
+    signs = groups.signs.copy()
+    for idx, m, b in _batches(groups.sizes, groups.bits):
         if b > ENUM_BITWIDTH_LIMIT:
             raise ConfigError(f"bitwidth {b} exceeds enumeration limit {ENUM_BITWIDTH_LIMIT}")
         if b:
-            signs[idx, :m, :b] = _nearest_levels(w[idx, :m], ql.coords[idx, :b])
-    return replace(ql, signs=signs)
+            signs[idx, :m, :b] = _nearest_levels(w[idx, :m], groups.coords[idx, :b])
+    return replace(groups, signs=signs)
 
 
 def _recon_error(w: np.ndarray, signs: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -383,8 +380,9 @@ def _recon_error(w: np.ndarray, signs: np.ndarray, coords: np.ndarray) -> np.nda
     return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
 
 
-def optimize_coords(flat: np.ndarray, ql: QuantLayer) -> QuantLayer:
-    """Least-squares coordinates for fixed sign bases, then re-canonicalize.
+def optimize_coords(w: np.ndarray, groups: GroupSet) -> GroupSet:
+    """Least-squares coordinates for fixed sign bases, then re-canonicalize,
+    on (groups, size) weight rows ``w`` and their GroupSet.
 
     Solves the normal equations, falling back to the pseudo-inverse
     (minimum-norm solution) for groups whose Gram matrix is ill conditioned.
@@ -394,12 +392,11 @@ def optimize_coords(flat: np.ndarray, ql: QuantLayer) -> QuantLayer:
     error floating-point canonicalization would bump keeps its previous
     decomposition, so the error never increases.
     """
-    w = flat if np.ndim(flat) == 2 else partition_groups(flat, ql.group_size)
-    signs, coords, bits = ql.signs.copy(), ql.coords.copy(), ql.bits.copy()
-    for idx, m, b in _batches(ql.sizes, ql.bits):
+    signs, coords, bits = groups.signs.copy(), groups.coords.copy(), groups.bits.copy()
+    for idx, m, b in _batches(groups.sizes, groups.bits):
         if b == 0:
             continue
-        wb, old_signs, old_coords = w[idx, :m], ql.signs[idx, :m, :b], ql.coords[idx, :b]
+        wb, old_signs, old_coords = w[idx, :m], groups.signs[idx, :m, :b], groups.coords[idx, :b]
         basis = old_signs.astype(np.float64)
         basis_t = basis.transpose(0, 2, 1)
         gram = basis_t @ basis
@@ -418,7 +415,7 @@ def optimize_coords(flat: np.ndarray, ql: QuantLayer) -> QuantLayer:
         signs[idx, :m, :b] = np.where(worse[:, None, None], old_signs, cand_signs)
         coords[idx, :b] = np.where(worse[:, None], old_coords, cand_coords)
         bits[idx] = np.where(worse, b, cand_bits)
-    return replace(ql, signs=signs, coords=coords, bits=bits)
+    return replace(groups, signs=signs, coords=coords, bits=bits)
 
 
 def model_avg_bitwidth(layers: list[QuantLayer]) -> float:

@@ -128,10 +128,10 @@ class BitPlaneExecutor:
 
     def __init__(self, model: QuantModel):
         self.model = model
-        shapes = _net.param_shapes(model.spec)
+        table = _net.layer_table(model.spec)
         self.plans = {}
         for ql in model.layers:
-            w_shape, _ = shapes[ql.layer_index]
+            w_shape = table[ql.layer_index].weights
             self.plans[ql.layer_index] = layer_plan(ql, w_shape[0], int(np.prod(w_shape[1:])))
 
     def _affine(self, i: int, h: np.ndarray) -> np.ndarray:

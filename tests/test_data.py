@@ -1,3 +1,4 @@
+import os
 import struct
 import tempfile
 import warnings
@@ -107,6 +108,24 @@ class TestRoundTrip:
             save_dataset(path, Dataset(np.zeros((2, 8)), [0, 1]), fmt)
         assert not path.exists()
 
+    def test_raw_writer_refuses_what_its_loader_rejects(self, tmp_path):
+        # samples beyond the f32 range: the cast turns them into infinities
+        samples = np.zeros((3, RECORD_SAMPLES))
+        samples[0, 0] = np.finfo(np.float32).max
+        samples[1, 7], samples[2, 0] = -1e39, 1e39
+        path = tmp_path / "d.raw"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError,
+                               match="record 1: sample beyond the float32 range"):
+                save_dataset(path, Dataset(samples, [0, 1, 2]), "raw-f32")
+            # a label the file format's 17 classes do not hold
+            with pytest.raises(DataFormatError, match="record 0: label out of range"):
+                save_dataset(path, Dataset(samples[:1], [17], class_count=18), "raw-f32")
+        assert not path.exists()
+        save_dataset(path, Dataset(samples[:1], [0]), "raw-f32")
+        assert load_dataset(path, "raw-f32").records[0, 0] == samples[0, 0]
+
     def test_raw_bad_magic(self, tmp_path):
         path = tmp_path / "d.raw"
         path.write_bytes(b"JUNKxxxx")
@@ -138,14 +157,19 @@ def raw_bytes(dataset: Dataset) -> bytes:
         return path.read_bytes()
 
 
+def load_raw_file(path) -> Dataset:
+    """``load_dataset`` of a raw-f32 file, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return load_dataset(path, format="raw-f32")
+
+
 def load_raw_bytes(data: bytes) -> Dataset:
-    """``load_dataset`` of raw-f32 ``data``, with every warning an error."""
+    """``load_raw_file`` of a file holding ``data``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.raw"
         path.write_bytes(data)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return load_dataset(path, format="raw-f32")
+        return load_raw_file(path)
 
 
 RAW_RECORD_BYTES = RECORD_SAMPLES * 4 + 1
@@ -213,12 +237,13 @@ def fuzz_records(n: int) -> Dataset:
 FUZZ_RAW = [raw_bytes(fuzz_records(n)) for n in (0, 1, 2)]
 
 
-def assert_raw_rejected_or_round_trips(data: bytes) -> None:
+def assert_raw_rejected_or_round_trips(data: bytes, path=None) -> None:
     """Loading ``data`` raises ``DataFormatError`` with an offset inside it,
     raises ``EmptyDatasetError`` for a zero count and no payload, or gives a
-    dataset that ``save_dataset`` writes back as ``data``."""
+    dataset that ``save_dataset`` writes back as ``data``. With ``path``,
+    the file there holds ``data`` already and is loaded as it is."""
     try:
-        dataset = load_raw_bytes(data)
+        dataset = load_raw_bytes(data) if path is None else load_raw_file(path)
     except DataFormatError as err:
         assert err.offset is not None and 0 <= err.offset <= len(data)
     except EmptyDatasetError:
@@ -246,6 +271,38 @@ class TestRawLoaderFuzz:
            i=st.floats(0, 1), j=st.floats(0, 1))
     def test_splice(self, head, tail, i, j):
         assert_raw_rejected_or_round_trips(head[: int(i * len(head))] + tail[int(j * len(tail)) :])
+
+
+class TestRawLoaderExhaustive:
+    """Every truncation of the one-record fuzz file, and every single-bit
+    flip of its header, its label and its first ``SAMPLES`` samples (the
+    signed zeros, subnormals and f32 extremes, then noise). The file is
+    changed in place, so each case costs one load."""
+
+    BLOB = FUZZ_RAW[1]
+    SAMPLES = 16
+
+    def test_every_truncation(self, tmp_path):
+        path = tmp_path / "d.raw"
+        path.write_bytes(self.BLOB)
+        with open(path, "r+b") as fh:
+            for cut in range(len(self.BLOB) - 1, -1, -1):
+                fh.truncate(cut)
+                assert_raw_rejected_or_round_trips(self.BLOB[:cut], path)
+
+    def test_every_header_label_and_sample_bit_flip(self, tmp_path):
+        path = tmp_path / "d.raw"
+        path.write_bytes(self.BLOB)
+        data = bytearray(self.BLOB)
+        positions = [*range(8 + 4 * self.SAMPLES), len(data) - 1]
+        with open(path, "r+b") as fh:
+            for at in positions:
+                for bit in range(8):
+                    data[at] ^= 1 << bit
+                    os.pwrite(fh.fileno(), data[at : at + 1], at)
+                    assert_raw_rejected_or_round_trips(bytes(data), path)
+                    data[at] ^= 1 << bit
+                os.pwrite(fh.fileno(), data[at : at + 1], at)
 
 
 def faulty_file(path, fmt, bad_label=(), bad_sample=(), short=None) -> None:
@@ -381,8 +438,6 @@ def reference_split(labels, spec: SplitSpec) -> set[int]:
     n = len(labels)
     rng = np.random.default_rng(spec.seed)
     n_train = int(np.floor(spec.train_fraction * n + 0.5))
-    if not spec.stratified:
-        return set(rng.permutation(n)[:n_train].tolist())
     by_class: dict[int, list[int]] = {}
     for i, label in enumerate(labels):
         by_class.setdefault(label, []).append(i)
@@ -407,27 +462,26 @@ def reference_split(labels, spec: SplitSpec) -> set[int]:
 class TestSplit:
     @settings(max_examples=60, deadline=None)
     @given(labels=st.lists(st.integers(0, 5), min_size=1, max_size=40),
-           seed=st.integers(0, 1000), frac=st.floats(0.05, 0.95), stratified=st.booleans())
-    def test_matches_the_per_record_reference(self, labels, seed, frac, stratified):
-        spec = SplitSpec(frac, seed=seed, stratified=stratified)
+           seed=st.integers(0, 1000), frac=st.floats(0.05, 0.95))
+    def test_matches_the_per_record_reference(self, labels, seed, frac):
+        spec = SplitSpec(frac, seed=seed)
         ds = constant_records(range(len(labels)), labels)
         train, _ = split(ds, spec)
         assert train.records[:, 0].tolist() == sorted(reference_split(labels, spec))
 
     def test_counts_and_disjoint(self):
-        ds = synth_generate(1, seed=0)  # 17 records
-        ds = Dataset(ds.records[:10], ds.labels()[:10])
-        train, test = split(ds, SplitSpec(0.8, seed=0, stratified=False))
+        ds = constant_records(range(10), [0, 1] * 5)
+        train, test = split(ds, SplitSpec(0.8, seed=0))
         assert len(train) == 8 and len(test) == 2
+        assert not set(train.records[:, 0]) & set(test.records[:, 0])
 
     def test_same_seed_same_split(self):
         ds = synth_generate(3, seed=1, noise_sigma=0.2)
-        for stratified in (False, True):
-            spec = SplitSpec(0.7, seed=42, stratified=stratified)
-            a_train, a_test = split(ds, spec)
-            b_train, b_test = split(ds, spec)
-            assert np.array_equal(a_train.records, b_train.records)
-            assert np.array_equal(a_test.records, b_test.records)
+        spec = SplitSpec(0.7, seed=42)
+        a_train, a_test = split(ds, spec)
+        b_train, b_test = split(ds, spec)
+        assert np.array_equal(a_train.records, b_train.records)
+        assert np.array_equal(a_test.records, b_test.records)
 
     def test_stratified_two_class_rounding(self):
         ds = constant_records(list(range(20)) * 2, [0] * 20 + [1] * 20)
@@ -455,11 +509,10 @@ class TestSplit:
         n=st.integers(2, 40),
         seed=st.integers(0, 1000),
         frac=st.floats(0.1, 0.9),
-        stratified=st.booleans(),
     )
-    def test_partition_property(self, n, seed, frac, stratified):
+    def test_partition_property(self, n, seed, frac):
         ds = constant_records(range(n), [i % 4 for i in range(n)])
-        train, test = split(ds, SplitSpec(frac, seed=seed, stratified=stratified))
+        train, test = split(ds, SplitSpec(frac, seed=seed))
         train_vals, test_vals = train.records[:, 0].tolist(), test.records[:, 0].tolist()
         assert sorted(train_vals + test_vals) == [float(i) for i in range(n)]
         # each side keeps the records' order and their labels

@@ -268,7 +268,7 @@ class TestQforward:
 
 def layer_geometry(model, ql) -> tuple[int, int]:
     """(outputs, fan) of a quantized layer's weight matrix."""
-    w_shape, _ = _net.param_shapes(model.spec)[ql.layer_index]
+    w_shape = _net.layer_table(model.spec)[ql.layer_index].weights
     return w_shape[0], int(np.prod(w_shape[1:]))
 
 

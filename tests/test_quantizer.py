@@ -113,14 +113,21 @@ def init_one(w, i_max):
     return groups_of(init_decompose(w, w.size, i_max))[0]
 
 
+def refine_step(step, flat, ql: QuantLayer) -> QuantLayer:
+    """``step`` (optimize_bases or optimize_coords) on one layer's groups."""
+    got = step(partition_groups(flat, ql.group_size),
+               GroupSet(ql.signs, ql.coords, ql.bits, ql.sizes))
+    return replace(ql, signs=got.signs, coords=got.coords, bits=got.bits)
+
+
 def bases_one(w, bases, coords):
-    return groups_of(optimize_bases(np.asarray(w, dtype=np.float64),
-                                    layer_of([(bases, coords)])))[0]
+    return groups_of(refine_step(optimize_bases, np.asarray(w, dtype=np.float64),
+                                 layer_of([(bases, coords)])))[0]
 
 
 def coords_one(w, bases, coords):
-    return groups_of(optimize_coords(np.asarray(w, dtype=np.float64),
-                                     layer_of([(bases, coords)])))[0]
+    return groups_of(refine_step(optimize_coords, np.asarray(w, dtype=np.float64),
+                                 layer_of([(bases, coords)])))[0]
 
 
 def recon_error(w, bases, coords) -> float:
@@ -434,7 +441,7 @@ class TestOptimizeBases:
     def test_rejects_wide_groups(self):
         wide = layer_of([(np.ones((4, 17)), np.linspace(17, 1, 17))])
         with pytest.raises(ConfigError, match="enumeration"):
-            optimize_bases(np.zeros(4), wide)
+            refine_step(optimize_bases, np.zeros(4), wide)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(7)
@@ -624,19 +631,27 @@ class TestBatchedMatchesPerGroupReference:
                 want = [ref(rows[g, : q[0].shape[0]], *q, *([paths] if ref is
                                                            ref_optimize_coords else []))
                         for g, q in enumerate(groups_of(ql))]
-                ql = step(flat, ql)
+                ql = refine_step(step, flat, ql)
                 assert_groups_equal(groups_of(ql), want)
         assert paths["pinv"] > 0 and paths["guard"] > 0
 
     def test_group_rows_form(self):
-        # (weight rows, GroupSet) gives the groups the (flat, QuantLayer) form gives
+        # rows and a GroupSet padded past the group size and the bitwidth, as
+        # refine_layers pads every layer to the network's largest, give the
+        # groups that the layer's own rows give
         rng = np.random.default_rng(36)
         for _ in range(40):
             flat, ql = random_layer(rng)
-            rows = partition_groups(flat, ql.group_size)
+            pad = int(rng.integers(1, 4))
+            count, n, width = ql.signs.shape
+            rows = np.zeros((count, n + pad))
+            rows[:, :n] = partition_groups(flat, n)
+            got = GroupSet(np.zeros((count, n + pad, width + pad), np.int8),
+                           np.zeros((count, width + pad)), ql.bits, ql.sizes)
+            got.signs[:, :n, :width], got.coords[:, :width] = ql.signs, ql.coords
             for step in (optimize_bases, optimize_coords):
-                got = step(rows, GroupSet(ql.signs, ql.coords, ql.bits, ql.sizes))
-                ql = step(flat, ql)
+                got = step(rows, got)
+                ql = refine_step(step, flat, ql)
                 assert isinstance(got, GroupSet)
                 assert_groups_equal(
                     [(got.signs[g, :m, :b], got.coords[g, :b])
@@ -693,7 +708,7 @@ def ref_refine_layers(network, qlayers, iters):
     for ql in qlayers:
         flat = _net.flatten_params(network, ql.layer_index)
         for _ in range(iters):
-            ql = optimize_coords(flat, optimize_bases(flat, ql))
+            ql = refine_step(optimize_coords, flat, refine_step(optimize_bases, flat, ql))
         out.append(ql)
     return out
 

@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 argument/config/input validation failure, 2
 runtime or numeric failure. Every run writes a manifest (resolved settings,
 seed, config digest, package versions, input hashes) next to its outputs so
 the run can be reproduced exactly. ALQ_THREADS caps the threads that run
-the quantized executor's record blocks (0 or unset = one per CPU); no output
-depends on it. Full-precision passes use BLAS's own threads.
+the record blocks of inference, fp or quantized (0 or unset = one per CPU);
+no output depends on it. Gradient passes run their blocks in order on the
+calling thread, and every pass uses BLAS's own threads.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ networks can run on short signals. Two on-disk layouts are supported:
 
 Every check reports the first faulty record, and within a record a sample
 fault (count, parse, non-finite) before a label fault. Raw-f32 rejections
-also give the fault's byte offset. The raw-f32 writer makes the loader's
-check on the f32 values it would write, so it refuses a sample beyond the
-f32 range rather than write a file that does not load.
+also give the fault's byte offset. Each writer makes its loader's check, on
+the raw-f32 writer's f32 values too, so it refuses a label the formats do
+not hold or a sample beyond the f32 range rather than write a file that
+does not load.
 """
 
 from __future__ import annotations
@@ -119,6 +120,9 @@ def save_dataset(path, dataset: Dataset, format: str = "csv") -> None:
         raise DataFormatError(f"records of {dataset.records.shape[1]} samples, "
                               f"the file formats hold {RECORD_SAMPLES}")
     if format == "csv":
+        bad = dataset.labels() >= CLASS_COUNT  # the loader's label check
+        if bad.any():
+            raise DataFormatError(f"record {int(bad.argmax())}: label out of range")
         with open(path, "w") as fh:
             for row, label in zip(dataset.records, dataset.labels().tolist()):
                 fh.write(",".join(map(repr, row.tolist())) + f",{label}\n")

@@ -10,9 +10,9 @@ layer with its output (channels, length) and, for a parameterized layer,
 its report name, weight shape and parameter count. Validation, parameter
 init, the checkpoint and ``ALQQ`` loaders, the weight rebuild and the
 memory reports all read it, once per call. ``_forward_batch`` and
-``_backward_batch`` are the dynamic walks, and ``logits_batch`` runs the
-forward over fixed blocks of ``BLOCK`` records for both fp inference and
-the quantized executor, which hands it its thread pool's ``map``.
+``_backward_batch`` are the dynamic walks. ``logits_batch``, the inference
+pass of fp networks and of the quantized executor, runs the forward over
+``run_blocks``'s pool; the gradient pass runs the same blocks in order.
 
 Full-precision checkpoints use the ``ALQF`` container: the header that
 ``pack_header`` writes and ``read_header`` checks for both containers
@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import struct
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContainerFormatError, NumericError, ShapeError, TrainingError
-from .util import require_ints
+from .util import require_ints, worker_count
 
 CONV = "conv1d"
 POOL = "maxpool1d"
@@ -465,12 +466,21 @@ def _as_batch(spec: NetworkSpec, records) -> np.ndarray:
     return x.reshape(len(x), spec.input_channels, spec.input_length)
 
 
-def run_blocks(count: int, fn, mapper=map) -> list:
-    """``fn(rows)`` for each slice ``rows`` of at most ``BLOCK`` of ``count``
-    records, in order; ``mapper`` may be a thread pool's ``map``. Each ``fn``
-    takes its own block's rows, so a pass holds one block's activations at
-    a time. No records make one empty block, so the outputs have no rows."""
-    return list(mapper(fn, [slice(i, i + BLOCK) for i in range(0, max(count, 1), BLOCK)]))
+def _blocks(count: int) -> list[slice]:
+    """``count`` records in order, ``BLOCK`` at a time; no records, one empty block."""
+    return [slice(i, i + BLOCK) for i in range(0, max(count, 1), BLOCK)]
+
+
+def run_blocks(count: int, fn) -> list:
+    """``fn(rows)`` for each of ``_blocks(count)``, in order, on
+    ``min(worker_count(), blocks)`` threads (serially at one): numpy releases
+    the GIL in the matmuls. A worker holds one block's activations at a time."""
+    blocks = _blocks(count)
+    workers = min(worker_count(), len(blocks))
+    if workers <= 1:
+        return list(map(fn, blocks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, blocks))
 
 
 def predict_batch(network: Network, records) -> np.ndarray:
@@ -478,15 +488,13 @@ def predict_batch(network: Network, records) -> np.ndarray:
     return np.exp(_log_softmax(logits_batch(network, records)))
 
 
-def logits_batch(network: Network, records, mapper=map) -> np.ndarray:
-    """Pre-softmax outputs, run in blocks of ``BLOCK`` records handed to
-    ``mapper`` (see ``run_blocks``); ``records`` is what ``_as_batch``
-    takes. Every product is per record, so the bytes do not depend on the
-    batch or block size."""
+def logits_batch(network: Network, records) -> np.ndarray:
+    """Pre-softmax outputs, run by ``run_blocks``; ``records`` is what
+    ``_as_batch`` takes. Every product is per record, so the bytes do not
+    depend on the batch, the block size or the thread count."""
     spec, affine = network.spec, _fp_affine(network)
     return np.concatenate(run_blocks(
-        len(records), lambda rows: _forward_batch(spec, _as_batch(spec, records[rows]), affine),
-        mapper))
+        len(records), lambda rows: _forward_batch(spec, _as_batch(spec, records[rows]), affine)))
 
 
 def _cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
@@ -503,13 +511,13 @@ def batch_loss(network: Network, records, labels) -> float:
 def _gradients(network: Network, records, labels, train_rng=None, index=None):
     """Mean cross-entropy of ``records`` and the (weight, bias) gradient of
     every layer (None where it has no parameters), from one forward and
-    backward pass per block of ``BLOCK`` records. With ``index``, the pass
-    runs on ``records[index]`` and ``labels[index]``, each block gathering
-    its own rows. Dropout is active only when ``train_rng`` is given. Each
-    block's gradient is divided by the whole record count and the blocks add
-    up in order, so above ``BLOCK`` records the bytes depend on it. The loss
-    comes from the concatenated logits, so without dropout it equals
-    ``batch_loss``'s bitwise."""
+    backward pass per block of ``BLOCK`` records, in order on the calling
+    thread. With ``index``, the pass runs on ``records[index]`` and
+    ``labels[index]``, each block gathering its own rows. Dropout is active
+    only when ``train_rng`` is given. Each block's gradient is divided by the
+    whole record count and the blocks add up in order, so above ``BLOCK``
+    records the bytes depend on it. The loss comes from the concatenated
+    logits, so without dropout it equals ``batch_loss``'s bitwise."""
     spec, affine = network.spec, _fp_affine(network)
     labels = np.asarray(labels)
     if index is not None:
@@ -525,7 +533,7 @@ def _gradients(network: Network, records, labels, train_rng=None, index=None):
             totals[i] = g if totals[i] is None else (totals[i][0] + g[0], totals[i][1] + g[1])
         return logits
 
-    logits = np.concatenate(run_blocks(len(labels), block))
+    logits = np.concatenate([block(rows) for rows in _blocks(len(labels))])
     return _cross_entropy(logits, labels)[0], totals
 
 

@@ -1,7 +1,7 @@
 """Small shared helpers: hashing, canonical JSON, the integer check of
-config fields, and the worker count that caps the threads running
-``QuantExecutor``'s fixed blocks (each on the weights rebuilt once per
-call)."""
+config fields, and the worker count that caps the threads running the
+fixed blocks of the inference pass (``net.run_blocks``), which fp networks
+and ``QuantExecutor`` share."""
 
 from __future__ import annotations
 

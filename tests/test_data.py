@@ -126,6 +126,13 @@ class TestRoundTrip:
         save_dataset(path, Dataset(samples[:1], [0]), "raw-f32")
         assert load_dataset(path, "raw-f32").records[0, 0] == samples[0, 0]
 
+    def test_csv_writer_refuses_a_label_its_loader_rejects(self, tmp_path):
+        # a label the file format's 17 classes do not hold, after a good one
+        path = tmp_path / "d.csv"
+        with pytest.raises(DataFormatError, match="record 1: label out of range"):
+            save_dataset(path, Dataset(np.zeros((2, RECORD_SAMPLES)), [3, 17], class_count=18))
+        assert not path.exists()
+
     def test_raw_bad_magic(self, tmp_path):
         path = tmp_path / "d.raw"
         path.write_bytes(b"JUNKxxxx")

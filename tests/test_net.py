@@ -413,7 +413,7 @@ class TestBlockedPasses:
     """fp inference, training and the calibration gradient run in blocks of
     ``net.BLOCK`` records."""
 
-    def test_working_memory_does_not_grow_with_batch(self):
+    def test_working_memory_does_not_grow_with_batch(self, monkeypatch):
         network = init_params(default_ecgnet_spec(), 0)
         rng = np.random.default_rng(6)
         records = [rng.normal(size=RECORD_SAMPLES) for _ in range(136)]
@@ -426,10 +426,16 @@ class TestBlockedPasses:
                  lambda n: train(network, Dataset(train_set.records[:n], labels[:n]),
                                  TrainConfig(epochs=1, batch_size=n, seed=0))]
         _net.loss_gradients(network, records[:1], labels[:1])  # lazy numpy state
-        for call in calls:
-            # the whole 136-record batch put predict_batch at 54.9 MB
-            growth = traced_peak(lambda: call(136)) - traced_peak(lambda: call(_net.BLOCK))
-            assert growth < 1e6
+        # inference holds at most one block in flight per worker: bounded by
+        # the workers, not by the batch. Two blocks on two workers need not
+        # overlap at their peaks, so the bound is one block's peak per worker
+        for workers in (1, 2):
+            monkeypatch.setenv("ALQ_THREADS", str(workers))
+            for call in calls:
+                # the whole 136-record batch put predict_batch at 54.9 MB
+                growth = (traced_peak(lambda: call(136))
+                          - workers * traced_peak(lambda: call(_net.BLOCK)))
+                assert growth < 1e6
 
     def test_gradient_sums_blocks(self):
         # two full blocks and a short one

@@ -1,15 +1,17 @@
 import os
+import threading
 import traceback
 import tracemalloc
 import weakref
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alqecg import net as _net, qinfer, quantizer
+from alqecg import net as _net, quantizer
 from alqecg.bitpack import memory_report
 from alqecg.data import Dataset
 from alqecg.errors import NumericError, ShapeError
@@ -182,8 +184,9 @@ class TestQforward:
         np.testing.assert_array_equal(seq, par)
 
     def test_thread_env_keeps_fp_labels_and_executor_bytes(self, monkeypatch):
-        # ALQ_THREADS only spreads the executor's fixed blocks over threads;
-        # the fp pass runs as one batch, so no output moves a bit
+        # ALQ_THREADS spreads the fixed blocks of the fp pass and of the
+        # executor over threads; a block's arithmetic is the same on any
+        # thread, so no output moves a bit
         from alqecg.metrics import predict_labels
 
         network = init_params(default_ecgnet_spec(), 21)
@@ -191,17 +194,26 @@ class TestQforward:
         records = [rng.normal(size=3600) for _ in range(136)]
         model = uniform_baseline(network, 2, 16)
         fp_batch, fp_probs = _net.predict_batch, []
+        forward, caller, on_caller = _net._forward_batch, threading.get_ident(), set()
 
         def spy(net, recs):  # the fp probabilities predict_labels reads
             fp_probs.append(fp_batch(net, recs))
             return fp_probs[-1]
 
+        def forward_spy(*args, **kwargs):  # which thread ran each fp block
+            on_caller.add(threading.get_ident() == caller)
+            return forward(*args, **kwargs)
+
         monkeypatch.setattr(_net, "predict_batch", spy)
         runs = []
-        for threads in ("1", "2"):
+        for threads, want in (("1", {True}), ("2", {False})):
             monkeypatch.setenv("ALQ_THREADS", threads)
             fp_probs.clear()
-            labels = predict_labels(network, records)
+            with monkeypatch.context() as m:
+                m.setattr(_net, "_forward_batch", forward_spy)
+                on_caller.clear()
+                labels = predict_labels(network, records)
+                assert on_caller == want  # the fp blocks ran on the pool at 2
             runs.append((labels, np.concatenate(fp_probs), predict_batch(model, records)))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1].tobytes() == runs[1][1].tobytes()
@@ -212,13 +224,17 @@ class TestQforward:
         at = [ql.layer_index for ql in model.layers].index(3)
         model.layers[at] = replace(model.layers[at],
                                    coords=np.full_like(model.layers[at].coords, 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            network = dequantize(model)  # the same overflowed weights, as an fp network
         monkeypatch.setenv("ALQ_THREADS", "2")
         records = [np.full(8, 1e10)] * (_net.BLOCK + 1)  # two blocks
-        with pytest.raises(NumericError, match=r"layer 3 \(dense\)") as info:
-            QuantExecutor(model).logits(records)
-        # the traceback runs through the pool's worker, not the caller alone
-        files = [frame.filename for frame in traceback.extract_tb(info.value.__traceback__)]
-        assert any(f.endswith(os.path.join("concurrent", "futures", "thread.py")) for f in files)
+        for run in (QuantExecutor(model).logits, partial(_net.logits_batch, network)):
+            with pytest.raises(NumericError, match=r"layer 3 \(dense\)") as info:
+                run(records)
+            # the traceback runs through the pool's worker, not the caller alone
+            files = [frame.filename for frame in traceback.extract_tb(info.value.__traceback__)]
+            assert any(f.endswith(os.path.join("concurrent", "futures", "thread.py"))
+                       for f in files)
 
     def test_thread_env_validation(self, monkeypatch):
         from alqecg.errors import ConfigError
@@ -442,7 +458,8 @@ class TestPlanCache:
 
     @pytest.fixture
     def rebuilds(self, monkeypatch):
-        """The networks ``dequantized_network`` returned, in call order."""
+        """The networks ``quantizer.dequantized_network`` returned, in call
+        order; the executor calls it through the module."""
         built = []
         real = quantizer.dequantized_network
 
@@ -450,7 +467,7 @@ class TestPlanCache:
             built.append(real(spec, layers))
             return built[-1]
 
-        monkeypatch.setattr(qinfer, "dequantized_network", spy)
+        monkeypatch.setattr(quantizer, "dequantized_network", spy)
         return built
 
     def test_each_call_rebuilds_once_and_keeps_nothing(self, rebuilds):

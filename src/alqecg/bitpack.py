@@ -1,23 +1,28 @@
 """Bit-packed container for quantized models plus memory accounting.
 
-``ALQQ`` version 2 layout, all little-endian:
+``ALQQ`` version 3 layout, all little-endian:
 
 * magic ``ALQQ``, u16 version
 * network descriptor (shared with the checkpoint format), then model meta:
   u64 creation seed and the 32-byte config digest
 * u16 group size n, at most the largest layer's parameter count
 * per parameterized layer: u32 group count, which must be ceil(count / n);
-  every group's u8 bitwidth, as one array; then per group its coordinates
-  as f32 and one packed sign column per retained bit. Columns pack
+  every group's u8 bitwidth, as one array; the coordinate block, every
+  retained coordinate as f32, group by group; then the sign block, one
+  packed column per retained coordinate in the same order. Columns pack
   LSB-first: bit b of byte j holds the sign of weight position 8j+b
   (+1 -> 1), each column padded to a whole byte with zero bits.
 
 No group size is stored: the partition fixes it (every group full except a
-short last one). Each group's record offset is then a cumulative sum over
-the bitwidth array, so a layer's records are written and read as whole
-arrays (``QuantLayer.signs``, ``coords``, ``bits``), with one
-``np.packbits`` or ``np.unpackbits`` per layer and no loop over groups.
-Version 1, which stored a u16 size before each bitwidth, is not read.
+short last one). A layer is written and read as whole arrays
+(``QuantLayer.signs``, ``coords``, ``bits``): one read per block, one
+``np.packbits`` or ``np.unpackbits`` per layer, no loop over groups and no
+per-group offsets. Each part is checked as soon as it is read, so a fault is
+reported in byte order, at its own offset: the group count, the first
+bitwidth above the limit, a cut block at the block's start, the first bad
+coordinate, then the first bad column at its first byte. Versions 1 and 2,
+which stored a u16 size before each bitwidth or interleaved each group's
+coordinates with its columns, are not read.
 
 The memory accounting mirrors the usual multi-bit storage convention:
 the headline figure counts sign bits only (params x average bitwidth),
@@ -47,7 +52,7 @@ from .quantizer import (
 )
 
 MAGIC = b"ALQQ"
-VERSION = 2
+VERSION = 3
 COORD_BITS = 32
 BASELINE_BITS = 32
 # u64 seed, 32-byte digest, u16 group size
@@ -55,22 +60,15 @@ _META_BYTES = 8 + 32 + 2
 
 
 def _layer_records(ql: QuantLayer) -> bytes:
-    """The bitwidth array, then every group's f32 coordinates and packed
-    sign columns."""
-    n_groups, _, width = ql.signs.shape
+    """The bitwidth array, the coordinate block and the sign block."""
     sizes, bits = ql.sizes, ql.bits
-    coords = np.ascontiguousarray(ql.coords, dtype="<f4").view(np.uint8)
+    retained = np.arange(ql.coords.shape[1]) < bits[:, None]
     # (G, n, W) signs -> (G, W, ceil(n/8)) column bytes, zero past each size
     plus = (ql.signs > 0) & (np.arange(ql.group_size) < sizes[:, None])[:, :, None]
     columns = np.packbits(plus, axis=1, bitorder="little").transpose(0, 2, 1)
-    retained = np.arange(width) < bits[:, None]
     in_column = np.arange(columns.shape[2]) < (sizes[:, None, None] + 7) // 8
-    table = np.concatenate([coords, columns.reshape(n_groups, -1)], axis=1)
-    mask = np.concatenate([
-        np.repeat(retained, 4, axis=1),
-        (retained[:, :, None] & in_column).reshape(n_groups, -1),
-    ], axis=1)
-    return bits.astype(np.uint8).tobytes() + table[mask].tobytes()
+    return (bits.astype(np.uint8).tobytes() + ql.coords[retained].astype("<f4").tobytes()
+            + columns[retained[:, :, None] & in_column].tobytes())
 
 
 def serialize_bytes(model: QuantModel) -> bytes:
@@ -95,9 +93,8 @@ def serialize(model: QuantModel, path) -> None:
 def _read_layer(reader, layer_index: int, group_size: int, count: int):
     """Validated (signs, coords, bits) arrays of one layer's groups.
 
-    Faults are reported in group order: a group's bad bitwidth, cut-short
-    record or bad contents, whichever group comes first. Only complete
-    groups before the first bad bitwidth are unpacked.
+    Each part is checked right after it is read, so faults are reported in
+    byte order, each at its own offset.
     """
     at = reader.offset
     n_groups = reader.take("<I", "group count")
@@ -109,76 +106,45 @@ def _read_layer(reader, layer_index: int, group_size: int, count: int):
     bits_at = reader.offset
     bits = np.frombuffer(reader.take_bytes(n_groups, "group bitwidths"),
                          dtype=np.uint8).astype(np.int64)
-    over = bits > ENUM_BITWIDTH_LIMIT
-    valid = int(over.argmax()) if over.any() else n_groups
-    lengths = bits[:valid] * (4 + (sizes[:valid] + 7) // 8)
-    ends = reader.offset + np.cumsum(lengths)
-    starts = ends - lengths
-    complete = int(np.searchsorted(ends, len(reader.data), side="right"))
-    # a fault in an earlier, complete group is reported first
-    arrays = _unpack_groups(reader.data, starts[:complete], sizes[:complete],
-                            bits[:complete], layer_index, group_size)
-    if complete < valid:
-        # the record is cut short: the reader raises for its first
-        # incomplete part, the coordinate block or a base column
-        gi, col_bytes = complete, (sizes[complete] + 7) // 8
-        reader.offset = int(starts[gi])
-        reader.take_bytes(int(bits[gi]) * 4, f"group {gi} coordinate block")
-        whole = (len(reader.data) - reader.offset) // col_bytes
-        reader.offset += int(whole * col_bytes)
-        reader.take_bytes(int(col_bytes), f"group {gi} base column {whole}")
-    if valid < n_groups:
-        raise ContainerFormatError(
-            f"layer {layer_index} group {valid}: bitwidth {bits[valid]} exceeds "
-            f"{ENUM_BITWIDTH_LIMIT}", bits_at + valid)
-    reader.offset = bits_at + n_groups + int(lengths.sum())
-    return arrays
+    over = np.flatnonzero(bits > ENUM_BITWIDTH_LIMIT)
+    if over.size:
+        gi = int(over[0])
+        raise ContainerFormatError(f"layer {layer_index} group {gi}: bitwidth {bits[gi]} "
+                                   f"exceeds {ENUM_BITWIDTH_LIMIT}", bits_at + gi)
+    retained = np.arange(bits.max(initial=0)) < bits[:, None]
+    g, c = np.nonzero(retained)
 
-
-def _unpack_groups(data: bytes, start, size, bits, layer_index: int, group_size: int):
-    """Validated (signs, coords, bits) arrays of group records at ``start``.
-
-    Groups are checked in order; the first faulty one raises, for non-zero
-    pad bits at the offending column, otherwise at the end of its record.
-    """
-    k = np.arange(bits.max(initial=0))
-    retained = k < bits[:, None]
-    col_bytes = (size + 7) // 8
-    buf = np.frombuffer(data, dtype=np.uint8)
-    coord_at = (start[:, None] + 4 * k)[retained][:, None] + np.arange(4)
-    raw = buf[coord_at].view("<f4")[:, 0]
+    coords_at = reader.offset
+    raw = np.frombuffer(reader.take_bytes(4 * len(g), "coordinate block"), dtype="<f4")
     # checked on the f32 values: the f64 cast warns on a signalling NaN
     finite = np.isfinite(raw)
     coords = np.zeros(retained.shape)
     coords[retained] = np.where(finite, raw, 0)
-    col_at = (start + 4 * bits)[:, None] + k * col_bytes[:, None]
-    j = np.arange((group_size + 7) // 8)
-    in_column = retained[:, :, None] & (j < col_bytes[:, None, None])
-    packed = np.zeros(in_column.shape, dtype=np.uint8)
-    packed[in_column] = buf[(col_at[:, :, None] + j)[in_column]]
-    plane = np.unpackbits(packed, axis=2, bitorder="little").astype(bool)
-    in_group = np.arange(plane.shape[2]) < size[:, None, None]
-
-    g, c = np.nonzero(retained)
-    _, first = np.unique(row_keys(g, packed[g, c]), return_index=True)
-    distinct = g[first]
-    pad_bits = (plane & ~in_group).any(axis=2)
-    faults = np.stack([
-        pad_bits.any(axis=1),
-        np.bincount(g[~finite], minlength=len(bits)) > 0,
-        ((coords <= 0) & retained).any(axis=1),
-        (np.diff(coords, axis=1) > 0).any(axis=1),
-        np.bincount(distinct, minlength=len(bits)) < bits,
-    ], axis=1)
+    rising = np.diff(coords, axis=1, prepend=np.inf) > 0
+    faults = np.stack([~finite, coords[retained] <= 0, rising[retained]])
     if faults.any():
-        gi = faults.any(axis=1).argmax()
-        check, ci = faults[gi].argmax(), pad_bits[gi].argmax()
-        problem = [f"non-zero pad bits in base column {ci}", "non-finite coordinate",
-                   "non-positive coordinate", "coordinates not descending",
-                   "duplicate base columns"][check]
-        end = start[gi] + bits[gi] * (4 + col_bytes[gi])
-        raise ContainerFormatError(f"layer {layer_index} group {gi}: {problem}",
-                                   int(col_at[gi, ci] if check == 0 else end))
+        k = int(faults.any(axis=0).argmax())
+        problem = ["non-finite coordinate", "non-positive coordinate",
+                   "coordinates not descending"][faults[:, k].argmax()]
+        raise ContainerFormatError(f"layer {layer_index} group {g[k]}: {problem}",
+                                   coords_at + 4 * k)
+
+    signs_at = reader.offset
+    col_bytes = (sizes + 7) // 8
+    packed = np.zeros((*retained.shape, (group_size + 7) // 8), dtype=np.uint8)
+    in_column = retained[:, :, None] & (np.arange(packed.shape[2]) < col_bytes[:, None, None])
+    packed[in_column] = np.frombuffer(
+        reader.take_bytes(int(bits @ col_bytes), "sign block"), dtype=np.uint8)
+    plane = np.unpackbits(packed, axis=2, bitorder="little").astype(bool)
+    in_group = np.arange(plane.shape[2]) < sizes[:, None, None]
+    pad_bits = (plane & ~in_group).any(axis=2)[retained]
+    duplicate = np.ones(len(g), dtype=bool)
+    duplicate[np.unique(row_keys(g, packed[retained]), return_index=True)[1]] = False
+    if (pad_bits | duplicate).any():
+        k = int((pad_bits | duplicate).argmax())
+        problem = "non-zero pad bits in" if pad_bits[k] else "duplicate"
+        raise ContainerFormatError(f"layer {layer_index} group {g[k]}: {problem} base "
+                                   f"column {c[k]}", signs_at + int(col_bytes[g[:k]].sum()))
     signs = np.where(in_group & retained[:, :, None], 2 * plane.astype(np.int8) - 1, 0)
     return signs[:, :, :group_size].transpose(0, 2, 1), coords, bits
 
@@ -281,8 +247,8 @@ def memory_report(model: QuantModel) -> MemoryReport:
     """Per-layer and total sign-bit accounting for a quantized model.
 
     The container size follows from the group sizes and bitwidths alone:
-    per layer a u32 group count, one u8 bitwidth per group, and each group's
-    f32 coordinates and byte-padded sign columns.
+    per layer a u32 group count, one u8 bitwidth per group, and per retained
+    coordinate its f32 and its byte-padded sign column.
     """
     names = dict(_net.parameterized_layers(model.spec))
     rows = []

@@ -141,7 +141,7 @@ def save_dataset(path, dataset: Dataset, format: str = "csv") -> None:
         raise DataFormatError(f"unknown dataset format {format!r}")
 
 
-def _parse_record(i: int, values: list[str]) -> tuple[np.ndarray, int]:
+def _parse_record(i: int, values: list[bytes]) -> tuple[np.ndarray, int]:
     if len(values) - 1 != RECORD_SAMPLES:
         raise DataFormatError(f"record {i}: expected {RECORD_SAMPLES} samples")
     try:
@@ -161,13 +161,14 @@ def _parse_record(i: int, values: list[str]) -> tuple[np.ndarray, int]:
 
 def _load_csv(path: Path) -> Dataset:
     # a first pass counts the records, so that each parsed line goes
-    # straight into its row and the file never holds two matrices
-    with open(path) as fh:
+    # straight into its row and the file never holds two matrices; bytes,
+    # so that a byte that is not text fails as a bad field, not a decode
+    with open(path, "rb") as fh:
         n = sum(1 for ln in fh if ln.strip())
         fh.seek(0)
         samples, labels = np.empty((n, RECORD_SAMPLES)), np.empty(n, dtype=np.int64)
         for i, line in enumerate(ln for ln in fh if ln.strip()):
-            samples[i], labels[i] = _parse_record(i, line.strip().split(","))
+            samples[i], labels[i] = _parse_record(i, line.strip().split(b","))
     return Dataset(samples, labels)
 
 

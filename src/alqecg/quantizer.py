@@ -36,6 +36,7 @@ import hashlib
 import itertools
 import json
 import logging
+import numbers
 from dataclasses import dataclass, field, make_dataclass, replace
 
 import numpy as np
@@ -152,6 +153,14 @@ class AlqConfig:
                      calib_batch=self.calib_batch, seed=self.seed)
         for cap in caps:
             require_ints(ConfigError, i_max=cap)
+        # a JSON config may give a string or a bool here
+        for name, value in [("prune.rate", self.prune_rate),
+                            ("prune.target_avg_bitwidth", self.target_avg_bitwidth),
+                            ("curvature_weight", self.curvature_weight)]:
+            if value is None and name != "curvature_weight":
+                continue  # no pruning target of this kind
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.group_size < 1:
             raise ConfigError("group_size must be >= 1")
         if not all(1 <= cap <= 8 for cap in caps):
@@ -224,7 +233,7 @@ class AlqConfig:
         with open(path) as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"invalid JSON config: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config root must be an object")

@@ -48,11 +48,11 @@ pytestmark = pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
 # criterion-7 sweep.json bytes. The desk network's training and the
 # calibration passes run in blocks of net.BLOCK records, so the bytes depend
 # on it
-DESK_ALQQ_SHA256 = "ae9cde55619bd2913e1113f2b66c6b1fb7b249912301eef001ffc6987cf38fe8"
+DESK_ALQQ_SHA256 = "daccc006adae499bf6f336aaf8df53454c6aace0374407224e0e8d39bdfad563"
 SWEEP_JSON_SHA256 = "670da3d017ecca4cc79af9b0b4ff23c957682fd09955b0515bbd8ea2b2bbdaec"
 # the criterion-6 config at group size 11 and 4 refinement rounds: each layer's
 # short last group then sits inside the network-wide set of groups
-DESK_G11_ALQQ_SHA256 = "feb4a7d265a8b31f1a2edcba12baa94e7722065c3ba0aa220e21c63496665a6f"
+DESK_G11_ALQQ_SHA256 = "ca9e43786eb1297b1ca05da03bbe97fafad778e85ef72d1bfb59129deac20911"
 # SHA-256 of the signs, coords and bits arrays of the same two models
 # (test_quantizer.arrays_sha256)
 DESK_ARRAYS_SHA256 = "3a373cbfee92533e31b89bc95cba2f00ee6dbd0ba2d4212543f9d5758df55629"

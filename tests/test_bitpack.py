@@ -43,7 +43,7 @@ from test_quantizer import arrays_sha256, empty_layer, groups_of, layers_equal
 
 # SHA-256 of the ALQQ bytes of a 2-bit uniform baseline of the untrained
 # default network at group size 11, where every layer ends in a short group
-UNIFORM_ALQQ_SHA256 = "83fdbaa0258c721ab02f5e4d1b3ddb7194f3edb7542c1740860036a1f8db96cf"
+UNIFORM_ALQQ_SHA256 = "46672657e94337624358faac51c1e874531f25836bd53e0232b2f776f19d1372"
 # and of its signs, coords and bits arrays (test_quantizer.arrays_sha256)
 UNIFORM_ARRAYS_SHA256 = "a783296127f676d77f7cf95fce3997eafd4b67cd2afe5804f46c018e59ae9a76"
 
@@ -108,7 +108,7 @@ def one_group_model(column) -> QuantModel:
 
 def column_bytes(column) -> bytes:
     """The packed sign column of a one-group container: its last bytes, as the
-    0-bit bias group has an empty record."""
+    sign block ends the layer and the 0-bit bias group adds nothing to it."""
     return serialize_bytes(one_group_model(column))[-((len(column) + 7) // 8):]
 
 
@@ -228,11 +228,13 @@ class TestDeserializeErrors:
             deserialize_bytes(bytes(data))
         assert err.value.offset == at
 
-    def test_version_1_rejected(self):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_versions_rejected(self, version):
         data = bytearray(serialize_bytes(random_model(np.random.default_rng(9))))
-        assert data[4:6] == b"\x02\x00"
-        data[4] = 1
-        with pytest.raises(ContainerFormatError, match="unsupported version 1") as err:
+        assert data[4:6] == b"\x03\x00"
+        data[4] = version
+        with pytest.raises(ContainerFormatError,
+                           match=f"unsupported version {version}") as err:
             deserialize_bytes(bytes(data))
         assert err.value.offset == 4
 
@@ -249,10 +251,13 @@ class TestDeserializeErrors:
         coords[0, :2] = [1.0, 0.5]
         bits[0] = 2
         model.layers[0] = replace(ql, signs=signs, coords=coords, bits=bits)
-        with pytest.raises(ContainerFormatError, match="group 0: duplicate") as err:
+        with pytest.raises(ContainerFormatError,
+                           match="group 0: duplicate base column 1") as err:
             deserialize_bytes(serialize_bytes(model))
-        # group count, bitwidths, then group 0: two f32 coordinates, two columns
-        assert err.value.offset == header_bytes(model) + 4 + len(bits) + 8 + 2
+        # group count, bitwidths, the coordinate block, then group 0's first
+        # column: one byte for its 8 values
+        signs_at = header_bytes(model) + 4 + len(bits) + 4 * int(bits.sum())
+        assert err.value.offset == signs_at + 1
 
     @pytest.mark.parametrize("nan", [0x7FC00000, 0x7FA00000])  # quiet, signalling
     def test_nan_coordinate_rejected_without_warning(self, nan):
@@ -265,47 +270,72 @@ class TestDeserializeErrors:
             with pytest.raises(ContainerFormatError,
                                match="group 0: non-finite coordinate") as err:
                 deserialize_bytes(bytes(data))
-        # the end of group 0's record: one coordinate and one column byte
-        assert err.value.offset == at + 4 + 1
+        # the coordinate itself, the first of the coordinate block
+        assert err.value.offset == at
+
+    @pytest.mark.parametrize("index, value, problem", [
+        (0, 0.0, "non-positive coordinate"),
+        (0, -0.5, "non-positive coordinate"),
+        (1, 2.0, "coordinates not descending"),
+    ])
+    def test_bad_coordinate_rejected_at_its_offset(self, index, value, problem):
+        # one 2-bit group of three values, coordinates 1.0 and 0.5, then the
+        # bias as an empty group
+        spec = NetworkSpec([flatten(), softmax_dense(1)], input_length=3,
+                           input_channels=1, class_count=1)
+        signs = np.zeros((2, 3, 2), dtype=np.int8)
+        signs[0] = [[1, 1], [-1, 1], [1, -1]]
+        layer = QuantLayer(signs, [[1.0, 0.5], [0.0, 0.0]], [2, 0], 3, 4, 1)
+        model = QuantModel(spec, [layer], 3, ModelMeta())
+        data = bytearray(serialize_bytes(model))
+        at = header_bytes(model) + 4 + 2 + 4 * index
+        data[at : at + 4] = np.float32(value).tobytes()
+        with pytest.raises(ContainerFormatError, match=f"group 0: {problem}") as err:
+            deserialize_bytes(bytes(data))
+        assert err.value.offset == at
 
     @staticmethod
-    def pad_bit_fault(seed: int) -> tuple[bytearray, int]:
-        """A container whose first layer holds 1-bit groups of 5 and 3 values,
-        with a pad bit set in group 0's column; the column's offset."""
+    def one_bit_groups(seed: int) -> tuple[bytearray, int]:
+        """A container whose first layer holds 1-bit groups of 5 and 3 values;
+        the offset of its coordinate block. The sign block follows it: one
+        1-byte column per group."""
         model = random_model(np.random.default_rng(seed), group_size=5)
         ql = model.layers[0]
         bits = np.ones_like(ql.bits)
         model.layers[0] = replace(ql, signs=np.where(ql.signs[:, :, :1] == 0, 0, 1),
                                   coords=np.ones((len(bits), 1)), bits=bits)
-        data = bytearray(serialize_bytes(model))
-        # group count, bitwidths, then group 0: one f32 coordinate, one 1-byte column
-        column = header_bytes(model) + 4 + len(bits) + 4
-        assert data[column] == 0b11111
-        data[column] |= 0b10000000
-        return data, column
+        # group count, then the two bitwidths
+        return bytearray(serialize_bytes(model)), header_bytes(model) + 4 + 2
 
     def test_nonzero_pad_bits_rejected(self):
-        data, column = self.pad_bit_fault(11)
+        data, coords_at = self.one_bit_groups(11)
+        column = coords_at + 8
+        assert data[column] == 0b11111
+        data[column] |= 0b10000000
         with pytest.raises(ContainerFormatError, match="group 0: non-zero pad bits in "
                            "base column 0") as err:
             deserialize_bytes(bytes(data))
         assert err.value.offset == column
 
-    def test_earlier_group_fault_reported_before_truncation(self):
-        data, column = self.pad_bit_fault(12)
-        # cut inside the second group's record, after its coordinate
-        with pytest.raises(ContainerFormatError, match="group 0: non-zero pad bits") as err:
-            deserialize_bytes(bytes(data[: column + 5]))
-        assert err.value.offset == column
+    def test_last_group_coordinate_fault_reported_before_cut_sign_block(self):
+        data, coords_at = self.one_bit_groups(12)
+        # group 1's coordinate, the last of the block, then a cut inside the
+        # sign block
+        data[coords_at + 4 : coords_at + 8] = np.float32(-1.0).tobytes()
+        with pytest.raises(ContainerFormatError,
+                           match="group 1: non-positive coordinate") as err:
+            deserialize_bytes(bytes(data[: coords_at + 8 + 1]))
+        assert err.value.offset == coords_at + 4
 
-    def test_earlier_group_fault_reported_before_later_bitwidth(self):
-        data, column = self.pad_bit_fault(12)
-        # group 1's bitwidth is the second byte of the array, 4 + 1 bytes
-        # before group 0's column
-        data[column - 4 - 1] = ENUM_BITWIDTH_LIMIT + 1
-        with pytest.raises(ContainerFormatError, match="group 0: non-zero pad bits") as err:
-            deserialize_bytes(bytes(data))
-        assert err.value.offset == column
+    def test_bitwidth_reported_before_cut_coordinate_block(self):
+        data, coords_at = self.one_bit_groups(12)
+        # group 1's bitwidth, the byte before the coordinate block, then a
+        # cut inside that block
+        data[coords_at - 1] = ENUM_BITWIDTH_LIMIT + 1
+        with pytest.raises(ContainerFormatError, match=f"group 1: bitwidth "
+                           f"{ENUM_BITWIDTH_LIMIT + 1} exceeds") as err:
+            deserialize_bytes(bytes(data[: coords_at + 2]))
+        assert err.value.offset == coords_at - 1
 
     @staticmethod
     def one_value_groups() -> tuple[QuantModel, bytearray]:
@@ -354,16 +384,18 @@ class TestDeserializeErrors:
 
     def test_missing_groups_rejected_at_layer_end(self):
         model, data = self.one_value_groups()
-        # group 271, the last weight, holds one coordinate and a 1-byte
-        # column; the 17 bias groups after it have empty records
-        del data[-5:]
-        with pytest.raises(ContainerFormatError,
-                           match="truncated group 271 coordinate block") as err:
-            deserialize_bytes(bytes(data))
-        assert err.value.offset == len(data)
+        # the layer ends in 272 coordinates of the 1-bit weights, then their
+        # 272 one-byte columns; the 17 bias groups hold neither
+        signs_at = len(data) - 272
+        coords_at = signs_at - 4 * 272
+        for cut, block, at in [(5, "sign", signs_at), (272 + 5, "coordinate", coords_at)]:
+            with pytest.raises(ContainerFormatError,
+                               match=f"Softmax: truncated {block} block") as err:
+                deserialize_bytes(bytes(data[:-cut]))
+            assert err.value.offset == at
 
 
-# version-2 containers the loader fuzz tests mutate: two specs, group sizes
+# version-3 containers the loader fuzz tests mutate: two specs, group sizes
 # that do and do not divide the layers' parameter counts
 FUZZ_BLOBS = [
     serialize_bytes(random_model(np.random.default_rng(seed), spec(), group_size))

@@ -234,7 +234,8 @@ class TestValidation:
         monkeypatch.setattr(quantizer, "init_layers", lambda *a: calls.append(a))
         capsys.readouterr()
         for raw, message in [({"seed": 1.5}, "seed must be an integer, got 1.5"),
-                             ({"i_max": {"default": 2.5}}, "i_max must be an integer")]:
+                             ({"i_max": {"default": 2.5}}, "i_max must be an integer"),
+                             ({"prune": {"rate": "0.5"}}, "prune.rate must be a number")]:
             (workdir / "alq.json").write_text(json.dumps(raw))
             assert run(["quantize", "--model", "m.alqf", "--config", "alq.json",
                         "--prune-rate", "0", "--out", "x.alqq"]) == 1

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alqecg.data import (
@@ -278,6 +278,55 @@ class TestRawLoaderFuzz:
            i=st.floats(0, 1), j=st.floats(0, 1))
     def test_splice(self, head, tail, i, j):
         assert_raw_rejected_or_round_trips(head[: int(i * len(head))] + tail[int(j * len(tail)) :])
+
+
+def csv_bytes(dataset: Dataset) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        save_dataset(path, dataset, "csv")
+        return path.read_bytes()
+
+
+def load_csv_bytes(data: bytes) -> Dataset:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(data)
+        return load_dataset(path)
+
+
+# the CSV file the loader fuzz tests mutate: two records
+FUZZ_CSV = csv_bytes(fuzz_records(2))
+
+
+def assert_csv_rejected_or_round_trips(data: bytes) -> None:
+    """Loading ``data`` as CSV raises ``DataFormatError`` with no offset or
+    ``EmptyDatasetError``, or gives a dataset that ``save_dataset`` and
+    ``load_dataset`` give back unchanged."""
+    try:
+        dataset = load_csv_bytes(data)
+    except DataFormatError as err:
+        assert err.offset is None
+    except EmptyDatasetError:
+        pass
+    else:
+        back = load_csv_bytes(csv_bytes(dataset))
+        assert back.records.tobytes() == dataset.records.tobytes()
+        assert np.array_equal(back.labels(), dataset.labels())
+
+
+class TestCsvLoaderFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(cut=st.integers(0, len(FUZZ_CSV) - 1))
+    def test_truncation(self, cut):
+        assert_csv_rejected_or_round_trips(FUZZ_CSV[:cut])
+
+    @settings(max_examples=150, deadline=None)
+    @given(bit=st.integers(0, 8 * len(FUZZ_CSV) - 1))
+    @example(bit=8 * 10 + 7)  # a byte that is not UTF-8, inside record 0
+    def test_single_bit_flip(self, bit):
+        data = bytearray(FUZZ_CSV)
+        data[bit // 8] ^= 1 << (bit % 8)
+        assert_csv_rejected_or_round_trips(bytes(data))
 
 
 class TestRawLoaderExhaustive:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -1157,6 +1158,24 @@ class TestConfig:
         # or, for an i_max map, truncated the cap
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             AlqConfig(**{field: value})
+
+    @pytest.mark.parametrize("text, message", [
+        (b'{"prune": {"rate": "0.5"}}', "prune.rate must be a number, got '0.5'"),
+        (b'{"prune": {"rate": true}}', "prune.rate must be a number, got True"),
+        (b'{"prune": {"target_avg_bitwidth": "1.5"}}',
+         "prune.target_avg_bitwidth must be a number, got '1.5'"),
+        (b'{"curvature_weight": "a"}', "curvature_weight must be a number, got 'a'"),
+        (b'{"curvature_weight": false}', "curvature_weight must be a number, got False"),
+        (b'{"curvature_weight": null}', "curvature_weight must be a number, got None"),
+        (b'\xff{}', "invalid JSON config"),
+    ], ids=["rate-str", "rate-bool", "target-str", "curvature-str", "curvature-bool",
+            "curvature-null", "not-utf8"])
+    def test_json_non_number_rejected(self, text, message, tmp_path):
+        # each leaked TypeError or UnicodeDecodeError from the JSON loader
+        path = tmp_path / "alq.json"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            AlqConfig.from_json_file(path)
 
     def test_conflicting_targets(self):
         with pytest.raises(ConfigError):

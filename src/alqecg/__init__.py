@@ -27,7 +27,7 @@ from .net import (
 )
 from .quantizer import (
     AlqConfig,
-    QuantLayer,
+    Groups,
     QuantModel,
     alq_pipeline,
     prune_coordinates,

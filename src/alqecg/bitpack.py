@@ -14,8 +14,8 @@
   (+1 -> 1), each column padded to a whole byte with zero bits.
 
 No group size is stored: the partition fixes it (every group full except a
-short last one). A layer is written and read as whole arrays
-(``QuantLayer.signs``, ``coords``, ``bits``): one read per block, one
+short last one). A layer is written and read as whole arrays, its span of
+the model's groups (``quantizer.layer_spans``): one read per block, one
 ``np.packbits`` or ``np.unpackbits`` per layer, no loop over groups and no
 per-group offsets. Each part is checked as soon as it is read, so a fault is
 reported in byte order, at its own offset: the group count, the first
@@ -43,11 +43,12 @@ from .errors import ContainerFormatError
 from .net import NetworkSpec
 from .quantizer import (
     ENUM_BITWIDTH_LIMIT,
+    Groups,
     ModelMeta,
-    QuantLayer,
     QuantModel,
     check_group_size,
     group_sizes,
+    layer_spans,
     row_keys,
 )
 
@@ -59,15 +60,16 @@ BASELINE_BITS = 32
 _META_BYTES = 8 + 32 + 2
 
 
-def _layer_records(ql: QuantLayer) -> bytes:
-    """The bitwidth array, the coordinate block and the sign block."""
-    sizes, bits = ql.sizes, ql.bits
-    retained = np.arange(ql.coords.shape[1]) < bits[:, None]
+def _layer_records(layer: Groups) -> bytes:
+    """A layer's group count, bitwidth array, coordinate block and sign block."""
+    sizes, bits = layer.sizes, layer.bits
+    retained = np.arange(layer.coords.shape[1]) < bits[:, None]
     # (G, n, W) signs -> (G, W, ceil(n/8)) column bytes, zero past each size
-    plus = (ql.signs > 0) & (np.arange(ql.group_size) < sizes[:, None])[:, :, None]
+    plus = (layer.signs > 0) & (np.arange(layer.signs.shape[1]) < sizes[:, None])[:, :, None]
     columns = np.packbits(plus, axis=1, bitorder="little").transpose(0, 2, 1)
     in_column = np.arange(columns.shape[2]) < (sizes[:, None, None] + 7) // 8
-    return (bits.astype(np.uint8).tobytes() + ql.coords[retained].astype("<f4").tobytes()
+    return (struct.pack("<I", len(bits)) + bits.astype(np.uint8).tobytes()
+            + layer.coords[retained].astype("<f4").tobytes()
             + columns[retained[:, :, None] & in_column].tobytes())
 
 
@@ -80,9 +82,8 @@ def serialize_bytes(model: QuantModel) -> bytes:
     parts.append(struct.pack("<Q", model.meta.seed))
     parts.append(digest)
     parts.append(struct.pack("<H", model.group_size))
-    for ql in model.layers:
-        parts.append(struct.pack("<I", len(ql.bits)))
-        parts.append(_layer_records(ql))
+    parts += [_layer_records(model.groups.trimmed(span))
+              for _, span in layer_spans(model.spec, model.group_size)]
     return b"".join(parts)
 
 
@@ -91,7 +92,8 @@ def serialize(model: QuantModel, path) -> None:
 
 
 def _read_layer(reader, layer_index: int, group_size: int, count: int):
-    """Validated (signs, coords, bits) arrays of one layer's groups.
+    """Validated arrays of one layer's groups: (G, W, n) sign columns,
+    (G, W) coordinates, bits and sizes, with W the layer's widest group.
 
     Each part is checked right after it is read, so faults are reported in
     byte order, each at its own offset.
@@ -146,7 +148,7 @@ def _read_layer(reader, layer_index: int, group_size: int, count: int):
         raise ContainerFormatError(f"layer {layer_index} group {g[k]}: {problem} base "
                                    f"column {c[k]}", signs_at + int(col_bytes[g[:k]].sum()))
     signs = np.where(in_group & retained[:, :, None], 2 * plane.astype(np.int8) - 1, 0)
-    return signs[:, :, :group_size].transpose(0, 2, 1), coords, bits
+    return signs[:, :, :group_size], coords, bits, sizes
 
 
 def deserialize_bytes(data: bytes) -> QuantModel:
@@ -161,13 +163,21 @@ def deserialize_bytes(data: bytes) -> QuantModel:
             f"group size {group_size} outside 1..{largest} (the largest layer's "
             "parameter count)", at)
 
-    layers = []
-    for row in table:
-        if row.name:
-            arrays = _read_layer(reader.at_context(row.name), row.index, group_size, row.count)
-            layers.append(QuantLayer(*arrays, group_size, row.count, row.index))
+    spans = layer_spans(spec, group_size, table)
+    columns, coords, bits, sizes = zip(*[
+        _read_layer(reader.at_context(row.name), row.index, group_size, row.count)
+        for row, _ in spans])
     reader.finish()
-    return QuantModel(spec, layers, group_size, ModelMeta(seed, digest))
+    # one set as wide as the widest group, its sign columns contiguous:
+    # (G, W, n) seen as (G, n, W)
+    signs = np.zeros((spans[-1][1].stop, max(c.shape[1] for c in coords), group_size), np.int8)
+    model_coords = np.zeros(signs.shape[:2])
+    for (_, span), layer_columns, layer_coords in zip(spans, columns, coords):
+        signs[span, : layer_coords.shape[1]] = layer_columns
+        model_coords[span, : layer_coords.shape[1]] = layer_coords
+    groups = Groups(signs.transpose(0, 2, 1), model_coords, np.concatenate(bits),
+                    np.concatenate(sizes))
+    return QuantModel(spec, groups, group_size, ModelMeta(seed, digest), table)
 
 
 def deserialize(path) -> QuantModel:
@@ -250,17 +260,15 @@ def memory_report(model: QuantModel) -> MemoryReport:
     per layer a u32 group count, one u8 bitwidth per group, and per retained
     coordinate its f32 and its byte-padded sign column.
     """
-    names = dict(_net.parameterized_layers(model.spec))
     rows = []
     coord_overhead = 0
     container = len(_net.pack_header(MAGIC, VERSION, model.spec)) + _META_BYTES
-    for ql in model.layers:
-        sizes, bits = ql.sizes, ql.bits
+    for row, span in layer_spans(model.spec, model.group_size):
+        sizes, bits = model.groups.sizes[span], model.groups.bits[span]
         base_bits = int(sizes @ bits)
         coord_overhead += int(bits.sum()) * COORD_BITS
         container += 4 + len(bits) + int(bits @ (4 + (sizes + 7) // 8))
-        rows.append(LayerMemory(names[ql.layer_index], base_bits / ql.param_count,
-                                ql.param_count, base_bits))
+        rows.append(LayerMemory(row.name, base_bits / row.count, row.count, base_bits))
     return _finish_report(rows, coord_overhead, container * 8)
 
 

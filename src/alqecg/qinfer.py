@@ -1,14 +1,14 @@
 """Quantized inference: the fp forward on weights rebuilt from the groups.
 
-A quantized model is held as its layers' sign, coordinate and bitwidth
-arrays. Each ``QuantExecutor.logits`` call first rebuilds the float64
-parameters once with ``quantizer.dequantized_network`` (every group's
-w = B @ a, in flattened layer order), then runs the records through
-``net.logits_batch``, the inference pass fp networks share: the network's
-one layer walk with the same affine map as the fp passes, where a conv
-layer is one ``W.reshape(O, C*K) @ cols`` GEMM per record on its im2col
-array and a dense layer one GEMV per record. The rebuilt parameters live
-for that call only; nothing derived from a model outlives it.
+A quantized model is held as one set of sign, coordinate, bitwidth and size
+arrays for all its layers' groups. Each ``QuantExecutor.logits`` call first
+rebuilds the float64 parameters once with ``quantizer.dequantized_network``
+(every group's w = B @ a, a layer's span of groups at a time), then runs the
+records through ``net.logits_batch``, the inference pass fp networks share:
+the network's one layer walk with the same affine map as the fp passes,
+where a conv layer is one ``W.reshape(O, C*K) @ cols`` GEMM per record on
+its im2col array and a dense layer one GEMV per record. The rebuilt
+parameters live for that call only; nothing derived from a model outlives it.
 
 Records run in the fixed blocks of ``net.BLOCK`` that ``net.run_blocks``
 hands out, on its thread pool when ``ALQ_THREADS`` allows more than one
@@ -29,7 +29,7 @@ from . import net as _net, quantizer
 
 def dequantize(model: quantizer.QuantModel) -> _net.Network:
     """Reconstruct the full-precision network from group decompositions."""
-    return quantizer.dequantized_network(model.spec, model.layers)
+    return quantizer.dequantized_network(model)
 
 
 class QuantExecutor:

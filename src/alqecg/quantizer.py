@@ -1,33 +1,33 @@
 """Adaptive multi-bit binary weight quantization.
 
-A layer's P flattened parameters are cut into G = ceil(P / n) groups of
+A layer's P flattened parameters are cut into ceil(P / n) groups of
 ``n = group_size`` values; group g starts at g * n and has size
 min(n, P - g * n), so only the last group may be short. A group w is
 approximated as B @ a: B a {-1,+1} sign matrix (one column per retained bit),
 a a positive, descending coordinate vector; zero columns reconstruct zeros.
-``QuantLayer`` holds a layer's groups as three arrays:
+``Groups`` holds any G groups as four arrays:
 
 * ``signs`` (G, n, W) int8: group g's column k is ``signs[g, :, k]``, +-1 in
-  its first ``bits[g]`` columns and first size rows, 0 elsewhere;
+  its first ``bits[g]`` columns and first ``sizes[g]`` rows, 0 elsewhere;
 * ``coords`` (G, W) float64: the coordinates, zero past ``bits[g]``;
-* ``bits`` (G,): every group's bitwidth, with W = max(bits).
+* ``bits`` (G,): every group's bitwidth, with W >= max(bits);
+* ``sizes`` (G,): every group's number of values.
 
+A ``QuantModel`` holds all its layers' groups as one set (see ``layer_spans``).
 The pipeline is:
 
-1. greedy residual binarization of every group up to a per-layer bit cap,
+1. greedy residual binarization of every group up to its layer's bit cap,
 2. global pruning of the least significant coordinates, scored either by
    magnitude or by an estimated loss impact on a calibration batch,
 3. alternating refinement: exact per-position sign assignment with fixed
-   coordinates, then least-squares coordinates with fixed signs, on every
-   layer's groups as one set.
+   coordinates, then least-squares coordinates with fixed signs.
 
-``alq_runs`` runs step 1 and the scoring once and shares them across all
-pruning targets; ``alq_pipeline`` is its one-target case.
-
-Each stage runs all groups of one size and bitwidth as one batch, with the
-same arithmetic per group as a loop over groups. Every operation is a pure
-function of its inputs, so a fixed seed and calibration batch reproduce the
-quantized model bit for bit.
+Each stage makes one pass over the whole set, running all groups of one size
+and bitwidth as one batch, with the same arithmetic per group as a loop over
+groups. ``alq_runs`` runs step 1 and the scoring once and shares them across
+all pruning targets; ``alq_pipeline`` is its one-target case. Every operation
+is a pure function of its inputs, so a fixed seed and calibration batch
+reproduce the quantized model bit for bit.
 """
 
 from __future__ import annotations
@@ -37,14 +37,15 @@ import itertools
 import json
 import logging
 import numbers
-from dataclasses import dataclass, field, make_dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import net as _net
 from .data import Dataset
 from .errors import ConfigError
-from .net import Network, NetworkSpec
+from .net import LayerRow, Network, NetworkSpec
 from .util import require_ints
 
 log = logging.getLogger(__name__)
@@ -65,41 +66,45 @@ def _reconstruct(signs: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class QuantLayer:
-    """One layer's groups as arrays (see above), trimmed to W = max(bits) columns.
+class Groups:
+    """A set of groups as arrays (see above).
 
-    The arrays are read-only views and layers compare and hash by identity;
-    stages that change a layer return a new one.
+    The arrays are read-only views and sets compare and hash by identity;
+    stages that change groups return a new set.
     """
 
     signs: np.ndarray
     coords: np.ndarray
     bits: np.ndarray
-    group_size: int
-    param_count: int
-    layer_index: int
+    sizes: np.ndarray
 
     def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.int64)[:]
-        width = int(self.bits.max(initial=0))
-        self.signs = np.asarray(self.signs, dtype=np.int8)[:, :, :width]
-        self.coords = np.asarray(self.coords, dtype=np.float64)[:, :width]
-        # fresh views: the caller's arrays stay writeable
-        for a in (self.signs, self.coords, self.bits):
-            a.flags.writeable = False
+        for name, dtype in [("signs", np.int8), ("coords", np.float64), ("bits", np.int64),
+                            ("sizes", np.int64)]:
+            # a fresh view: the caller's array stays writeable
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype)[:])
+            getattr(self, name).flags.writeable = False
 
-    @property
-    def sizes(self) -> np.ndarray:
-        return group_sizes(self.param_count, self.group_size)
-
-    def reconstruct(self) -> np.ndarray:
-        """The layer's flattened values."""
-        return _reconstruct(self.signs, self.coords).reshape(-1)[: self.param_count]
+    def trimmed(self, span: slice = slice(None)) -> "Groups":
+        """The groups in ``span``, cut to W = the widest of them."""
+        width = int(self.bits[span].max(initial=0))
+        return Groups(self.signs[span, :, :width], self.coords[span, :width],
+                      self.bits[span], self.sizes[span])
 
 
-# groups of any layers for the refinement steps: signs, coords and bits laid
-# out as in QuantLayer, plus every group's size
-GroupSet = make_dataclass("GroupSet", ["signs", "coords", "bits", "sizes"])
+def layer_spans(spec: NetworkSpec, group_size: int,
+                table: list[LayerRow] | None = None) -> list[tuple[LayerRow, slice]]:
+    """(table row, slice of the model's groups) of every parameterized layer:
+    ceil(count / group_size) groups per layer, in layer order. ``table`` is
+    the spec's ``net.layer_table``, for a caller that has walked it already."""
+    if group_size < 1:
+        raise ConfigError("group size must be >= 1")
+    spans, end = [], 0
+    for row in table or _net.layer_table(spec):
+        if row.name:
+            start, end = end, end - (-row.count // group_size)
+            spans.append((row, slice(start, end)))
+    return spans
 
 
 @dataclass
@@ -108,14 +113,31 @@ class ModelMeta:
     config_digest: str = "0" * 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantModel:
-    """Per-layer quantized groups plus the network spec they came from."""
+    """Every parameterized layer's groups as one set, plus the spec and group
+    size they partition. Raises ConfigError unless ``groups`` is exactly the
+    spec's partition at ``group_size``, of at most ENUM_BITWIDTH_LIMIT bits a
+    group; ``table`` goes to ``layer_spans``."""
 
     spec: NetworkSpec
-    layers: list[QuantLayer]
+    groups: Groups
     group_size: int
     meta: ModelMeta = field(default_factory=ModelMeta)
+    table: InitVar[list[LayerRow] | None] = None
+
+    def __post_init__(self, table):
+        n, g = self.group_size, self.groups
+        sizes = np.concatenate([group_sizes(row.count, n)
+                                for row, _ in layer_spans(self.spec, n, table)])
+        count, width, top = len(sizes), g.coords.shape[-1], int(g.bits.max(initial=0))
+        shapes = (g.signs.shape, g.coords.shape, g.bits.shape)
+        if (shapes != ((count, n, width), (count, width), (count,))
+                or not np.array_equal(g.sizes, sizes) or top > width):
+            raise ConfigError(f"groups of shape {g.signs.shape} are not the spec's layers "
+                              f"cut into {count} groups of at most {n} values")
+        if top > ENUM_BITWIDTH_LIMIT:
+            raise ConfigError(f"a {top}-bit group exceeds the {ENUM_BITWIDTH_LIMIT}-bit limit")
 
 
 def layer_i_max(i_max: int | dict, layer_name: str) -> int:
@@ -215,7 +237,7 @@ class AlqConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        prune = raw.get("prune", {}) or {}
+        prune = raw.get("prune", {})
         if not isinstance(prune, dict):
             raise ConfigError("prune must be an object")
         bad = set(prune) - {"rate", "target_avg_bitwidth"}
@@ -252,8 +274,6 @@ def group_sizes(count: int, n: int) -> np.ndarray:
 def partition_groups(flat: np.ndarray, n: int) -> np.ndarray:
     """(ceil(len/n), n) groups of a flattened vector; the short tail is zero-padded."""
     flat = np.asarray(flat, dtype=np.float64)
-    if n < 1:
-        raise ConfigError("group size must be >= 1")
     if flat.size == 0:
         raise ConfigError("cannot partition an empty vector")
     return np.pad(flat, (0, -flat.size % n)).reshape(-1, n)
@@ -310,34 +330,41 @@ def canonicalize(signs: np.ndarray, coords: np.ndarray):
     return out_signs, out_coords, bits
 
 
-def init_decompose(flat: np.ndarray, group_size: int, i_max: int,
-                   layer_index: int = 0) -> QuantLayer:
-    """Greedy residual binarization: repeatedly peel off mean(|r|) * sign(r).
+def group_rows(spec: NetworkSpec, group_size: int, flat_of) -> np.ndarray:
+    """(G, n) rows of every parameterized layer's flattened values
+    ``flat_of(layer index)``, in the model's group order, zero-padded."""
+    return np.concatenate([partition_groups(flat_of(row.index), group_size)
+                           for row, _ in layer_spans(spec, group_size)])
+
+
+def init_decompose(rows: np.ndarray, sizes: np.ndarray, caps: np.ndarray) -> Groups:
+    """Greedy residual binarization of (G, n) weight rows: group g's first
+    ``sizes[g]`` values take up to ``caps[g]`` bits, each peeling off
+    mean(|r|) * sign(r).
 
     A group stops once its residual scale drops below the coordinate
     epsilon; an all-zero group yields an empty decomposition.
     """
-    if i_max < 1:
+    caps = np.asarray(caps)
+    if (caps < 1).any():
         raise ConfigError("i_max must be >= 1")
-    w = partition_groups(flat, group_size)
-    sizes = group_sizes(np.size(flat), group_size)
-    signs = np.zeros((*w.shape, i_max), dtype=np.int8)
-    coords = np.zeros((len(w), i_max))
-    bits = np.zeros(len(w), dtype=np.int64)
-    for idx, m, _ in _batches(sizes, bits):
-        r = w[idx, :m]
-        cols = np.zeros((len(idx), m, i_max), dtype=np.int8)
-        alphas = np.zeros((len(idx), i_max))
+    signs = np.zeros((*rows.shape, int(caps.max(initial=0))), dtype=np.int8)
+    coords = np.zeros((len(rows), signs.shape[2]))
+    bits = np.zeros(len(rows), dtype=np.int64)
+    for idx, m, cap in _batches(sizes, caps):
+        r = rows[idx, :m]
+        cols = np.zeros((len(idx), m, cap), dtype=np.int8)
+        alphas = np.zeros((len(idx), cap))
         live = np.ones(len(idx), dtype=bool)
-        for k in range(i_max):
+        for k in range(cap):
             alpha = np.abs(r).mean(axis=1)
             live &= alpha > COORD_EPS
             beta = np.where(r >= 0, 1, -1).astype(np.int8)
             cols[:, :, k] = beta
             alphas[:, k] = np.where(live, alpha, 0.0)
             r = np.where(live[:, None], r - alpha[:, None] * beta, r)
-        signs[idx, :m], coords[idx], bits[idx] = canonicalize(cols, alphas)
-    return QuantLayer(signs, coords, bits, group_size, np.size(flat), layer_index)
+        signs[idx, :m, :cap], coords[idx, :cap], bits[idx] = canonicalize(cols, alphas)
+    return Groups(signs, coords, bits, sizes).trimmed()
 
 
 def _nearest_levels(w: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -365,9 +392,9 @@ def _nearest_levels(w: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return table[np.take_along_axis(rank, best, axis=1)]
 
 
-def optimize_bases(w: np.ndarray, groups: GroupSet) -> GroupSet:
+def optimize_bases(w: np.ndarray, groups: Groups) -> Groups:
     """Exact per-position sign assignment for fixed coordinates, on
-    (groups, size) weight rows ``w`` and their GroupSet.
+    (groups, size) weight rows ``w`` and their Groups.
 
     Every weight picks the reachable level (one of the 2^bitwidth signed sums
     of its group's coordinates) nearest to it; ties go to the
@@ -389,9 +416,9 @@ def _recon_error(w: np.ndarray, signs: np.ndarray, coords: np.ndarray) -> np.nda
     return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
 
 
-def optimize_coords(w: np.ndarray, groups: GroupSet) -> GroupSet:
+def optimize_coords(w: np.ndarray, groups: Groups) -> Groups:
     """Least-squares coordinates for fixed sign bases, then re-canonicalize,
-    on (groups, size) weight rows ``w`` and their GroupSet.
+    on (groups, size) weight rows ``w`` and their Groups.
 
     Solves the normal equations, falling back to the pseudo-inverse
     (minimum-norm solution) for groups whose Gram matrix is ill conditioned.
@@ -427,131 +454,111 @@ def optimize_coords(w: np.ndarray, groups: GroupSet) -> GroupSet:
     return replace(groups, signs=signs, coords=coords, bits=bits)
 
 
-def model_avg_bitwidth(layers: list[QuantLayer]) -> float:
-    """Network-wide weight-weighted average bitwidth."""
-    bits = sum(int(ql.sizes @ ql.bits) for ql in layers)
-    params = sum(ql.param_count for ql in layers)
-    return bits / params
+def model_avg_bitwidth(groups: Groups) -> float:
+    """Weight-weighted average bitwidth of a set of groups."""
+    return int(groups.sizes @ groups.bits) / int(groups.sizes.sum())
 
 
-def total_coords(layers: list[QuantLayer]) -> int:
-    return sum(int(ql.bits.sum()) for ql in layers)
+def total_coords(groups: Groups) -> int:
+    return int(groups.bits.sum())
 
 
 # ---------------------------------------------------------------------------
 # scoring and pruning
 
 
-def dequantized_network(spec: NetworkSpec, layers: list[QuantLayer]) -> Network:
-    """Rebuild a full-precision Network from group reconstructions."""
-    table = _net.layer_table(spec)
-    params: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(table)
-    expected = {row.index: row for row in table if row.name}
-    for ql in layers:
-        flat = ql.reconstruct()
-        row = expected.get(ql.layer_index)
-        if row is None or flat.size != row.count:
-            raise ConfigError(
-                f"layer {ql.layer_index}: reconstructed {flat.size} values, "
-                f"spec expects {row and row.count}"
-            )
-        params[ql.layer_index] = row.unflatten(flat)
-    return Network(spec, params)
+def dequantized_network(model: QuantModel) -> Network:
+    """Rebuild a full-precision Network from group reconstructions, one
+    layer's span of groups at a time, each cut to its widest group."""
+    g = model.groups
+    params: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(model.spec.layers)
+    for row, span in layer_spans(model.spec, model.group_size):
+        width = int(g.bits[span].max(initial=0))
+        values = _reconstruct(g.signs[span, :, :width], g.coords[span, :width])
+        params[row.index] = row.unflatten(values.reshape(-1)[: row.count])
+    return Network(model.spec, params)
 
 
-def _retained(ql: QuantLayer) -> np.ndarray:
+def _retained(groups: Groups) -> np.ndarray:
     """(G, W) mask of the coordinates each group keeps."""
-    return np.arange(ql.coords.shape[1]) < ql.bits[:, None]
+    return np.arange(groups.coords.shape[1]) < groups.bits[:, None]
 
 
 def score_coordinates(
-    qlayers: list[QuantLayer],
-    network: Network,
+    model: QuantModel,
     calib,
     mode: str,
     curvature_weight: float = 1.0,
-) -> tuple[list[np.ndarray], float | None]:
+) -> tuple[np.ndarray, float | None]:
     """Significance score for every retained coordinate (lower = prune first).
 
-    Returns one array per layer, shaped like its ``coords``, NaN past each
+    Returns one array shaped like the model's ``coords``, NaN past each
     group's bitwidth, and the mean cross-entropy of the calibration forward
     pass that the loss-aware gradient came from (None for magnitude). That
-    loss equals ``calib_loss`` of the layers on ``calib`` bit for bit.
+    loss equals ``calib_loss`` of the model on ``calib`` bit for bit.
 
     magnitude: a * sqrt(group size), the norm of the removed contribution.
     loss_aware: |g . (a * column)| + curvature_weight/2 * a^2 * group size,
     where g is the mean cross-entropy gradient over the calibration records,
     taken at the dequantized weights. Ties later break by magnitude, then by
-    (layer, group, coordinate) position.
+    (group, coordinate) position.
     """
     if mode not in ("magnitude", "loss_aware"):
         raise ConfigError(f"unknown scorer {mode!r}")
-    grads: dict[int, np.ndarray] = {}
+    groups = model.groups
+    a, sizes = groups.coords, groups.sizes[:, None]
     loss: float | None = None
-    if mode == "loss_aware":
+    if mode == "magnitude":
+        s = a * np.sqrt(sizes)
+    else:
         if not calib:
             raise ConfigError("loss_aware scoring requires a calibration set")
-        deq = dequantized_network(network.spec, qlayers)
-        loss, flat_grads = _net.loss_gradients(deq, calib.records, calib.labels())
-        grads = {i: g for i, g in enumerate(flat_grads) if g is not None}
-
-    scores = []
-    for ql in qlayers:
-        a = ql.coords
-        sizes = ql.sizes[:, None]
-        if mode == "magnitude":
-            s = a * np.sqrt(sizes)
-        else:
-            g = partition_groups(grads[ql.layer_index], ql.group_size)
-            dots = np.zeros_like(a)
-            for idx, m, b in _batches(ql.sizes, ql.bits):
-                # one unit-stride dot per (group, column), as g_slice @ col does
-                cols = np.ascontiguousarray(ql.signs[idx, :m, :b].transpose(0, 2, 1), float)
-                g_rows = np.repeat(g[idx, :m], b, axis=0)[:, :, None]
-                dots[idx, :b] = (cols.reshape(-1, 1, m) @ g_rows).reshape(len(idx), b)
-            s = a * np.abs(dots) + 0.5 * curvature_weight * a * a * sizes
-        scores.append(np.where(_retained(ql), s, np.nan))
-    return scores, loss
+        loss, grads = _net.loss_gradients(dequantized_network(model), calib.records,
+                                          calib.labels())
+        g = group_rows(model.spec, model.group_size, grads.__getitem__)
+        dots = np.zeros_like(a)
+        for idx, m, b in _batches(groups.sizes, groups.bits):
+            # one unit-stride dot per (group, column), as g_slice @ col does
+            cols = np.ascontiguousarray(groups.signs[idx, :m, :b].transpose(0, 2, 1), float)
+            g_rows = np.repeat(g[idx, :m], b, axis=0)[:, :, None]
+            dots[idx, :b] = (cols.reshape(-1, 1, m) @ g_rows).reshape(len(idx), b)
+        s = a * np.abs(dots) + 0.5 * curvature_weight * a * a * sizes
+    return np.where(_retained(groups), s, np.nan), loss
 
 
 def prune_coordinates(
-    qlayers: list[QuantLayer],
-    scores: list[np.ndarray],
+    groups: Groups,
+    scores: np.ndarray,
     rate: float | None = None,
     target_avg_bitwidth: float | None = None,
-) -> list[QuantLayer]:
+) -> Groups:
     """Remove the lowest-scored coordinates globally until the target is met.
 
-    Coordinates are removed in order of (score, magnitude, layer, group,
-    coordinate). ``rate`` removes that fraction of all retained coordinates
-    (1.0 empties the model); ``target_avg_bitwidth`` stops once the network
-    weight-weighted average bitwidth is at or below the target. Already-met
-    targets are a logged no-op. Survivors keep their order in each group.
+    Coordinates are removed in order of (score, magnitude, group,
+    coordinate); in a model's groups that is (layer, group) order. ``rate``
+    removes that fraction of all retained coordinates (1.0 empties the set);
+    ``target_avg_bitwidth`` stops once the weight-weighted average bitwidth
+    is at or below the target. Already-met targets are a logged no-op.
+    Survivors keep their order in each group.
     """
     if (rate is None) == (target_avg_bitwidth is None):
         raise ConfigError("specify exactly one of rate / target_avg_bitwidth")
-    if len(scores) != len(qlayers):
-        raise ConfigError(f"{len(scores)} score arrays for {len(qlayers)} layers")
-    keys = []
-    for li, (ql, s) in enumerate(zip(qlayers, scores)):
-        gi, ci = np.nonzero(_retained(ql))
-        if np.shape(s) != ql.coords.shape or np.isnan(s[gi, ci]).any():
-            raise ConfigError(f"layer {li}: scores missing for retained coordinates")
-        size = ql.sizes[gi]
-        keys.append((s[gi, ci], ql.coords[gi, ci] * np.sqrt(size),
-                     np.full(gi.size, li), gi, ci, size))
-    score, magnitude, layer, group, coord, size = map(np.concatenate, zip(*keys))
-    order = np.lexsort((coord, group, layer, magnitude, score))
+    keep = _retained(groups)
+    group, coord = np.nonzero(keep)
+    if np.shape(scores) != groups.coords.shape or np.isnan(scores[group, coord]).any():
+        raise ConfigError("scores missing for retained coordinates")
+    size = groups.sizes[group]
+    order = np.lexsort((coord, group, groups.coords[group, coord] * np.sqrt(size),
+                        scores[group, coord]))
 
     if rate is not None:
         if not 0.0 <= rate <= 1.0:
             raise ConfigError("prune rate must be in [0,1]")
         n_remove = int(np.floor(rate * order.size + 0.5))
     else:
-        params = sum(ql.param_count for ql in qlayers)
+        params = int(groups.sizes.sum())
         # sign bits left after removing the first k coordinates, k = 0..all
-        left = sum(int(ql.sizes @ ql.bits) for ql in qlayers) - np.cumsum(
-            np.concatenate([[0], size[order]]))
+        left = int(groups.sizes @ groups.bits) - np.cumsum(np.concatenate([[0], size[order]]))
         met = left / params <= target_avg_bitwidth
         n_remove = int(met.argmax()) if met.any() else order.size
         if n_remove == 0:
@@ -561,16 +568,11 @@ def prune_coordinates(
             )
     removed = np.zeros(order.size, dtype=bool)
     removed[order[:n_remove]] = True
-
-    out = []
-    for li, ql in enumerate(qlayers):
-        keep = _retained(ql)
-        keep[keep] = ~removed[layer == li]
-        survivors_first = np.argsort(~keep, axis=1, kind="stable")
-        signs = np.take_along_axis(ql.signs * keep[:, None], survivors_first[:, None], axis=2)
-        coords = np.take_along_axis(ql.coords * keep, survivors_first, axis=1)
-        out.append(replace(ql, signs=signs, coords=coords, bits=keep.sum(axis=1)))
-    return out
+    keep[keep] = ~removed
+    survivors_first = np.argsort(~keep, axis=1, kind="stable")
+    signs = np.take_along_axis(groups.signs * keep[:, None], survivors_first[:, None], axis=2)
+    coords = np.take_along_axis(groups.coords * keep, survivors_first, axis=1)
+    return Groups(signs, coords, keep.sum(axis=1), groups.sizes).trimmed()
 
 
 # ---------------------------------------------------------------------------
@@ -597,45 +599,37 @@ def check_group_size(spec: NetworkSpec, group_size: int,
         raise error(f"group size {group_size} exceeds the largest layer's {largest} values")
 
 
-def init_layers(network: Network, group_size: int, i_max: int | dict) -> list[QuantLayer]:
-    """Greedy init of every parameterized layer, its bits capped by ``i_max``.
+def init_layers(network: Network, group_size: int, i_max: int | dict) -> QuantModel:
+    """Greedy init of every parameterized layer's groups, each capped at its
+    layer's ``i_max``, in one ``init_decompose`` pass.
 
     Raises ConfigError for an ``i_max`` map key other than "default" that
     names no parameterized layer of the network.
     """
-    names = _net.parameterized_layers(network.spec)
+    spec = network.spec
+    spans = layer_spans(spec, group_size)
     if isinstance(i_max, dict):
-        unknown = set(i_max) - {name for _, name in names} - {"default"}
+        unknown = set(i_max) - {row.name for row, _ in spans} - {"default"}
         if unknown:
             raise ConfigError(f"i_max names no parameterized layer: {sorted(unknown)}")
-    return [
-        init_decompose(_net.flatten_params(network, idx), group_size,
-                       layer_i_max(i_max, name), idx)
-        for idx, name in names
-    ]
+    sizes = np.concatenate([group_sizes(row.count, group_size) for row, _ in spans])
+    caps = np.concatenate([np.full(span.stop - span.start, layer_i_max(i_max, row.name))
+                           for row, span in spans])
+    rows = group_rows(spec, group_size, partial(_net.flatten_params, network))
+    return QuantModel(spec, init_decompose(rows, sizes, caps), group_size)
 
 
-def refine_layers(network: Network, qlayers: list[QuantLayer], iters: int) -> list[QuantLayer]:
-    """``iters`` rounds of optimize_bases then optimize_coords on all layers'
-    groups as one set. Both steps act on each group alone, so a group that a
-    round leaves bitwise unchanged is at a fixed point and drops out."""
-    if iters == 0 or not qlayers:
-        return list(qlayers)
-    ends = np.cumsum([len(ql.bits) for ql in qlayers])
-    spans = [slice(end - len(ql.bits), end) for ql, end in zip(qlayers, ends)]
-    n = max(ql.group_size for ql in qlayers)
-    width = max(ql.coords.shape[1] for ql in qlayers)
-    rows = np.zeros((ends[-1], n))
-    full = GroupSet(np.zeros((ends[-1], n, width), np.int8), np.zeros((ends[-1], width)),
-                    np.concatenate([ql.bits for ql in qlayers]),
-                    np.concatenate([ql.sizes for ql in qlayers]))
-    for ql, at in zip(qlayers, spans):
-        flat = _net.flatten_params(network, ql.layer_index)
-        rows[at, : ql.group_size] = partition_groups(flat, ql.group_size)
-        full.signs[at, : ql.group_size, : ql.coords.shape[1]] = ql.signs
-        full.coords[at, : ql.coords.shape[1]] = ql.coords
+def refine_layers(network: Network, model: QuantModel, iters: int) -> QuantModel:
+    """``iters`` rounds of optimize_bases then optimize_coords on the model's
+    groups. Both steps act on each group alone, so a group that a round
+    leaves bitwise unchanged is at a fixed point and drops out."""
+    if iters == 0:
+        return model
+    rows = group_rows(model.spec, model.group_size, partial(_net.flatten_params, network))
+    cur = model.groups
+    signs, coords, bits = cur.signs.copy(), cur.coords.copy(), cur.bits.copy()
     # the groups still changing: their indices, weight rows and current state
-    live, cur = np.arange(ends[-1]), full
+    live = np.arange(len(bits))
     for _ in range(iters):
         if live.size == 0:
             break
@@ -643,11 +637,10 @@ def refine_layers(network: Network, qlayers: list[QuantLayer], iters: int) -> li
         changed = ((new.signs != cur.signs).any(axis=(1, 2)) | (new.bits != cur.bits)
                    | (new.coords.view(np.int64) != cur.coords.view(np.int64)).any(axis=1))
         live, rows = live[changed], rows[changed]
-        cur = GroupSet(new.signs[changed], new.coords[changed], new.bits[changed],
-                       cur.sizes[changed])
-        full.signs[live], full.coords[live], full.bits[live] = cur.signs, cur.coords, cur.bits
-    return [replace(ql, signs=full.signs[at, : ql.group_size], coords=full.coords[at],
-                    bits=full.bits[at]) for ql, at in zip(qlayers, spans)]
+        cur = Groups(new.signs[changed], new.coords[changed], new.bits[changed],
+                     cur.sizes[changed])
+        signs[live], coords[live], bits[live] = cur.signs, cur.coords, cur.bits
+    return replace(model, groups=Groups(signs, coords, bits, model.groups.sizes).trimmed())
 
 
 def calib_subset(calib, config: AlqConfig):
@@ -661,11 +654,11 @@ def calib_subset(calib, config: AlqConfig):
     return Dataset(calib.records[idx], calib.labels()[idx], calib.class_count)
 
 
-def calib_loss(spec, qlayers, batch):
-    """Mean cross-entropy of the dequantized layers on a batch (None without one)."""
+def calib_loss(model: QuantModel, batch):
+    """Mean cross-entropy of the dequantized model on a batch (None without one)."""
     if batch is None:
         return None
-    return _net.batch_loss(dequantized_network(spec, qlayers), batch.records, batch.labels())
+    return _net.batch_loss(dequantized_network(model), batch.records, batch.labels())
 
 
 def alq_runs(network: Network, calib, config: AlqConfig, targets):
@@ -690,35 +683,33 @@ def alq_runs(network: Network, calib, config: AlqConfig, targets):
         raise ConfigError("loss_aware pruning requires calibration records")
     initial = init_layers(network, config.group_size, config.i_max)
     batch = calib_subset(calib, config)
-    avg_init, coords_init = model_avg_bitwidth(initial), total_coords(initial)
+    avg_init, coords_init = model_avg_bitwidth(initial.groups), total_coords(initial.groups)
     loss_init = None
     if prunes:
-        scores, loss_init = score_coordinates(
-            initial, network, batch, config.scorer, config.curvature_weight
-        )
+        scores, loss_init = score_coordinates(initial, batch, config.scorer,
+                                              config.curvature_weight)
     if loss_init is None:  # no loss-aware forward ran
-        loss_init = calib_loss(network.spec, initial, batch)
+        loss_init = calib_loss(initial, batch)
 
     for target in configs:
-        qlayers, loss_pruned = initial, loss_init
+        model, loss_pruned = initial, loss_init
         if target.prunes:
-            qlayers = prune_coordinates(initial, scores, rate=target.prune_rate,
-                                        target_avg_bitwidth=target.target_avg_bitwidth)
-            loss_pruned = calib_loss(network.spec, qlayers, batch)
-        avg_pruned = model_avg_bitwidth(qlayers)
-        qlayers = refine_layers(network, qlayers, config.refine_iters)
+            model = replace(initial, groups=prune_coordinates(
+                initial.groups, scores, rate=target.prune_rate,
+                target_avg_bitwidth=target.target_avg_bitwidth))
+            loss_pruned = calib_loss(model, batch)
+        avg_pruned = model_avg_bitwidth(model.groups)
+        model = refine_layers(network, model, config.refine_iters)
         report = PipelineReport(
             avg_bitwidth_init=avg_init,
             avg_bitwidth_pruned=avg_pruned,
-            avg_bitwidth_final=model_avg_bitwidth(qlayers),
-            pruned_coords=coords_init - total_coords(qlayers),
+            avg_bitwidth_final=model_avg_bitwidth(model.groups),
+            pruned_coords=coords_init - total_coords(model.groups),
             calib_loss_init=loss_init,
             calib_loss_pruned=loss_pruned,
-            calib_loss_final=calib_loss(network.spec, qlayers, batch),
+            calib_loss_final=calib_loss(model, batch),
         )
-        model = QuantModel(network.spec, qlayers, config.group_size,
-                           ModelMeta(target.seed, target.digest()))
-        yield model, report
+        yield replace(model, meta=ModelMeta(target.seed, target.digest())), report
 
 
 def alq_pipeline(network: Network, calib, config: AlqConfig) -> tuple[QuantModel, PipelineReport]:
@@ -733,8 +724,7 @@ def uniform_baseline(network: Network, i: int, n: int) -> QuantModel:
     """Fixed-bitwidth comparator: greedy init at exactly i bits, no pruning."""
     if i < 1:
         raise ConfigError("bitwidth must be >= 1")
-    qlayers = init_layers(network, n, i)
     digest = hashlib.sha256(
         json.dumps({"uniform": i, "group_size": n}, sort_keys=True).encode()
     ).hexdigest()
-    return QuantModel(network.spec, qlayers, n, ModelMeta(0, digest))
+    return replace(init_layers(network, n, i), meta=ModelMeta(0, digest))

@@ -14,8 +14,9 @@ a channel's s-th segment lies inside the s-th window of input columns,
 ``[s*n - left, s*n - left + width)``. ``left`` is 0 and ``width`` n when n
 divides the layer's ``fan`` (its inputs per output position); otherwise
 ``left`` is n and ``width`` 2n, and a layer has at most ceil(fan / n) + 1
-windows. From the layer's ``signs`` and ``coords`` arrays ``layer_plan``
-builds
+windows. From the ``signs`` and ``coords`` arrays of the layer's span of the
+model's groups (``quantizer.layer_spans``), cut to the layer's widest group,
+``layer_plan`` builds
 
 * ``M``, an int8 {-1, 0, +1} grid of shape (windows, K * outputs, width),
   K the layer's largest bitwidth: row ``k * outputs + o`` of window ``s``
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from alqecg import net as _net
-from alqecg.quantizer import QuantLayer, QuantModel
+from alqecg.quantizer import Groups, QuantModel, layer_spans
 
 # bytes of one layer's float64 bit-plane product held at a time
 Z_BYTES = 1 << 20
@@ -94,13 +95,13 @@ class LayerPlan:
         return y
 
 
-def layer_plan(layer: QuantLayer, n_out: int, fan: int) -> LayerPlan:
-    """Bit-plane plan of a layer with ``n_out`` outputs of ``fan`` inputs."""
-    n, bits = layer.group_size, layer.signs.shape[2]
+def layer_plan(layer: Groups, n_out: int, fan: int) -> LayerPlan:
+    """Bit-plane plan of a layer's groups, for ``n_out`` outputs of ``fan`` inputs."""
+    _, n, bits = layer.signs.shape
     left = 0 if fan % n == 0 else n
     # every flattened position's group and place in it; the partition is
     # standard, so position p is place p % n of group p // n
-    g, j = np.divmod(np.arange(layer.param_count), n)
+    g, j = np.divmod(np.arange(layer.sizes.sum()), n)
     w_total = n_out * fan
     # each weight's output channel, input column and window: its group's
     # index among the groups that hold the channel's weights
@@ -128,11 +129,10 @@ class BitPlaneExecutor:
 
     def __init__(self, model: QuantModel):
         self.model = model
-        table = _net.layer_table(model.spec)
         self.plans = {}
-        for ql in model.layers:
-            w_shape = table[ql.layer_index].weights
-            self.plans[ql.layer_index] = layer_plan(ql, w_shape[0], int(np.prod(w_shape[1:])))
+        for row, span in layer_spans(model.spec, model.group_size):
+            self.plans[row.index] = layer_plan(model.groups.trimmed(span), row.weights[0],
+                                               int(np.prod(row.weights[1:])))
 
     def _affine(self, i: int, h: np.ndarray) -> np.ndarray:
         if h.ndim == 2:  # dense rows

@@ -6,6 +6,7 @@ holds; any failure shows up as a normal pytest failure for that criterion.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from alqecg.quantizer import (
     AlqConfig,
     alq_pipeline,
     dequantized_network,
+    layer_spans,
     model_avg_bitwidth,
     score_coordinates,
     uniform_baseline,
@@ -146,25 +148,20 @@ def test_criterion_03_quantizer_oracles():
             err = err_new
 
     # (d) loss-aware bottom-1 equals the exhaustive-removal oracle
-    network, qlayers = toy_quant_net()
+    _, model = toy_quant_net()
     calib = toy_calib()
-    counts_total = sum(ql.param_count for ql in qlayers)
-    assert counts_total <= 50
-    scores, _ = score_coordinates(qlayers, network, calib, "loss_aware")
-    ranked = ranked_coordinates(qlayers, scores)
+    assert model.groups.sizes.sum() <= 50
+    scores, _ = score_coordinates(model, calib, "loss_aware")
+    ranked = ranked_coordinates(model.groups, scores)
     predicted = ranked[0][2:]
-    base = _net.batch_loss(
-        dequantized_network(network.spec, qlayers), calib.records, calib.labels()
-    )
+    base = _net.batch_loss(dequantized_network(model), calib.records, calib.labels())
     best = None
-    for _, magnitude, li, gi, ci in ranked:
-        trial = without_coordinate(qlayers, li, gi, ci)
-        loss = _net.batch_loss(
-            dequantized_network(network.spec, trial), calib.records, calib.labels()
-        )
-        key = (loss - base, magnitude, li, gi, ci)
+    for _, magnitude, gi, ci in ranked:
+        trial = replace(model, groups=without_coordinate(model.groups, gi, ci))
+        loss = _net.batch_loss(dequantized_network(trial), calib.records, calib.labels())
+        key = (loss - base, magnitude, gi, ci)
         if best is None or key < best[0]:
-            best = (key, (li, gi, ci))
+            best = (key, (gi, ci))
     assert predicted == best[1]
     _record(3, "base/coordinate/refinement/pruning oracles agree (4,000+ cases)")
 
@@ -275,8 +272,8 @@ def test_importance_ordering_under_heavy_pruning(trained_network, desk_data):
     config = AlqConfig(group_size=16, i_max=2, target_avg_bitwidth=1.37,
                        scorer="loss_aware", refine_iters=0, calib_batch=64, seed=11)
     model, _ = alq_pipeline(trained_network, train_set, config)
-    names = dict(_net.parameterized_layers(model.spec))
-    widths = {names[ql.layer_index]: model_avg_bitwidth([ql]) for ql in model.layers}
+    widths = {row.name: model_avg_bitwidth(model.groups.trimmed(span))
+              for row, span in layer_spans(model.spec, model.group_size)}
     assert widths["Softmax"] > widths["Conv1D_6"]
     assert widths["Softmax"] > widths["Conv1D_7"]
     assert widths["Conv1D_2"] > widths["Conv1D_6"]

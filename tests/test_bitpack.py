@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alqecg.bitpack import (
+    MAGIC,
+    VERSION,
     deserialize,
     deserialize_bytes,
     injected_memory_report,
@@ -15,7 +17,7 @@ from alqecg.bitpack import (
     serialize,
     serialize_bytes,
 )
-from alqecg.errors import ContainerFormatError, ShapeError
+from alqecg.errors import ConfigError, ContainerFormatError, ShapeError
 from alqecg.net import (
     NetworkSpec,
     conv,
@@ -23,23 +25,35 @@ from alqecg.net import (
     dense,
     flatten,
     init_params,
-    param_counts,
+    pack_header,
     pool,
     softmax_dense,
 )
 from alqecg.quantizer import (
     ENUM_BITWIDTH_LIMIT,
+    Groups,
     ModelMeta,
-    QuantLayer,
     QuantModel,
     canonicalize,
+    group_sizes,
+    layer_spans,
     prune_coordinates,
     score_coordinates,
-    init_decompose,
     uniform_baseline,
 )
 from conftest import tiny_spec, traced_peak
-from test_quantizer import arrays_sha256, empty_layer, groups_of, layers_equal
+from test_net import valid_specs
+from test_quantizer import (
+    arrays_sha256,
+    concat,
+    empty_groups,
+    groups_equal,
+    groups_of,
+    init_groups,
+    model_of,
+    with_arrays,
+    writable,
+)
 
 # SHA-256 of the ALQQ bytes of a 2-bit uniform baseline of the untrained
 # default network at group size 11, where every layer ends in a short group
@@ -61,11 +75,9 @@ def random_model(rng, spec=None, group_size=None) -> QuantModel:
     """Random canonical model; coordinates are exactly f32-representable."""
     spec = spec or small_spec()
     group_size = group_size or int(rng.integers(1, 17))
-    counts, _ = param_counts(spec)
-    layer_indices = [i for i, l in enumerate(spec.layers)
-                     if l.kind in ("conv1d", "dense", "softmax-dense")]
     layers = []
-    for layer_index, (_, count) in zip(layer_indices, counts):
+    for row, _ in layer_spans(spec, group_size):
+        count = row.count
         n_groups = -(-count // group_size)
         tail = count - (n_groups - 1) * group_size
         signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_groups, group_size, 4))
@@ -78,19 +90,21 @@ def random_model(rng, spec=None, group_size=None) -> QuantModel:
         signs[-1, tail:] = 0
         # the container stores f32 coordinates; keep the model on that grid
         coords = coords.astype(np.float32).astype(np.float64)
-        layers.append(QuantLayer(signs, coords, bits, group_size, count, layer_index))
+        layers.append((signs, coords, bits, group_sizes(count, group_size)))
+    groups = Groups(*map(np.concatenate, zip(*layers)))
     meta = ModelMeta(int(rng.integers(0, 2**63)), rng.bytes(32).hex())
-    return QuantModel(spec, layers, group_size, meta)
+    return QuantModel(spec, groups, group_size, meta)
 
 
 def models_equal(a: QuantModel, b: QuantModel) -> bool:
     return (a.group_size == b.group_size and a.meta == b.meta
-            and layers_equal(a.layers, b.layers))
+            and groups_equal(a.groups, b.groups))
 
 
 def header_bytes(model: QuantModel) -> int:
-    """Bytes before the first layer's group count."""
-    return len(serialize_bytes(replace(model, layers=[])))
+    """Bytes before the first layer's group count: the spec's header, then
+    the u64 seed, the 32-byte config digest and the u16 group size."""
+    return len(pack_header(MAGIC, VERSION, model.spec)) + 8 + 32 + 2
 
 
 def one_group_model(column) -> QuantModel:
@@ -102,8 +116,7 @@ def one_group_model(column) -> QuantModel:
                        input_channels=1, class_count=1)
     signs = np.zeros((2, n, 1), dtype=np.int8)
     signs[0, :, 0] = column
-    layer = QuantLayer(signs, [[1.0], [0.0]], [1, 0], n, n + 1, 1)
-    return QuantModel(spec, [layer], n, ModelMeta())
+    return QuantModel(spec, Groups(signs, [[1.0], [0.0]], [1, 0], [n, 1]), n)
 
 
 def column_bytes(column) -> bytes:
@@ -117,7 +130,7 @@ class TestPacking:
         col = np.array([1, -1, 1, 1, -1, -1, 1, -1], dtype=np.int8)
         assert column_bytes(col) == bytes([0b01001101])
         model = deserialize_bytes(serialize_bytes(one_group_model(col)))
-        assert np.array_equal(model.layers[0].signs[0, :, 0], col)
+        assert np.array_equal(model.groups.signs[0, :, 0], col)
 
     def test_lsb_first_layout(self):
         col = np.array([1, -1, -1, -1, -1, -1, -1, -1], dtype=np.int8)
@@ -129,14 +142,14 @@ class TestPacking:
         col = np.ones(11, dtype=np.int8)
         assert column_bytes(col) == b"\xff\x07"
         model = deserialize_bytes(serialize_bytes(one_group_model(col)))
-        assert np.array_equal(model.layers[0].signs[0, :, 0], col)
+        assert np.array_equal(model.groups.signs[0, :, 0], col)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=40))
     def test_round_trip(self, signs):
         col = np.array(signs, dtype=np.int8)
         model = deserialize_bytes(serialize_bytes(one_group_model(col)))
-        assert np.array_equal(model.layers[0].signs[0, :, 0], col)
+        assert np.array_equal(model.groups.signs[0, :, 0], col)
 
 
 class TestSerializeRoundTrip:
@@ -154,10 +167,9 @@ class TestSerializeRoundTrip:
     def test_empty_group_zero_payload(self):
         rng = np.random.default_rng(2)
         model = random_model(rng)
-        ql = model.layers[0]
-        signs, coords, bits = ql.signs.copy(), ql.coords.copy(), ql.bits.copy()
+        signs, coords, bits = writable(model)
         signs[0], coords[0], bits[0] = 0, 0.0, 0
-        model.layers[0] = replace(ql, signs=signs, coords=coords, bits=bits)
+        model = with_arrays(model, signs, coords, bits)
         assert models_equal(model, deserialize_bytes(serialize_bytes(model)))
 
     def test_uniform_baseline_golden_digest(self):
@@ -221,7 +233,7 @@ class TestDeserializeErrors:
         data = bytearray(serialize_bytes(model))
         # the first layer's group count, then its bitwidth array
         at = header_bytes(model) + 4
-        assert data[at] == model.layers[0].bits[0]
+        assert data[at] == model.groups.bits[0]
         data[at] = bitwidth
         with pytest.raises(ContainerFormatError, match=f"group 0: bitwidth {bitwidth} "
                            f"exceeds {ENUM_BITWIDTH_LIMIT}") as err:
@@ -241,8 +253,7 @@ class TestDeserializeErrors:
     def test_non_canonical_rejected(self):
         model = random_model(np.random.default_rng(6), group_size=8)
         # force a duplicate column pair into the first group
-        ql = model.layers[0]
-        signs, coords, bits = ql.signs.copy(), ql.coords.copy(), ql.bits.copy()
+        signs, coords, bits = writable(model)
         signs = np.pad(signs, ((0, 0), (0, 0), (0, 2)))
         coords = np.pad(coords, ((0, 0), (0, 2)))
         signs[0] = 0
@@ -250,13 +261,14 @@ class TestDeserializeErrors:
         coords[0] = 0.0
         coords[0, :2] = [1.0, 0.5]
         bits[0] = 2
-        model.layers[0] = replace(ql, signs=signs, coords=coords, bits=bits)
+        model = with_arrays(model, signs, coords, bits)
         with pytest.raises(ContainerFormatError,
                            match="group 0: duplicate base column 1") as err:
             deserialize_bytes(serialize_bytes(model))
         # group count, bitwidths, the coordinate block, then group 0's first
         # column: one byte for its 8 values
-        signs_at = header_bytes(model) + 4 + len(bits) + 4 * int(bits.sum())
+        first = bits[layer_spans(model.spec, model.group_size)[0][1]]
+        signs_at = header_bytes(model) + 4 + len(first) + 4 * int(first.sum())
         assert err.value.offset == signs_at + 1
 
     @pytest.mark.parametrize("nan", [0x7FC00000, 0x7FA00000])  # quiet, signalling
@@ -285,8 +297,7 @@ class TestDeserializeErrors:
                            input_channels=1, class_count=1)
         signs = np.zeros((2, 3, 2), dtype=np.int8)
         signs[0] = [[1, 1], [-1, 1], [1, -1]]
-        layer = QuantLayer(signs, [[1.0, 0.5], [0.0, 0.0]], [2, 0], 3, 4, 1)
-        model = QuantModel(spec, [layer], 3, ModelMeta())
+        model = QuantModel(spec, Groups(signs, [[1.0, 0.5], [0.0, 0.0]], [2, 0], [3, 1]), 3)
         data = bytearray(serialize_bytes(model))
         at = header_bytes(model) + 4 + 2 + 4 * index
         data[at : at + 4] = np.float32(value).tobytes()
@@ -300,10 +311,14 @@ class TestDeserializeErrors:
         the offset of its coordinate block. The sign block follows it: one
         1-byte column per group."""
         model = random_model(np.random.default_rng(seed), group_size=5)
-        ql = model.layers[0]
-        bits = np.ones_like(ql.bits)
-        model.layers[0] = replace(ql, signs=np.where(ql.signs[:, :, :1] == 0, 0, 1),
-                                  coords=np.ones((len(bits), 1)), bits=bits)
+        first = layer_spans(model.spec, 5)[0][1]
+        signs, coords, bits = writable(model)
+        column = np.where(signs[first, :, :1] == 0, 0, 1)
+        signs[first] = 0
+        signs[first, :, :1] = column
+        coords[first] = np.eye(1, coords.shape[1])
+        bits[first] = 1
+        model = with_arrays(model, signs, coords, bits)
         # group count, then the two bitwidths
         return bytearray(serialize_bytes(model)), header_bytes(model) + 4 + 2
 
@@ -395,6 +410,63 @@ class TestDeserializeErrors:
             assert err.value.offset == at
 
 
+def layer_parts(model: QuantModel) -> list[Groups]:
+    """Each layer's groups, cut to the layer's widest group."""
+    return [model.groups.trimmed(span) for _, span in layer_spans(model.spec, model.group_size)]
+
+
+class TestModelPartition:
+    """A model holds exactly the spec's partition at its group size, so
+    every model that can be built writes a container that loads."""
+
+    def test_models_the_loader_rejects_are_not_built(self):
+        network = init_params(tiny_spec(), 3)
+        model = uniform_baseline(network, 2, 16)
+        conv, hidden, out = layer_parts(model)
+        assert QuantModel(model.spec, concat([conv, hidden, out]), 16).group_size == 16
+        for groups, group_size in [
+            (concat([conv, hidden]), 16),  # the last layer missing
+            (concat([conv, out, hidden]), 16),  # two layers swapped
+            (uniform_baseline(network, 2, 8).groups, 16),  # cut at group size 8
+        ]:
+            with pytest.raises(ConfigError, match="not the"):
+                QuantModel(model.spec, groups, group_size)
+
+    def test_groups_above_the_bitwidth_limit_are_not_built(self):
+        # the loader rejects a bitwidth above the limit, and the greedy init
+        # gives this layer's 40-value group every bit it is allowed
+        spec = NetworkSpec([flatten(), softmax_dense(3)], input_length=40, class_count=3)
+        network = init_params(spec, 0)
+        assert uniform_baseline(network, ENUM_BITWIDTH_LIMIT, 40).groups.bits.max() == 16
+        with pytest.raises(ConfigError, match="a 17-bit group exceeds the 16-bit limit"):
+            uniform_baseline(network, ENUM_BITWIDTH_LIMIT + 1, 40)
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=valid_specs(), group_size=st.integers(1, 40), other=st.integers(1, 40),
+           arrangement=st.sampled_from(["keep", "drop last", "reverse", "regroup"]))
+    def test_every_model_built_loads(self, spec, group_size, other, arrangement):
+        network = init_params(spec, 0)
+        parts = layer_parts(uniform_baseline(network, 2, group_size))
+        if arrangement == "drop last":
+            assume(len(parts) > 1)
+            parts = parts[:-1]
+        elif arrangement == "reverse":
+            parts = parts[::-1]
+        elif arrangement == "regroup":
+            parts = layer_parts(uniform_baseline(network, 2, other))
+        try:
+            model = QuantModel(spec, concat(parts), group_size)
+        except ConfigError:
+            assert arrangement != "keep"
+            return
+        try:
+            blob = serialize_bytes(model)
+        except ContainerFormatError:  # no container declares such a group size
+            assert group_size > max(row.count for row, _ in layer_spans(spec, group_size))
+            return
+        assert serialize_bytes(deserialize_bytes(blob)) == blob
+
+
 # version-3 containers the loader fuzz tests mutate: two specs, group sizes
 # that do and do not divide the layers' parameter counts
 FUZZ_BLOBS = [
@@ -475,13 +547,13 @@ class TestMemoryReport:
     def test_real_model_consistency(self):
         model = random_model(np.random.default_rng(7))
         report = memory_report(model)
-        for row, ql in zip(report.rows, model.layers):
-            bits = sum(b.size for b, _ in groups_of(ql))
+        spans = layer_spans(model.spec, model.group_size)
+        for row, (layer, span) in zip(report.rows, spans):
+            bits = sum(b.size for b, _ in groups_of(model.groups.trimmed(span)))
+            assert (row.name, row.params) == (layer.name, layer.count)
             assert row.base_bits == bits
             assert row.base_bits == int(np.floor(row.params * row.avg_bitwidth + 0.5))
-        assert report.coord_overhead_bits == 32 * sum(
-            int(ql.bits.sum()) for ql in model.layers
-        )
+        assert report.coord_overhead_bits == 32 * int(model.groups.bits.sum())
         assert report.container_bits == len(serialize_bytes(model)) * 8
 
     def test_container_bits_match_serialized_size(self):
@@ -502,9 +574,9 @@ class TestMemoryReport:
         coord_bits = 0
         payload_bits = 0
         padding_bits = 0
-        for ql in model.layers:
+        for _, span in layer_spans(model.spec, model.group_size):
             group_header_bits += 32  # group count u32
-            for bases, _ in groups_of(ql):
+            for bases, _ in groups_of(model.groups.trimmed(span)):
                 size, bitwidth = bases.shape
                 group_header_bits += 8  # u8 bitwidth
                 coord_bits += bitwidth * 32
@@ -523,21 +595,19 @@ class TestMemoryReport:
 
     def test_headline_monotone_under_pruning(self):
         rng = np.random.default_rng(8)
-        layers = [init_decompose(rng.normal(size=99), 16, 3, 3)]
-        spec = small_spec()
-        scores, _ = score_coordinates(layers, None, None, "magnitude")
+        model = model_of(init_groups(rng.normal(size=99), 16, 3))
+        scores, _ = score_coordinates(model, None, "magnitude")
         prev = np.inf
         for rate in [0.0, 0.3, 0.6, 1.0]:
-            pruned = prune_coordinates(layers, scores, rate=rate)
-            model = QuantModel(spec, pruned, 16)
-            bits = memory_report(model).total_base_bits
+            pruned = prune_coordinates(model.groups, scores, rate=rate)
+            bits = memory_report(replace(model, groups=pruned)).total_base_bits
             assert bits <= prev
             prev = bits
 
     def test_fully_pruned_model(self):
         rng = np.random.default_rng(9)
         model = random_model(rng)
-        model.layers = [empty_layer(ql) for ql in model.layers]
+        model = replace(model, groups=empty_groups(model.groups))
         report = memory_report(model)
         assert report.total_base_bits == 0
         assert not np.isfinite(report.compression_rate)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from alqecg.qinfer import dequantize
 from alqecg.quantizer import uniform_baseline
 from alqecg.data import Dataset
 from conftest import noise_dataset, tiny_spec
-from test_quantizer import empty_layer
+from test_quantizer import empty_groups
 
 
 class TestConfusion:
@@ -123,7 +125,7 @@ class TestEvaluate:
     def test_fully_pruned_predicts_class_zero(self):
         network = init_params(tiny_spec(), 3)
         model = uniform_baseline(network, 1, 16)
-        model.layers = [empty_layer(ql) for ql in model.layers]
+        model = replace(model, groups=empty_groups(model.groups))
         ds = self._records(n=60)
         preds = predict_labels(model, ds.records)
         assert np.all(preds == 0)

@@ -139,7 +139,7 @@ class TestLayerTable:
             return real(spec)
 
         monkeypatch.setattr(_net, "layer_table", spy)
-        for call in (lambda: dequantized_network(model.spec, model.layers),
+        for call in (lambda: dequantized_network(model),
                      lambda: load_checkpoint(tmp_path / "m.alqf"),
                      lambda: deserialize_bytes(blob)):
             builds.clear()

@@ -14,26 +14,44 @@ from hypothesis import strategies as st
 from alqecg import net as _net, quantizer
 from alqecg.bitpack import memory_report
 from alqecg.data import Dataset
-from alqecg.errors import NumericError, ShapeError
+from alqecg.errors import ConfigError, NumericError, ShapeError
 from alqecg.net import default_ecgnet_spec, init_params
 from alqecg.qinfer import QuantExecutor, dequantize, predict_batch
-from alqecg.quantizer import AlqConfig, QuantLayer, alq_pipeline, canonicalize, uniform_baseline
+from alqecg.quantizer import (
+    AlqConfig,
+    Groups,
+    QuantModel,
+    alq_pipeline,
+    canonicalize,
+    group_sizes,
+    layer_spans,
+    uniform_baseline,
+)
 import bitplane_oracle
 from bitplane_oracle import BitPlaneExecutor, layer_plan
 from conftest import tiny_spec, traced_peak
 from test_bitpack import random_model, small_spec
-from test_quantizer import empty_layer, groups_of, layer_of, ref_reconstruct
+from test_quantizer import (
+    empty_groups,
+    groups_from,
+    groups_of,
+    ref_reconstruct,
+    span_of,
+    values_of,
+    with_arrays,
+    writable,
+)
 from test_net import random_records, sha256_of
 
 
 class TestDequantize:
     def test_matrix_product_by_hand(self):
-        ql = layer_of([([[1, 1], [1, -1]], [2.0, 1.0]), ([[-1, 1]], [2.0, 1.0])])
-        np.testing.assert_allclose(ql.reconstruct(), [3.0, 1.0, -1.0])
+        groups = groups_from([([[1, 1], [1, -1]], [2.0, 1.0]), ([[-1, 1]], [2.0, 1.0])])
+        np.testing.assert_allclose(values_of(groups), [3.0, 1.0, -1.0])
 
     def test_empty_group_zero_weights(self):
-        ql = layer_of([(np.zeros((4, 0)), np.zeros(0))])
-        np.testing.assert_array_equal(ql.reconstruct(), np.zeros(4))
+        groups = groups_from([(np.zeros((4, 0)), np.zeros(0))])
+        np.testing.assert_array_equal(values_of(groups), np.zeros(4))
 
     def test_lossless_model_restores_originals(self):
         network = init_params(tiny_spec(), 5)
@@ -50,11 +68,12 @@ class TestDequantize:
     def test_shape_mismatch_rejected(self):
         network = init_params(tiny_spec(), 5)
         model = uniform_baseline(network, 1, 16)
-        bad = model.layers[0]
-        model.layers[0] = QuantLayer(bad.signs, bad.coords, bad.bits, bad.group_size,
-                                     bad.param_count - 1, bad.layer_index)
-        with pytest.raises(Exception, match="reconstructed"):
-            dequantize(model)
+        # the first layer's groups, one value short
+        g = model.groups
+        sizes = g.sizes.copy()
+        sizes[span_of(model, 0).stop - 1] -= 1
+        with pytest.raises(ConfigError, match="not the"):
+            QuantModel(model.spec, Groups(g.signs, g.coords, g.bits, sizes), 16)
 
 
 def group_dot(bases, coords, x) -> float:
@@ -63,9 +82,9 @@ def group_dot(bases, coords, x) -> float:
     bases = np.asarray(bases, dtype=np.int8)
     n = bases.shape[0]
     # the weights fill group 0; the bias is a second, empty group
-    ql = layer_of([(bases, coords), (np.zeros((1, 0)), np.zeros(0))], n)
+    groups = groups_from([(bases, coords), (np.zeros((1, 0)), np.zeros(0))], n)
     x = np.asarray(x, dtype=np.float64)[None, :, None]
-    return float(layer_plan(ql, 1, n).apply(x)[0, 0, 0])
+    return float(layer_plan(groups, 1, n).apply(x)[0, 0, 0])
 
 
 class TestGroupDot:
@@ -99,13 +118,13 @@ class TestGroupDot:
                 * (np.arange(4) < rng.integers(0, 5, size=(k, 1))),
             )
             n_bias = -(-k // n)
-            ql = QuantLayer(np.concatenate([signs, np.zeros((n_bias, n, 4), np.int8)]),
+            groups = Groups(np.concatenate([signs, np.zeros((n_bias, n, 4), np.int8)]),
                             np.concatenate([coords, np.zeros((n_bias, 4))]),
                             np.concatenate([bits, np.zeros(n_bias, np.int64)]),
-                            n, k * n + k, 0)
+                            group_sizes(k * n + k, n))
             x = rng.normal(size=n)
-            bit_path = layer_plan(ql, k, n).apply(x[None, :, None])[0, :, 0]
-            dense_path = ql.reconstruct()[: k * n].reshape(k, n) @ x
+            bit_path = layer_plan(groups, k, n).apply(x[None, :, None])[0, :, 0]
+            dense_path = values_of(groups)[: k * n].reshape(k, n) @ x
             assert (np.abs(bit_path - dense_path)
                     <= 1e-6 * np.maximum(1.0, np.abs(dense_path))).all()
 
@@ -150,17 +169,14 @@ class TestQforward:
 
     def test_fully_pruned_uniform_output(self):
         model, _ = self._model_and_reference()
-        model.layers = [empty_layer(ql) for ql in model.layers]
+        model = replace(model, groups=empty_groups(model.groups))
         probs = QuantExecutor(model).probs([np.random.default_rng(0).normal(size=8)])[0]
         np.testing.assert_allclose(probs, np.full(3, 1 / 3), atol=1e-12)
 
     @pytest.mark.parametrize("layer, kind", [(0, "conv1d"), (3, "dense"),
                                              (4, "softmax-dense")])
     def test_nonfinite_raises_with_layer(self, layer, kind):
-        model, _ = self._model_and_reference()
-        at = [ql.layer_index for ql in model.layers].index(layer)
-        ql = model.layers[at]
-        model.layers[at] = replace(ql, coords=np.full_like(ql.coords, 1e308))
+        model = huge_coords(self._model_and_reference()[0], layer)
         with pytest.raises(NumericError, match=rf"layer {layer} \({kind}\)"):
             QuantExecutor(model).logits([np.full(8, 1e10)])
 
@@ -220,10 +236,7 @@ class TestQforward:
         assert runs[0][2].tobytes() == runs[1][2].tobytes()
 
     def test_numeric_error_raised_from_worker_thread(self, monkeypatch):
-        model, _ = self._model_and_reference()
-        at = [ql.layer_index for ql in model.layers].index(3)
-        model.layers[at] = replace(model.layers[at],
-                                   coords=np.full_like(model.layers[at].coords, 1e308))
+        model = huge_coords(self._model_and_reference()[0], 3)
         with np.errstate(over="ignore", invalid="ignore"):
             network = dequantize(model)  # the same overflowed weights, as an fp network
         monkeypatch.setenv("ALQ_THREADS", "2")
@@ -257,13 +270,14 @@ class TestQforward:
         def build(scale):
             # group size 4 keeps the bias tail in its own (zeroed) groups
             model = uniform_baseline(network, 2, 4)
-            out = model.layers[-1]
-            weights = np.arange(len(out.bits)) * 4 < w_count
+            out = span_of(model, 4)
+            signs, coords, bits = writable(model)
+            weights = np.arange(out.stop - out.start) * 4 < w_count
             assert w_count % 4 == 0
-            model.layers[-1] = QuantLayer(
-                out.signs * weights[:, None, None], out.coords * scale * weights[:, None],
-                out.bits * weights, 4, out.param_count, out.layer_index)
-            return model
+            signs[out] *= weights[:, None, None]
+            coords[out] *= scale * weights[:, None]
+            bits[out] *= weights
+            return with_arrays(model, signs, coords, bits)
 
         rng = np.random.default_rng(11)
         records = [rng.normal(size=8) for _ in range(25)]
@@ -282,10 +296,19 @@ class TestQforward:
             assert np.abs(qlog - flog).max() <= 1e-5
 
 
-def layer_geometry(model, ql) -> tuple[int, int]:
-    """(outputs, fan) of a quantized layer's weight matrix."""
-    w_shape = _net.layer_table(model.spec)[ql.layer_index].weights
-    return w_shape[0], int(np.prod(w_shape[1:]))
+def huge_coords(model, layer: int):
+    """The model with every coordinate of one layer's groups set to 1e308."""
+    signs, coords, bits = writable(model)
+    coords[span_of(model, layer)] = 1e308
+    return with_arrays(model, signs, coords, bits)
+
+
+def layer_parts(model) -> list[tuple[int, Groups, int, int]]:
+    """(layer index, groups cut to the layer's widest, outputs, fan) of every
+    quantized layer."""
+    return [(row.index, model.groups.trimmed(span), row.weights[0],
+             int(np.prod(row.weights[1:])))
+            for row, span in layer_spans(model.spec, model.group_size)]
 
 
 def dense_scatter_apply(ql, n_out, fan, x) -> np.ndarray:
@@ -315,12 +338,12 @@ def dense_scatter_apply(ql, n_out, fan, x) -> np.ndarray:
     return c @ (m[:, :fan] @ x + m[:, fan][:, None])
 
 
-def prune_channel(ql, o: int, fan: int) -> QuantLayer:
+def prune_channel(layer: Groups, o: int, fan: int) -> Groups:
     """The layer with every group that holds a weight of channel ``o`` pruned."""
-    start = np.cumsum(ql.sizes) - ql.sizes
-    hit = (start < (o + 1) * fan) & (start + ql.sizes > o * fan)
-    return QuantLayer(ql.signs * ~hit[:, None, None], ql.coords * ~hit[:, None],
-                      ql.bits * ~hit, ql.group_size, ql.param_count, ql.layer_index)
+    start = np.cumsum(layer.sizes) - layer.sizes
+    hit = (start < (o + 1) * fan) & (start + layer.sizes > o * fan)
+    return Groups(layer.signs * ~hit[:, None, None], layer.coords * ~hit[:, None],
+                  layer.bits * ~hit, layer.sizes)
 
 
 def grid_rows(plan, n_out: int) -> np.ndarray:
@@ -334,9 +357,8 @@ class TestLayerPlan:
         rng = np.random.default_rng(21)
         for spec in [small_spec(), tiny_spec()] * 10:
             model = random_model(rng, spec)
-            for ql, mem in zip(model.layers, memory_report(model).rows):
-                n_out, fan = layer_geometry(model, ql)
-                w_total, n = n_out * fan, ql.group_size
+            for (_, ql, n_out, fan), mem in zip(layer_parts(model), memory_report(model).rows):
+                w_total, n = n_out * fan, model.group_size
                 plan = layer_plan(ql, n_out, fan)
                 groups = groups_of(ql)
                 offsets = np.cumsum([0] + [b.shape[0] for b, _ in groups])
@@ -389,8 +411,7 @@ class TestLayerPlan:
         bias_only = empty_channels = 0
         for spec in [small_spec(), tiny_spec()] * 10:
             model = random_model(rng, spec, group_size)
-            for ql in model.layers:
-                n_out, fan = layer_geometry(model, ql)
+            for _, ql, n_out, fan in layer_parts(model):
                 x = rng.normal(size=(3, fan, 5))
                 variants = [ql, prune_channel(ql, int(rng.integers(n_out)), fan)]
                 for layer in variants:
@@ -407,9 +428,8 @@ class TestLayerPlan:
 
     def test_fully_pruned_layer(self):
         model = random_model(np.random.default_rng(22), tiny_spec())
-        ql = empty_layer(model.layers[0])
-        n_out, fan = layer_geometry(model, ql)
-        plan = layer_plan(ql, n_out, fan)
+        _, ql, n_out, fan = layer_parts(model)[0]
+        plan = layer_plan(empty_groups(ql), n_out, fan)
         assert plan.M.shape[1] == 0
         assert plan.coords.shape == (n_out, 0)
         np.testing.assert_array_equal(plan.bias, np.zeros(n_out))
@@ -434,8 +454,7 @@ class TestGridWindows:
     @pytest.mark.parametrize("group_size", [16, 11])
     def test_window_count_bounded(self, group_size):
         model = uniform_baseline(init_params(default_ecgnet_spec(), 14), 2, group_size)
-        for ql in model.layers:
-            n_out, fan = layer_geometry(model, ql)
+        for _, ql, n_out, fan in layer_parts(model):
             windows = layer_plan(ql, n_out, fan).M.shape[0]
             assert windows <= -(-fan // group_size) + 1
 
@@ -443,8 +462,8 @@ class TestGridWindows:
         model = uniform_baseline(init_params(default_ecgnet_spec(), 14), 2, 11)
         record = np.random.default_rng(16).normal(size=3600)
         oracle = BitPlaneExecutor(model)
-        oracle.plans = {ql.layer_index: DenseScatterPlan(ql, *layer_geometry(model, ql))
-                        for ql in model.layers}
+        oracle.plans = {index: DenseScatterPlan(ql, n_out, fan)
+                        for index, ql, n_out, fan in layer_parts(model)}
         expected = oracle.logits([record])
         # the executor, and the bit-plane plans on the same layer walk
         for logits in (QuantExecutor(model).logits([record]),
@@ -463,8 +482,8 @@ class TestPlanCache:
         built = []
         real = quantizer.dequantized_network
 
-        def spy(spec, layers):
-            built.append(real(spec, layers))
+        def spy(model):
+            built.append(real(model))
             return built[-1]
 
         monkeypatch.setattr(quantizer, "dequantized_network", spy)
@@ -488,7 +507,9 @@ class TestPlanCache:
         x = np.random.default_rng(34).normal(size=8)
         ex = QuantExecutor(model)
         before = ex.logits([x])
-        model.layers[1] = replace(model.layers[1], coords=2.0 * model.layers[1].coords)
+        signs, coords, bits = writable(model)
+        coords[span_of(model, 3)] *= 2.0
+        model = ex.model = with_arrays(model, signs, coords, bits)
         after = ex.logits([x])
         assert not np.array_equal(after, before)
         np.testing.assert_array_equal(after, QuantExecutor(model).logits([x]))
@@ -497,15 +518,20 @@ class TestPlanCache:
 
     def test_layer_arrays_are_read_only(self):
         model = random_model(np.random.default_rng(35), tiny_spec())
-        ql = model.layers[0]
-        for arr in (ql.coords, ql.signs, ql.bits):
+        g = model.groups
+        for arr in (g.coords, g.signs, g.bits, g.sizes):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
-        # the arrays a layer is built from stay the caller's to change
-        signs, coords, bits = ql.signs.copy(), ql.coords.copy(), ql.bits.copy()
-        QuantLayer(signs, coords, bits, ql.group_size, ql.param_count, ql.layer_index)
+        # the arrays a set is built from stay the caller's to change
+        signs, coords, bits = writable(model)
+        sizes = g.sizes.copy()
+        Groups(signs, coords, bits, sizes)
         coords[0] = 1.0
         bits[0] = 1
+        sizes[0] = 1
+        # and a model's groups are its own: it cannot be handed other ones
+        with pytest.raises(AttributeError):
+            model.groups = Groups(signs, coords, bits, sizes)
 
 
 class TestFullModelBatchInvariance:
@@ -651,7 +677,7 @@ class TestExecutorGoldenDigests:
         config = AlqConfig(group_size=16, i_max=3, target_avg_bitwidth=1.37,
                            refine_iters=2, calib_batch=24, seed=5)
         model, _ = alq_pipeline(network, Dataset(*random_records(24, 31)), config)
-        bits = np.concatenate([ql.bits for ql in model.layers])
+        bits = model.groups.bits
         assert set(np.unique(bits)) == {0, 1, 2, 3}
         check_logits_digests(
             model,

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import re
 from dataclasses import replace
 
@@ -28,8 +29,8 @@ from alqecg.quantizer import (
     ENUM_BITWIDTH_LIMIT,
     GRAM_COND_LIMIT,
     AlqConfig,
-    GroupSet,
-    QuantLayer,
+    Groups,
+    QuantModel,
     alq_pipeline,
     calib_loss,
     calib_subset,
@@ -39,6 +40,7 @@ from alqecg.quantizer import (
     init_decompose,
     init_layers,
     layer_i_max,
+    layer_spans,
     model_avg_bitwidth,
     optimize_bases,
     optimize_coords,
@@ -51,84 +53,134 @@ from alqecg.quantizer import (
     uniform_baseline,
 )
 from conftest import noise_dataset
+from test_net import valid_specs
 from alqecg.bitpack import serialize_bytes
 
 
 # ---------------------------------------------------------------------------
-# building layers from per-group (bases, coords) pairs and back
+# building groups from per-group (bases, coords) pairs and back
 
 
-def layer_of(groups, group_size=None, layer_index=0) -> QuantLayer:
-    """A layer from (bases (size, k), coords (k,)) pairs; all but the last full."""
-    groups = [(np.asarray(b, dtype=np.int8), np.asarray(c, dtype=np.float64))
-              for b, c in groups]
-    group_size = group_size or groups[0][0].shape[0]
-    width = max(c.size for _, c in groups)
-    signs = np.zeros((len(groups), group_size, width), dtype=np.int8)
-    coords = np.zeros((len(groups), width))
-    for g, (b, c) in enumerate(groups):
+def groups_from(pairs, group_size=None) -> Groups:
+    """Groups from (bases (size, k), coords (k,)) pairs, each group's size its
+    bases' rows."""
+    pairs = [(np.asarray(b, dtype=np.int8), np.asarray(c, dtype=np.float64))
+             for b, c in pairs]
+    group_size = group_size or pairs[0][0].shape[0]
+    width = max(c.size for _, c in pairs)
+    signs = np.zeros((len(pairs), group_size, width), dtype=np.int8)
+    coords = np.zeros((len(pairs), width))
+    for g, (b, c) in enumerate(pairs):
         signs[g, : b.shape[0], : c.size] = b
         coords[g, : c.size] = c
-    count = sum(b.shape[0] for b, _ in groups)
-    return QuantLayer(signs, coords, [c.size for _, c in groups], group_size, count,
-                      layer_index)
+    return Groups(signs, coords, [c.size for _, c in pairs], [b.shape[0] for b, _ in pairs])
 
 
-def empty_layer(ql: QuantLayer) -> QuantLayer:
-    """The layer with every coordinate pruned."""
-    n = len(ql.bits)
-    return QuantLayer(np.zeros((n, ql.group_size, 0)), np.zeros((n, 0)), np.zeros(n),
-                      ql.group_size, ql.param_count, ql.layer_index)
+def concat(parts) -> Groups:
+    """The groups of ``parts`` in order, as one set as wide as the widest."""
+    width = max(p.coords.shape[1] for p in parts)
+
+    def padded(name):
+        arrays = [getattr(p, name) for p in parts]
+        return np.concatenate([np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, width - a.shape[-1])])
+                               for a in arrays])
+
+    return Groups(padded("signs"), padded("coords"), np.concatenate([p.bits for p in parts]),
+                  np.concatenate([p.sizes for p in parts]))
 
 
-def groups_of(ql: QuantLayer) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-group (bases, coords) of a layer, without padding."""
-    return [(ql.signs[g, :m, :b], ql.coords[g, :b])
-            for g, (m, b) in enumerate(zip(ql.sizes, ql.bits))]
+def empty_groups(groups: Groups) -> Groups:
+    """The groups with every coordinate pruned."""
+    n = len(groups.bits)
+    return Groups(np.zeros((n, groups.signs.shape[1], 0)), np.zeros((n, 0)), np.zeros(n),
+                  groups.sizes)
 
 
-def layers_equal(a: list[QuantLayer], b: list[QuantLayer]) -> bool:
-    return len(a) == len(b) and all(
-        (x.group_size, x.param_count, x.layer_index) == (y.group_size, y.param_count,
-                                                         y.layer_index)
-        and np.array_equal(x.bits, y.bits)
-        and np.array_equal(x.signs, y.signs)
-        and x.coords.tobytes() == y.coords.tobytes()
-        for x, y in zip(a, b)
-    )
+def values_of(groups: Groups) -> np.ndarray:
+    """The values of a layer's groups (all full but the last), end to end."""
+    flat = _quantizer._reconstruct(groups.signs, groups.coords).reshape(-1)
+    return flat[: int(groups.sizes.sum())]
+
+
+def groups_of(groups: Groups) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-group (bases, coords), without padding."""
+    return [(groups.signs[g, :m, :b], groups.coords[g, :b])
+            for g, (m, b) in enumerate(zip(groups.sizes, groups.bits))]
+
+
+def groups_equal(a: Groups, b: Groups) -> bool:
+    """Equal groups, whatever columns past the widest either set carries."""
+    a, b = a.trimmed(), b.trimmed()
+    return (np.array_equal(a.sizes, b.sizes) and np.array_equal(a.bits, b.bits)
+            and np.array_equal(a.signs, b.signs) and a.coords.shape == b.coords.shape
+            and a.coords.tobytes() == b.coords.tobytes())
+
+
+def model_of(groups: Groups) -> QuantModel:
+    """A one-layer model holding ``groups``, all full but the last: a
+    one-output softmax-dense layer of as many parameters."""
+    count = int(groups.sizes.sum())
+    spec = NetworkSpec([flatten(), softmax_dense(1)], input_length=count - 1,
+                       input_channels=1, class_count=1)
+    return QuantModel(spec, groups, groups.signs.shape[1])
+
+
+def writable(model: QuantModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Writable copies of the model's signs, coords and bits."""
+    g = model.groups
+    return g.signs.copy(), g.coords.copy(), g.bits.copy()
+
+
+def with_arrays(model: QuantModel, signs, coords, bits) -> QuantModel:
+    """The model with its groups' signs, coords and bits replaced."""
+    return replace(model, groups=Groups(signs, coords, bits, model.groups.sizes))
+
+
+def span_of(model: QuantModel, layer_index: int) -> slice:
+    """The slice of the model's groups that holds one layer's."""
+    return {row.index: span for row, span in layer_spans(model.spec, model.group_size)}[
+        layer_index]
 
 
 def arrays_sha256(model) -> str:
-    """SHA-256 of every layer's signs, coords and bits arrays, with their
-    shapes: the quantizer's output, apart from any container format."""
+    """SHA-256 of every layer's signs, coords and bits arrays, cut to the
+    layer's widest group, with their shapes: the quantizer's output, apart
+    from any container format."""
     h = hashlib.sha256()
-    for ql in model.layers:
-        for a in (ql.signs, ql.coords, ql.bits):
+    for _, span in layer_spans(model.spec, model.group_size):
+        layer = model.groups.trimmed(span)
+        for a in (layer.signs, layer.coords, layer.bits):
             h.update(repr(a.shape).encode())
             h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
 
 
+def init_groups(flat, group_size: int, i_max: int) -> Groups:
+    """Greedy init of one layer's flattened values, every group capped at ``i_max``."""
+    flat = np.asarray(flat, dtype=np.float64)
+    sizes = group_sizes(flat.size, group_size)
+    return init_decompose(partition_groups(flat, group_size), sizes,
+                          np.full(len(sizes), i_max))
+
+
 def init_one(w, i_max):
     w = np.asarray(w, dtype=np.float64)
-    return groups_of(init_decompose(w, w.size, i_max))[0]
+    return groups_of(init_groups(w, w.size, i_max))[0]
 
 
-def refine_step(step, flat, ql: QuantLayer) -> QuantLayer:
+def refine_step(step, flat, groups: Groups) -> Groups:
     """``step`` (optimize_bases or optimize_coords) on one layer's groups."""
-    got = step(partition_groups(flat, ql.group_size),
-               GroupSet(ql.signs, ql.coords, ql.bits, ql.sizes))
-    return replace(ql, signs=got.signs, coords=got.coords, bits=got.bits)
+    return step(partition_groups(flat, groups.signs.shape[1]), groups)
 
 
 def bases_one(w, bases, coords):
     return groups_of(refine_step(optimize_bases, np.asarray(w, dtype=np.float64),
-                                 layer_of([(bases, coords)])))[0]
+                                 groups_from([(bases, coords)])))[0]
 
 
 def coords_one(w, bases, coords):
     return groups_of(refine_step(optimize_coords, np.asarray(w, dtype=np.float64),
-                                 layer_of([(bases, coords)])))[0]
+                                 groups_from([(bases, coords)])))[0]
 
 
 def recon_error(w, bases, coords) -> float:
@@ -294,39 +346,36 @@ def oracle_best_sign_matrix(w, bitwidth):
     return best
 
 
-def ranked_coordinates(qlayers, scores):
-    """(score, magnitude, layer, group, coord) of every retained coordinate, in
-    the documented pruning order."""
+def ranked_coordinates(groups: Groups, scores):
+    """(score, magnitude, group, coord) of every retained coordinate, in the
+    documented pruning order."""
     rows = []
-    for li, (ql, s) in enumerate(zip(qlayers, scores)):
-        for gi, (m, b) in enumerate(zip(ql.sizes, ql.bits)):
-            for ci in range(b):
-                rows.append((float(s[gi, ci]), float(ql.coords[gi, ci] * np.sqrt(m)),
-                             li, gi, ci))
+    for gi, (m, b) in enumerate(zip(groups.sizes, groups.bits)):
+        for ci in range(b):
+            rows.append((float(scores[gi, ci]), float(groups.coords[gi, ci] * np.sqrt(m)),
+                         gi, ci))
     return sorted(rows)
 
 
-def without_coordinate(qlayers, li, gi, ci):
-    """Copies of the layers with one coordinate removed."""
-    out = list(qlayers)
-    groups = groups_of(qlayers[li])
-    bases, coords = groups[gi]
+def without_coordinate(groups: Groups, gi, ci) -> Groups:
+    """A copy of the groups with one coordinate removed."""
+    pairs = groups_of(groups)
+    bases, coords = pairs[gi]
     keep = [c for c in range(coords.size) if c != ci]
-    groups[gi] = (bases[:, keep], coords[keep])
-    ql = qlayers[li]
-    out[li] = layer_of(groups, ql.group_size, ql.layer_index)
-    return out
+    pairs[gi] = (bases[:, keep], coords[keep])
+    return groups_from(pairs, groups.signs.shape[1])
 
 
 def random_layer(rng, count=None, group_size=None, i_max=None):
-    """(flat values, greedy init layer) with zero groups and a short tail."""
+    """(flat values, greedy init groups) of a layer with zero groups and a
+    short tail."""
     count = count or int(rng.integers(1, 200))
     group_size = group_size or int(rng.integers(1, 20))
     flat = rng.normal(size=count) * rng.uniform(0.1, 3)
     for off in range(0, count, group_size):
         if rng.random() < 0.1:
             flat[off : off + group_size] = 0.0
-    return flat, init_decompose(flat, group_size, i_max or int(rng.integers(1, 5)))
+    return flat, init_groups(flat, group_size, i_max or int(rng.integers(1, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +415,25 @@ class TestPartition:
         assert not groups.reshape(-1)[values.size :].any()
 
 
+class TestLayerSpans:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=valid_specs(), group_size=st.integers(1, 64))
+    def test_spans_follow_the_layer_table(self, spec, group_size):
+        rows = [row for row in _net.layer_table(spec) if row.name]
+        spans = layer_spans(spec, group_size)
+        assert [row for row, _ in spans] == rows
+        model = init_layers(init_params(spec, 0), group_size, 1)
+        end = 0
+        for row, span in spans:
+            # contiguous, in layer order, ceil(count / n) groups that hold
+            # the layer's values
+            assert span.start == end and span.step is None
+            assert span.stop - span.start == -(-row.count // group_size)
+            assert model.groups.sizes[span].sum() == row.count
+            end = span.stop
+        assert end == len(model.groups.bits)
+
+
 class TestInitDecompose:
     def test_constant_group(self):
         bases, coords = init_one([0.7, 0.7, 0.7, 0.7], 1)
@@ -381,9 +449,9 @@ class TestInitDecompose:
         np.testing.assert_allclose(ref_reconstruct(bases, coords), [3.0, 1.0])
 
     def test_zero_group(self):
-        ql = init_decompose(np.zeros(3), 3, 4)
-        assert ql.bits.tolist() == [0]
-        np.testing.assert_array_equal(ql.reconstruct(), [0.0, 0.0, 0.0])
+        groups = init_groups(np.zeros(3), 3, 4)
+        assert groups.bits.tolist() == [0]
+        np.testing.assert_array_equal(values_of(groups), [0.0, 0.0, 0.0])
 
     def test_canonical_output(self):
         rng = np.random.default_rng(0)
@@ -440,7 +508,7 @@ class TestOptimizeBases:
         assert float(bases.astype(float)[0] @ coords) == 1.0
 
     def test_rejects_wide_groups(self):
-        wide = layer_of([(np.ones((4, 17)), np.linspace(17, 1, 17))])
+        wide = groups_from([(np.ones((4, 17)), np.linspace(17, 1, 17))])
         with pytest.raises(ConfigError, match="enumeration"):
             refine_step(optimize_bases, np.zeros(4), wide)
 
@@ -527,8 +595,8 @@ class TestOptimizeCoords:
                 grams = basis.transpose(0, 2, 1) @ basis
                 cond = np.linalg.cond(grams)
                 ok = np.isfinite(cond) & (cond < GRAM_COND_LIMIT)
-                got = optimize_coords(rows, GroupSet(signs, coords, np.full(n, b),
-                                                     np.full(n, m)))
+                got = optimize_coords(rows, Groups(signs, coords, np.full(n, b),
+                                                   np.full(n, m)))
                 assert np.array_equal(solved[-1], grams[ok])
                 rule = "det" if (b * m) ** b < GRAM_COND_LIMIT else "cond"
                 outcomes |= {(rule, bool(x)) for x in ok}
@@ -601,63 +669,77 @@ class TestBatchedMatchesPerGroupReference:
     def test_init_decompose(self):
         rng = np.random.default_rng(32)
         for _ in range(100):
-            flat, ql = random_layer(rng)
+            flat, groups = random_layer(rng)
+            n = groups.signs.shape[1]
             i_max = int(rng.integers(1, 5))
-            ql = init_decompose(flat, ql.group_size, i_max)
-            rows = partition_groups(flat, ql.group_size)
-            assert_groups_equal(groups_of(ql), [
-                ref_init_decompose(rows[g, :m], i_max) for g, m in enumerate(ql.sizes)
+            groups = init_groups(flat, n, i_max)
+            rows = partition_groups(flat, n)
+            assert_groups_equal(groups_of(groups), [
+                ref_init_decompose(rows[g, :m], i_max) for g, m in enumerate(groups.sizes)
             ])
-            assert ql.reconstruct().tobytes() == np.concatenate(
-                [ref_reconstruct(*q) for q in groups_of(ql)]).tobytes()
+            assert values_of(groups).tobytes() == np.concatenate(
+                [ref_reconstruct(*q) for q in groups_of(groups)]).tobytes()
+
+    def test_init_decompose_per_group_caps(self):
+        # one pass over groups of several sizes and caps gives each group what
+        # a pass over its own layer at its own cap gives
+        rng = np.random.default_rng(38)
+        for _ in range(30):
+            n = int(rng.integers(1, 20))
+            layers = [random_layer(rng, group_size=n) for _ in range(3)]
+            caps = [int(rng.integers(1, 5)) for _ in layers]
+            sizes = np.concatenate([g.sizes for _, g in layers])
+            got = init_decompose(
+                np.concatenate([partition_groups(flat, n) for flat, _ in layers]), sizes,
+                np.repeat(caps, [len(g.sizes) for _, g in layers]))
+            want = concat([init_groups(flat, n, cap) for (flat, _), cap in zip(layers, caps)])
+            assert groups_equal(got, want)
+            assert got.signs.shape[2] == got.bits.max(initial=0)
 
     def test_refinement_steps(self):
         rng = np.random.default_rng(33)
         paths = {"pinv": 0, "guard": 0}
         for trial in range(150):
-            flat, ql = random_layer(rng)
+            flat, groups = random_layer(rng)
             if trial % 3 == 0:
                 # exactly representable weights: the least-squares step can
                 # only round away from them, which the error guard refuses
-                flat = ql.reconstruct()
+                flat = values_of(groups)
             if trial % 3 == 1:
                 # duplicate sign columns make the Gram matrix singular (pinv)
-                signs = ql.signs.copy()
-                signs[:, :, -1] = signs[:, :, 0] * (ql.bits[:, None] > 1)
-                ql = QuantLayer(signs, ql.coords, ql.bits, ql.group_size,
-                                ql.param_count, ql.layer_index)
-            rows = partition_groups(flat, ql.group_size)
+                signs = groups.signs.copy()
+                signs[:, :, -1] = signs[:, :, 0] * (groups.bits[:, None] > 1)
+                groups = Groups(signs, groups.coords, groups.bits, groups.sizes)
+            rows = partition_groups(flat, groups.signs.shape[1])
             for step, ref in ((optimize_bases, ref_optimize_bases),
                               (optimize_coords, ref_optimize_coords)):
                 want = [ref(rows[g, : q[0].shape[0]], *q, *([paths] if ref is
                                                            ref_optimize_coords else []))
-                        for g, q in enumerate(groups_of(ql))]
-                ql = refine_step(step, flat, ql)
-                assert_groups_equal(groups_of(ql), want)
+                        for g, q in enumerate(groups_of(groups))]
+                groups = refine_step(step, flat, groups)
+                assert_groups_equal(groups_of(groups), want)
         assert paths["pinv"] > 0 and paths["guard"] > 0
 
     def test_group_rows_form(self):
-        # rows and a GroupSet padded past the group size and the bitwidth, as
-        # refine_layers pads every layer to the network's largest, give the
-        # groups that the layer's own rows give
+        # rows and groups padded past the group size and the bitwidth, as a
+        # model's set holds a layer's groups at the model's widest, give the
+        # groups that the layer's own trimmed rows give
         rng = np.random.default_rng(36)
         for _ in range(40):
-            flat, ql = random_layer(rng)
+            flat, groups = random_layer(rng)
             pad = int(rng.integers(1, 4))
-            count, n, width = ql.signs.shape
+            count, n, width = groups.signs.shape
             rows = np.zeros((count, n + pad))
             rows[:, :n] = partition_groups(flat, n)
-            got = GroupSet(np.zeros((count, n + pad, width + pad), np.int8),
-                           np.zeros((count, width + pad)), ql.bits, ql.sizes)
-            got.signs[:, :n, :width], got.coords[:, :width] = ql.signs, ql.coords
+            signs = np.zeros((count, n + pad, width + pad), np.int8)
+            coords = np.zeros((count, width + pad))
+            signs[:, :n, :width], coords[:, :width] = groups.signs, groups.coords
+            got = Groups(signs, coords, groups.bits, groups.sizes)
             for step in (optimize_bases, optimize_coords):
                 got = step(rows, got)
-                ql = refine_step(step, flat, ql)
-                assert isinstance(got, GroupSet)
-                assert_groups_equal(
-                    [(got.signs[g, :m, :b], got.coords[g, :b])
-                     for g, (m, b) in enumerate(zip(got.sizes, got.bits))],
-                    groups_of(ql))
+                groups = refine_step(step, flat, groups)
+                assert isinstance(got, Groups) and got.signs.shape == signs.shape
+                assert_groups_equal(groups_of(got), groups_of(groups))
 
     @pytest.mark.parametrize("group_size", [1, 5, 7, 16])
     def test_scores(self, group_size):
@@ -665,17 +747,19 @@ class TestBatchedMatchesPerGroupReference:
 
         rng = np.random.default_rng(34)
         network = init_params(tiny_spec(), 35)
-        qlayers = uniform_baseline(network, 3, group_size).layers
-        qlayers = prune_coordinates(
-            qlayers, score_coordinates(qlayers, None, None, "magnitude")[0], rate=0.4)
+        model = uniform_baseline(network, 3, group_size)
+        model = replace(model, groups=prune_coordinates(
+            model.groups, score_coordinates(model, None, "magnitude")[0], rate=0.4))
         calib = noise_dataset(rng, 12, 8, 3)
-        deq = dequantized_network(network.spec, qlayers)
+        deq = dequantized_network(model)
         _, grads = _net.loss_gradients(deq, calib.records, calib.labels())
-        scores, _ = score_coordinates(qlayers, network, calib, "loss_aware", 0.7)
-        for ql, s in zip(qlayers, scores):
-            for gi, (bases, coords) in enumerate(groups_of(ql)):
-                off = gi * ql.group_size
-                g_slice = grads[ql.layer_index][off : off + bases.shape[0]]
+        scores, _ = score_coordinates(model, calib, "loss_aware", 0.7)
+        assert scores.shape == model.groups.coords.shape
+        for row, span in layer_spans(model.spec, group_size):
+            s = scores[span]
+            for gi, (bases, coords) in enumerate(groups_of(model.groups.trimmed(span))):
+                off = gi * group_size
+                g_slice = grads[row.index][off : off + bases.shape[0]]
                 for ci in range(coords.size):
                     a = float(coords[ci])
                     want = a * abs(float(g_slice @ bases[:, ci].astype(np.float64)))
@@ -703,19 +787,20 @@ class TestRefinementVsExhaustive:
             assert floor <= refined_err + 1e-9
 
 
-def ref_refine_layers(network, qlayers, iters):
+def ref_refine_layers(network, model, iters) -> QuantModel:
     """Per-layer refinement: every round on every group of one layer at a time."""
     out = []
-    for ql in qlayers:
-        flat = _net.flatten_params(network, ql.layer_index)
+    for row, span in layer_spans(model.spec, model.group_size):
+        flat = _net.flatten_params(network, row.index)
+        groups = model.groups.trimmed(span)
         for _ in range(iters):
-            ql = refine_step(optimize_coords, flat, refine_step(optimize_bases, flat, ql))
-        out.append(ql)
-    return out
+            groups = refine_step(optimize_coords, flat, refine_step(optimize_bases, flat, groups))
+        out.append(groups)
+    return replace(model, groups=concat(out))
 
 
 def refine_case(group_size, scorer, seed=0):
-    """(network, pruned layers) of an 841-parameter conv/dense network with an
+    """(network, pruned model) of an 841-parameter conv/dense network with an
     i_max map, pruned by ``scorer`` on random calibration records. Every fifth
     group's coordinates are scaled by 1e-9: its weights then all take the
     outermost level, so its sign columns coincide and refinement merges them."""
@@ -726,19 +811,18 @@ def refine_case(group_size, scorer, seed=0):
     i_max = {"default": 3, "Conv1D_1": 4, "Softmax": 2}
     rng = np.random.default_rng(seed + 1)
     calib = noise_dataset(rng, 16, 24, 5)
-    layers = init_layers(network, group_size, i_max)
-    scores, _ = score_coordinates(layers, network, calib, scorer)
-    layers = prune_coordinates(layers, scores, rate=0.3)
-    return network, [replace(ql, coords=ql.coords * np.where(
-        np.arange(len(ql.bits)) % 5 == 0, 1e-9, 1.0)[:, None]) for ql in layers]
+    model = init_layers(network, group_size, i_max)
+    scores, _ = score_coordinates(model, calib, scorer)
+    g = prune_coordinates(model.groups, scores, rate=0.3)
+    scale = np.where(np.arange(len(g.bits)) % 5 == 0, 1e-9, 1.0)[:, None]
+    return network, replace(model, groups=Groups(g.signs, g.coords * scale, g.bits, g.sizes))
 
 
-def changed_groups(before, after) -> int:
-    """Number of groups whose (bases, coords) differ between two layer lists."""
+def changed_groups(before: Groups, after: Groups) -> int:
+    """Number of groups whose (bases, coords) differ between two sets."""
     return sum(
         not (np.array_equal(bb, ab) and bc.tobytes() == ac.tobytes())
-        for x, y in zip(before, after)
-        for (bb, bc), (ab, ac) in zip(groups_of(x), groups_of(y))
+        for (bb, bc), (ab, ac) in zip(groups_of(before), groups_of(after))
     )
 
 
@@ -746,23 +830,25 @@ class TestRefineLayers:
     @pytest.mark.parametrize("scorer", ["magnitude", "loss_aware"])
     @pytest.mark.parametrize("group_size", [16, 11, 7])
     def test_matches_per_layer_rounds(self, group_size, scorer):
-        network, layers = refine_case(group_size, scorer)
-        assert len({int(ql.bits.max()) for ql in layers}) > 1
-        assert any(ql.param_count % group_size for ql in layers)
+        network, model = refine_case(group_size, scorer)
+        spans = layer_spans(model.spec, group_size)
+        assert len({int(model.groups.bits[span].max()) for _, span in spans}) > 1
+        assert any(row.count % group_size for row, _ in spans)
         for iters in range(5):
-            got = refine_layers(network, layers, iters)
-            assert layers_equal(got, ref_refine_layers(network, layers, iters)), iters
-        assert any((a.bits < b.bits).any() for a, b in zip(got, layers))
-        assert all(a is b for a, b in zip(refine_layers(network, layers, 0), layers))
+            got = refine_layers(network, model, iters)
+            want = ref_refine_layers(network, model, iters)
+            assert groups_equal(got.groups, want.groups), iters
+        assert (got.groups.bits < model.groups.bits).any()
+        assert refine_layers(network, model, 0) is model
 
     @pytest.mark.parametrize("group_size", [16, 7])
     def test_rounds_refine_only_changed_groups(self, monkeypatch, group_size):
-        network, layers = refine_case(group_size, "loss_aware", seed=2)
+        network, model = refine_case(group_size, "loss_aware", seed=2)
         iters = 8
-        rounds = [layers]
+        rounds = [model]
         for _ in range(iters):
             rounds.append(ref_refine_layers(network, rounds[-1], 1))
-        changed = [changed_groups(a, b) for a, b in zip(rounds, rounds[1:])]
+        changed = [changed_groups(a.groups, b.groups) for a, b in zip(rounds, rounds[1:])]
         sizes = []
         real = _quantizer.optimize_coords
 
@@ -771,34 +857,35 @@ class TestRefineLayers:
             return real(rows, groups)
 
         monkeypatch.setattr(_quantizer, "optimize_coords", spy)
-        got = refine_layers(network, layers, iters)
-        assert layers_equal(got, rounds[-1])
+        got = refine_layers(network, model, iters)
+        assert groups_equal(got.groups, rounds[-1].groups)
         # round 1 takes every group, round r the groups round r - 1 changed;
         # refinement stops once a round changes none
-        want = [sum(len(ql.bits) for ql in layers)] + changed
+        want = [len(model.groups.bits)] + changed
         want = want[: want.index(0) if 0 in want else iters]
         assert sizes == want
         assert want[1] < want[0] and len(want) > 2
 
 
 class TestAverageBitwidth:
-    def _layer(self, sizes, bits):
-        return layer_of(
+    def _groups(self, sizes, bits):
+        return groups_from(
             [(np.ones((n, b)), np.linspace(b, 1, b)) for n, b in zip(sizes, bits)],
             max(sizes),
         )
 
     def test_group_mean(self):
-        layer = self._layer([8, 8, 8, 8], [2, 1, 1, 0])
-        assert model_avg_bitwidth([layer]) == pytest.approx(1.0)
+        groups = self._groups([8, 8, 8, 8], [2, 1, 1, 0])
+        assert model_avg_bitwidth(groups) == pytest.approx(1.0)
+        assert total_coords(groups) == 4
 
     def test_weighted_mean_with_tail(self):
-        layer = self._layer([16, 8], [1, 2])
-        assert model_avg_bitwidth([layer]) == pytest.approx((16 + 16) / 24)
+        groups = self._groups([16, 8], [1, 2])
+        assert model_avg_bitwidth(groups) == pytest.approx((16 + 16) / 24)
 
     def test_equal_bits_degenerate(self):
-        layer = self._layer([16, 16], [3, 3])
-        assert model_avg_bitwidth([layer]) == pytest.approx(3.0)
+        groups = self._groups([16, 16], [3, 3])
+        assert model_avg_bitwidth(groups) == pytest.approx(3.0)
 
 
 def toy_quant_net(eps=1e-3):
@@ -815,9 +902,8 @@ def toy_quant_net(eps=1e-3):
     g0 = ([[1, 1], [1, -1], [-1, 1], [1, -1]], [2.0, eps])
     g1 = init_one([2.0, -2.0, 0.5, -0.5], 2)  # exact: [1.25, 0.75]
     g2 = init_one([0.0], 2)  # empty
-    qlayers = [layer_of([g0, g1, g2], 4, layer_index=1)]
-    network = dequantized_network(spec, qlayers)
-    return network, qlayers
+    model = QuantModel(spec, groups_from([g0, g1, g2], 4), 4)
+    return dequantized_network(model), model
 
 
 def toy_calib() -> Dataset:
@@ -828,155 +914,155 @@ def toy_calib() -> Dataset:
 class TestScoring:
     def test_magnitude_example(self):
         bases = np.ones((16, 2), dtype=np.int8) * np.array([1, -1], dtype=np.int8)
-        layer = layer_of([(bases, [2.0, 0.001])])
-        (scores,), loss = score_coordinates([layer], None, None, "magnitude")
+        model = model_of(groups_from([(bases, [2.0, 0.001])]))
+        scores, loss = score_coordinates(model, None, "magnitude")
         assert loss is None
         assert scores[0, 0] == pytest.approx(8.0)
         assert scores[0, 1] == pytest.approx(0.004)
 
     def test_loss_aware_matches_exhaustive_removal(self):
-        network, qlayers = toy_quant_net()
+        _, model = toy_quant_net()
         calib = toy_calib()
-        scores, _ = score_coordinates(qlayers, network, calib, "loss_aware")
-        ranked = ranked_coordinates(qlayers, scores)
+        scores, _ = score_coordinates(model, calib, "loss_aware")
+        ranked = ranked_coordinates(model.groups, scores)
         predicted = ranked[0][2:]
 
         base_labels = calib.labels()
         best = None
-        for _, magnitude, li, gi, ci in ranked:
-            deq = dequantized_network(network.spec, without_coordinate(qlayers, li, gi, ci))
-            loss = _net.batch_loss(deq, calib.records, base_labels)
-            key = (loss, magnitude, li, gi, ci)
+        for _, magnitude, gi, ci in ranked:
+            trial = replace(model, groups=without_coordinate(model.groups, gi, ci))
+            loss = _net.batch_loss(dequantized_network(trial), calib.records, base_labels)
+            key = (loss, magnitude, gi, ci)
             if best is None or key < best[0]:
-                best = (key, (li, gi, ci))
+                best = (key, (gi, ci))
         assert predicted == best[1]
 
     def test_loss_aware_loss_is_calib_loss(self):
-        network, qlayers = toy_quant_net()
+        _, model = toy_quant_net()
         calib = toy_calib()
-        _, loss = score_coordinates(qlayers, network, calib, "loss_aware")
-        assert loss == calib_loss(network.spec, qlayers, calib)
+        _, loss = score_coordinates(model, calib, "loss_aware")
+        assert loss == calib_loss(model, calib)
 
     def test_loss_aware_requires_calib(self):
-        network, qlayers = toy_quant_net()
+        _, model = toy_quant_net()
         with pytest.raises(ConfigError, match="calibration"):
-            score_coordinates(qlayers, network, None, "loss_aware")
+            score_coordinates(model, None, "loss_aware")
 
     def test_deterministic(self):
-        network, qlayers = toy_quant_net()
+        _, model = toy_quant_net()
         calib = toy_calib()
-        a, _ = score_coordinates(qlayers, network, calib, "loss_aware")
-        b, _ = score_coordinates(qlayers, network, calib, "loss_aware")
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+        a, _ = score_coordinates(model, calib, "loss_aware")
+        b, _ = score_coordinates(model, calib, "loss_aware")
+        assert a.tobytes() == b.tobytes()
 
 
-def ref_prune(qlayers, scores, rate=None, target=None):
+def ref_prune(groups: Groups, scores, rate=None, target=None) -> Groups:
     """Per-coordinate reference of prune_coordinates."""
-    ranked = ranked_coordinates(qlayers, scores)
+    ranked = ranked_coordinates(groups, scores)
     if rate is not None:
         removed = ranked[: int(np.floor(rate * len(ranked) + 0.5))]
     else:
-        bits = sum(int(ql.sizes @ ql.bits) for ql in qlayers)
-        params = sum(ql.param_count for ql in qlayers)
+        bits = int(groups.sizes @ groups.bits)
+        params = int(groups.sizes.sum())
         removed = []
         for row in ranked:
             if bits / params <= target:
                 break
             removed.append(row)
-            bits -= qlayers[row[2]].sizes[row[3]]
-    out = list(qlayers)
-    for _, _, li, gi, ci in sorted(removed, key=lambda r: -r[4]):
-        out = without_coordinate(out, li, gi, ci)
-    return out
+            bits -= groups.sizes[row[2]]
+    for _, _, gi, ci in sorted(removed, key=lambda r: -r[3]):
+        groups = without_coordinate(groups, gi, ci)
+    return groups
 
 
 class TestPrune:
-    def _two_group_layers(self):
-        groups = []
+    def _two_groups(self):
+        pairs = []
         for seed, coords in ((0, [2.0, 0.001]), (1, [1.25, 0.75])):
             signs = np.sign(np.random.default_rng(seed).normal(size=(1, 16, 2)))
             s, c, b = canonicalize(signs, np.array([coords]))
-            groups.append((s[0, :, : b[0]], c[0, : b[0]]))
-        layers = [layer_of(groups)]
-        scores, _ = score_coordinates(layers, None, None, "magnitude")
-        return layers, scores
+            pairs.append((s[0, :, : b[0]], c[0, : b[0]]))
+        groups = groups_from(pairs)
+        scores, _ = score_coordinates(model_of(groups), None, "magnitude")
+        return groups, scores
 
     def test_rate_zero_noop(self):
-        layers, scores = self._two_group_layers()
-        out = prune_coordinates(layers, scores, rate=0.0)
-        assert layers_equal(out, layers)
+        groups, scores = self._two_groups()
+        out = prune_coordinates(groups, scores, rate=0.0)
+        assert groups_equal(out, groups)
 
     def test_rate_one_empties_everything(self):
-        layers, scores = self._two_group_layers()
-        out = prune_coordinates(layers, scores, rate=1.0)
-        assert all(not ql.bits.any() for ql in out)
+        groups, scores = self._two_groups()
+        out = prune_coordinates(groups, scores, rate=1.0)
+        assert not out.bits.any()
         assert model_avg_bitwidth(out) == 0.0
-        for ql in out:
-            np.testing.assert_array_equal(ql.reconstruct(), np.zeros(ql.param_count))
+        np.testing.assert_array_equal(values_of(out), np.zeros(32))
 
     def test_lowest_score_removed_first(self):
-        layers, scores = self._two_group_layers()
-        out = prune_coordinates(layers, scores, rate=0.25)  # one of four coords
-        assert out[0].bits.tolist() == [1, 2]
-        assert out[0].coords[0, 0] == pytest.approx(2.0)
+        groups, scores = self._two_groups()
+        out = prune_coordinates(groups, scores, rate=0.25)  # one of four coords
+        assert out.bits.tolist() == [1, 2]
+        assert out.coords[0, 0] == pytest.approx(2.0)
 
     def test_target_bitwidth(self):
-        layers, scores = self._two_group_layers()
-        out = prune_coordinates(layers, scores, target_avg_bitwidth=1.0)
+        groups, scores = self._two_groups()
+        out = prune_coordinates(groups, scores, target_avg_bitwidth=1.0)
         assert model_avg_bitwidth(out) <= 1.0
 
     def test_target_already_met_noop(self, caplog):
-        layers, scores = self._two_group_layers()
+        groups, scores = self._two_groups()
         with caplog.at_level("INFO"):
-            out = prune_coordinates(layers, scores, target_avg_bitwidth=5.0)
-        assert layers_equal(out, layers)
+            out = prune_coordinates(groups, scores, target_avg_bitwidth=5.0)
+        assert groups_equal(out, groups)
         assert any("already met" in r.message for r in caplog.records)
 
     def test_tie_break_order(self):
-        # equal scores: magnitude, then (layer, group, coord) decide
+        # equal scores: magnitude, then (group, coord) decide
         g = ([[1, -1], [1, 1]], [1.0, 0.5])
-        out = prune_coordinates([layer_of([g])], [np.array([[1.0, 1.0]])], rate=0.5)
+        out = prune_coordinates(groups_from([g]), np.array([[1.0, 1.0]]), rate=0.5)
         # coordinate 1 had the lower magnitude and is removed despite equal score
-        assert out[0].coords.tolist() == [[1.0]]
-        twins = [layer_of([g, g]), layer_of([g], layer_index=1)]
-        scores = [np.ones((2, 2)), np.ones((1, 2))]
-        out = prune_coordinates(twins, scores, rate=0.5)
-        assert [ql.bits.tolist() for ql in out] == [[1, 1], [1]]
+        assert out.coords.tolist() == [[1.0]]
+        # three equal groups, as two layers' would lie in a model's set: the
+        # earlier groups lose their second coordinate first
+        out = prune_coordinates(groups_from([g, g, g]), np.ones((3, 2)), rate=2 / 6)
+        assert out.bits.tolist() == [1, 1, 2]
 
     def test_monotone_in_rate(self):
         rng = np.random.default_rng(9)
-        layers = [init_decompose(rng.normal(size=128), 16, 3)]
-        scores, _ = score_coordinates(layers, None, None, "magnitude")
+        groups = init_groups(rng.normal(size=128), 16, 3)
+        scores, _ = score_coordinates(model_of(groups), None, "magnitude")
         prev_bits = np.inf
         for rate in [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]:
-            out = prune_coordinates(layers, scores, rate=rate)
-            bits = sum(int(ql.sizes @ ql.bits) for ql in out)
+            out = prune_coordinates(groups, scores, rate=rate)
+            bits = int(out.sizes @ out.bits)
             assert bits <= prev_bits
             prev_bits = bits
 
     def test_matches_per_coordinate_reference(self):
         rng = np.random.default_rng(36)
         for _ in range(40):
-            layers = [random_layer(rng, i_max=3)[1] for _ in range(3)]
-            # coarse scores produce ties, broken by magnitude and position
-            scores = [np.where(np.isnan(s), s, np.round(s, 1))
-                      for s in score_coordinates(layers, None, None, "magnitude")[0]]
+            n = int(rng.integers(1, 20))
+            groups = concat([random_layer(rng, group_size=n, i_max=3)[1] for _ in range(3)])
+            # coarse magnitude scores produce ties, broken by magnitude and
+            # position
+            retained = np.arange(groups.coords.shape[1]) < groups.bits[:, None]
+            scores = np.where(retained, np.round(groups.coords * np.sqrt(groups.sizes)[:, None],
+                                                 1), np.nan)
             for kwargs in ({"rate": float(rng.uniform(0, 1))},
                            {"target_avg_bitwidth": float(rng.uniform(0, 3))}):
-                want = ref_prune(layers, scores, kwargs.get("rate"),
+                want = ref_prune(groups, scores, kwargs.get("rate"),
                                  kwargs.get("target_avg_bitwidth"))
-                got = prune_coordinates(layers, scores, **kwargs)
-                for x, y in zip(got, want):
-                    assert x.signs.shape[2] == x.bits.max(initial=0)
-                    assert_groups_equal(groups_of(x), groups_of(y))
+                got = prune_coordinates(groups, scores, **kwargs)
+                assert got.signs.shape[2] == got.bits.max(initial=0)
+                assert_groups_equal(groups_of(got), groups_of(want))
 
     def test_rejects_mismatched_scores(self):
-        layers, scores = self._two_group_layers()
-        with pytest.raises(ConfigError, match="score arrays"):
-            prune_coordinates(layers, scores * 2, rate=0.5)
-        scores[0][1, 0] = np.nan
-        with pytest.raises(ConfigError, match="layer 0: scores missing"):
-            prune_coordinates(layers, scores, rate=0.5)
+        groups, scores = self._two_groups()
+        with pytest.raises(ConfigError, match="scores missing"):
+            prune_coordinates(groups, scores[:1], rate=0.5)
+        scores[1, 0] = np.nan
+        with pytest.raises(ConfigError, match="scores missing for retained coordinates"):
+            prune_coordinates(groups, scores, rate=0.5)
 
 
 class TestPipeline:
@@ -1056,8 +1142,7 @@ class TestPipeline:
         assert calls[0] == (scorer == "loss_aware" and rate > 0)
         monkeypatch.undo()
         initial = init_layers(network, config.group_size, config.i_max)
-        assert report.calib_loss_init == calib_loss(
-            network.spec, initial, calib_subset(calib, config))
+        assert report.calib_loss_init == calib_loss(initial, calib_subset(calib, config))
 
 
 class TestUniformBaseline:
@@ -1066,7 +1151,7 @@ class TestUniformBaseline:
             [flatten(), softmax_dense(3)], input_length=4, input_channels=1,
             class_count=3), 0)
         model = uniform_baseline(network, 1, 8)
-        assert all((ql.bits == 1).all() for ql in model.layers)
+        assert (model.groups.bits == 1).all()
 
     def test_error_monotone_in_bits(self):
         network = init_params(NetworkSpec(
@@ -1076,9 +1161,9 @@ class TestUniformBaseline:
         for i in [1, 2, 4, 8]:
             model = uniform_baseline(network, i, 8)
             err = 0.0
-            for ql in model.layers:
-                flat = _net.flatten_params(network, ql.layer_index)
-                err += float(np.sum((flat - ql.reconstruct()) ** 2))
+            for row, span in layer_spans(model.spec, model.group_size):
+                flat = _net.flatten_params(network, row.index)
+                err += float(np.sum((flat - values_of(model.groups.trimmed(span))) ** 2))
             assert err <= prev + 1e-15
             prev = err
 
@@ -1118,7 +1203,7 @@ class TestConfig:
         config = AlqConfig(group_size=4, i_max={"default": 2, "Softmax": 3},
                            prune_rate=0.0, scorer="magnitude", refine_iters=0)
         model, _ = alq_pipeline(network, None, config)
-        assert model.layers[0].bits.max() == 3
+        assert model.groups.bits.max() == 3
 
     def test_bad_rate(self):
         for rate in (1.5, float("nan"), float("inf")):
@@ -1175,6 +1260,14 @@ class TestConfig:
         path = tmp_path / "alq.json"
         path.write_bytes(text)
         with pytest.raises(ConfigError, match=re.escape(message)):
+            AlqConfig.from_json_file(path)
+
+    @pytest.mark.parametrize("prune", [[], 0, False, "", None], ids=repr)
+    def test_non_object_prune_rejected(self, prune, tmp_path):
+        # a falsy non-object prune was read as no pruning target
+        path = tmp_path / "alq.json"
+        path.write_text(json.dumps({"prune": prune}))
+        with pytest.raises(ConfigError, match="prune must be an object"):
             AlqConfig.from_json_file(path)
 
     def test_conflicting_targets(self):

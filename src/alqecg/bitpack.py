@@ -14,13 +14,15 @@
   (+1 -> 1), each column padded to a whole byte with zero bits.
 
 No group size is stored: the partition fixes it (every group full except a
-short last one). A layer is written and read as whole arrays, its span of
-the model's groups (``quantizer.layer_spans``): one read per block, one
-``np.packbits`` or ``np.unpackbits`` per layer, no loop over groups and no
-per-group offsets. Each part is checked as soon as it is read, so a fault is
-reported in byte order, at its own offset: the group count, the first
-bitwidth above the limit, a cut block at the block's start, the first bad
-coordinate, then the first bad column at its first byte. Versions 1 and 2,
+short last one). The writer packs all columns with one ``np.packbits`` and
+cuts each layer's blocks from its span of the model's groups
+(``quantizer.layer_spans``); the reader reads a layer's blocks whole, with
+one ``np.unpackbits``. Neither loops over groups. Each part is checked as
+soon as it is read, so a fault is reported in byte order, at its own
+offset: the group count, the first bitwidth above the limit, a cut block at
+the block's start, the first bad coordinate, then the first bad column at
+its first byte. The writer refuses the same coordinates and columns first.
+Versions 1 and 2,
 which stored a u16 size before each bitwidth or interleaved each group's
 coordinates with its columns, are not read.
 
@@ -32,6 +34,8 @@ container size are reported separately. 1 KB = 1024 bytes.
 
 from __future__ import annotations
 
+import itertools
+import numbers
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -49,7 +53,6 @@ from .quantizer import (
     check_group_size,
     group_sizes,
     layer_spans,
-    row_keys,
 )
 
 MAGIC = b"ALQQ"
@@ -60,30 +63,75 @@ BASELINE_BITS = 32
 _META_BYTES = 8 + 32 + 2
 
 
-def _layer_records(layer: Groups) -> bytes:
-    """A layer's group count, bitwidth array, coordinate block and sign block."""
-    sizes, bits = layer.sizes, layer.bits
-    retained = np.arange(layer.coords.shape[1]) < bits[:, None]
-    # (G, n, W) signs -> (G, W, ceil(n/8)) column bytes, zero past each size
-    plus = (layer.signs > 0) & (np.arange(layer.signs.shape[1]) < sizes[:, None])[:, :, None]
-    columns = np.packbits(plus, axis=1, bitorder="little").transpose(0, 2, 1)
-    in_column = np.arange(columns.shape[2]) < (sizes[:, None, None] + 7) // 8
-    return (struct.pack("<I", len(bits)) + bits.astype(np.uint8).tobytes()
-            + layer.coords[retained].astype("<f4").tobytes()
-            + columns[retained[:, :, None] & in_column].tobytes())
+def _coords_from(raw: np.ndarray, retained: np.ndarray):
+    """(G, W) float64 coordinates from the retained f32 values ``raw`` in
+    group order, and (index into ``raw``, problem) of the first value that
+    is not finite, not positive or above its predecessor, else None."""
+    # checked on the f32 values: the f64 cast warns on a signalling NaN
+    finite = np.isfinite(raw)
+    coords = np.zeros(retained.shape)
+    coords[retained] = np.where(finite, raw, 0)
+    rising = np.diff(coords, axis=1, prepend=np.inf) > 0
+    faults = np.stack([~finite, coords[retained] <= 0, rising[retained]])
+    if not faults.any():
+        return coords, None
+    k = int(faults.any(axis=0).argmax())
+    return coords, (k, ["non-finite coordinate", "non-positive coordinate",
+                        "coordinates not descending"][faults[:, k].argmax()])
+
+
+def _repeated(columns: np.ndarray, retained: np.ndarray) -> np.ndarray:
+    """For every retained column of (G, W, bytes) packed ``columns``, in
+    group order, whether it equals an earlier column of its group."""
+    repeated = np.zeros(retained.shape, dtype=bool)
+    for i, j in itertools.combinations(range(retained.shape[1]), 2):
+        repeated[:, j] |= (columns[:, i] == columns[:, j]).all(axis=1)
+    return repeated[retained]
 
 
 def serialize_bytes(model: QuantModel) -> bytes:
+    """The model's ``ALQQ`` bytes. Raises ContainerFormatError for what the
+    loader would reject: a seed outside 0..2**64-1, a digest that is not 32
+    bytes of hex, a group size above the largest layer's parameter count, or
+    a group's coordinates or sign columns, named by layer and group."""
     parts = [_net.pack_header(MAGIC, VERSION, model.spec)]
-    digest = bytes.fromhex(model.meta.config_digest)
+    seed = model.meta.seed
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise ContainerFormatError(f"seed {seed!r} is not in 0..2**64-1")
+    try:
+        digest = bytes.fromhex(model.meta.config_digest)
+    except (TypeError, ValueError):
+        digest = b""
     if len(digest) != 32:
         raise ContainerFormatError("config digest must be 32 bytes of hex")
     check_group_size(model.spec, model.group_size, ContainerFormatError)
-    parts.append(struct.pack("<Q", model.meta.seed))
+    parts.append(struct.pack("<Q", seed))
     parts.append(digest)
     parts.append(struct.pack("<H", model.group_size))
-    parts += [_layer_records(model.groups.trimmed(span))
-              for _, span in layer_spans(model.spec, model.group_size)]
+
+    g, spans = model.groups, layer_spans(model.spec, model.group_size)
+    retained = np.arange(g.coords.shape[1]) < g.bits[:, None]
+    with np.errstate(over="ignore"):  # beyond f32 range: refused as non-finite
+        raw = g.coords.astype("<f4")
+    # (G, n, W) signs -> (G, W, ceil(n/8)) column bytes, zero past each size
+    plus = (g.signs > 0) & (np.arange(model.group_size) < g.sizes[:, None])[:, :, None]
+    columns = np.packbits(plus, axis=1, bitorder="little").transpose(0, 2, 1)
+    fault = _coords_from(raw[retained], retained)[1]
+    repeated = _repeated(columns, retained)
+    if fault is not None or repeated.any():
+        group, col = np.nonzero(retained)
+        if fault is None:
+            k = int(repeated.argmax())
+            fault = k, f"duplicate base column {col[k]}"
+        k, problem = fault
+        row, span = next((row, span) for row, span in spans if group[k] < span.stop)
+        raise ContainerFormatError(f"layer {row.index} group {group[k] - span.start}: {problem}")
+    in_column = retained[:, :, None] & (np.arange(columns.shape[2])
+                                        < (g.sizes[:, None, None] + 7) // 8)
+    for _, span in spans:
+        bits = g.bits[span]
+        parts += [struct.pack("<I", len(bits)), bits.astype(np.uint8).tobytes(),
+                  raw[span][retained[span]].tobytes(), columns[span][in_column[span]].tobytes()]
     return b"".join(parts)
 
 
@@ -118,16 +166,9 @@ def _read_layer(reader, layer_index: int, group_size: int, count: int):
 
     coords_at = reader.offset
     raw = np.frombuffer(reader.take_bytes(4 * len(g), "coordinate block"), dtype="<f4")
-    # checked on the f32 values: the f64 cast warns on a signalling NaN
-    finite = np.isfinite(raw)
-    coords = np.zeros(retained.shape)
-    coords[retained] = np.where(finite, raw, 0)
-    rising = np.diff(coords, axis=1, prepend=np.inf) > 0
-    faults = np.stack([~finite, coords[retained] <= 0, rising[retained]])
-    if faults.any():
-        k = int(faults.any(axis=0).argmax())
-        problem = ["non-finite coordinate", "non-positive coordinate",
-                   "coordinates not descending"][faults[:, k].argmax()]
+    coords, fault = _coords_from(raw, retained)
+    if fault is not None:
+        k, problem = fault
         raise ContainerFormatError(f"layer {layer_index} group {g[k]}: {problem}",
                                    coords_at + 4 * k)
 
@@ -140,8 +181,7 @@ def _read_layer(reader, layer_index: int, group_size: int, count: int):
     plane = np.unpackbits(packed, axis=2, bitorder="little").astype(bool)
     in_group = np.arange(plane.shape[2]) < sizes[:, None, None]
     pad_bits = (plane & ~in_group).any(axis=2)[retained]
-    duplicate = np.ones(len(g), dtype=bool)
-    duplicate[np.unique(row_keys(g, packed[retained]), return_index=True)[1]] = False
+    duplicate = _repeated(packed, retained)
     if (pad_bits | duplicate).any():
         k = int((pad_bits | duplicate).argmax())
         problem = "non-zero pad bits in" if pad_bits[k] else "duplicate"

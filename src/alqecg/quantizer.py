@@ -85,6 +85,10 @@ class Groups:
             setattr(self, name, np.asarray(getattr(self, name), dtype=dtype)[:])
             getattr(self, name).flags.writeable = False
 
+    def __getitem__(self, index) -> "Groups":
+        """The groups at ``index`` (a mask or indices), as wide as this set."""
+        return Groups(self.signs[index], self.coords[index], self.bits[index], self.sizes[index])
+
     def trimmed(self, span: slice = slice(None)) -> "Groups":
         """The groups in ``span``, cut to W = the widest of them."""
         width = int(self.bits[span].max(initial=0))
@@ -302,10 +306,28 @@ def canonicalize(signs: np.ndarray, coords: np.ndarray):
     COORD_EPS are dropped, and the result is sorted by descending coordinate
     (column bytes break exact ties). Returns (signs, coords, bits) zero-padded
     to the input's k columns.
-    Duplicates are found with one ``row_keys`` key per column.
+
+    A group already in that form (every coordinate above COORD_EPS, strictly
+    descending, and pairwise-distinct +-1 columns) is returned as it is,
+    which is what the steps above would give it; only the other groups take
+    them, their duplicates found with one ``row_keys`` key per column.
     """
     signs = np.asarray(signs, dtype=np.int8)
     coords = np.asarray(coords, dtype=np.float64)
+    k = coords.shape[1]
+    canonical = ((coords > COORD_EPS).all(axis=1) & (np.diff(coords, axis=1) < 0).all(axis=1)
+                 & (np.abs(signs) == 1).all(axis=(1, 2)))
+    for i, j in itertools.combinations(range(k), 2):
+        canonical &= (signs[:, :, i] != signs[:, :, j]).any(axis=1)
+    out_signs, out_coords, bits = signs.copy(), coords.copy(), np.full(len(coords), k)
+    rest = np.flatnonzero(~canonical)
+    if rest.size:
+        out_signs[rest], out_coords[rest], bits[rest] = _rebuild(signs[rest], coords[rest])
+    return out_signs, out_coords, bits
+
+
+def _rebuild(signs: np.ndarray, coords: np.ndarray):
+    """``canonicalize``'s flip, merge, drop and sort, on every group."""
     n_groups = len(signs)
     neg = coords < 0
     signs = np.where(neg[:, None, :], -signs, signs)
@@ -359,7 +381,7 @@ def init_decompose(rows: np.ndarray, sizes: np.ndarray, caps: np.ndarray) -> Gro
         for k in range(cap):
             alpha = np.abs(r).mean(axis=1)
             live &= alpha > COORD_EPS
-            beta = np.where(r >= 0, 1, -1).astype(np.int8)
+            beta = 2 * (r >= 0).view(np.int8) - 1
             cols[:, :, k] = beta
             alphas[:, k] = np.where(live, alpha, 0.0)
             r = np.where(live[:, None], r - alpha[:, None] * beta, r)
@@ -384,12 +406,15 @@ def _nearest_levels(w: np.ndarray, coords: np.ndarray) -> np.ndarray:
     levels = np.take_along_axis(levels, rank, axis=1)
     best = np.zeros(w.shape, dtype=np.intp)
     best_d = np.abs(w - levels[:, :1])
+    # branch-free updates: masked writes and np.where cost several times as
+    # much on the random masks this loop makes. The minimum keeps the first
+    # nearest distance as the masked choice would, unless an infinite weight
+    # or coordinate makes some of a weight's distances NaN
     for j in range(1, len(table)):
         d = np.abs(w - levels[:, j, None])
-        better = d < best_d
-        best[better] = j
-        best_d = np.where(better, d, best_d)
-    return table[np.take_along_axis(rank, best, axis=1)]
+        best += (d < best_d) * (j - best)
+        best_d = np.minimum(d, best_d)
+    return table.take(np.take_along_axis(rank, best, axis=1), axis=0)
 
 
 def optimize_bases(w: np.ndarray, groups: Groups) -> Groups:
@@ -569,9 +594,11 @@ def prune_coordinates(
     removed = np.zeros(order.size, dtype=bool)
     removed[order[:n_remove]] = True
     keep[keep] = ~removed
-    survivors_first = np.argsort(~keep, axis=1, kind="stable")
-    signs = np.take_along_axis(groups.signs * keep[:, None], survivors_first[:, None], axis=2)
-    coords = np.take_along_axis(groups.coords * keep, survivors_first, axis=1)
+    group, coord = np.nonzero(keep)
+    pos = np.cumsum(keep, axis=1)[group, coord] - 1
+    signs, coords = np.zeros_like(groups.signs), np.zeros_like(groups.coords)
+    signs[group, :, pos] = groups.signs[group, :, coord]
+    coords[group, pos] = groups.coords[group, coord]
     return Groups(signs, coords, keep.sum(axis=1), groups.sizes).trimmed()
 
 
@@ -622,23 +649,31 @@ def init_layers(network: Network, group_size: int, i_max: int | dict) -> QuantMo
 def refine_layers(network: Network, model: QuantModel, iters: int) -> QuantModel:
     """``iters`` rounds of optimize_bases then optimize_coords on the model's
     groups. Both steps act on each group alone, so a group that a round
-    leaves bitwise unchanged is at a fixed point and drops out."""
+    leaves bitwise unchanged is at a fixed point and drops out. A group whose
+    last coordinate step kept its signs and bitwidth drops out as soon as the
+    bases step keeps its signs too: the coordinate step would solve the same
+    system again and keep the same decomposition."""
     if iters == 0:
         return model
     rows = group_rows(model.spec, model.group_size, partial(_net.flatten_params, network))
     cur = model.groups
     signs, coords, bits = cur.signs.copy(), cur.coords.copy(), cur.bits.copy()
-    # the groups still changing: their indices, weight rows and current state
+    # the groups still changing: their indices, weight rows and current state,
+    # and whether their last coordinate step kept their signs
     live = np.arange(len(bits))
+    settled = np.zeros(len(bits), dtype=bool)
     for _ in range(iters):
+        based = optimize_bases(rows, cur)
+        if settled.any():
+            moved = ~settled | (based.signs != cur.signs).any(axis=(1, 2))
+            live, rows, cur, based = live[moved], rows[moved], cur[moved], based[moved]
         if live.size == 0:
             break
-        new = optimize_coords(rows, optimize_bases(rows, cur))
+        new = optimize_coords(rows, based)
         changed = ((new.signs != cur.signs).any(axis=(1, 2)) | (new.bits != cur.bits)
                    | (new.coords.view(np.int64) != cur.coords.view(np.int64)).any(axis=1))
-        live, rows = live[changed], rows[changed]
-        cur = Groups(new.signs[changed], new.coords[changed], new.bits[changed],
-                     cur.sizes[changed])
+        settled = (new.signs == based.signs).all(axis=(1, 2)) & (new.bits == based.bits)
+        live, rows, cur, settled = live[changed], rows[changed], new[changed], settled[changed]
         signs[live], coords[live], bits[live] = cur.signs, cur.coords, cur.bits
     return replace(model, groups=Groups(signs, coords, bits, model.groups.sizes).trimmed())
 

@@ -20,15 +20,19 @@ from alqecg.qinfer import QuantExecutor, dequantize
 from alqecg.quantizer import (
     AlqConfig,
     alq_pipeline,
+    calib_subset,
     dequantized_network,
+    init_layers,
     layer_spans,
     model_avg_bitwidth,
+    prune_coordinates,
+    refine_layers,
     score_coordinates,
     uniform_baseline,
 )
 from alqecg.util import canonical_json_bytes
 from bitplane_oracle import BitPlaneExecutor
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, traced_peak
 from test_bitpack import models_equal, random_model
 from test_quantizer import (
     arrays_sha256,
@@ -249,6 +253,21 @@ def test_quantizer_arrays_golden_digests(desk_quantized, desk_g11_model):
     # the quantizer's arrays, pinned apart from the container's bytes
     assert arrays_sha256(desk_quantized[1]) == DESK_ARRAYS_SHA256
     assert arrays_sha256(desk_g11_model) == DESK_G11_ARRAYS_SHA256
+
+
+def test_init_and_refine_traced_peaks(trained_network, desk_data, desk_quantized):
+    # criterion 6's init and refinement each batch the whole network's
+    # groups; the bounds sit a little above the measured 3.46 and 4.77 MiB
+    train_set, _ = desk_data
+    config = desk_quantized[0]
+    initial = init_layers(trained_network, config.group_size, config.i_max)
+    scores, _ = score_coordinates(initial, calib_subset(train_set, config), config.scorer)
+    pruned = replace(initial, groups=prune_coordinates(
+        initial.groups, scores, target_avg_bitwidth=config.target_avg_bitwidth))
+    assert traced_peak(lambda: init_layers(trained_network, config.group_size,
+                                           config.i_max)) < 3.75 * 2**20
+    assert traced_peak(lambda: refine_layers(trained_network, pruned,
+                                             config.refine_iters)) < 5.0 * 2**20
 
 
 def test_criterion_07_sweep_shape(trained_network, desk_data):

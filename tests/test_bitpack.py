@@ -187,6 +187,56 @@ class TestSerializeRoundTrip:
             assert models_equal(model, deserialize_bytes(serialize_bytes(model)))
 
 
+class TestSerializeRefuses:
+    """The writer refuses what the loader would reject, naming the layer and
+    group as the loader does."""
+
+    @staticmethod
+    def two_bit_model(column_1, coords, meta=None) -> QuantModel:
+        """A one-layer model whose three weights are one 2-bit group, first
+        column all +1, and whose bias is an empty group."""
+        spec = NetworkSpec([flatten(), softmax_dense(1)], input_length=3,
+                           input_channels=1, class_count=1)
+        signs = np.zeros((2, 3, 2), dtype=np.int8)
+        signs[0, :, 0] = 1
+        signs[0, :, 1] = column_1
+        return QuantModel(spec, Groups(signs, [coords, [0.0, 0.0]], [2, 0], [3, 1]), 3,
+                          meta or ModelMeta())
+
+    @pytest.mark.parametrize("column_1, coords, problem", [
+        ([1, 1, 1], [1.0, 0.5], "duplicate base column 1"),
+        ([1, 1, -1], [0.5, 1.0], "coordinates not descending"),
+        ([1, 1, -1], [1.0, -0.5], "non-positive coordinate"),
+        # positive as f64, zero as the f32 the container stores
+        ([1, 1, -1], [1.0, 1e-50], "non-positive coordinate"),
+        # finite as f64, infinite as f32
+        ([1, 1, -1], [1e39, 1.0], "non-finite coordinate"),
+        ([1, 1, -1], [np.nan, 1.0], "non-finite coordinate"),
+    ])
+    def test_group_the_loader_rejects(self, column_1, coords, problem):
+        model = self.two_bit_model(column_1, coords)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContainerFormatError,
+                               match=f"^layer 1 group 0: {problem}$") as err:
+                serialize_bytes(model)
+        assert err.value.offset is None
+
+    @pytest.mark.parametrize("meta, problem", [
+        (ModelMeta(config_digest="zz" * 32), "config digest must be 32 bytes of hex"),
+        (ModelMeta(config_digest="00" * 31), "config digest must be 32 bytes of hex"),
+        (ModelMeta(seed=-1), r"seed -1 is not in 0\.\.2\*\*64-1"),
+        (ModelMeta(seed=2**64), rf"seed {2**64} is not in 0\.\.2\*\*64-1"),
+    ])
+    def test_meta_the_container_cannot_hold(self, meta, problem):
+        with pytest.raises(ContainerFormatError, match=problem):
+            serialize_bytes(self.two_bit_model([1, 1, -1], [1.0, 0.5], meta))
+
+    def test_canonical_group_written(self):
+        model = self.two_bit_model([1, 1, -1], [1.0, 0.5], ModelMeta(seed=2**64 - 1))
+        assert models_equal(deserialize_bytes(serialize_bytes(model)), model)
+
+
 class TestDeserializeErrors:
     def test_bad_magic(self):
         with pytest.raises(ContainerFormatError, match="bad magic at offset 0"):
@@ -258,17 +308,22 @@ class TestDeserializeErrors:
         coords = np.pad(coords, ((0, 0), (0, 2)))
         signs[0] = 0
         signs[0, :, :2] = 1
+        signs[0, -1, 1] = -1
         coords[0] = 0.0
         coords[0, :2] = [1.0, 0.5]
         bits[0] = 2
         model = with_arrays(model, signs, coords, bits)
-        with pytest.raises(ContainerFormatError,
-                           match="group 0: duplicate base column 1") as err:
-            deserialize_bytes(serialize_bytes(model))
+        data = bytearray(serialize_bytes(model))
         # group count, bitwidths, the coordinate block, then group 0's first
-        # column: one byte for its 8 values
+        # column: one byte for its 8 values; the writer refuses equal
+        # columns, so the second is made equal to the first in the bytes
         first = bits[layer_spans(model.spec, model.group_size)[0][1]]
         signs_at = header_bytes(model) + 4 + len(first) + 4 * int(first.sum())
+        assert data[signs_at : signs_at + 2] == b"\xff\x7f"
+        data[signs_at + 1] = data[signs_at]
+        with pytest.raises(ContainerFormatError,
+                           match="group 0: duplicate base column 1") as err:
+            deserialize_bytes(bytes(data))
         assert err.value.offset == signs_at + 1
 
     @pytest.mark.parametrize("nan", [0x7FC00000, 0x7FA00000])  # quiet, signalling

@@ -621,15 +621,50 @@ class TestBatchedMatchesPerGroupReference:
             coords[rng.random((n_groups, k)) < 0.2] = 0.0
             coords[rng.random((n_groups, k)) < 0.1] = 5e-13
             coords[:, -1] = coords[:, 0]  # exact ties, broken by column bytes
-            out_signs, out_coords, bits = canonicalize(signs, coords)
-            assert out_signs.shape == signs.shape and out_coords.shape == coords.shape
-            assert not out_signs[np.arange(k) >= bits[:, None, None].repeat(size, 1)].any()
-            for g in range(n_groups):
-                want_b, want_c = ref_canonicalize(signs[g], coords[g])
-                assert bits[g] == want_c.size
-                assert np.array_equal(out_signs[g, :, : bits[g]], want_b)
-                assert out_coords[g, : bits[g]].tobytes() == want_c.tobytes()
-                assert not out_coords[g, bits[g] :].any()
+            self.check_canonicalize(signs, coords)
+        # batches mixing groups already canonical, which pass through, with
+        # groups that are not: a coordinate at COORD_EPS (dropped) or just
+        # above it (kept), equal columns under strictly descending
+        # coordinates, a negative coordinate; k = 1 included
+        above = np.nextafter(COORD_EPS, 1.0)
+        seen = {"pass": 0, "rebuilt": 0, "k=1 pass": 0, "at eps": 0, "above eps pass": 0,
+                "equal columns": 0}
+        for _ in range(300):
+            n_groups, size, k = (int(v) for v in rng.integers(1, [12, 9, 5]))
+            signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_groups, size, k))
+            coords = -np.sort(-rng.uniform(0.01, 2, size=(n_groups, k)), axis=1)
+            kind = rng.integers(0, 5, size=n_groups)
+            coords[kind == 1, -1] = COORD_EPS
+            coords[kind == 2, -1] = above
+            if k > 1:
+                signs[kind == 3, :, -1] = signs[kind == 3, :, 0]
+            coords[kind == 4, 0] *= -1
+            for g, passed in enumerate(self.check_canonicalize(signs, coords)):
+                seen["pass" if passed else "rebuilt"] += 1
+                seen["k=1 pass"] += passed and k == 1
+                seen["at eps"] += bool(kind[g] == 1)
+                seen["above eps pass"] += passed and kind[g] == 2
+                seen["equal columns"] += bool(kind[g] == 3 and k > 1)
+        assert min(seen.values()) > 20, seen
+
+    @staticmethod
+    def check_canonicalize(signs, coords) -> list[bool]:
+        """canonicalize against ref_canonicalize group by group; per group,
+        whether it was canonical already (the reference returns it as it is)."""
+        n_groups, size, k = signs.shape
+        out_signs, out_coords, bits = canonicalize(signs, coords)
+        assert out_signs.shape == signs.shape and out_coords.shape == coords.shape
+        assert not out_signs[np.arange(k) >= bits[:, None, None].repeat(size, 1)].any()
+        passed = []
+        for g in range(n_groups):
+            want_b, want_c = ref_canonicalize(signs[g], coords[g])
+            assert bits[g] == want_c.size
+            assert np.array_equal(out_signs[g, :, : bits[g]], want_b)
+            assert out_coords[g, : bits[g]].tobytes() == want_c.tobytes()
+            assert not out_coords[g, bits[g] :].any()
+            passed.append(bool(np.array_equal(want_b, signs[g])
+                               and want_c.tobytes() == coords[g].tobytes()))
+        return passed
 
     @pytest.mark.parametrize("size", [9, 17, 33])
     def test_canonicalize_key_across_bytes(self, size):
@@ -789,14 +824,19 @@ class TestRefinementVsExhaustive:
 
 def ref_refine_layers(network, model, iters) -> QuantModel:
     """Per-layer refinement: every round on every group of one layer at a time."""
-    out = []
+    for _ in range(iters):
+        model = ref_round(network, model)[1]
+    return model
+
+
+def ref_round(network, model) -> tuple[Groups, QuantModel]:
+    """One per-layer refinement round: (the bases step's groups, the model after it)."""
+    based, out = [], []
     for row, span in layer_spans(model.spec, model.group_size):
         flat = _net.flatten_params(network, row.index)
-        groups = model.groups.trimmed(span)
-        for _ in range(iters):
-            groups = refine_step(optimize_coords, flat, refine_step(optimize_bases, flat, groups))
-        out.append(groups)
-    return replace(model, groups=concat(out))
+        based.append(refine_step(optimize_bases, flat, model.groups.trimmed(span)))
+        out.append(refine_step(optimize_coords, flat, based[-1]))
+    return concat(based), replace(model, groups=concat(out))
 
 
 def refine_case(group_size, scorer, seed=0):
@@ -818,12 +858,13 @@ def refine_case(group_size, scorer, seed=0):
     return network, replace(model, groups=Groups(g.signs, g.coords * scale, g.bits, g.sizes))
 
 
-def changed_groups(before: Groups, after: Groups) -> int:
-    """Number of groups whose (bases, coords) differ between two sets."""
-    return sum(
-        not (np.array_equal(bb, ab) and bc.tobytes() == ac.tobytes())
+def same_groups(before: Groups, after: Groups, coords: bool = True) -> np.ndarray:
+    """Per group, whether its bases (and, with ``coords``, its coordinates)
+    are equal in two sets."""
+    return np.array([
+        np.array_equal(bb, ab) and (not coords or bc.tobytes() == ac.tobytes())
         for (bb, bc), (ab, ac) in zip(groups_of(before), groups_of(after))
-    )
+    ])
 
 
 class TestRefineLayers:
@@ -845,10 +886,11 @@ class TestRefineLayers:
     def test_rounds_refine_only_changed_groups(self, monkeypatch, group_size):
         network, model = refine_case(group_size, "loss_aware", seed=2)
         iters = 8
-        rounds = [model]
+        rounds, based = [model], []
         for _ in range(iters):
-            rounds.append(ref_refine_layers(network, rounds[-1], 1))
-        changed = [changed_groups(a.groups, b.groups) for a, b in zip(rounds, rounds[1:])]
+            step, after = ref_round(network, rounds[-1])
+            based.append(step)
+            rounds.append(after)
         sizes = []
         real = _quantizer.optimize_coords
 
@@ -859,12 +901,22 @@ class TestRefineLayers:
         monkeypatch.setattr(_quantizer, "optimize_coords", spy)
         got = refine_layers(network, model, iters)
         assert groups_equal(got.groups, rounds[-1].groups)
-        # round 1 takes every group, round r the groups round r - 1 changed;
-        # refinement stops once a round changes none
-        want = [len(model.groups.bits)] + changed
+        # round 1's coordinate step takes every group, round r's the groups
+        # round r - 1 changed, less those whose coordinate step then kept the
+        # signs and bitwidth (settled) and whose signs round r's bases step
+        # keeps; refinement stops once no group is left
+        want = [len(model.groups.bits)]
+        for r in range(1, iters):
+            changed = ~same_groups(rounds[r - 1].groups, rounds[r].groups)
+            settled = same_groups(based[r - 1], rounds[r].groups, coords=False)
+            kept = same_groups(rounds[r].groups, based[r], coords=False)
+            want.append(int((changed & ~(settled & kept)).sum()))
         want = want[: want.index(0) if 0 in want else iters]
         assert sizes == want
-        assert want[1] < want[0] and len(want) > 2
+        skipped = [int((~same_groups(a.groups, b.groups)).sum()) - n
+                   for a, b, n in zip(rounds, rounds[1:], want[1:])]
+        # at group size 7 the skip ends refinement after round 2
+        assert want[1] < want[0] and max(skipped) > 0 and len(want) > (2 if group_size == 16 else 1)
 
 
 class TestAverageBitwidth:

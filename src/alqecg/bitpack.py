@@ -5,7 +5,8 @@
 * magic ``ALQQ``, u16 version
 * network descriptor (shared with the checkpoint format), then model meta:
   u64 creation seed and the 32-byte config digest
-* u16 group size n, at most the largest layer's parameter count
+* u16 group size n, from 1 up to the largest layer's parameter count
+  (``quantizer.layer_spans`` rejects any other)
 * per parameterized layer: u32 group count, which must be ceil(count / n);
   every group's u8 bitwidth, as one array; the coordinate block, every
   retained coordinate as f32, group by group; then the sign block, one
@@ -43,14 +44,13 @@ from pathlib import Path
 import numpy as np
 
 from . import net as _net
-from .errors import ContainerFormatError
+from .errors import ConfigError, ContainerFormatError
 from .net import NetworkSpec
 from .quantizer import (
     ENUM_BITWIDTH_LIMIT,
     Groups,
     ModelMeta,
     QuantModel,
-    check_group_size,
     group_sizes,
     layer_spans,
 )
@@ -92,8 +92,9 @@ def _repeated(columns: np.ndarray, retained: np.ndarray) -> np.ndarray:
 def serialize_bytes(model: QuantModel) -> bytes:
     """The model's ``ALQQ`` bytes. Raises ContainerFormatError for what the
     loader would reject: a seed outside 0..2**64-1, a digest that is not 32
-    bytes of hex, a group size above the largest layer's parameter count, or
-    a group's coordinates or sign columns, named by layer and group."""
+    bytes of hex, or a group's coordinates or sign columns, named by layer
+    and group. A model's group size is always one the container holds:
+    ``QuantModel`` checks it."""
     parts = [_net.pack_header(MAGIC, VERSION, model.spec)]
     seed = model.meta.seed
     if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
@@ -104,7 +105,6 @@ def serialize_bytes(model: QuantModel) -> bytes:
         digest = b""
     if len(digest) != 32:
         raise ContainerFormatError("config digest must be 32 bytes of hex")
-    check_group_size(model.spec, model.group_size, ContainerFormatError)
     parts.append(struct.pack("<Q", seed))
     parts.append(digest)
     parts.append(struct.pack("<H", model.group_size))
@@ -197,13 +197,10 @@ def deserialize_bytes(data: bytes) -> QuantModel:
     digest = reader.take_bytes(32, "meta digest").hex()
     at = reader.offset
     group_size = reader.take("<H", "group size")
-    largest = max(row.count for row in table)
-    if not 1 <= group_size <= largest:
-        raise ContainerFormatError(
-            f"group size {group_size} outside 1..{largest} (the largest layer's "
-            "parameter count)", at)
-
-    spans = layer_spans(spec, group_size, table)
+    try:
+        spans = layer_spans(spec, group_size, table)
+    except ConfigError as exc:
+        raise ContainerFormatError(str(exc), at) from None
     columns, coords, bits, sizes = zip(*[
         _read_layer(reader.at_context(row.name), row.index, group_size, row.count)
         for row, _ in spans])

@@ -9,7 +9,6 @@ which by construction exceeds 100 for multi-class data.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -196,14 +195,16 @@ def sweep(
 # report files
 
 
-def write_confusion_csv(path, cm: ConfusionMatrix, normalized: bool = False) -> None:
+def _csv(rows) -> str:
+    # every field is a number or empty, so none needs quoting
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def confusion_csv(cm: ConfusionMatrix, normalized: bool = False) -> str:
     grid = cm.normalized() if normalized else cm.counts
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["true\\pred"] + [str(c) for c in range(cm.class_count)])
-        for t in range(cm.class_count):
-            row = [f"{v:.6f}" if normalized else str(int(v)) for v in grid[t]]
-            writer.writerow([str(t)] + row)
+    return _csv([["true\\pred"] + [str(c) for c in range(cm.class_count)]]
+                + [[str(t)] + [f"{v:.6f}" if normalized else str(int(v)) for v in grid[t]]
+                   for t in range(cm.class_count)])
 
 
 def format_confusion_heat(cm: ConfusionMatrix) -> str:
@@ -220,19 +221,13 @@ def format_confusion_heat(cm: ConfusionMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_sweep_csv(path, points: list[SweepPoint]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["prune_rate", "avg_bitwidth", "calib_loss",
-             "avg_bitwidth_refined", "calib_loss_refined", "test_oa"]
-        )
-        for p in points:
-            writer.writerow(
-                [f"{p.prune_rate:.6f}", f"{p.avg_bitwidth:.6f}",
-                 _loss_text(p.calib_loss, ".10g", ""), f"{p.avg_bitwidth_refined:.6f}",
-                 _loss_text(p.calib_loss_refined, ".10g", ""), f"{p.test_oa:.6f}"]
-            )
+def sweep_csv(points: list[SweepPoint]) -> str:
+    return _csv([["prune_rate", "avg_bitwidth", "calib_loss",
+                  "avg_bitwidth_refined", "calib_loss_refined", "test_oa"]]
+                + [[f"{p.prune_rate:.6f}", f"{p.avg_bitwidth:.6f}",
+                    _loss_text(p.calib_loss, ".10g", ""), f"{p.avg_bitwidth_refined:.6f}",
+                    _loss_text(p.calib_loss_refined, ".10g", ""), f"{p.test_oa:.6f}"]
+                   for p in points])
 
 
 def emit_reports(
@@ -242,7 +237,8 @@ def emit_reports(
     memory: "bitpack.MemoryReport | None" = None,
     sweep_points: list[SweepPoint] | None = None,
 ) -> list[Path]:
-    """Write whichever reports were produced; content is a pure function of inputs."""
+    """Write whichever reports were produced, each through ``emit``: the one
+    place report files are written. Content is a pure function of inputs."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -255,17 +251,14 @@ def emit_reports(
     if metrics_report is not None:
         emit("metrics.json", canonical_json_bytes(metrics_report.to_json_dict()))
     if cm is not None:
-        write_confusion_csv(out_dir / "confusion.csv", cm)
-        written.append(out_dir / "confusion.csv")
-        write_confusion_csv(out_dir / "confusion_normalized.csv", cm, normalized=True)
-        written.append(out_dir / "confusion_normalized.csv")
+        emit("confusion.csv", confusion_csv(cm).encode())
+        emit("confusion_normalized.csv", confusion_csv(cm, normalized=True).encode())
         emit("confusion_heat.txt", format_confusion_heat(cm).encode())
     if memory is not None:
         emit("memory.json", canonical_json_bytes(memory.to_json_dict()))
         emit("memory.txt", memory.format_table().encode())
     if sweep_points is not None:
-        write_sweep_csv(out_dir / "sweep.csv", sweep_points)
-        written.append(out_dir / "sweep.csv")
+        emit("sweep.csv", sweep_csv(sweep_points).encode())
         emit(
             "sweep.json",
             canonical_json_bytes([p.__dict__ for p in sweep_points]),

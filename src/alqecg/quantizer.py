@@ -100,11 +100,18 @@ def layer_spans(spec: NetworkSpec, group_size: int,
                 table: list[LayerRow] | None = None) -> list[tuple[LayerRow, slice]]:
     """(table row, slice of the model's groups) of every parameterized layer:
     ceil(count / group_size) groups per layer, in layer order. ``table`` is
-    the spec's ``net.layer_table``, for a caller that has walked it already."""
-    if group_size < 1:
-        raise ConfigError("group size must be >= 1")
+    the spec's ``net.layer_table``, for a caller that has walked it already.
+
+    Raises ConfigError for a group size outside 1 up to the largest layer's
+    parameter count: a larger one would pad every layer's single group past
+    the layer's values, and no ``ALQQ`` container declares one."""
+    table = table or _net.layer_table(spec)
+    largest = max(row.count for row in table)
+    if not 1 <= group_size <= largest:
+        raise ConfigError(f"group size {group_size} outside 1..{largest} (the largest "
+                          "layer's parameter count)")
     spans, end = [], 0
-    for row in table or _net.layer_table(spec):
+    for row in table:
         if row.name:
             start, end = end, end - (-row.count // group_size)
             spans.append((row, slice(start, end)))
@@ -122,7 +129,8 @@ class QuantModel:
     """Every parameterized layer's groups as one set, plus the spec and group
     size they partition. Raises ConfigError unless ``groups`` is exactly the
     spec's partition at ``group_size``, of at most ENUM_BITWIDTH_LIMIT bits a
-    group; ``table`` goes to ``layer_spans``."""
+    group, or for a group size that ``layer_spans`` rejects; ``table`` goes
+    to ``layer_spans``."""
 
     spec: NetworkSpec
     groups: Groups
@@ -617,15 +625,6 @@ class PipelineReport:
     calib_loss_final: float | None = None
 
 
-def check_group_size(spec: NetworkSpec, group_size: int,
-                     error: type[Exception] = ConfigError) -> None:
-    """Raise ``error`` for a group size above the largest layer's parameter
-    count, which no ``ALQQ`` container can declare."""
-    largest = max(row.count for row in _net.layer_table(spec))
-    if group_size > largest:
-        raise error(f"group size {group_size} exceeds the largest layer's {largest} values")
-
-
 def init_layers(network: Network, group_size: int, i_max: int | dict) -> QuantModel:
     """Greedy init of every parameterized layer's groups, each capped at its
     layer's ``i_max``, in one ``init_decompose`` pass.
@@ -713,7 +712,7 @@ def alq_runs(network: Network, calib, config: AlqConfig, targets):
     configs = [replace(config, prune_rate=rate, target_avg_bitwidth=avg)
                for rate, avg in targets]
     prunes = any(c.prunes for c in configs)
-    check_group_size(network.spec, config.group_size)
+    layer_spans(network.spec, config.group_size)
     if prunes and config.scorer == "loss_aware" and not calib:  # None or no records
         raise ConfigError("loss_aware pruning requires calibration records")
     initial = init_layers(network, config.group_size, config.i_max)

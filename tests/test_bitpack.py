@@ -25,6 +25,7 @@ from alqecg.net import (
     dense,
     flatten,
     init_params,
+    layer_table,
     pack_header,
     pool,
     softmax_dense,
@@ -427,13 +428,6 @@ class TestDeserializeErrors:
             deserialize_bytes(bytes(data))
         assert err.value.offset == at
 
-    def test_serialize_refuses_group_size_above_largest_layer(self):
-        spec = NetworkSpec([flatten(), softmax_dense(17)], input_length=16)
-        model = uniform_baseline(init_params(spec, 0), 16, 65535)
-        with pytest.raises(ContainerFormatError,
-                           match="group size 65535 exceeds the largest layer's 289 values"):
-            serialize_bytes(model)
-
     def test_partition_checked_before_groups_unpack(self):
         # at the largest group size, 289, the partition is one group, so the
         # 289 declared groups are rejected at their count, before any is
@@ -496,29 +490,35 @@ class TestModelPartition:
         with pytest.raises(ConfigError, match="a 17-bit group exceeds the 16-bit limit"):
             uniform_baseline(network, ENUM_BITWIDTH_LIMIT + 1, 40)
 
+    def test_group_size_above_largest_layer_is_not_built(self):
+        # no container declares such a group size, so no model holds one
+        spec = NetworkSpec([flatten(), softmax_dense(17)], input_length=16)
+        model = uniform_baseline(init_params(spec, 0), 16, 289)
+        with pytest.raises(ConfigError, match=r"group size 65535 outside 1\.\.289"):
+            uniform_baseline(init_params(spec, 0), 16, 65535)
+        with pytest.raises(ConfigError, match=r"group size 290 outside 1\.\.289"):
+            QuantModel(spec, model.groups, 290)
+
     @settings(max_examples=80, deadline=None)
     @given(spec=valid_specs(), group_size=st.integers(1, 40), other=st.integers(1, 40),
            arrangement=st.sampled_from(["keep", "drop last", "reverse", "regroup"]))
     def test_every_model_built_loads(self, spec, group_size, other, arrangement):
         network = init_params(spec, 0)
-        parts = layer_parts(uniform_baseline(network, 2, group_size))
-        if arrangement == "drop last":
-            assume(len(parts) > 1)
-            parts = parts[:-1]
-        elif arrangement == "reverse":
-            parts = parts[::-1]
-        elif arrangement == "regroup":
-            parts = layer_parts(uniform_baseline(network, 2, other))
+        largest = max(row.count for row in layer_table(spec))
         try:
+            parts = layer_parts(uniform_baseline(network, 2, group_size))
+            if arrangement == "drop last":
+                assume(len(parts) > 1)
+                parts = parts[:-1]
+            elif arrangement == "reverse":
+                parts = parts[::-1]
+            elif arrangement == "regroup":
+                parts = layer_parts(uniform_baseline(network, 2, other))
             model = QuantModel(spec, concat(parts), group_size)
         except ConfigError:
-            assert arrangement != "keep"
+            assert arrangement != "keep" or group_size > largest
             return
-        try:
-            blob = serialize_bytes(model)
-        except ContainerFormatError:  # no container declares such a group size
-            assert group_size > max(row.count for row, _ in layer_spans(spec, group_size))
-            return
+        blob = serialize_bytes(model)
         assert serialize_bytes(deserialize_bytes(blob)) == blob
 
 

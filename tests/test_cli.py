@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -167,7 +169,8 @@ class TestValidation:
         assert run(["sweep", "--model", "m.alqf", "--data", "d.csv", "--test", "d.csv",
                     "--config", "alq.json", "--rates", "0,0.5", "--out", "swp"]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: group size 30000 exceeds the largest layer's 20544 values"] * 2
+        assert err == ["error: group size 30000 outside 1..20544 (the largest layer's "
+                       "parameter count)"] * 2
         assert calls == []
         assert not (workdir / "x.alqq").exists() and not (workdir / "swp").exists()
 
@@ -304,3 +307,27 @@ def test_module_runs_as_a_script(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert len(load_dataset(tmp_path / "d.csv")) == 17
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_walkthrough_runs(workdir):
+    # the README's CLI block, in order, at 2 records per class and 1 epoch;
+    # alq.json is the README's quantizer config block
+    text = README.read_text()
+    cli_section = text[text.index("\n## CLI\n"):]
+    block = re.search(r"```sh\n(.*?)```", cli_section, re.S).group(1)
+    (workdir / "alq.json").write_text(re.search(r"```json\n(.*?)```", cli_section, re.S).group(1))
+    shrink = {"--n-per-class": "2", "--epochs": "1"}
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("alqecg ")]
+    for argv in commands:
+        argv = [shrink.get(prev, arg) for prev, arg in zip([None] + argv, argv)]
+        assert run(argv[1:]) == 0, argv
+    manifests = {d: json.loads((workdir / "reports" / d / "manifest.json").read_text())
+                 for d in ["fp", "alq", "memory"]}
+    assert [(m["command"], m["settings"]["model"]) for m in manifests.values()] == [
+        ("eval", "model.alqf"), ("eval", "model.alqq"), ("report", "model.alqq")]
+    assert (workdir / "reports" / "alq" / "memory.json").is_file()
+    assert (workdir / "sweep" / "sweep.csv").is_file()

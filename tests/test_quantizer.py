@@ -420,6 +420,15 @@ class TestLayerSpans:
     @given(spec=valid_specs(), group_size=st.integers(1, 64))
     def test_spans_follow_the_layer_table(self, spec, group_size):
         rows = [row for row in _net.layer_table(spec) if row.name]
+        largest = max(row.count for row in rows)
+        if group_size > largest:
+            # a group would be padded past every layer
+            for build in [lambda: layer_spans(spec, group_size),
+                          lambda: init_layers(init_params(spec, 0), group_size, 1)]:
+                with pytest.raises(ConfigError, match=f"group size {group_size} "
+                                   rf"outside 1\.\.{largest} \(the largest layer's "):
+                    build()
+            return
         spans = layer_spans(spec, group_size)
         assert [row for row, _ in spans] == rows
         model = init_layers(init_params(spec, 0), group_size, 1)
